@@ -29,12 +29,27 @@
 //     are bulk-applied in O(distinct lines) — it probes side-effect-free
 //     and reports false (leaving state untouched) the moment a
 //     non-resident line appears, falling back to DataRun.
+//   - FetchResident/FetchRun are the instruction-side counterpart: a
+//     side-effect-free probe that a set of code lines is resident in L1I,
+//     and a commit that applies a whole run of fetch-line crossings over
+//     those lines at once. An L1I hit touches nothing but L1I's own hit
+//     counter, LRU stamps and MRU slots — never L2 — so a run of hits
+//     commutes with every data access around it and only the order of the
+//     fetches among themselves matters. That order reaches the cache as
+//     each line's last ordinal within the run, which is all the LRU state
+//     keeps of it.
 //   - Data/Fetch are the scalar per-access path, used for cold and
 //     conflicting accesses and as the bit-identity reference in tests.
 //
 // All paths produce bit-identical statistics; the fuzz suites in
 // datarun_test.go compare full internal state (lines, LRU order, MRU
 // slots, stamps) against the scalar reference.
+//
+// Reset costs what the run touched, not what the geometry could hold: each
+// level journals the ways its cold fills turned valid and clears exactly
+// those (a level that filled more than a quarter of its ways is cleared
+// whole), so a small candidate on the x86 profile no longer pays for
+// zeroing the 8 MiB of line state behind its 32 MiB L3.
 package cache
 
 import "fmt"
@@ -178,6 +193,13 @@ type Cache struct {
 	// mru holds the most-recently-used way per set; cache-friendly access
 	// streams hit it on the first probe, skipping the way scan.
 	mru []int32
+	// filled journals the flat indices of the ways that went invalid→valid
+	// since the last Reset, which then clears only those. It is capped at a
+	// quarter of the ways; past the cap overflow is set and Reset clears
+	// everything, as a run that fills that much is no longer small next to
+	// the clear.
+	filled   []int32
+	overflow bool
 	// Stats for this level.
 	Stats Stats
 	// MemAccesses counts accesses this level forwarded to memory (only
@@ -303,6 +325,11 @@ func (c *Cache) accessLine(lineAddr uint64, w int) int {
 				c.MemAccesses++
 			}
 		}
+	} else if len(c.filled) < len(c.lines)/4 {
+		// Cold fill: the only way a line turns valid, journalled for Reset.
+		c.filled = append(c.filled, int32(base+victim))
+	} else {
+		c.overflow = true
 	}
 	*v = line{tag: tag | dirty, lru: c.stamp}
 	c.mru[si] = int32(victim)
@@ -328,14 +355,23 @@ func (c *Cache) findLine(lineAddr uint64) (int32, int32) {
 }
 
 // Reset clears contents and statistics (cold caches, as the paper flushes
-// caches before each benchmark repetition).
+// caches before each benchmark repetition). Only the ways filled since the
+// last Reset hold anything: a line turns valid on the cold-fill branch of
+// accessLine alone, and a set's MRU slot moves only once one of its ways is
+// valid, so clearing the journalled ways and their sets' slots leaves the
+// level exactly as New built it.
 func (c *Cache) Reset() {
-	for i := range c.lines {
-		c.lines[i] = line{}
+	if c.overflow {
+		clear(c.lines)
+		clear(c.mru)
+		c.overflow = false
+	} else {
+		for _, idx := range c.filled {
+			c.lines[idx] = line{}
+			c.mru[int(idx)/c.assoc] = 0
+		}
 	}
-	for i := range c.mru {
-		c.mru[i] = 0
-	}
+	c.filled = c.filled[:0]
 	c.Stats = Stats{}
 	c.MemAccesses = 0
 	c.stamp = 0

@@ -285,3 +285,70 @@ func TestMustNewPanics(t *testing.T) {
 	}()
 	MustNew(Config{Name: "bad", SizeBytes: 7}, nil)
 }
+
+// TestResetEqualsFreshCache drives a random access stream through a
+// hierarchy, resets it, and requires the complete state of every level to
+// equal a hierarchy that was never used — on both branches of Reset: the
+// journal (few cold fills: only the filled ways are cleared) and the
+// overflow (a level filled past a quarter of its ways is cleared whole).
+// A second stream after the reset must then behave exactly as on the fresh
+// hierarchy, which it would not if a stale line, stamp or MRU slot survived.
+func TestResetEqualsFreshCache(t *testing.T) {
+	cfg := HierarchyConfig{
+		L1D: Config{Name: "L1D", SizeBytes: 4096, LineBytes: 64, Assoc: 4},
+		L1I: Config{Name: "L1I", SizeBytes: 4096, LineBytes: 64, Assoc: 2},
+		L2:  Config{Name: "L2", SizeBytes: 64 * 1024, LineBytes: 64, Assoc: 8},
+		L3:  Config{Name: "L3", SizeBytes: 1 << 20, LineBytes: 64, Assoc: 16},
+	}
+	mk := func() *Hierarchy {
+		h, err := NewHierarchy(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return h
+	}
+	stream := func(h *Hierarchy, rng *num.RNG, n, addrRange int) {
+		for i := 0; i < n; i++ {
+			addr := uint64(rng.Intn(addrRange))
+			if rng.Float64() < 0.2 {
+				h.Fetch(addr&^63, 1)
+			} else {
+				h.Data(addr, uint32(1+rng.Intn(8)), rng.Float64() < 0.3)
+			}
+		}
+	}
+	rng := num.NewRNG(2203)
+	for trial := 0; trial < 40; trial++ {
+		h := mk()
+		// Even trials stay within 12 lines (L1D's journal holds 16); odd
+		// trials spread over 256 KiB and overflow L1D, L1I and L2.
+		n, addrRange := 200, 12*64
+		if trial%2 == 1 {
+			n, addrRange = 3000, 256*1024
+		}
+		stream(h, rng, n, addrRange)
+		if got, want := h.L1D.overflow, trial%2 == 1; got != want {
+			t.Fatalf("trial %d: L1D overflow = %v, want %v (filled %d of %d ways)",
+				trial, got, want, len(h.L1D.filled), len(h.L1D.lines))
+		}
+		if h.L3.overflow {
+			t.Fatalf("trial %d: the 16 Ki-way L3 must stay on the journal branch", trial)
+		}
+		h.Reset()
+		fresh := mk()
+		if err := h.DiffState(fresh); err != nil {
+			t.Fatalf("trial %d: reset state differs from a fresh hierarchy: %v", trial, err)
+		}
+		for _, lv := range h.Levels() {
+			if len(lv.filled) != 0 || lv.overflow {
+				t.Fatalf("trial %d: %s journal survived the reset", trial, lv.cfg.Name)
+			}
+		}
+		seed := rng.Uint64()
+		stream(h, num.NewRNG(seed), 500, 8192)
+		stream(fresh, num.NewRNG(seed), 500, 8192)
+		if err := h.DiffState(fresh); err != nil {
+			t.Fatalf("trial %d: reset hierarchy diverges from a fresh one on reuse: %v", trial, err)
+		}
+	}
+}

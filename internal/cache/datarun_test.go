@@ -1,7 +1,6 @@
 package cache
 
 import (
-	"fmt"
 	"testing"
 
 	"repro/internal/num"
@@ -44,42 +43,6 @@ func referenceDataRun(h *Hierarchy, count, rows, planes int, sites []RunSite) {
 			}
 		}
 	}
-}
-
-// equalCacheState compares the complete internal state of two caches:
-// every way's tag/dirty/LRU stamp, the MRU slots, the global stamp and all
-// counters. This is what "bit-identical" means for the model — a stats-only
-// comparison would miss LRU divergence that only shows up accesses later.
-func equalCacheState(a, b *Cache) error {
-	if a.stamp != b.stamp {
-		return fmt.Errorf("stamp %d != %d", a.stamp, b.stamp)
-	}
-	if a.Stats != b.Stats {
-		return fmt.Errorf("stats %+v != %+v", a.Stats, b.Stats)
-	}
-	if a.MemAccesses != b.MemAccesses {
-		return fmt.Errorf("mem accesses %d != %d", a.MemAccesses, b.MemAccesses)
-	}
-	for i := range a.lines {
-		if a.lines[i] != b.lines[i] {
-			return fmt.Errorf("line %d: %+v != %+v", i, a.lines[i], b.lines[i])
-		}
-	}
-	for i := range a.mru {
-		if a.mru[i] != b.mru[i] {
-			return fmt.Errorf("mru[%d]: %d != %d", i, a.mru[i], b.mru[i])
-		}
-	}
-	return nil
-}
-
-func equalHierarchyState(a, b *Hierarchy) error {
-	for i, lv := range a.Levels() {
-		if err := equalCacheState(lv, b.Levels()[i]); err != nil {
-			return fmt.Errorf("%s: %w", lv.Config().Name, err)
-		}
-	}
-	return nil
 }
 
 // randomSpan draws one LoopRun-shaped span. Steps, sizes and addresses are
@@ -172,7 +135,7 @@ func TestDataRunBitIdenticalFuzz(t *testing.T) {
 				}
 				fast.DataRun(count, rows, planes, sites)
 				referenceDataRun(ref, count, rows, planes, sites)
-				if err := equalHierarchyState(fast, ref); err != nil {
+				if err := fast.DiffState(ref); err != nil {
 					t.Fatalf("trial %d span %d rep %d (count=%d rows=%d planes=%d sites=%+v): %v",
 						trial, span, rep, count, rows, planes, sites, err)
 				}
@@ -215,7 +178,7 @@ func TestDataRunResidentRejectsWithoutSideEffects(t *testing.T) {
 	if h.TryDataRunResident(16, 1, 1, sites) {
 		t.Fatal("span with a non-resident line must be rejected")
 	}
-	if err := equalHierarchyState(h, before); err != nil {
+	if err := h.DiffState(before); err != nil {
 		t.Fatalf("rejected span mutated state: %v", err)
 	}
 }
@@ -232,7 +195,7 @@ func TestDataRunResidentSetConflictFallsBack(t *testing.T) {
 	sites := []RunSite{{Addr: 0, Step: 4, RowStep: setSpan, Size: 4}}
 	fast.DataRun(16, 3, 1, sites)
 	referenceDataRun(ref, 16, 3, 1, sites)
-	if err := equalHierarchyState(fast, ref); err != nil {
+	if err := fast.DiffState(ref); err != nil {
 		t.Fatal(err)
 	}
 	if got := fast.L1D.Stats.ReadRepl(); got == 0 {
@@ -251,7 +214,7 @@ func TestDataRunCrossingSpansFallBack(t *testing.T) {
 	sites := []RunSite{{Addr: 60, Step: 64, Size: 8}}
 	fast.DataRun(12, 1, 1, sites)
 	referenceDataRun(ref, 12, 1, 1, sites)
-	if err := equalHierarchyState(fast, ref); err != nil {
+	if err := fast.DiffState(ref); err != nil {
 		t.Fatal(err)
 	}
 	if got := fast.L1D.Stats.ReadAccesses(); got != 24 {
@@ -277,7 +240,7 @@ func TestDataRunResidentAppliesBulk(t *testing.T) {
 		t.Fatal("warmed span must take the fast path")
 	}
 	referenceDataRun(ref, 3, 4, 2, sites)
-	if err := equalHierarchyState(fast, ref); err != nil {
+	if err := fast.DiffState(ref); err != nil {
 		t.Fatal(err)
 	}
 	if got := fast.L1D.Stats.ReadMisses() + fast.L1D.Stats.WriteMisses(); got != misses {

@@ -296,6 +296,52 @@ func (h *Hierarchy) TryDataRunResident(count, rows, planes int, sites []RunSite)
 	return true
 }
 
+// FetchResident reports whether every code line in lines (byte addresses, as
+// Fetch takes them) is resident in L1I. It has no side effects, so a caller
+// may probe, get false, and carry on with scalar Fetch calls as if it had
+// never asked.
+func (h *Hierarchy) FetchResident(lines []uint64) bool {
+	l1 := h.L1I
+	for _, addr := range lines {
+		if idx, _ := l1.findLine(addr >> l1.lineShift); idx < 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// FetchRun applies a run of total instruction fetches over lines, every one
+// of which FetchResident has just reported resident: each fetch is an L1I
+// hit, so the run's whole effect is total read hits, total stamp ticks, and
+// on each line the stamp of its last fetch — lastOrdinals[i] is the 1-based
+// position of lines[i]'s last fetch within the run, 0 if the run never
+// fetched it. Stamps apply max-wise (two addresses may share a cache line
+// when L1I lines are wider than the caller's) and the MRU slot follows the
+// running per-set maximum, as in TryDataRunResident. State ends bit-identical
+// to total scalar Fetch calls in the run's order, wherever the data accesses
+// of the same stretch fall: they never reach L1I, and L1I hits never leave
+// it.
+func (h *Hierarchy) FetchRun(total uint64, lines, lastOrdinals []uint64) {
+	l1 := h.L1I
+	stamp0 := l1.stamp
+	assoc := int32(l1.assoc)
+	for i, addr := range lines {
+		if lastOrdinals[i] == 0 {
+			continue
+		}
+		idx, set := l1.findLine(addr >> l1.lineShift)
+		ln := &l1.lines[idx]
+		if stamp := stamp0 + lastOrdinals[i]; stamp > ln.lru {
+			ln.lru = stamp
+			if stamp >= l1.lines[set*assoc+l1.mru[set]].lru {
+				l1.mru[set] = idx - set*assoc
+			}
+		}
+	}
+	l1.Stats.Hits[KindRead] += total
+	l1.stamp = stamp0 + total
+}
+
 // Levels returns the instantiated levels with names, in L1D, L1I, L2[, L3]
 // order (the fixed feature ordering used by the predictor).
 func (h *Hierarchy) Levels() []*Cache {
@@ -311,6 +357,45 @@ func (h *Hierarchy) Reset() {
 	for _, c := range h.Levels() {
 		c.Reset()
 	}
+}
+
+// DiffState compares the complete internal state of two hierarchies of one
+// geometry — every way's tag, dirty bit and LRU stamp, the MRU slots, the
+// stamp counters and all statistics — and describes the first difference,
+// or returns nil. This is what "bit-identical" means for the model, and
+// what the differential suites of this package, sim and lower hold the
+// replay fast paths to: a statistics-only comparison would miss an LRU
+// divergence that only shows accesses later.
+func (h *Hierarchy) DiffState(other *Hierarchy) error {
+	for i, a := range h.Levels() {
+		if err := a.diffState(other.Levels()[i]); err != nil {
+			return fmt.Errorf("%s: %w", a.cfg.Name, err)
+		}
+	}
+	return nil
+}
+
+func (c *Cache) diffState(o *Cache) error {
+	if c.stamp != o.stamp {
+		return fmt.Errorf("stamp %d != %d", c.stamp, o.stamp)
+	}
+	if c.Stats != o.Stats {
+		return fmt.Errorf("stats %+v != %+v", c.Stats, o.Stats)
+	}
+	if c.MemAccesses != o.MemAccesses {
+		return fmt.Errorf("mem accesses %d != %d", c.MemAccesses, o.MemAccesses)
+	}
+	for i := range c.lines {
+		if c.lines[i] != o.lines[i] {
+			return fmt.Errorf("line %d: %+v != %+v", i, c.lines[i], o.lines[i])
+		}
+	}
+	for i := range c.mru {
+		if c.mru[i] != o.mru[i] {
+			return fmt.Errorf("mru[%d]: %d != %d", i, c.mru[i], o.mru[i])
+		}
+	}
+	return nil
 }
 
 // CheckStats validates counter invariants on every level.

@@ -154,6 +154,16 @@ func (m *Machine) ConsumeLoop(run *lower.LoopRun) {
 	}
 }
 
+// FetchResident implements lower.FetchRunSink: a side-effect-free probe of
+// the L1I.
+func (m *Machine) FetchResident(lines []uint64) bool { return m.hier.FetchResident(lines) }
+
+// ConsumeFetchRun implements lower.FetchRunSink: every fetch of the run hits
+// in L1I, so it adds no latency.
+func (m *Machine) ConsumeFetchRun(total uint64, lines, lastOrdinals []uint64) {
+	m.hier.FetchRun(total, lines, lastOrdinals)
+}
+
 // ConsumeCounts implements lower.Sink: bulk instruction and flagged-branch
 // counts of the block-aggregated encoding. Issue cycles and mispredict
 // penalties are derived from these totals in Cycles(), so adding them in one

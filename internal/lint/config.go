@@ -20,6 +20,8 @@ func DefaultAnalyzers() []*Analyzer {
 				{Name: "repro/internal/cache.Hierarchy.TryDataRunResident", NoLock: true},
 				{Name: "repro/internal/cache.Hierarchy.Data", NoLock: true},
 				{Name: "repro/internal/cache.Hierarchy.Fetch", NoLock: true},
+				{Name: "repro/internal/cache.Hierarchy.FetchResident", NoLock: true},
+				{Name: "repro/internal/cache.Hierarchy.FetchRun", NoLock: true},
 				// Cache-hit serve path (PR 2/PR 7): ~490k cand/s; one
 				// batched mutex is the design, so locks are allowed, but
 				// clock reads must stay behind nil telemetry guards and

@@ -309,3 +309,28 @@ func TestBlockAggregationBitIdentical(t *testing.T) {
 		}
 	}
 }
+
+// TestCountingSinkTakesFetchRuns checks the CountingSink's side of the
+// fetch-run channel: it models no L1I, so every multi-I-line box aggregates
+// from its first row. Against the same sink behind a three-method wrapper
+// the tallies must be equal and the protocol events fewer — on the ISAs
+// whose 4-byte instructions push the conv loop nest across an I-line.
+func TestCountingSinkTakesFetchRuns(t *testing.T) {
+	for _, arch := range []isa.Arch{isa.X86, isa.ARM} {
+		wl := te.ConvGroup(te.ScaleTiny, 1)
+		prog, err := lower.Build(schedule.New(wl.Op), isa.Lookup(arch))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var with, without lower.CountingSink
+		lower.Execute(prog, &with, false)
+		lower.Execute(prog, struct{ lower.Sink }{&without}, false)
+		if with.Events >= without.Events {
+			t.Errorf("%s: %d events with the channel, %d without: no box aggregated", arch, with.Events, without.Events)
+		}
+		with.Events, without.Events = 0, 0
+		if with != without {
+			t.Errorf("%s: tallies differ:\nwith:    %+v\nwithout: %+v", arch, with, without)
+		}
+	}
+}

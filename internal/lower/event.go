@@ -46,6 +46,28 @@
 //     counters (sim) or end-of-run arithmetic (hw issue cycles, mispredict
 //     penalties), so aggregating them loses no information.
 //
+// A sink may offer an optional fourth channel, FetchRunSink, which lets the
+// executor aggregate nest boxes whose code spans several I-lines:
+//
+//   - FetchResident(lines) asks, with no side effects, whether every one of
+//     a box's code lines already sits in the sink's L1I, and
+//     ConsumeFetchRun(total, lines, lastOrdinals) then delivers all of the
+//     box's fetch-line crossings as one message, ahead of the box's LoopRun.
+//     This takes the crossings out of their place among the data accesses,
+//     and that is sound because a fetch of a resident line commutes with
+//     every data access: an L1I hit updates L1I's hit counter, LRU stamp
+//     and MRU slot and nothing else — it never reaches the shared L2 — and
+//     no data access ever touches L1I. Only the order of the fetches among
+//     themselves is observable, through the LRU stamps, and the message
+//     carries it as each line's last ordinal within the run. When the probe
+//     fails (the first row or plane of cold code, whose misses do go to L2
+//     and must stay in stream order) the executor runs that row or plane on
+//     the ordered channels and asks again at the next.
+//
+// Execute asserts the channel once; sinks without it — any implementation
+// of the three-method Sink outside this repository — receive exactly the
+// stream described above, with multi-line boxes left to the per-row path.
+//
 // Uniform non-memory instruction bursts (the bodyFLOPs FMA runs, accumulator
 // init blocks, preheader ALU padding) are folded by the executor into single
 // count updates with fetch line crossings computed from the PC span in
@@ -159,9 +181,41 @@ type Sink interface {
 	ConsumeCounts(counts *Counts)
 }
 
+// FetchRunSink is the optional fetch-run channel of a Sink (see the package
+// comment): a sink that models an L1I can take a resident box's fetch-line
+// crossings as one message instead of one EvFetch each.
+type FetchRunSink interface {
+	// FetchResident reports whether every line (64 B-aligned code
+	// addresses, as EvFetch carries them) would hit in the sink's L1I right
+	// now. It must not change any state. Events delivered so far count: the
+	// executor flushes its buffer before asking.
+	FetchResident(lines []uint64) bool
+	// ConsumeFetchRun delivers total fetches of lines, all hits since
+	// FetchResident(lines) just returned true: lastOrdinals[i] is the
+	// 1-based position of the last fetch of lines[i] within the run, 0 when
+	// the run never fetches it. The slices are only valid during the call.
+	ConsumeFetchRun(total uint64, lines, lastOrdinals []uint64)
+}
+
+// fetchRunChannel returns the sink's fetch-run channel, or nil when the
+// sink — or, for a Fanout, any sink it feeds — does not have one.
+func fetchRunChannel(sink Sink) FetchRunSink {
+	if f, ok := sink.(Fanout); ok {
+		for _, s := range f {
+			if fetchRunChannel(s) == nil {
+				return nil
+			}
+		}
+	}
+	fs, _ := sink.(FetchRunSink)
+	return fs
+}
+
 // Fanout duplicates an event stream to several sinks, letting one program
 // execution feed the instruction-accurate simulator and the timing model
 // simultaneously (they model the same binary running on different machines).
+// It offers the fetch-run channel when every sink it feeds does, and a run
+// goes out only when every sink reports the lines resident.
 type Fanout []Sink
 
 // Consume forwards the batch to every sink.
@@ -185,7 +239,26 @@ func (f Fanout) ConsumeCounts(counts *Counts) {
 	}
 }
 
+// FetchResident implements FetchRunSink: all sinks must agree, and a sink
+// without the channel never does.
+func (f Fanout) FetchResident(lines []uint64) bool {
+	for _, s := range f {
+		if fs, ok := s.(FetchRunSink); !ok || !fs.FetchResident(lines) {
+			return false
+		}
+	}
+	return true
+}
+
+// ConsumeFetchRun implements FetchRunSink.
+func (f Fanout) ConsumeFetchRun(total uint64, lines, lastOrdinals []uint64) {
+	for _, s := range f {
+		s.(FetchRunSink).ConsumeFetchRun(total, lines, lastOrdinals)
+	}
+}
+
 // CountingSink tallies events by class; used in tests and quick estimates.
+// It models no L1I, so on the fetch-run channel every line is resident.
 type CountingSink struct {
 	ByClass [isa.NumClasses]uint64
 	Total   uint64
@@ -231,6 +304,12 @@ func (c *CountingSink) ConsumeLoop(run *LoopRun) {
 	c.Events++
 }
 
+// FetchResident implements FetchRunSink.
+func (c *CountingSink) FetchResident([]uint64) bool { return true }
+
+// ConsumeFetchRun implements FetchRunSink (a run is one protocol event).
+func (c *CountingSink) ConsumeFetchRun(uint64, []uint64, []uint64) { c.Events++ }
+
 // ConsumeCounts implements Sink.
 func (c *CountingSink) ConsumeCounts(counts *Counts) {
 	for cl, n := range counts.ByClass {
@@ -256,10 +335,6 @@ const batchSize = 1024
 type emitter struct {
 	sink Sink
 	buf  []Event
-}
-
-func newEmitter(sink Sink) *emitter {
-	return &emitter{sink: sink, buf: make([]Event, 0, batchSize)}
 }
 
 func (e *emitter) emit(ev Event) {

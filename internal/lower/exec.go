@@ -1,6 +1,8 @@
 package lower
 
 import (
+	"sync"
+
 	"repro/internal/isa"
 	"repro/internal/te"
 	"repro/internal/tensor"
@@ -27,23 +29,47 @@ func ExecutePerInstruction(p *Program, sink Sink, computeValues bool) {
 	execute(p, sink, computeValues, true)
 }
 
+// ctxPool recycles executor contexts with their scratch — the 24 KiB event
+// buffer, the loop-value and inner-loop integer scratch, the LoopRun site
+// list — so a candidate simulation allocates none of it.
+var ctxPool = sync.Pool{New: func() any {
+	return &execCtx{em: emitter{buf: make([]Event, 0, batchSize)}}
+}}
+
 func execute(p *Program, sink Sink, computeValues, perInstr bool) {
-	c := &execCtx{
+	c := ctxPool.Get().(*execCtx)
+	// Everything but the scratch starts from zero; the scratch keeps its
+	// capacity only.
+	*c = execCtx{
 		p:        p,
-		em:       newEmitter(sink),
-		vals:     make([]int, len(p.levels)),
+		em:       emitter{sink: sink, buf: c.em.buf[:0]},
+		ints:     c.ints,
+		loopRun:  LoopRun{Sites: c.loopRun.Sites[:0]},
 		compute:  computeValues,
 		perInstr: perInstr,
 		lastLine: noLine,
 		ib:       uint64(p.Model.InstBytes),
 	}
-	if !computeValues && !perInstr && len(p.levels) > 0 && p.reduceStart < len(p.levels) {
-		// Scratch of the fast inner loop, one backing array: guard bases and
-		// intervals, site bases and intervals, flattened dim bases, cuts.
-		ns := len(p.bodyLoads)
-		nd := p.innerDimOff[ns]
-		ncuts := 2 + 2*p.maxGuards + 2*ns + 2
-		back := make([]int, 3*p.maxGuards+3*ns+nd+ncuts)
+	nl := len(p.levels)
+	fast := !computeValues && !perInstr && nl > 0 && p.reduceStart < nl
+	// One backing array for the loop values and, on the fast path, the
+	// scratch of the strength-reduced inner loop: guard bases and intervals,
+	// site bases and intervals, flattened dim bases, cuts.
+	ns, nd, ncuts := 0, 0, 0
+	if fast {
+		ns = len(p.bodyLoads)
+		nd = p.innerDimOff[ns]
+		ncuts = 2 + 2*p.maxGuards + 2*ns + 2
+	}
+	need := nl + 3*p.maxGuards + 3*ns + nd + ncuts
+	if cap(c.ints) < need {
+		c.ints = make([]int, need)
+	}
+	back := c.ints[:need]
+	clear(back)
+	c.vals, back = back[:nl:nl], back[nl:]
+	if fast {
+		c.fetch = fetchRunChannel(sink)
 		c.innerGuardBase, back = back[:p.maxGuards], back[p.maxGuards:]
 		c.innerGuardLo, back = back[:p.maxGuards], back[p.maxGuards:]
 		c.innerGuardHi, back = back[:p.maxGuards], back[p.maxGuards:]
@@ -84,15 +110,28 @@ func execute(p *Program, sink Sink, computeValues, perInstr bool) {
 	if !perInstr {
 		sink.ConsumeCounts(&c.counts)
 	}
+	// Back to the pool holding scratch only, not the program or the sink.
+	c.p, c.em.sink, c.fetch, c.acc, c.axisVals = nil, nil, nil, nil, nil
+	ctxPool.Put(c)
 }
 
 // noLine is the "no fetch line yet" sentinel; real line addresses are 64 B
 // aligned, so it never collides.
 const noLine = ^uint64(0)
 
+// maxFetchRunLines is the most I-lines a nest box's code may span and still
+// ship its fetches as one run (512 B of code: 128 four-byte instructions per
+// inner iteration); longer bodies stay on the per-row path.
+const maxFetchRunLines = 8
+
 type execCtx struct {
-	p        *Program
-	em       *emitter
+	p  *Program
+	em emitter
+	// fetch is the sink's fetch-run channel, nil when it has none (then
+	// only single-I-line nest boxes aggregate).
+	fetch FetchRunSink
+	// ints backs vals and the inner-loop scratch below.
+	ints     []int
 	vals     []int
 	axisVals []int
 	acc      []float32
@@ -115,6 +154,7 @@ type execCtx struct {
 	innerSiteLo    []int
 	innerSiteHi    []int
 	loopRun        LoopRun
+	walk           fetchWalk
 }
 
 // fetchLine emits an EvFetch event when the current PC has crossed onto a
@@ -274,20 +314,22 @@ func (c *execCtx) runParentRows(d int, lv, child *level, blockBase uint64, gb, e
 	p := c.p
 	nd := p.innerDimOff[len(p.bodyLoads)]
 	// 2D aggregation: when the parent is plain (no guards/hoisted loads, not
-	// unrolled, single I-line, no spill traffic) and every affine condition
-	// depends on at most one of the two levels, the pass region of the
-	// parent×inner nest is a rectangle of rows with an identical inner
-	// pattern — those rows ship as one two-dimensional LoopRun.
+	// unrolled, no spill traffic) and every affine condition depends on at
+	// most one of the two levels, the pass region of the parent×inner nest
+	// is a rectangle of rows with an identical inner pattern — those rows
+	// ship as one two-dimensional LoopRun. A block spanning several I-lines
+	// qualifies only when the sink takes fetch runs.
 	j2lo, j2hi := 0, 0
+	oneLine := blockBase&^63 == (blockBase+lv.PerIterSize-1)&^63
 	if len(lv.Guards) == 0 && len(lv.Hoisted) == 0 && !lv.Unrolled &&
-		!child.Unrolled && p.spillRegs == 0 &&
-		blockBase&^63 == (blockBase+lv.PerIterSize-1)&^63 {
+		!child.Unrolled && p.spillRegs == 0 && (oneLine || c.fetch != nil) {
 		j2lo, j2hi = c.nest2DRows(lv, child, gb, db)
 	}
 	for i := 0; i < lv.Extent; i++ {
 		if i == j2lo && j2hi > j2lo {
 			rows := j2hi - j2lo
-			if c.runNestBlock(lv, child, blockBase, gb, eb, db, rows, 1, j2hi == lv.Extent, false, false) {
+			switch c.runNestBlock(lv, child, blockBase, gb, eb, db, rows, 1, j2hi == lv.Extent, false, false, oneLine) {
+			case nestDone:
 				for gi := range gb {
 					gb[gi] += rows * p.parentGuardStep[gi]
 				}
@@ -302,8 +344,11 @@ func (c *execCtx) runParentRows(d int, lv, child *level, blockBase uint64, gb, e
 				c.vals[d+1] = child.Extent - 1
 				i = j2hi - 1
 				continue
+			case nestCold:
+				j2lo = i + 1 // this row fetches the code in order; ask again at the next
+			default:
+				j2hi = j2lo // ineligible nest shape: stay on the per-row path
 			}
-			j2hi = j2lo // ineligible nest shape: stay on the per-row path
 		}
 		c.vals[d] = i
 		iterBase := blockBase
@@ -444,20 +489,22 @@ func (c *execCtx) runGrandParentOfInner(d int, lv *level, blockBase uint64) {
 	nd := p.innerDimOff[len(p.bodyLoads)]
 	pExt := parent.Extent
 	// 3D aggregation: both enclosing levels must be plain and the whole
-	// grandparent iteration block single-I-line; nest3DPlanes then bounds
-	// the plane range over which the full parent×inner rectangle repeats.
+	// grandparent iteration block single-I-line, unless the sink takes
+	// fetch runs; nest3DPlanes then bounds the plane range over which the
+	// full parent×inner rectangle repeats.
 	k3lo, k3hi := 0, 0
+	oneLine := blockBase&^63 == (blockBase+lv.PerIterSize-1)&^63
 	if len(lv.Guards) == 0 && len(lv.Hoisted) == 0 && !lv.Unrolled &&
 		len(parent.Guards) == 0 && len(parent.Hoisted) == 0 && !parent.Unrolled &&
-		!child.Unrolled && p.spillRegs == 0 &&
-		blockBase&^63 == (blockBase+lv.PerIterSize-1)&^63 {
+		!child.Unrolled && p.spillRegs == 0 && (oneLine || c.fetch != nil) {
 		k3lo, k3hi = c.nest3DPlanes(lv, parent, child, gb, db)
 	}
 	for k := 0; k < lv.Extent; k++ {
 		if k == k3lo && k3hi > k3lo {
 			planes := k3hi - k3lo
-			if c.runNestBlock(parent, child, blockBase+parent.BlockOff, gb, eb, db,
-				pExt, planes, true, true, k3hi == lv.Extent) {
+			switch c.runNestBlock(parent, child, blockBase+parent.BlockOff, gb, eb, db,
+				pExt, planes, true, true, k3hi == lv.Extent, oneLine) {
+			case nestDone:
 				for gi := range gb {
 					gb[gi] += planes * p.grandGuardStep[gi]
 				}
@@ -473,8 +520,11 @@ func (c *execCtx) runGrandParentOfInner(d int, lv *level, blockBase uint64) {
 				c.vals[d+2] = child.Extent - 1
 				k = k3hi - 1
 				continue
+			case nestCold:
+				k3lo = k + 1 // this plane fetches the code in order; ask again at the next
+			default:
+				k3hi = k3lo // ineligible nest shape: stay on the per-plane path
 			}
-			k3hi = k3lo // ineligible nest shape: stay on the per-plane path
 		}
 		c.vals[d] = k
 		iterBase := blockBase
@@ -613,16 +663,25 @@ func (c *execCtx) nest3DPlanes(lv, parent, child *level, gb, db []int) (int, int
 // grandparent iterations (full parent extent per plane, so rows ==
 // parent.Extent): the per-plane parent loop exit and grandparent overhead
 // are counted here, and lastPlanes adds the grandparent's own loop exit.
-// Returns false when the inner range is not a single uniform segment
-// (per-row/per-plane execution handles those shapes).
-func (c *execCtx) runNestBlock(lv, child *level, blockBase uint64, gb, eb, db []int, rows, planes int, lastRows, grand, lastPlanes bool) bool {
+//
+// oneLine says the enclosing block lies on a single I-line, so one fetch
+// covers the box. Otherwise the box's fetch-line crossings go out as one
+// fetch run, which needs every code line of the box resident in the sink's
+// L1I: pending events are flushed, the lines probed, and on a miss nothing
+// is executed and nestCold returned — the caller runs one row (or plane) on
+// the ordered path, which fetches the code where its misses belong in the
+// stream, and tries again. nestIneligible means the box will never
+// aggregate: the inner range is not a single uniform segment, or the code
+// spans more than maxFetchRunLines (per-row/per-plane execution handles
+// both).
+func (c *execCtx) runNestBlock(lv, child *level, blockBase uint64, gb, eb, db []int, rows, planes int, lastRows, grand, lastPlanes, oneLine bool) nestOutcome {
 	p := c.p
 	cExt := child.Extent
 	// Inner guards must pass across the whole inner range.
 	for gi := range gb {
 		lo, hi := linearBelow(gb[gi], p.innerGuardStep[gi], child.Guards[gi].Extent, cExt)
 		if lo != 0 || hi != cExt {
-			return false
+			return nestIneligible
 		}
 	}
 	// Each site must be wholly loaded or wholly padding-skipped.
@@ -670,12 +729,10 @@ func (c *execCtx) runNestBlock(lv, child *level, blockBase uint64, gb, eb, db []
 			// padding: skipped across the whole box
 		default:
 			c.loopRun.Sites = sites
-			return false
+			return nestIneligible
 		}
 	}
-	// One fetch covers the box: every PC lies on blockBase's line.
-	c.pc = blockBase
-	c.fetchLine()
+	c.loopRun.Sites = sites
 	ng := uint64(len(gb))
 	flops := uint64(p.bodyFLOPs)
 	// Per inner iteration: guard pairs, padding-check pairs, loads, the FMA
@@ -684,6 +741,13 @@ func (c *execCtx) runNestBlock(lv, child *level, blockBase uint64, gb, eb, db []
 	aluCI := ng + canOOB + 1
 	brCI := ng + canOOB + 1
 	nInstrIter := 2*ng + 2*canOOB + loaded + flops + 2
+	if oneLine {
+		// One fetch covers the box: every PC lies on blockBase's line.
+		c.pc = blockBase
+		c.fetchLine()
+	} else if out := c.fetchRunBox(blockBase+child.BlockOff, nInstrIter, cExt, rows, planes, grand); out != nestDone {
+		return out
+	}
 	rowsU := uint64(rows)
 	cExtU := uint64(cExt)
 	planesU := uint64(planes)
@@ -711,13 +775,10 @@ func (c *execCtx) runNestBlock(lv, child *level, blockBase uint64, gb, eb, db []
 		c.loopRun.Count = cExt
 		c.loopRun.Rows = rows
 		c.loopRun.Planes = planes
-		c.loopRun.Sites = sites
 		if len(c.em.buf) > 0 {
 			c.em.flush() // keep event/loop-run ordering
 		}
 		c.em.sink.ConsumeLoop(&c.loopRun)
-	} else {
-		c.loopRun.Sites = sites
 	}
 	// As after the last row: inner loop done, then the parent overhead pair
 	// (and the grandparent pair when the block covers whole planes).
@@ -725,7 +786,112 @@ func (c *execCtx) runNestBlock(lv, child *level, blockBase uint64, gb, eb, db []
 	if grand {
 		c.pc += 2 * c.ib
 	}
-	return true
+	return nestDone
+}
+
+// nestOutcome is what runNestBlock did with a box.
+type nestOutcome uint8
+
+const (
+	nestIneligible nestOutcome = iota // never aggregates; nothing executed
+	nestCold                          // code not yet resident; nothing executed, retry later
+	nestDone                          // executed
+)
+
+// fetchRunBox ships the fetch-line crossings of a uniform nest box whose
+// code spans several I-lines as one fetch run. The box executes, planes
+// times: rows times (cExt inner iterations of nIter instructions from
+// childBase, then the parent's overhead pair right behind them), then — for
+// grand boxes — the grandparent's pair behind that. Nothing is delivered
+// unless every one of those code lines is resident in the sink.
+func (c *execCtx) fetchRunBox(childBase, nIter uint64, cExt, rows, planes int, grand bool) nestOutcome {
+	nCode := nIter + 2
+	if grand {
+		nCode += 2
+	}
+	first := childBase &^ 63
+	n := int(((childBase+(nCode-1)*c.ib)&^63-first)>>6) + 1
+	if n > maxFetchRunLines {
+		return nestIneligible
+	}
+	w := &c.walk
+	*w = fetchWalk{lastLine: c.lastLine, ib: c.ib,
+		childBase: childBase, nIter: nIter, cExt: cExt, rows: rows, planes: planes, grand: grand}
+	for i := 0; i < n; i++ {
+		w.lines[i] = first + uint64(i)<<6
+	}
+	// Fetches still in the buffer decide residency: deliver them first.
+	c.em.flush()
+	if !c.fetch.FetchResident(w.lines[:n]) {
+		return nestCold
+	}
+	w.repeat(planes, (*fetchWalk).plane)
+	c.fetch.ConsumeFetchRun(w.total, w.lines[:n], w.last[:n])
+	c.lastLine = w.lastLine
+	return nestDone
+}
+
+// fetchWalk derives a nest box's fetch-line crossings without visiting every
+// iteration. A crossing happens wherever the fetch line differs from the
+// previous instruction's, so each period of a loop level (an inner
+// iteration, a row, a plane) is a fixed sequence of crossings given the line
+// it is entered on — and every period after the first is entered on the
+// same line, the one the period before it ended on. The first, second and
+// last period of each level are therefore walked line by line and the ones
+// between, copies of the second, are added as a multiple of its crossing
+// count. Per line, only the ordinal of its last crossing is kept: that is
+// what the LRU stamps record of the order.
+type fetchWalk struct {
+	lastLine uint64 // fetch line of the previous instruction
+	total    uint64 // crossings so far
+	ib       uint64
+
+	childBase, nIter   uint64
+	cExt, rows, planes int
+	grand              bool
+
+	lines [maxFetchRunLines]uint64 // the box's code lines, consecutive from lines[0]
+	last  [maxFetchRunLines]uint64 // 1-based ordinal of each line's last crossing
+}
+
+// span walks n sequential instructions starting at addr.
+func (w *fetchWalk) span(addr, n uint64) {
+	end := (addr + (n-1)*w.ib) &^ 63
+	for line := addr &^ 63; line <= end; line += 64 {
+		if line != w.lastLine {
+			w.total++
+			w.last[(line-w.lines[0])>>6] = w.total
+			w.lastLine = line
+		}
+	}
+}
+
+// repeat walks n periods: the first, second and last explicitly, those
+// between by count.
+func (w *fetchWalk) repeat(n int, period func(*fetchWalk)) {
+	period(w)
+	if n >= 3 {
+		before := w.total
+		period(w)
+		w.total += uint64(n-3) * (w.total - before)
+	}
+	if n >= 2 {
+		period(w)
+	}
+}
+
+func (w *fetchWalk) iter() { w.span(w.childBase, w.nIter) }
+
+func (w *fetchWalk) row() {
+	w.repeat(w.cExt, (*fetchWalk).iter)
+	w.span(w.childBase+w.nIter*w.ib, 2) // the parent's overhead pair
+}
+
+func (w *fetchWalk) plane() {
+	w.repeat(w.rows, (*fetchWalk).row)
+	if w.grand {
+		w.span(w.childBase+(w.nIter+2)*w.ib, 2) // the grandparent's pair
+	}
 }
 
 // runInnerIter is the per-iteration strength-reduced inner loop (general

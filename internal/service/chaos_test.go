@@ -369,10 +369,13 @@ func TestChaosStoreFaultsAreSurvivable(t *testing.T) {
 			t.Fatalf("candidate %d unserved under store faults: %+v", i, r)
 		}
 	}
+	_ = srv.Close() // may report an injected fsync error; the files are what matter
+	// Appends are asynchronous: only Close, which flushes the writer, makes
+	// the count final (checked before it, a fast batch beat the writer to
+	// the check about one run in 240).
 	if faults.Writes.Load() == 0 {
 		t.Fatal("no write faults injected — nothing was tested")
 	}
-	_ = srv.Close() // may report an injected fsync error; the files are what matter
 
 	// Reopen without faults: the store must come back with the surviving
 	// records and the server must answer the identical batch, part cache

@@ -129,6 +129,17 @@ func (m *Machine) ConsumeLoop(run *lower.LoopRun) {
 	m.hier.DataRun(run.Count, run.Rows, run.Planes, run.Sites)
 }
 
+// FetchResident implements lower.FetchRunSink: a side-effect-free probe of
+// the L1I.
+func (m *Machine) FetchResident(lines []uint64) bool { return m.hier.FetchResident(lines) }
+
+// ConsumeFetchRun implements lower.FetchRunSink: a nest box's fetch-line
+// crossings, all L1I hits, applied as one protocol event.
+func (m *Machine) ConsumeFetchRun(total uint64, lines, lastOrdinals []uint64) {
+	m.events++
+	m.hier.FetchRun(total, lines, lastOrdinals)
+}
+
 // ConsumeCounts implements lower.Sink: bulk per-class instruction counts of
 // the block-aggregated encoding are added arithmetically.
 func (m *Machine) ConsumeCounts(counts *lower.Counts) {
@@ -148,8 +159,10 @@ func (m *Machine) Stats() *Stats {
 	s.Loads = m.instr[isa.Load] + m.instr[isa.VLoad]
 	s.Stores = m.instr[isa.Store] + m.instr[isa.VStore]
 	s.Branches = m.instr[isa.Branch]
-	for _, lv := range m.hier.Levels() {
-		s.Caches = append(s.Caches, LevelStats{Name: lv.Config().Name, Stats: lv.Stats})
+	levels := m.hier.Levels()
+	s.Caches = make([]LevelStats, len(levels))
+	for i, lv := range levels {
+		s.Caches[i] = LevelStats{Name: lv.Config().Name, Stats: lv.Stats}
 	}
 	return s
 }

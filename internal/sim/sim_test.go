@@ -207,3 +207,26 @@ func TestSimWallSecondsMeasured(t *testing.T) {
 		t.Fatal("simulation wall time must be measured")
 	}
 }
+
+// TestRunAllocations holds a pooled candidate simulation to its allocation
+// budget: the Stats record and its Caches slice are the candidate's own, the
+// pool lookups box their key, and nothing else — the executor's event
+// buffer and scratch, the machine and its reset journals are all re-used.
+func TestRunAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under the race detector")
+	}
+	for _, arch := range isa.Archs() {
+		p := buildProg(t, arch)
+		caches := hw.Lookup(arch).Caches
+		run := func() {
+			if _, err := Run(p, caches); err != nil {
+				t.Fatal(err)
+			}
+		}
+		run() // fills the pools, sizes the journals
+		if n := testing.AllocsPerRun(50, run); n > 6 {
+			t.Errorf("%s: %.1f allocations per pooled Run, want at most 6", arch, n)
+		}
+	}
+}
