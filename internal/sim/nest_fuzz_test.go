@@ -1,0 +1,258 @@
+package sim_test
+
+// The oracle of the executor's hoisted-loop path: one candidate, drawn from
+// the generators of the repository benchmark's corpus, goes through
+// lower.Execute and through the per-instruction reference, and the two must
+// agree on every statistic and on the complete cache state. The checked-in
+// seeds under testdata/fuzz/FuzzNest are named after the nest shape they
+// reach; TestFuzzNestSeedShapes keeps those names true.
+
+import (
+	"fmt"
+	"os"
+	"path/filepath"
+	"reflect"
+	"strconv"
+	"strings"
+	"testing"
+
+	"repro/internal/ansor"
+	"repro/internal/autotvm"
+	"repro/internal/cache"
+	"repro/internal/hw"
+	"repro/internal/isa"
+	"repro/internal/lower"
+	"repro/internal/num"
+	"repro/internal/schedule"
+	"repro/internal/sim"
+	"repro/internal/te"
+)
+
+// Generator kinds of a fuzz input, as the corpus mixes them.
+const (
+	kindDefault = iota
+	kindPerm
+	kindAutoTVM
+	kindAnsor
+	numKinds
+)
+
+// fuzzCandidate maps a fuzz input to one schedule: workload wl of the five
+// tiny conv groups and the 16^3 matmul, generator kind, both modulo their
+// count, every random draw from seed.
+func fuzzCandidate(t *testing.T, seed uint64, wl, kind uint) candidate {
+	t.Helper()
+	g := int(wl % (te.NumConvGroups + 1))
+	c := candidate{name: fmt.Sprintf("conv_tiny_%d", g),
+		factory: func() *te.Workload { return te.ConvGroup(te.ScaleTiny, g) }}
+	if g == te.NumConvGroups {
+		c.name, c.factory = "matmul_16", func() *te.Workload { return te.MatMul(16, 16, 16) }
+	}
+	rng := num.NewRNG(seed)
+	switch kind % numKinds {
+	case kindPerm:
+		s := schedule.New(c.factory().Op)
+		order := make([]*schedule.IterVar, len(s.Leaves))
+		for i, p := range num.NthPerm(1+rng.Intn(1<<20), len(s.Leaves)) {
+			order[i] = s.Leaves[p]
+		}
+		if err := s.Reorder(order); err != nil {
+			t.Fatal(err)
+		}
+		c.steps = s.Steps
+	case kindAutoTVM:
+		w := c.factory()
+		tmpl, err := autotvm.TemplateFor(w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cs, err := tmpl.Space(w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := tmpl.Apply(w, cs, cs.Sample(rng))
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.steps = s.Steps
+	case kindAnsor:
+		sketches, err := ansor.RandomSketches(c.factory, 1, rng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.steps = sketches[0].Steps
+	}
+	return c
+}
+
+// nestShapes is what a spy between the executor and the simulator saw of
+// the nest path.
+type nestShapes struct {
+	*sim.Machine
+	cold, pendingRun bool
+	spans, boxes2D   int // LoopRuns of one row; of several rows in one plane
+	boxes3D          int // LoopRuns of several planes
+	coldThen2D       bool
+}
+
+func (s *nestShapes) FetchResident(lines []uint64) bool {
+	ok := s.Machine.FetchResident(lines)
+	s.cold = s.cold || !ok
+	return ok
+}
+
+func (s *nestShapes) ConsumeFetchRun(total uint64, lines, lastOrdinals []uint64) {
+	s.pendingRun = true
+	s.Machine.ConsumeFetchRun(total, lines, lastOrdinals)
+}
+
+func (s *nestShapes) ConsumeLoop(run *lower.LoopRun) {
+	switch {
+	case run.Planes > 1:
+		s.boxes3D++
+	case run.Rows > 1:
+		s.boxes2D++
+		// A multi-line 2D box shipped after some probe had failed: the row
+		// the failed probe sent down the ordered path fetched the code.
+		s.coldThen2D = s.coldThen2D || (s.cold && s.pendingRun)
+	default:
+		s.spans++
+	}
+	s.pendingRun = false
+	s.Machine.ConsumeLoop(run)
+}
+
+// checkNest runs the candidate on arch, under the profile's cache geometry
+// and under one with a 1 KiB 2-way L1I (code lines get evicted between
+// boxes, so fetch probes fail mid-run too), and returns what the spy saw
+// under the profile's.
+func checkNest(t *testing.T, c candidate, arch isa.Arch) (*lower.Program, *nestShapes) {
+	t.Helper()
+	s, err := schedule.Replay(c.factory().Op, c.steps)
+	if err != nil {
+		t.Fatalf("%s: %v", c.name, err)
+	}
+	prog, err := lower.Build(s, isa.Lookup(arch))
+	if err != nil {
+		t.Skipf("%s: %v", c.name, err) // a schedule the code generator rejects
+	}
+	tight := hw.Lookup(arch).Caches
+	tight.L1I = cache.Config{Name: "L1I", SizeBytes: 1024, LineBytes: 64, Assoc: 2}
+	var seen *nestShapes
+	for _, caches := range []cache.HierarchyConfig{hw.Lookup(arch).Caches, tight} {
+		var ms [2]*sim.Machine
+		for i := range ms {
+			if ms[i], err = sim.New(arch, caches); err != nil {
+				t.Fatal(err)
+			}
+		}
+		spy := &nestShapes{Machine: ms[0]}
+		lower.Execute(prog, spy, false)
+		lower.ExecutePerInstruction(prog, ms[1], false)
+		if err := ms[0].Hierarchy().DiffState(ms[1].Hierarchy()); err != nil {
+			t.Fatalf("%s %s (L1I %d B): cache state differs from the per-instruction reference: %v",
+				arch, c.name, caches.L1I.SizeBytes, err)
+		}
+		a, b := ms[0].Stats(), ms[1].Stats()
+		a.SinkEvents, b.SinkEvents = 0, 0
+		a.SimWallSeconds, b.SimWallSeconds = 0, 0
+		if !reflect.DeepEqual(a, b) {
+			t.Fatalf("%s %s (L1I %d B): stats differ:\nexecute:   %+v\nreference: %+v",
+				arch, c.name, caches.L1I.SizeBytes, a, b)
+		}
+		if seen == nil {
+			seen = spy
+		}
+	}
+	return prog, seen
+}
+
+func FuzzNest(f *testing.F) {
+	f.Fuzz(func(t *testing.T, seed uint64, wl, arch, kind uint) {
+		archs := isa.Archs()
+		checkNest(t, fuzzCandidate(t, seed, wl, kind), archs[arch%uint(len(archs))])
+	})
+}
+
+// diagonalCondition reports whether some padding check of the reduction
+// body varies with two loops of the hoisted nest (the innermost three
+// levels, inside the reduction) at once, like oh*stride+kh-pad with both oh
+// and kh in the nest: its pass region is then no rectangle of rows. (The
+// corpus generators split by divisors only, so split-tail guards, the other
+// affine condition, never occur.)
+func diagonalCondition(s *schedule.Schedule) bool {
+	nl := len(s.Leaves)
+	if s.Leaves[nl-1].Ann == schedule.AnnVectorize {
+		return false
+	}
+	from := nl
+	for i, iv := range s.Leaves {
+		if iv.Kind() == te.Reduce {
+			from = max(i, nl-3)
+			break
+		}
+	}
+	for _, acc := range te.Accesses(s.Op.ReduceBody) {
+		for d, aff := range acc.Index {
+			lo, hi, inNest := aff.Const, aff.Const, 0
+			for _, term := range aff.Terms {
+				if span := term.Coef * (term.Axis.Extent - 1); span < 0 {
+					lo += span
+				} else {
+					hi += span
+				}
+				for _, iv := range s.Leaves[from:] {
+					if iv.Src == term.Axis {
+						inNest++
+					}
+				}
+			}
+			if inNest >= 2 && (lo < 0 || hi >= acc.Tensor.Shape[d]) {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// TestFuzzNestSeedShapes reads the checked-in seed corpus and holds each
+// seed to the nest shape its file name promises.
+func TestFuzzNestSeedShapes(t *testing.T) {
+	shapes := map[string]func(*lower.Program, *nestShapes) bool{
+		"box3d":  func(_ *lower.Program, n *nestShapes) bool { return n.boxes3D > 0 },
+		"cold2d": func(_ *lower.Program, n *nestShapes) bool { return n.coldThen2D },
+		// Spills close the box classifier before it looks at conditions.
+		"diagonal": func(p *lower.Program, n *nestShapes) bool {
+			return diagonalCondition(p.Sched) && p.SpillRegisters() == 0 && n.spans > 0
+		},
+		// Interior rows of a padded conv aggregate; boundary rows, where the
+		// padding check cuts the inner range, go span by span.
+		"padded": func(_ *lower.Program, n *nestShapes) bool { return n.spans > 0 && n.boxes2D+n.boxes3D > 0 },
+	}
+	for name, holds := range shapes {
+		raw, err := os.ReadFile(filepath.Join("testdata", "fuzz", "FuzzNest", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		lines := strings.Fields(strings.TrimPrefix(string(raw), "go test fuzz v1"))
+		if len(lines) != 4 {
+			t.Fatalf("%s: %d values, want seed, workload, arch, kind", name, len(lines))
+		}
+		var in [4]uint64
+		for i, l := range lines {
+			// "uint64(7)" or "uint(7)"
+			v := strings.TrimSuffix(l[strings.IndexByte(l, '(')+1:], ")")
+			if in[i], err = strconv.ParseUint(v, 10, 64); err != nil {
+				t.Fatalf("%s: %q: %v", name, l, err)
+			}
+		}
+		c := fuzzCandidate(t, in[0], uint(in[1]), uint(in[3]))
+		if name == "padded" && in[1]%(te.NumConvGroups+1) == te.NumConvGroups {
+			t.Fatalf("padded: workload %d is not a conv", in[1])
+		}
+		archs := isa.Archs()
+		if prog, seen := checkNest(t, c, archs[in[2]%uint64(len(archs))]); !holds(prog, seen) {
+			t.Errorf("%s (%s): the seed no longer reaches its shape: %+v", name, c.name, *seen)
+		}
+	}
+}
