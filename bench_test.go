@@ -4,7 +4,7 @@
 //	go test -bench=. -benchmem
 //
 // Tables III–V, Fig. 5, Eq. (4) and the ablations run at the "small" scale
-// (DESIGN.md §6) with a shared, cached dataset per architecture; paper-scale
+// (te.ScaleSmall) with a shared, cached dataset per architecture; paper-scale
 // runs are available through cmd/experiments -scale=paper. Reported custom
 // metrics (b.ReportMetric) carry the table values: Rtop1/Etop1 percentages,
 // K ranges, hit rates.

@@ -9,7 +9,7 @@
 //	fig5      Sorted run-time predictions, group in/out of training (Fig. 5)
 //	speedup   Eq. (4) parallel-simulator break-even analysis
 //	generalize  §V future-work extension: cross-CPU generalized predictors
-//	ablate    DESIGN.md ablations (windows, features, noise, size, tuners)
+//	ablate    ablations (windows, features, noise, size, tuners)
 //	all       everything above
 //
 // Flags select the scale ("tiny", "small", "paper"), budgets, the dataset

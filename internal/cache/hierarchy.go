@@ -27,6 +27,9 @@ type Hierarchy struct {
 	L1I *Cache
 	L2  *Cache
 	L3  *Cache // nil when absent
+	// levels is what Levels returns, built once: Reset and the simulator's
+	// Stats walk it for every candidate.
+	levels []*Cache
 
 	// touches is the reusable classification journal of the resident-span
 	// fast path (Hierarchies are single-goroutine, like sim machines).
@@ -55,7 +58,11 @@ func NewHierarchy(cfg HierarchyConfig) (*Hierarchy, error) {
 	if err != nil {
 		return nil, fmt.Errorf("cache: %w", err)
 	}
-	return &Hierarchy{Cfg: cfg, L1D: l1d, L1I: l1i, L2: l2, L3: l3}, nil
+	h := &Hierarchy{Cfg: cfg, L1D: l1d, L1I: l1i, L2: l2, L3: l3, levels: []*Cache{l1d, l1i, l2}}
+	if l3 != nil {
+		h.levels = append(h.levels, l3)
+	}
+	return h, nil
 }
 
 // Data performs a data access of size bytes and returns the service depth
@@ -343,14 +350,9 @@ func (h *Hierarchy) FetchRun(total uint64, lines, lastOrdinals []uint64) {
 }
 
 // Levels returns the instantiated levels with names, in L1D, L1I, L2[, L3]
-// order (the fixed feature ordering used by the predictor).
-func (h *Hierarchy) Levels() []*Cache {
-	out := []*Cache{h.L1D, h.L1I, h.L2}
-	if h.L3 != nil {
-		out = append(out, h.L3)
-	}
-	return out
-}
+// order (the fixed feature ordering used by the predictor). The slice is
+// the hierarchy's own: read it, do not change it.
+func (h *Hierarchy) Levels() []*Cache { return h.levels }
 
 // Reset clears all levels.
 func (h *Hierarchy) Reset() {

@@ -2,8 +2,9 @@
 // evaluation (§IV): Table I (cache hierarchies), Table II (kernel shapes),
 // Tables III-V (predictor comparison per architecture), Fig. 5 (sorted
 // run-time predictions with/without the evaluated group in training), the
-// Eq. (4) parallel-simulator break-even analysis, and the DESIGN.md
-// ablations. Output is aligned text plus optional CSV.
+// Eq. (4) parallel-simulator break-even analysis, and the ablations
+// (windows, features, noise, dataset size, tuners). Output is aligned text
+// plus optional CSV.
 package experiments
 
 import (

@@ -5,12 +5,12 @@
 //
 // In the paper, reference run times t_ref come from executing every
 // implementation natively on the physical boards. This package is the
-// repository's stand-in for that hardware (see DESIGN.md §1): the timing
-// model consumes the same instruction stream as the instruction-accurate
-// simulator but additionally models what the IA simulator cannot see —
-// per-class issue costs, cache-miss latencies damped by out-of-order
-// overlap, a stream prefetcher, branch-mispredict penalties, and
-// run-to-run measurement noise.
+// repository's stand-in for that hardware: the timing model consumes the
+// same instruction stream as the instruction-accurate simulator but
+// additionally models what the IA simulator cannot see — per-class issue
+// costs, cache-miss latencies damped by out-of-order overlap, a stream
+// prefetcher, branch-mispredict penalties, and run-to-run measurement
+// noise.
 package hw
 
 import (

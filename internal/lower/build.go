@@ -122,64 +122,6 @@ func Build(s *schedule.Schedule, model isa.Model) (*Program, error) {
 		p.epiFLOPs = te.CountFLOPs(op.Epilogue)
 	}
 
-	// --- Inner-loop strength-reduction strides. ---
-	if nl := len(p.levels); nl > 0 {
-		d := nl - 1
-		for _, g := range p.levels[d].Guards {
-			p.innerGuardStep = append(p.innerGuardStep, g.Value.coefOf(d))
-		}
-		dimOff := 0
-		for _, site := range p.bodyLoads {
-			p.innerElemStep = append(p.innerElemStep, site.Elem.coefOf(d))
-			p.innerDimOff = append(p.innerDimOff, dimOff)
-			ds := make([]int, len(site.Dims))
-			for k := range site.Dims {
-				ds[k] = site.Dims[k].coefOf(d)
-			}
-			p.innerDimStep = append(p.innerDimStep, ds)
-			if site.CanOOB {
-				dimOff += len(site.Dims)
-			}
-		}
-		p.innerDimOff = append(p.innerDimOff, dimOff)
-		p.innerTileStep = p.tileStride[d]
-		if nl >= 2 {
-			dp := nl - 2
-			for _, g := range p.levels[d].Guards {
-				p.parentGuardStep = append(p.parentGuardStep, g.Value.coefOf(dp))
-			}
-			for _, site := range p.bodyLoads {
-				p.parentElemStep = append(p.parentElemStep, site.Elem.coefOf(dp))
-				if site.CanOOB {
-					for k := range site.Dims {
-						p.parentDimStep = append(p.parentDimStep, site.Dims[k].coefOf(dp))
-					}
-				}
-			}
-			p.parentTileStep = p.tileStride[dp]
-		}
-		if nl >= 3 {
-			dg := nl - 3
-			for _, g := range p.levels[d].Guards {
-				p.grandGuardStep = append(p.grandGuardStep, g.Value.coefOf(dg))
-			}
-			for _, site := range p.bodyLoads {
-				p.grandElemStep = append(p.grandElemStep, site.Elem.coefOf(dg))
-				if site.CanOOB {
-					for k := range site.Dims {
-						p.grandDimStep = append(p.grandDimStep, site.Dims[k].coefOf(dg))
-					}
-				}
-			}
-			p.grandTileStep = p.tileStride[dg]
-		}
-	}
-	for _, lv := range p.levels {
-		if len(lv.Guards) > p.maxGuards {
-			p.maxGuards = len(lv.Guards)
-		}
-	}
-
 	// --- Store site. ---
 	p.store = storeSite{
 		Tensor: op.Out,
@@ -217,6 +159,7 @@ func Build(s *schedule.Schedule, model isa.Model) (*Program, error) {
 	}
 	p.spillFrom = p.accRegs - p.spillRegs
 	p.vecTile = vecTile
+	p.buildNest()
 
 	// --- Memory layout: tensors, spill stack, code. ---
 	as := op.PlaceTensors()
@@ -228,6 +171,80 @@ func Build(s *schedule.Schedule, model isa.Model) (*Program, error) {
 	p.layoutCode()
 	p.codeBase = as.Reserve(p.codeSize)
 	return p, nil
+}
+
+// buildNest fills Program.nest for the levels the hoisted-loop path takes:
+// the innermost maxNestRank ones inside the reduction, none of which may be
+// the outermost reduce level except the top one (the init and store blocks
+// sit around that level's loop).
+func (p *Program) buildNest() {
+	nl := len(p.levels)
+	inner := p.levels[nl-1]
+	p.nestFrom = nl
+	if !inner.Vector {
+		p.nestFrom = max(nl-maxNestRank, p.reduceStart)
+	}
+	plain := !inner.Unrolled && p.spillRegs == 0
+	for r := 0; r < nl-p.nestFrom; r++ {
+		d := nl - 1 - r
+		st := &p.nest[r]
+		for _, g := range inner.Guards {
+			st.guard = append(st.guard, g.Value.coefOf(d))
+		}
+		for _, site := range p.bodyLoads {
+			st.elem = append(st.elem, site.Elem.coefOf(d))
+			if site.CanOOB {
+				for _, dim := range site.Dims {
+					st.dim = append(st.dim, dim.coefOf(d))
+				}
+			}
+		}
+		st.tile = p.tileStride[d]
+		if r == 0 {
+			continue
+		}
+		lv := p.levels[d]
+		plain = plain && len(lv.Guards) == 0 && len(lv.Hoisted) == 0 && !lv.Unrolled
+		st.boxable = plain
+		for gi, g := range inner.Guards {
+			p.addNestCond(r, nestCond{idx: gi, bound: g.Extent})
+		}
+		di := 0
+		for _, site := range p.bodyLoads {
+			if site.CanOOB {
+				for _, extent := range site.Tensor.Shape {
+					p.addNestCond(r, nestCond{idx: di, dim: true, bound: extent})
+					di++
+				}
+			}
+		}
+		if !st.boxable {
+			st.conds = nil
+		}
+	}
+}
+
+// addNestCond classifies one condition for the box of nest levels 0..r by
+// the levels it varies with: two or more make the box impossible, exactly
+// one above the innermost makes it a condition on that level's range.
+func (p *Program) addNestCond(r int, c nestCond) {
+	varying := 0
+	for s := 0; s <= r; s++ {
+		steps := p.nest[s].guard
+		if c.dim {
+			steps = p.nest[s].dim
+		}
+		if steps[c.idx] != 0 {
+			varying++
+			c.level, c.step = s, steps[c.idx]
+		}
+	}
+	switch st := &p.nest[r]; {
+	case varying > 1:
+		st.boxable = false
+	case varying == 1 && c.level > 0:
+		st.conds = append(st.conds, c)
+	}
 }
 
 // resolveAccess lowers a TE access to loop levels: per-dimension affines,

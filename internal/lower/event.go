@@ -68,16 +68,51 @@
 // of the three-method Sink outside this repository — receive exactly the
 // stream described above, with multi-line boxes left to the per-row path.
 //
+// # Executor
+//
+// Execute walks the loop levels generically (runLevel: guards, hoisted loads,
+// child level, loop overhead) down to Program.nestFrom, and from there takes
+// the hoisted-loop path, one piece of code for every rank. Program.nest[r]
+// describes the reduction body as seen from the level r above the innermost
+// one, and lower.Build fills it once per program:
+//
+//   - the strides: how far each guard value, element offset, padding
+//     dimension and the tile index move per iteration of that level. runNest
+//     evaluates the body's affines once, at iteration 0 of every nest level,
+//     and the loops add strides from then on (advance) instead of
+//     re-evaluating affines per point.
+//   - boxable and conds, the schedule-static half of the box classifier:
+//     whether this level and the ones below can ship as one LoopRun at all
+//     (enclosing levels plain, innermost not unrolled, no spills, no
+//     condition varying with two nest levels — a diagonal), and which single
+//     level above the innermost each remaining condition varies with.
+//
+// What is left for run time is interval arithmetic on the live bases.
+// runNestRows drives one nest level: nestUniformRange intersects the
+// intervals of the level's conds into the iteration range over which the
+// box repeats, runNestBlock checks that the innermost range is one uniform
+// segment and ships the range as bulk counts, one fetch (or one fetch run)
+// and one LoopRun, and the iterations outside the range go one level down —
+// to runNestRows again, or to the innermost loop, which cuts its own range
+// into uniform spans (runInnerSegments) or, for unrolled and multi-I-line
+// bodies, runs per iteration (runInnerIter).
+//
+// The nest is maxNestRank = 3 levels deep because a LoopRun is Count × Rows ×
+// Planes. A fourth level would cost a stride table entry here, but a new
+// event shape in every sink first.
+//
 // Uniform non-memory instruction bursts (the bodyFLOPs FMA runs, accumulator
-// init blocks, preheader ALU padding) are folded by the executor into single
-// count updates with fetch line crossings computed from the PC span in
-// O(lines) instead of O(instructions).
+// init blocks, preheader ALU padding) are folded into single count updates
+// with fetch line crossings computed from the PC span in O(lines) instead of
+// O(instructions).
 //
 // ExecutePerInstruction emits the legacy encoding — one EvInstr event per
 // executed instruction, with sinks modelling the I-fetch themselves and no
-// ConsumeCounts call. Both encodings produce bit-identical statistics (see
-// TestBlockAggregationBitIdentical); the aggregated one is several times
-// faster and is what every production path uses.
+// ConsumeCounts call — and never takes the hoisted-loop path: it is the
+// reference. Both encodings produce bit-identical statistics and cache
+// state (TestBlockAggregationBitIdentical; FuzzNest in internal/sim compares
+// them on generated candidates); the aggregated one is several times faster
+// and is what every production path uses.
 package lower
 
 import (

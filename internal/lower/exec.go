@@ -51,28 +51,28 @@ func execute(p *Program, sink Sink, computeValues, perInstr bool) {
 		ib:       uint64(p.Model.InstBytes),
 	}
 	nl := len(p.levels)
-	fast := !computeValues && !perInstr && nl > 0 && p.reduceStart < nl
-	// One backing array for the loop values and, on the fast path, the
-	// scratch of the strength-reduced inner loop: guard bases and intervals,
-	// site bases and intervals, flattened dim bases, cuts.
-	ns, nd, ncuts := 0, 0, 0
-	if fast {
-		ns = len(p.bodyLoads)
-		nd = p.innerDimOff[ns]
-		ncuts = 2 + 2*p.maxGuards + 2*ns + 2
+	c.nestFrom = nl
+	// One backing array for the loop values and, when the hoisted-loop path
+	// runs, its scratch: guard bases and intervals, site bases and
+	// intervals, flattened dim bases, cuts.
+	ng, ns, nd, ncuts := 0, 0, 0, 0
+	if !computeValues && !perInstr && p.nestFrom < nl {
+		c.nestFrom = p.nestFrom
+		ng, ns, nd = len(p.nest[0].guard), len(p.nest[0].elem), len(p.nest[0].dim)
+		ncuts = 2 + 2*ng + 2*ns + 2
 	}
-	need := nl + 3*p.maxGuards + 3*ns + nd + ncuts
+	need := nl + 3*ng + 3*ns + nd + ncuts
 	if cap(c.ints) < need {
 		c.ints = make([]int, need)
 	}
 	back := c.ints[:need]
 	clear(back)
 	c.vals, back = back[:nl:nl], back[nl:]
-	if fast {
+	if c.nestFrom < nl {
 		c.fetch = fetchRunChannel(sink)
-		c.innerGuardBase, back = back[:p.maxGuards], back[p.maxGuards:]
-		c.innerGuardLo, back = back[:p.maxGuards], back[p.maxGuards:]
-		c.innerGuardHi, back = back[:p.maxGuards], back[p.maxGuards:]
+		c.innerGuardBase, back = back[:ng], back[ng:]
+		c.innerGuardLo, back = back[:ng], back[ng:]
+		c.innerGuardHi, back = back[:ng], back[ng:]
 		c.innerElemBase, back = back[:ns], back[ns:]
 		c.innerSiteLo, back = back[:ns], back[ns:]
 		c.innerSiteHi, back = back[:ns], back[ns:]
@@ -142,12 +142,18 @@ type execCtx struct {
 	pc       uint64
 	ib       uint64
 
-	// Scratch of the strength-reduced inner loop: affine base values at
-	// iteration 0 and the uniform-span machinery, re-used across inner-loop
-	// invocations.
+	// nestFrom is the outermost level the hoisted-loop path takes over
+	// (Program.nestFrom); len(levels) when this execution computes values
+	// or speaks the per-instruction encoding.
+	nestFrom int
+	// Scratch of the hoisted-loop path: the body's affine bases — guard
+	// values, element offsets, flattened padding dims, tile index — at the
+	// current iteration of the enclosing nest levels and iteration 0 of the
+	// innermost, and the uniform-span machinery of runInnerSegments.
 	innerGuardBase []int
 	innerElemBase  []int
 	innerDimBase   []int
+	innerTile      int
 	innerCuts      []int
 	innerGuardLo   []int
 	innerGuardHi   []int
@@ -228,126 +234,99 @@ func (c *execCtx) instFast(class isa.Class) {
 	c.pc += c.ib
 }
 
-// runInnerScalarFast executes the innermost non-vector loop of a reduction
-// body in statistics-only mode. Instead of re-evaluating guard, element and
-// dimension affines at every point, it evaluates them once at iteration 0
-// and advances the precomputed per-iteration strides (Program.inner*Step) —
-// classic strength reduction. Loops whose iteration block stays on one
-// I-line additionally run segment-wise: affine guard/padding/spill
-// conditions partition the iteration space into uniform spans, and each
-// span's data accesses ship as a single LoopRun. Both variants emit streams
+// runNest executes level d, the r-th level above the innermost scalar loop
+// of a reduction body (r < maxNestRank), in statistics-only mode with the
+// body's affines hoisted out of all r+1 loops. Guards, element offsets,
+// padding dims and the tile index are evaluated once, here, and advanced by
+// the Program.nest strides from then on — classic strength reduction —
+// instead of being re-evaluated at every point. The stream stays
 // bit-identical to the generic path.
-func (c *execCtx) runInnerScalarFast(d int, lv *level, blockBase uint64) {
+func (c *execCtx) runNest(d, r int, blockBase uint64) {
 	p := c.p
+	inner := p.levels[d+r]
 	c.vals[d] = 0
-	gb := c.innerGuardBase[:len(lv.Guards)]
-	for gi := range lv.Guards {
-		gb[gi] = lv.Guards[gi].Value.eval(c.vals)
+	for gi := range c.innerGuardBase {
+		c.innerGuardBase[gi] = inner.Guards[gi].Value.eval(c.vals)
 	}
-	eb := c.innerElemBase
-	db := c.innerDimBase
 	di := 0
 	for si, site := range p.bodyLoads {
-		eb[si] = site.Elem.eval(c.vals)
+		c.innerElemBase[si] = site.Elem.eval(c.vals)
 		if site.CanOOB {
 			for k := range site.Dims {
-				db[di+k] = site.Dims[k].eval(c.vals)
+				c.innerDimBase[di+k] = site.Dims[k].eval(c.vals)
 			}
 			di += len(site.Dims)
 		}
 	}
-	tile := 0
+	c.innerTile = 0
 	if len(p.tileLevels) > 0 {
-		tile = c.tileIdx() // vals[d] is 0: the base of the tile index
+		c.innerTile = c.tileIdx()
 	}
-	if !lv.Unrolled && blockBase&^63 == (blockBase+lv.PerIterSize-1)&^63 {
-		c.runInnerSegments(d, lv, blockBase, gb, eb, db, tile)
-		return
+	// The bases belong at iteration 0 of every nest level, but the levels
+	// below d still hold their last values: subtract their contributions
+	// instead of zeroing them — the generic path leaves those values visible
+	// to this level's guard and hoisted-load evaluations, and bit-identity
+	// includes that.
+	for s := 0; s < r; s++ {
+		c.advance(&p.nest[s], -c.vals[d+r-s])
 	}
-	c.runInnerIter(d, lv, blockBase, gb, eb, db, tile)
+	if r == 0 {
+		c.runInnerSegments(d, inner, blockBase)
+	} else {
+		c.runNestRows(d, r, blockBase)
+	}
 }
 
-// runParentOfInner executes the parent of the innermost scalar loop,
-// keeping the child's affine bases (guards, element offsets, padding dims,
-// tile index) hoisted: they are evaluated once at the first parent
-// iteration and advanced by the Program.parent*Step deltas afterwards, so
-// the per-parent-iteration base evaluation of runInnerScalarFast vanishes.
-func (c *execCtx) runParentOfInner(d int, lv *level, blockBase uint64) {
-	p := c.p
-	child := p.levels[d+1]
-	c.vals[d] = 0
-	// Bases at (parent 0, child 0): evaluate at the current child value and
-	// subtract its contribution instead of clobbering vals[d+1] — the
-	// generic path leaves the child's last value visible to the parent's
-	// guard/hoisted evaluations, and bit-identity includes that.
-	cv := c.vals[d+1]
-	gb := c.innerGuardBase[:len(child.Guards)]
-	for gi := range child.Guards {
-		gb[gi] = child.Guards[gi].Value.eval(c.vals) - cv*p.innerGuardStep[gi]
+// advance moves the hoisted bases n iterations along one nest level.
+func (c *execCtx) advance(st *nestSteps, n int) {
+	gb, eb, db := c.innerGuardBase, c.innerElemBase, c.innerDimBase
+	for i, step := range st.guard {
+		gb[i] += n * step
 	}
-	eb := c.innerElemBase
-	db := c.innerDimBase
-	di := 0
-	for si, site := range p.bodyLoads {
-		eb[si] = site.Elem.eval(c.vals) - cv*p.innerElemStep[si]
-		if site.CanOOB {
-			steps := p.innerDimStep[si]
-			for k := range site.Dims {
-				db[di+k] = site.Dims[k].eval(c.vals) - cv*steps[k]
-			}
-			di += len(site.Dims)
-		}
+	for i, step := range st.elem {
+		eb[i] += n * step
 	}
-	tile := 0
-	if len(p.tileLevels) > 0 {
-		tile = c.tileIdx() - cv*p.innerTileStep
+	for i, step := range st.dim {
+		db[i] += n * step
 	}
-	c.runParentRows(d, lv, child, blockBase, gb, eb, db, tile)
+	c.innerTile += n * st.tile
 }
 
-// runParentRows is the row loop of runParentOfInner: it executes all
-// parent iterations given child affine bases positioned at (parent 0,
-// inner 0), advancing the bases by the parent strides as it goes (they end
-// up advanced by Extent×parent-step). Factored out so the grandparent path
-// can drive it per plane with bases it has hoisted one level further.
-func (c *execCtx) runParentRows(d int, lv, child *level, blockBase uint64, gb, eb, db []int, tile int) {
+// runNestRows runs every iteration of nest level d, r >= 1 levels above the
+// innermost, with the bases positioned at its iteration 0, and leaves them
+// advanced across the whole level. Where a range of iterations makes a
+// uniform box with the levels below — every affine condition constant over
+// it — the range ships as one LoopRun; the other iterations go one level
+// down.
+func (c *execCtx) runNestRows(d, r int, blockBase uint64) {
 	p := c.p
-	nd := p.innerDimOff[len(p.bodyLoads)]
-	// 2D aggregation: when the parent is plain (no guards/hoisted loads, not
-	// unrolled, no spill traffic) and every affine condition depends on at
-	// most one of the two levels, the pass region of the parent×inner nest
-	// is a rectangle of rows with an identical inner pattern — those rows
-	// ship as one two-dimensional LoopRun. A block spanning several I-lines
-	// qualifies only when the sink takes fetch runs.
-	j2lo, j2hi := 0, 0
+	lv, child := p.levels[d], p.levels[d+1]
+	st, below := &p.nest[r], &p.nest[r-1]
+	// A box whose code spans several I-lines needs a sink that takes fetch
+	// runs.
 	oneLine := blockBase&^63 == (blockBase+lv.PerIterSize-1)&^63
-	if len(lv.Guards) == 0 && len(lv.Hoisted) == 0 && !lv.Unrolled &&
-		!child.Unrolled && p.spillRegs == 0 && (oneLine || c.fetch != nil) {
-		j2lo, j2hi = c.nest2DRows(lv, child, gb, db)
+	lo, hi := 0, 0
+	if st.boxable && (oneLine || c.fetch != nil) {
+		lo, hi = c.nestUniformRange(d, r)
 	}
 	for i := 0; i < lv.Extent; i++ {
-		if i == j2lo && j2hi > j2lo {
-			rows := j2hi - j2lo
-			switch c.runNestBlock(lv, child, blockBase, gb, eb, db, rows, 1, j2hi == lv.Extent, false, false, oneLine) {
+		if i == lo && hi > lo {
+			switch c.runNestBlock(d, r, hi-lo, blockBase, oneLine) {
 			case nestDone:
-				for gi := range gb {
-					gb[gi] += rows * p.parentGuardStep[gi]
+				if hi == lv.Extent {
+					c.counts.LoopExits++ // this level's own exit, on its last iteration
 				}
-				for si := range eb {
-					eb[si] += rows * p.parentElemStep[si]
+				c.advance(st, hi-lo)
+				c.vals[d] = hi - 1
+				for s := 1; s <= r; s++ {
+					c.vals[d+s] = p.levels[d+s].Extent - 1
 				}
-				for j := 0; j < nd; j++ {
-					db[j] += rows * p.parentDimStep[j]
-				}
-				tile += rows * p.parentTileStep
-				c.vals[d] = j2hi - 1
-				c.vals[d+1] = child.Extent - 1
-				i = j2hi - 1
+				i = hi - 1
 				continue
 			case nestCold:
-				j2lo = i + 1 // this row fetches the code in order; ask again at the next
+				lo = i + 1 // this iteration fetches the code in order; ask again at the next
 			default:
-				j2hi = j2lo // ineligible nest shape: stay on the per-row path
+				hi = lo // ineligible nest shape: stay on the per-iteration path
 			}
 		}
 		c.vals[d] = i
@@ -360,11 +339,11 @@ func (c *execCtx) runParentRows(d int, lv, child *level, blockBase uint64, gb, e
 			for _, site := range lv.Hoisted {
 				c.scalarLoad(site)
 			}
-			childBase := iterBase + child.BlockOff
-			if !child.Unrolled && childBase&^63 == (childBase+child.PerIterSize-1)&^63 {
-				c.runInnerSegments(d+1, child, childBase, gb, eb, db, tile)
+			if r == 1 {
+				c.runInnerSegments(d+1, child, iterBase+child.BlockOff)
 			} else {
-				c.runInnerIter(d+1, child, childBase, gb, eb, db, tile)
+				c.runNestRows(d+1, r-1, iterBase+child.BlockOff)
+				c.advance(below, -child.Extent) // back to this iteration's base
 			}
 		}
 		if !lv.Unrolled {
@@ -374,312 +353,65 @@ func (c *execCtx) runParentRows(d int, lv, child *level, blockBase uint64, gb, e
 				c.counts.LoopExits++
 			}
 		}
-		// Advance the hoisted child bases to the next parent iteration
-		// (also when guards failed: the affines advance regardless).
-		for gi := range gb {
-			gb[gi] += p.parentGuardStep[gi]
-		}
-		for si := range eb {
-			eb[si] += p.parentElemStep[si]
-		}
-		for j := 0; j < nd; j++ {
-			db[j] += p.parentDimStep[j]
-		}
-		tile += p.parentTileStep
+		// Also when guards failed: the affines advance regardless.
+		c.advance(st, 1)
 	}
 }
 
-// nest2DRows returns the parent-iteration range over which the parent×inner
-// nest is rectangle-uniform: every condition that varies with the parent
-// level must not also vary with the inner level (no diagonal boundaries)
-// and must pass throughout the returned rows. An empty range means no 2D
-// aggregation.
-func (c *execCtx) nest2DRows(lv, child *level, gb, db []int) (int, int) {
+// nestUniformRange returns the iteration range of boxable nest level d over
+// which it and the r levels below form a uniform box, as far as the
+// conditions varying above the innermost level decide (runNestBlock checks
+// the rest): one that varies with level d must pass throughout the range,
+// one that varies with a level in between must pass over that level's whole
+// extent — a partial rectangle cannot repeat along d. An empty range means
+// no box.
+func (c *execCtx) nestUniformRange(d, r int) (int, int) {
 	p := c.p
-	pExt := lv.Extent
-	jLo, jHi := 0, pExt
-	for gi := range gb {
-		pd := p.parentGuardStep[gi]
-		if pd == 0 {
-			continue // row-constant; the block check handles it
+	lo, hi := 0, p.levels[d].Extent
+	for i := range p.nest[r].conds {
+		cd := &p.nest[r].conds[i]
+		ext := p.levels[d+r-cd.level].Extent
+		var clo, chi int
+		if cd.dim {
+			clo, chi = linearBelow(c.innerDimBase[cd.idx], cd.step, cd.bound, ext)
+			alo, ahi := linearAtLeast(c.innerDimBase[cd.idx], cd.step, 0, ext)
+			clo, chi = max(clo, alo), min(chi, ahi)
+		} else {
+			clo, chi = linearBelow(c.innerGuardBase[cd.idx], cd.step, cd.bound, ext)
 		}
-		if p.innerGuardStep[gi] != 0 {
+		if cd.level == r {
+			lo, hi = max(lo, clo), min(hi, chi)
+		} else if clo != 0 || chi != ext {
 			return 0, 0
 		}
-		lo, hi := linearBelow(gb[gi], pd, child.Guards[gi].Extent, pExt)
-		if lo > jLo {
-			jLo = lo
-		}
-		if hi < jHi {
-			jHi = hi
-		}
 	}
-	di := 0
-	for si, site := range p.bodyLoads {
-		if !site.CanOOB {
-			continue
-		}
-		cds := p.innerDimStep[si]
-		for k := range cds {
-			pd := p.parentDimStep[di+k]
-			if pd == 0 {
-				continue
-			}
-			if cds[k] != 0 {
-				return 0, 0
-			}
-			lo, hi := linearAtLeast(db[di+k], pd, 0, pExt)
-			if lo > jLo {
-				jLo = lo
-			}
-			if hi < jHi {
-				jHi = hi
-			}
-			lo, hi = linearBelow(db[di+k], pd, site.Tensor.Shape[k], pExt)
-			if lo > jLo {
-				jLo = lo
-			}
-			if hi < jHi {
-				jHi = hi
-			}
-		}
-		di += len(cds)
-	}
-	return jLo, jHi
+	return lo, hi
 }
 
-// runGrandParentOfInner executes the grandparent of the innermost scalar
-// loop with the inner affine bases hoisted two levels: evaluated once at
-// the first plane and advanced by the Program.grand*Step deltas per
-// grandparent iteration, so the per-plane base evaluation of
-// runParentOfInner vanishes too. When the whole grandparent×parent×inner
-// nest box is uniform over a range of planes, those planes ship as one 3D
-// LoopRun (the third loop level of the rectangle aggregation); other
-// planes fall back to the 2D row machinery via runParentRows.
-func (c *execCtx) runGrandParentOfInner(d int, lv *level, blockBase uint64) {
-	p := c.p
-	parent := p.levels[d+1]
-	child := p.levels[d+2]
-	c.vals[d] = 0
-	// Bases at (grand 0, parent 0, inner 0): subtract the stale
-	// contributions of both descendant levels — their last values stay
-	// visible to guard/hoisted evaluations, as the generic path leaves them.
-	pv, cv := c.vals[d+1], c.vals[d+2]
-	gb := c.innerGuardBase[:len(child.Guards)]
-	for gi := range child.Guards {
-		gb[gi] = child.Guards[gi].Value.eval(c.vals) - pv*p.parentGuardStep[gi] - cv*p.innerGuardStep[gi]
-	}
-	eb := c.innerElemBase
-	db := c.innerDimBase
-	di := 0
-	for si, site := range p.bodyLoads {
-		eb[si] = site.Elem.eval(c.vals) - pv*p.parentElemStep[si] - cv*p.innerElemStep[si]
-		if site.CanOOB {
-			isteps := p.innerDimStep[si]
-			for k := range site.Dims {
-				db[di+k] = site.Dims[k].eval(c.vals) - pv*p.parentDimStep[di+k] - cv*isteps[k]
-			}
-			di += len(site.Dims)
-		}
-	}
-	tile := 0
-	if len(p.tileLevels) > 0 {
-		tile = c.tileIdx() - pv*p.parentTileStep - cv*p.innerTileStep
-	}
-	nd := p.innerDimOff[len(p.bodyLoads)]
-	pExt := parent.Extent
-	// 3D aggregation: both enclosing levels must be plain and the whole
-	// grandparent iteration block single-I-line, unless the sink takes
-	// fetch runs; nest3DPlanes then bounds the plane range over which the
-	// full parent×inner rectangle repeats.
-	k3lo, k3hi := 0, 0
-	oneLine := blockBase&^63 == (blockBase+lv.PerIterSize-1)&^63
-	if len(lv.Guards) == 0 && len(lv.Hoisted) == 0 && !lv.Unrolled &&
-		len(parent.Guards) == 0 && len(parent.Hoisted) == 0 && !parent.Unrolled &&
-		!child.Unrolled && p.spillRegs == 0 && (oneLine || c.fetch != nil) {
-		k3lo, k3hi = c.nest3DPlanes(lv, parent, child, gb, db)
-	}
-	for k := 0; k < lv.Extent; k++ {
-		if k == k3lo && k3hi > k3lo {
-			planes := k3hi - k3lo
-			switch c.runNestBlock(parent, child, blockBase+parent.BlockOff, gb, eb, db,
-				pExt, planes, true, true, k3hi == lv.Extent, oneLine) {
-			case nestDone:
-				for gi := range gb {
-					gb[gi] += planes * p.grandGuardStep[gi]
-				}
-				for si := range eb {
-					eb[si] += planes * p.grandElemStep[si]
-				}
-				for j := 0; j < nd; j++ {
-					db[j] += planes * p.grandDimStep[j]
-				}
-				tile += planes * p.grandTileStep
-				c.vals[d] = k3hi - 1
-				c.vals[d+1] = pExt - 1
-				c.vals[d+2] = child.Extent - 1
-				k = k3hi - 1
-				continue
-			case nestCold:
-				k3lo = k + 1 // this plane fetches the code in order; ask again at the next
-			default:
-				k3hi = k3lo // ineligible nest shape: stay on the per-plane path
-			}
-		}
-		c.vals[d] = k
-		iterBase := blockBase
-		if lv.Unrolled {
-			iterBase += uint64(k) * lv.PerIterSize
-		}
-		c.pc = iterBase
-		if c.passGuards(lv) {
-			for _, site := range lv.Hoisted {
-				c.scalarLoad(site)
-			}
-			c.runParentRows(d+1, parent, child, iterBase+parent.BlockOff, gb, eb, db, tile)
-			// runParentRows advanced the bases across all parent rows;
-			// rewind to this plane's base before stepping to the next plane.
-			for gi := range gb {
-				gb[gi] -= pExt * p.parentGuardStep[gi]
-			}
-			for si := range eb {
-				eb[si] -= pExt * p.parentElemStep[si]
-			}
-			for j := 0; j < nd; j++ {
-				db[j] -= pExt * p.parentDimStep[j]
-			}
-		}
-		if !lv.Unrolled {
-			c.instFast(isa.ALU)
-			c.instFast(isa.Branch)
-			if k == lv.Extent-1 {
-				c.counts.LoopExits++
-			}
-		}
-		// Advance the hoisted bases to the next plane (also when guards
-		// failed: the affines advance regardless).
-		for gi := range gb {
-			gb[gi] += p.grandGuardStep[gi]
-		}
-		for si := range eb {
-			eb[si] += p.grandElemStep[si]
-		}
-		for j := 0; j < nd; j++ {
-			db[j] += p.grandDimStep[j]
-		}
-		tile += p.grandTileStep
-	}
-}
-
-// nest3DPlanes returns the grandparent-iteration range over which the
-// whole grandparent×parent×inner nest box is uniform: every affine
-// condition must vary with at most one of the three levels (no diagonal
-// boundaries), plane-varying conditions must pass throughout the returned
-// planes, and parent-varying conditions must pass for every row (a
-// partial-row rectangle cannot be plane-aggregated). An empty range means
-// no 3D aggregation.
-func (c *execCtx) nest3DPlanes(lv, parent, child *level, gb, db []int) (int, int) {
-	p := c.p
-	gExt := lv.Extent
-	pExt := parent.Extent
-	kLo, kHi := 0, gExt
-	for gi := range gb {
-		gd := p.grandGuardStep[gi]
-		pd := p.parentGuardStep[gi]
-		switch {
-		case gd != 0:
-			if pd != 0 || p.innerGuardStep[gi] != 0 {
-				return 0, 0
-			}
-			lo, hi := linearBelow(gb[gi], gd, child.Guards[gi].Extent, gExt)
-			if lo > kLo {
-				kLo = lo
-			}
-			if hi < kHi {
-				kHi = hi
-			}
-		case pd != 0:
-			if p.innerGuardStep[gi] != 0 {
-				return 0, 0
-			}
-			if lo, hi := linearBelow(gb[gi], pd, child.Guards[gi].Extent, pExt); lo != 0 || hi != pExt {
-				return 0, 0
-			}
-		default:
-			// inner-varying or constant; the block check handles it
-		}
-	}
-	di := 0
-	for si, site := range p.bodyLoads {
-		if !site.CanOOB {
-			continue
-		}
-		isteps := p.innerDimStep[si]
-		for k := range isteps {
-			gd := p.grandDimStep[di+k]
-			pd := p.parentDimStep[di+k]
-			switch {
-			case gd != 0:
-				if pd != 0 || isteps[k] != 0 {
-					return 0, 0
-				}
-				lo, hi := linearAtLeast(db[di+k], gd, 0, gExt)
-				if lo > kLo {
-					kLo = lo
-				}
-				if hi < kHi {
-					kHi = hi
-				}
-				lo, hi = linearBelow(db[di+k], gd, site.Tensor.Shape[k], gExt)
-				if lo > kLo {
-					kLo = lo
-				}
-				if hi < kHi {
-					kHi = hi
-				}
-			case pd != 0:
-				if isteps[k] != 0 {
-					return 0, 0
-				}
-				if lo, hi := linearAtLeast(db[di+k], pd, 0, pExt); lo != 0 || hi != pExt {
-					return 0, 0
-				}
-				if lo, hi := linearBelow(db[di+k], pd, site.Tensor.Shape[k], pExt); lo != 0 || hi != pExt {
-					return 0, 0
-				}
-			}
-		}
-		di += len(isteps)
-	}
-	return kLo, kHi
-}
-
-// runNestBlock executes planes×rows consecutive nest iterations whose
-// whole (grandparent×)parent×inner box is uniform, as bulk counts plus one
-// LoopRun. Bases must be positioned at the first block plane/row. With
-// grand=false it is the 2D rectangle path (planes must be 1): rows
-// consecutive parent iterations, parent overhead included, lastRows adding
-// the parent's own loop exit. With grand=true it covers planes whole
-// grandparent iterations (full parent extent per plane, so rows ==
-// parent.Extent): the per-plane parent loop exit and grandparent overhead
-// are counted here, and lastPlanes adds the grandparent's own loop exit.
+// runNestBlock executes n consecutive iterations of nest level d that form
+// a uniform box with the r >= 1 levels below (full extent each), as bulk
+// counts plus one LoopRun. Bases must be positioned at the first of the n
+// iterations; the caller adds level d's own loop exit. Enclosing levels of
+// a box are plain, so their blocks start where the innermost iteration's
+// code does: at blockBase.
 //
 // oneLine says the enclosing block lies on a single I-line, so one fetch
 // covers the box. Otherwise the box's fetch-line crossings go out as one
 // fetch run, which needs every code line of the box resident in the sink's
 // L1I: pending events are flushed, the lines probed, and on a miss nothing
-// is executed and nestCold returned — the caller runs one row (or plane) on
-// the ordered path, which fetches the code where its misses belong in the
+// is executed and nestCold returned — the caller runs one iteration on the
+// ordered path, which fetches the code where its misses belong in the
 // stream, and tries again. nestIneligible means the box will never
 // aggregate: the inner range is not a single uniform segment, or the code
-// spans more than maxFetchRunLines (per-row/per-plane execution handles
-// both).
-func (c *execCtx) runNestBlock(lv, child *level, blockBase uint64, gb, eb, db []int, rows, planes int, lastRows, grand, lastPlanes, oneLine bool) nestOutcome {
+// spans more than maxFetchRunLines (per-iteration execution handles both).
+func (c *execCtx) runNestBlock(d, r, n int, blockBase uint64, oneLine bool) nestOutcome {
 	p := c.p
-	cExt := child.Extent
+	inner := p.levels[d+r]
+	in := &p.nest[0]
+	cExt := inner.Extent
 	// Inner guards must pass across the whole inner range.
-	for gi := range gb {
-		lo, hi := linearBelow(gb[gi], p.innerGuardStep[gi], child.Guards[gi].Extent, cExt)
+	for gi, base := range c.innerGuardBase {
+		lo, hi := linearBelow(base, in.guard[gi], inner.Guards[gi].Extent, cExt)
 		if lo != 0 || hi != cExt {
 			return nestIneligible
 		}
@@ -692,39 +424,22 @@ func (c *execCtx) runNestBlock(lv, child *level, blockBase uint64, gb, eb, db []
 		lo, hi := 0, cExt
 		if site.CanOOB {
 			canOOB++
-			steps := p.innerDimStep[si]
-			for k := range steps {
-				klo, khi := linearAtLeast(db[di+k], steps[k], 0, cExt)
-				if klo > lo {
-					lo = klo
-				}
-				if khi < hi {
-					hi = khi
-				}
-				klo, khi = linearBelow(db[di+k], steps[k], site.Tensor.Shape[k], cExt)
-				if klo > lo {
-					lo = klo
-				}
-				if khi < hi {
-					hi = khi
-				}
-			}
-			di += len(steps)
+			lo, hi = c.siteRange(site, di, cExt)
+			di += len(site.Dims)
 		}
 		switch {
 		case lo <= 0 && hi >= cExt:
 			loaded++
-			planeStep := int64(0)
-			if grand {
-				planeStep = int64(p.grandElemStep[si]) * tensor.ElemSize
+			ls := LoopSite{
+				Addr:    site.Tensor.AddrOf(c.innerElemBase[si]),
+				Step:    int64(in.elem[si]) * tensor.ElemSize,
+				RowStep: int64(p.nest[1].elem[si]) * tensor.ElemSize,
+				Size:    tensor.ElemSize,
 			}
-			sites = append(sites, LoopSite{
-				Addr:      site.Tensor.AddrOf(eb[si]),
-				Step:      int64(p.innerElemStep[si]) * tensor.ElemSize,
-				RowStep:   int64(p.parentElemStep[si]) * tensor.ElemSize,
-				PlaneStep: planeStep,
-				Size:      tensor.ElemSize,
-			})
+			if r == 2 {
+				ls.PlaneStep = int64(p.nest[2].elem[si]) * tensor.ElemSize
+			}
+			sites = append(sites, ls)
 		case lo >= hi:
 			// padding: skipped across the whole box
 		default:
@@ -733,59 +448,50 @@ func (c *execCtx) runNestBlock(lv, child *level, blockBase uint64, gb, eb, db []
 		}
 	}
 	c.loopRun.Sites = sites
-	ng := uint64(len(gb))
+	ng := uint64(len(c.innerGuardBase))
 	flops := uint64(p.bodyFLOPs)
 	// Per inner iteration: guard pairs, padding-check pairs, loads, the FMA
-	// burst and the inner loop overhead; plus parent overhead per row and —
-	// for 3D boxes — grandparent overhead per plane.
-	aluCI := ng + canOOB + 1
-	brCI := ng + canOOB + 1
+	// burst and the inner loop overhead pair.
 	nInstrIter := 2*ng + 2*canOOB + loaded + flops + 2
+	// The box: n iterations of level d, full extents between, cExt inside.
+	dims := [maxNestRank]int{cExt, 1, 1}
+	for s := 1; s < r; s++ {
+		dims[s] = p.levels[d+r-s].Extent
+	}
+	dims[r] = n
 	if oneLine {
 		// One fetch covers the box: every PC lies on blockBase's line.
 		c.pc = blockBase
 		c.fetchLine()
-	} else if out := c.fetchRunBox(blockBase+child.BlockOff, nInstrIter, cExt, rows, planes, grand); out != nestDone {
+	} else if out := c.fetchRunBox(blockBase, nInstrIter, r, &dims); out != nestDone {
 		return out
 	}
-	rowsU := uint64(rows)
-	cExtU := uint64(cExt)
-	planesU := uint64(planes)
-	aluPlane := rowsU * (cExtU*aluCI + 1)
-	brPlane := rowsU * (cExtU*brCI + 1)
-	if grand {
-		aluPlane++ // grandparent loop overhead, once per plane
-		brPlane++
+	// Fold the counts outwards. One iteration of a nest level is the whole
+	// extent of the level below plus its own overhead pair, and sees the
+	// level below exit once; every ALU instruction here is half of an
+	// ALU+branch pair.
+	pairs, exits, iters := ng+canOOB+1, uint64(0), uint64(1)
+	for s := 0; s < r; s++ {
+		e := uint64(dims[s])
+		pairs, exits, iters = e*pairs+1, e*exits+1, e*iters
 	}
-	c.counts.ByClass[isa.ALU] += planesU * aluPlane
-	c.counts.ByClass[isa.Branch] += planesU * brPlane
-	c.counts.ByClass[isa.FMA] += planesU * rowsU * cExtU * flops
-	c.counts.ByClass[isa.Load] += planesU * rowsU * cExtU * loaded
-	c.counts.GuardBranches += planesU * rowsU * cExtU * (ng + canOOB)
-	c.counts.LoopExits += planesU * rowsU // the inner loop exits once per row
-	if grand {
-		c.counts.LoopExits += planesU // the parent loop exits once per plane
-		if lastPlanes {
-			c.counts.LoopExits++ // the grandparent loop exits on its last plane
-		}
-	} else if lastRows {
-		c.counts.LoopExits++ // the parent loop exits on its last row
-	}
+	nU := uint64(n)
+	c.counts.ByClass[isa.ALU] += nU * pairs
+	c.counts.ByClass[isa.Branch] += nU * pairs
+	c.counts.ByClass[isa.FMA] += nU * iters * flops
+	c.counts.ByClass[isa.Load] += nU * iters * loaded
+	c.counts.GuardBranches += nU * iters * (ng + canOOB)
+	c.counts.LoopExits += nU * exits
 	if len(sites) > 0 {
-		c.loopRun.Count = cExt
-		c.loopRun.Rows = rows
-		c.loopRun.Planes = planes
+		c.loopRun.Count, c.loopRun.Rows, c.loopRun.Planes = dims[0], dims[1], dims[2]
 		if len(c.em.buf) > 0 {
 			c.em.flush() // keep event/loop-run ordering
 		}
 		c.em.sink.ConsumeLoop(&c.loopRun)
 	}
-	// As after the last row: inner loop done, then the parent overhead pair
-	// (and the grandparent pair when the block covers whole planes).
-	c.pc = blockBase + child.BlockOff + (nInstrIter+2)*c.ib
-	if grand {
-		c.pc += 2 * c.ib
-	}
+	// As after the last iteration: the inner loop done, then the overhead
+	// pair of each enclosing level.
+	c.pc = blockBase + (nInstrIter+2*uint64(r))*c.ib
 	return nestDone
 }
 
@@ -799,24 +505,19 @@ const (
 )
 
 // fetchRunBox ships the fetch-line crossings of a uniform nest box whose
-// code spans several I-lines as one fetch run. The box executes, planes
-// times: rows times (cExt inner iterations of nIter instructions from
-// childBase, then the parent's overhead pair right behind them), then — for
-// grand boxes — the grandparent's pair behind that. Nothing is delivered
-// unless every one of those code lines is resident in the sink.
-func (c *execCtx) fetchRunBox(childBase, nIter uint64, cExt, rows, planes int, grand bool) nestOutcome {
-	nCode := nIter + 2
-	if grand {
-		nCode += 2
-	}
-	first := childBase &^ 63
-	n := int(((childBase+(nCode-1)*c.ib)&^63-first)>>6) + 1
+// code spans several I-lines as one fetch run. The box's code is the inner
+// iteration's nIter instructions from base and, right behind them, the
+// overhead pair of each of the r enclosing levels, innermost first; dims
+// holds the iterations per level. Nothing is delivered unless every one of
+// those code lines is resident in the sink.
+func (c *execCtx) fetchRunBox(base, nIter uint64, r int, dims *[maxNestRank]int) nestOutcome {
+	first := base &^ 63
+	n := int(((base+(nIter+2*uint64(r)-1)*c.ib)&^63-first)>>6) + 1
 	if n > maxFetchRunLines {
 		return nestIneligible
 	}
 	w := &c.walk
-	*w = fetchWalk{lastLine: c.lastLine, ib: c.ib,
-		childBase: childBase, nIter: nIter, cExt: cExt, rows: rows, planes: planes, grand: grand}
+	*w = fetchWalk{lastLine: c.lastLine, ib: c.ib, base: base, nIter: nIter, dims: *dims}
 	for i := 0; i < n; i++ {
 		w.lines[i] = first + uint64(i)<<6
 	}
@@ -825,7 +526,7 @@ func (c *execCtx) fetchRunBox(childBase, nIter uint64, cExt, rows, planes int, g
 	if !c.fetch.FetchResident(w.lines[:n]) {
 		return nestCold
 	}
-	w.repeat(planes, (*fetchWalk).plane)
+	w.repeat(dims[r], r)
 	c.fetch.ConsumeFetchRun(w.total, w.lines[:n], w.last[:n])
 	c.lastLine = w.lastLine
 	return nestDone
@@ -833,22 +534,21 @@ func (c *execCtx) fetchRunBox(childBase, nIter uint64, cExt, rows, planes int, g
 
 // fetchWalk derives a nest box's fetch-line crossings without visiting every
 // iteration. A crossing happens wherever the fetch line differs from the
-// previous instruction's, so each period of a loop level (an inner
-// iteration, a row, a plane) is a fixed sequence of crossings given the line
-// it is entered on — and every period after the first is entered on the
-// same line, the one the period before it ended on. The first, second and
-// last period of each level are therefore walked line by line and the ones
-// between, copies of the second, are added as a multiple of its crossing
-// count. Per line, only the ordinal of its last crossing is kept: that is
-// what the LRU stamps record of the order.
+// previous instruction's, so each period of a loop level (one of its
+// iterations) is a fixed sequence of crossings given the line it is entered
+// on — and every period after the first is entered on the same line, the
+// one the period before it ended on. The first, second and last period of
+// each level are therefore walked line by line and the ones between, copies
+// of the second, are added as a multiple of its crossing count. Per line,
+// only the ordinal of its last crossing is kept: that is what the LRU stamps
+// record of the order.
 type fetchWalk struct {
 	lastLine uint64 // fetch line of the previous instruction
 	total    uint64 // crossings so far
 	ib       uint64
 
-	childBase, nIter   uint64
-	cExt, rows, planes int
-	grand              bool
+	base, nIter uint64
+	dims        [maxNestRank]int // iterations per nest level, innermost first
 
 	lines [maxFetchRunLines]uint64 // the box's code lines, consecutive from lines[0]
 	last  [maxFetchRunLines]uint64 // 1-based ordinal of each line's last crossing
@@ -866,38 +566,52 @@ func (w *fetchWalk) span(addr, n uint64) {
 	}
 }
 
-// repeat walks n periods: the first, second and last explicitly, those
-// between by count.
-func (w *fetchWalk) repeat(n int, period func(*fetchWalk)) {
-	period(w)
+// repeat walks n periods of nest level s: the first, second and last
+// explicitly, those between by count.
+func (w *fetchWalk) repeat(n, s int) {
+	w.period(s)
 	if n >= 3 {
 		before := w.total
-		period(w)
+		w.period(s)
 		w.total += uint64(n-3) * (w.total - before)
 	}
 	if n >= 2 {
-		period(w)
+		w.period(s)
 	}
 }
 
-func (w *fetchWalk) iter() { w.span(w.childBase, w.nIter) }
-
-func (w *fetchWalk) row() {
-	w.repeat(w.cExt, (*fetchWalk).iter)
-	w.span(w.childBase+w.nIter*w.ib, 2) // the parent's overhead pair
+// period walks one iteration of nest level s: the loop body for the
+// innermost level, above it every iteration of the level below and then the
+// level's own overhead pair.
+func (w *fetchWalk) period(s int) {
+	if s == 0 {
+		w.span(w.base, w.nIter)
+		return
+	}
+	w.repeat(w.dims[s-1], s-1)
+	w.span(w.base+(w.nIter+2*uint64(s-1))*w.ib, 2)
 }
 
-func (w *fetchWalk) plane() {
-	w.repeat(w.rows, (*fetchWalk).row)
-	if w.grand {
-		w.span(w.childBase+(w.nIter+2)*w.ib, 2) // the grandparent's pair
+// siteRange returns the inner-iteration interval of [0,ext) over which a
+// padding-checked body load, whose dims start at di in the flattened bases,
+// is inside its tensor.
+func (c *execCtx) siteRange(site *accessSite, di, ext int) (int, int) {
+	lo, hi := 0, ext
+	steps := c.p.nest[0].dim
+	for k, extent := range site.Tensor.Shape {
+		alo, ahi := linearAtLeast(c.innerDimBase[di+k], steps[di+k], 0, ext)
+		blo, bhi := linearBelow(c.innerDimBase[di+k], steps[di+k], extent, ext)
+		lo, hi = max(lo, alo, blo), min(hi, ahi, bhi)
 	}
+	return lo, hi
 }
 
 // runInnerIter is the per-iteration strength-reduced inner loop (general
 // case: unrolled bodies and blocks spanning several I-lines).
-func (c *execCtx) runInnerIter(d int, lv *level, blockBase uint64, gb, eb, db []int, tile int) {
+func (c *execCtx) runInnerIter(d int, lv *level, blockBase uint64) {
 	p := c.p
+	in := &p.nest[0]
+	gb, eb, db, tile := c.innerGuardBase, c.innerElemBase, c.innerDimBase, c.innerTile
 	spill := p.spillRegs > 0
 	flops := uint64(p.bodyFLOPs)
 	var alu, branch, fma, loads, stores, guardBr, exits uint64
@@ -928,7 +642,7 @@ func (c *execCtx) runInnerIter(d int, lv *level, blockBase uint64, gb, eb, db []
 			} else {
 				c.pc += 2 * c.ib
 			}
-			if gb[gi]+i*p.innerGuardStep[gi] >= lv.Guards[gi].Extent {
+			if gb[gi]+i*in.guard[gi] >= lv.Guards[gi].Extent {
 				pass = false
 				break
 			}
@@ -948,17 +662,16 @@ func (c *execCtx) runInnerIter(d int, lv *level, blockBase uint64, gb, eb, db []
 					} else {
 						c.pc += 2 * c.ib
 					}
-					in := true
-					steps := p.innerDimStep[si]
-					for k := range steps {
-						v := db[di+k] + i*steps[k]
-						if v < 0 || v >= site.Tensor.Shape[k] {
-							in = false
+					inside := true
+					for k, extent := range site.Tensor.Shape {
+						v := db[di+k] + i*in.dim[di+k]
+						if v < 0 || v >= extent {
+							inside = false
 							break
 						}
 					}
-					di += len(steps)
-					if !in {
+					di += len(site.Dims)
+					if !inside {
 						continue
 					}
 				}
@@ -966,12 +679,12 @@ func (c *execCtx) runInnerIter(d int, lv *level, blockBase uint64, gb, eb, db []
 				if !sameLine {
 					c.fetchLine()
 				}
-				off := eb[si] + i*p.innerElemStep[si]
+				off := eb[si] + i*in.elem[si]
 				c.em.emit(Event{Kind: EvData, PC: c.pc,
 					Addr: site.Tensor.AddrOf(off), Size: tensor.ElemSize, Class: isa.Load})
 				c.pc += c.ib
 			}
-			ti := tile + i*p.innerTileStep
+			ti := tile + i*in.tile
 			spilled := spill && ti >= p.spillFrom
 			if spilled {
 				loads++
@@ -1022,15 +735,23 @@ func (c *execCtx) runInnerIter(d int, lv *level, blockBase uint64, gb, eb, db []
 	c.counts.LoopExits += exits
 }
 
-// runInnerSegments executes a non-unrolled, single-I-line inner loop
-// segment-wise. Every emission decision of an iteration — guard outcomes,
-// padding checks, spill status — is an affine condition of the iteration
-// index, so its truth set is an interval. Cutting [0,Extent) at every
-// interval endpoint yields spans with a constant event pattern: counts are
-// added arithmetically per span, and the span's interleaved data accesses
-// ship as one LoopRun instead of per-iteration events.
-func (c *execCtx) runInnerSegments(d int, lv *level, blockBase uint64, gb, eb, db []int, tile int) {
+// runInnerSegments executes the innermost loop of the hoisted nest
+// segment-wise; unrolled loops and blocks spanning several I-lines go to
+// runInnerIter instead. Every emission decision of an iteration — guard
+// outcomes, padding checks, spill status — is an affine condition of the
+// iteration index, so its truth set is an interval. Cutting [0,Extent) at
+// every interval endpoint yields spans with a constant event pattern: counts
+// are added arithmetically per span, and the span's interleaved data
+// accesses ship as one LoopRun instead of per-iteration events. The bases
+// are read, not moved.
+func (c *execCtx) runInnerSegments(d int, lv *level, blockBase uint64) {
+	if lv.Unrolled || blockBase&^63 != (blockBase+lv.PerIterSize-1)&^63 {
+		c.runInnerIter(d, lv, blockBase)
+		return
+	}
 	p := c.p
+	in := &p.nest[0]
+	gb, eb, tile := c.innerGuardBase, c.innerElemBase, c.innerTile
 	ext := lv.Extent
 	// One fetch covers the whole loop: every PC lies on blockBase's line.
 	c.pc = blockBase
@@ -1042,7 +763,7 @@ func (c *execCtx) runInnerSegments(d int, lv *level, blockBase uint64, gb, eb, d
 	gLo := c.innerGuardLo
 	gHi := c.innerGuardHi
 	for gi := range gb {
-		lo, hi := linearBelow(gb[gi], p.innerGuardStep[gi], lv.Guards[gi].Extent, ext)
+		lo, hi := linearBelow(gb[gi], in.guard[gi], lv.Guards[gi].Extent, ext)
 		gLo[gi], gHi[gi] = lo, hi
 		if lo > 0 && lo < ext {
 			cuts = append(cuts, lo)
@@ -1057,24 +778,8 @@ func (c *execCtx) runInnerSegments(d int, lv *level, blockBase uint64, gb, eb, d
 	for si, site := range p.bodyLoads {
 		lo, hi := 0, ext
 		if site.CanOOB {
-			steps := p.innerDimStep[si]
-			for k := range steps {
-				klo, khi := linearAtLeast(db[di+k], steps[k], 0, ext)
-				if klo > lo {
-					lo = klo
-				}
-				if khi < hi {
-					hi = khi
-				}
-				klo, khi = linearBelow(db[di+k], steps[k], site.Tensor.Shape[k], ext)
-				if klo > lo {
-					lo = klo
-				}
-				if khi < hi {
-					hi = khi
-				}
-			}
-			di += len(steps)
+			lo, hi = c.siteRange(site, di, ext)
+			di += len(site.Dims)
 			if lo > 0 && lo < ext {
 				cuts = append(cuts, lo)
 			}
@@ -1086,7 +791,7 @@ func (c *execCtx) runInnerSegments(d int, lv *level, blockBase uint64, gb, eb, d
 	}
 	spLo, spHi := 0, 0
 	if p.spillRegs > 0 {
-		spLo, spHi = linearAtLeast(tile, p.innerTileStep, p.spillFrom, ext)
+		spLo, spHi = linearAtLeast(tile, in.tile, p.spillFrom, ext)
 		if spLo > 0 && spLo < ext {
 			cuts = append(cuts, spLo)
 		}
@@ -1153,14 +858,14 @@ func (c *execCtx) runInnerSegments(d int, lv *level, blockBase uint64, gb, eb, d
 			loads += n
 			nInstr++
 			sites = append(sites, LoopSite{
-				Addr: site.Tensor.AddrOf(eb[si] + a*p.innerElemStep[si]),
-				Step: int64(p.innerElemStep[si]) * tensor.ElemSize,
+				Addr: site.Tensor.AddrOf(eb[si] + a*in.elem[si]),
+				Step: int64(in.elem[si]) * tensor.ElemSize,
 				Size: tensor.ElemSize,
 			})
 		}
 		if p.spillRegs > 0 && a >= spLo && a < spHi {
-			slot := p.stackBase + uint64(tile+a*p.innerTileStep)*tensor.ElemSize
-			step := int64(p.innerTileStep) * tensor.ElemSize
+			slot := p.stackBase + uint64(tile+a*in.tile)*tensor.ElemSize
+			step := int64(in.tile) * tensor.ElemSize
 			loads += n
 			stores += n
 			nInstr += 2
@@ -1310,29 +1015,13 @@ func (c *execCtx) runLevel(d int, blockBase uint64) {
 		return
 	}
 	inner := d == len(p.levels)-1
-	if !c.compute && !c.perInstr && p.reduceStart < len(p.levels) {
-		// Hot paths: statistics-only execution of a reduction body. The
-		// strength-reduced loops emit a bit-identical stream (checked by
-		// TestBlockAggregationBitIdentical against the generic path below,
-		// which the per-instruction encoding always takes).
-		if inner {
-			c.runInnerScalarFast(d, lv, blockBase)
-			return
-		}
-		if d == len(p.levels)-2 && !p.levels[d+1].Vector && d+1 != p.reduceStart {
-			// Parent of the inner loop: hoist the inner affine bases out of
-			// this loop and advance them by the parent strides instead of
-			// re-evaluating them per iteration.
-			c.runParentOfInner(d, lv, blockBase)
-			return
-		}
-		if d == len(p.levels)-3 && !p.levels[d+1].Vector && !p.levels[d+2].Vector &&
-			d+1 != p.reduceStart && d+2 != p.reduceStart {
-			// Grandparent of the inner loop: hoist the bases one level
-			// further and aggregate uniform 3D nest boxes.
-			c.runGrandParentOfInner(d, lv, blockBase)
-			return
-		}
+	if d >= c.nestFrom {
+		// Hot path: statistics-only execution of the innermost levels of a
+		// reduction body. The hoisted loops emit a bit-identical stream
+		// (checked by TestBlockAggregationBitIdentical against the generic
+		// path below, which the per-instruction encoding always takes).
+		c.runNest(d, len(p.levels)-1-d, blockBase)
+		return
 	}
 	for i := 0; i < lv.Extent; i++ {
 		c.vals[d] = i

@@ -93,6 +93,50 @@ type level struct {
 	PerIterSize uint64
 }
 
+// maxNestRank is how many innermost loop levels the executor runs with the
+// body's affines hoisted, and may ship as one LoopRun. It is three because
+// a LoopRun is Count × Rows × Planes; a fourth level needs a new event shape
+// before it needs anything here.
+const maxNestRank = 3
+
+// nestSteps holds, for one nest level, what Build can decide about it once
+// per program. The strides are the per-iteration deltas of the body's
+// affines along the level, which the executor adds to hoisted bases instead
+// of re-evaluating the affines per point. boxable and conds are the
+// schedule-static half of the box classifier: whether this level and the
+// nest levels below it can ship as one LoopRun at all, and which affine
+// conditions bound the iteration range over which they do. The other half —
+// interval arithmetic of those conditions on the live bases — is the
+// executor's (nestUniformRange, runNestBlock).
+type nestSteps struct {
+	guard []int // per guard of the innermost level
+	elem  []int // per body load: element offset
+	dim   []int // per tensor dimension of the padding-checked body loads, in site order
+	tile  int   // accumulator index
+
+	// boxable: every level from this one down to the innermost's parent is
+	// plain (no guards, no hoisted loads, not unrolled), the innermost is
+	// not unrolled, nothing spills, and no guard or padding condition varies
+	// with two of these levels — a diagonal boundary, whose pass region is
+	// no box.
+	boxable bool
+	// conds lists, for a boxable level, the conditions that vary with
+	// exactly one nest level above the innermost (those varying with the
+	// innermost only, or with none, are the block check's).
+	conds []nestCond
+}
+
+// nestCond is one affine condition of the reduction body: a split-tail
+// guard (value < bound) or one tensor dimension of a padding-checked load
+// (0 <= value < bound).
+type nestCond struct {
+	idx   int  // into the guard bases, or into the flattened dim bases
+	dim   bool // a padding dimension
+	level int  // the nest level (>= 1) the condition varies with
+	step  int  // its stride along that level
+	bound int
+}
+
 // Program is an executable lowered kernel for one ISA.
 type Program struct {
 	Model isa.Model
@@ -144,33 +188,12 @@ type Program struct {
 	axisTerms [][]coefTerm
 	numAxes   int
 
-	// Strength-reduction strides of the innermost level: per-iteration
-	// deltas of the inner guards' affines, each body load's element offset
-	// and tensor-dimension indices, and the tile index. The executor's fast
-	// inner loop advances these instead of re-evaluating affines per point.
-	innerGuardStep []int
-	innerElemStep  []int
-	innerDimStep   [][]int
-	// innerDimOff is the start of each body load's dims in the executor's
-	// flattened dim-base scratch; the last entry is the total dim count.
-	innerDimOff   []int
-	innerTileStep int
-	// The same strides w.r.t. the parent of the innermost level: the
-	// executor hoists the inner loop's affine bases out of the parent loop
-	// and advances them by these deltas per parent iteration.
-	parentGuardStep []int
-	parentElemStep  []int
-	parentDimStep   []int // flattened like innerDimOff
-	parentTileStep  int
-	// And w.r.t. the grandparent of the innermost level, for the 3D
-	// nest-box aggregation (bases hoisted out of the grandparent loop,
-	// advanced per plane).
-	grandGuardStep []int
-	grandElemStep  []int
-	grandDimStep   []int // flattened like innerDimOff
-	grandTileStep  int
-	// maxGuards is the largest per-level guard count (scratch sizing).
-	maxGuards int
+	// nest[r] is the reduction body seen from the level r above the
+	// innermost one (nest[0]: the innermost level itself), for the
+	// executor's hoisted-loop path; levels from nestFrom inwards take it
+	// (len(levels) when none does: a vectorized innermost level).
+	nest     [maxNestRank]nestSteps
+	nestFrom int
 }
 
 // CodeBytes reports the static code footprint of the generated kernel, the

@@ -197,6 +197,72 @@ func TestEvictionSingleflightRace(t *testing.T) {
 	}
 }
 
+// TestStaleDiskMissCannotLeadTwice replays, one step at a time, the
+// interleaving behind "key N computed 2 times": caller A misses in the
+// durable store; before A goes on, caller B wants the same key. While the
+// probe sat outside the flight, B could find nothing resident and nothing in
+// flight, compute and store the key, and have the entry evicted — and A,
+// trusting its now stale miss, computed it again. With the probe inside the
+// flight, B can only wait for A.
+func TestStaleDiskMissCannotLeadTwice(t *testing.T) {
+	disk, _ := openTestStore(t, t.TempDir(), StoreOptions{})
+	defer disk.Close()
+	c := newResultCache(1, disk)
+	var computes [2]atomic.Uint64
+	do := func(i int) (bool, error) {
+		_, hit, err := c.do(context.Background(), testKey(i), func() (Result, error) {
+			computes[i].Add(1)
+			return arcResult(i), nil
+		})
+		return hit, err
+	}
+	type outcome struct {
+		hit bool
+		err error
+	}
+	bDone, bWaiting := make(chan outcome, 1), make(chan struct{})
+	var held atomic.Bool
+	c.testHook = func(point int) {
+		switch {
+		case point == hookWaiting:
+			close(bWaiting)
+		case held.CompareAndSwap(false, true): // A's probe; later ones pass through
+			go func() {
+				hit, err := do(0)
+				bDone <- outcome{hit, err}
+			}()
+			select {
+			case <-bWaiting:
+			case b := <-bDone:
+				// B ran beside A's stale miss. Push its entry out of the
+				// one-entry cache, as eviction pressure would, before A
+				// looks again.
+				bDone <- b
+				if _, err := do(1); err != nil {
+					t.Error(err)
+				}
+			}
+		}
+	}
+	aHit, aErr := do(0)
+	b := <-bDone
+	if n := computes[0].Load(); n != 1 {
+		t.Fatalf("key 0 computed %d times, want exactly 1", n)
+	}
+	if aErr != nil || aHit || b.err != nil || !b.hit {
+		t.Fatalf("A: hit=%v err=%v, B: hit=%v err=%v; want A to compute and B to be served A's result",
+			aHit, aErr, b.hit, b.err)
+	}
+	// And once the entry is evicted, the durable record serves it.
+	if _, err := do(1); err != nil {
+		t.Fatal(err)
+	}
+	if hit, err := do(0); err != nil || !hit || computes[0].Load() != 1 || c.diskHits.Load() != 1 {
+		t.Fatalf("after eviction: hit=%v err=%v computes=%d disk hits=%d, want one disk hit and no computation",
+			hit, err, computes[0].Load(), c.diskHits.Load())
+	}
+}
+
 // TestFetchReadsThroughEviction: the replication surface (fetch, keys) must
 // see a bounded node's full corpus — resident AND evicted-to-disk — or
 // handoff/anti-entropy would silently under-replicate bounded nodes.

@@ -35,10 +35,18 @@ func CacheKey(arch isa.Arch, caches cache.HierarchyConfig, wl WorkloadSpec, step
 	return k
 }
 
-// flight is one in-progress computation other requests can wait on.
+// flight is one in-progress lookup of a key that is not resident — the
+// durable-store probe and, when that misses, the computation — which other
+// requests for the key wait on.
 type flight struct {
 	done chan struct{}
 }
+
+// Points of doTimed a test can hold a caller at (resultCache.testHook).
+const (
+	hookWaiting = iota // about to wait on another caller's flight
+	hookProbed         // leading a flight, durable-store probe done
+)
 
 // ARC list membership. T1/T2 entries are resident (hold a Result); B1/B2 are
 // ghosts — the key is tracked for adaptation but the value was evicted and
@@ -122,6 +130,10 @@ type resultCache struct {
 	p              int
 	t1, t2, b1, b2 entryList
 
+	// testHook, nil outside tests, is called without the lock at the hook*
+	// points of doTimed.
+	testHook func(point int)
+
 	hits   atomic.Uint64
 	misses atomic.Uint64
 	// canceled counts do() calls that returned with a context error instead
@@ -178,7 +190,6 @@ func (c *resultCache) do(ctx context.Context, k Key, compute func() (Result, err
 // (evict). nil tm measures nothing — the telemetry-off path takes no clock
 // reads here.
 func (c *resultCache) doTimed(ctx context.Context, k Key, tm *candTimings, compute func() (Result, error)) (r Result, hit bool, err error) {
-	diskChecked := false
 	for {
 		c.mu.Lock()
 		if e, ok := c.entries[k]; ok && e.resident() {
@@ -190,6 +201,9 @@ func (c *resultCache) doTimed(ctx context.Context, k Key, tm *candTimings, compu
 		}
 		if f, ok := c.inflight[k]; ok {
 			c.mu.Unlock()
+			if c.testHook != nil {
+				c.testHook(hookWaiting)
+			}
 			var w0 time.Time
 			if tm != nil {
 				w0 = time.Now()
@@ -197,7 +211,8 @@ func (c *resultCache) doTimed(ctx context.Context, k Key, tm *candTimings, compu
 			select {
 			case <-f.done:
 				// The leader finished (or abandoned): loop to re-check the
-				// map and, if the leader was canceled, take over.
+				// map and, if the leader was canceled or its entry is
+				// already evicted, lead the next flight.
 				if tm != nil {
 					tm.sfWait += time.Since(w0)
 				}
@@ -210,41 +225,42 @@ func (c *resultCache) doTimed(ctx context.Context, k Key, tm *candTimings, compu
 				return Result{}, false, ctx.Err()
 			}
 		}
-		if c.disk != nil && !diskChecked {
-			// Not resident and nobody is computing it: the durable layer may
-			// hold it from a previous process lifetime or from before an
-			// eviction. Read outside the lock — a racing reader doing the
-			// same work promotes the identical value, which is harmless.
-			c.mu.Unlock()
-			diskChecked = true
-			var d0 time.Time
-			if tm != nil {
-				d0 = time.Now()
-			}
-			res, ok := c.disk.Get(k)
-			if tm != nil {
-				tm.disk += time.Since(d0)
-				tm.diskHit = ok
-			}
-			if ok {
-				c.storeTimed(k, res, tm)
-				c.hits.Add(1)
-				c.diskHits.Add(1)
-				return res, true, nil
-			}
-			continue
-		}
+		// Not resident and nobody is on it: this caller leads the flight.
 		f := &flight{done: make(chan struct{})}
 		c.inflight[k] = f
 		c.mu.Unlock()
 
-		r, err := compute()
-		if err == nil && c.disk != nil {
-			// Durability before evictability: Put lands the result in the
-			// store's pending map synchronously (the disk write itself is
-			// behind), so by the time the entry is resident — and therefore
-			// evictable — the durable layer can already serve it.
-			c.disk.Put(k, r)
+		// The durable layer may hold the key from a previous process
+		// lifetime or from before an eviction. The probe belongs to the
+		// flight: a miss observed here cannot go stale, because nobody else
+		// computes or stores the key until the flight ends — which is what
+		// keeps "exactly once" true when the entry a leader stores is
+		// evicted before a waiter looks.
+		fromDisk := false
+		if c.disk != nil {
+			var d0 time.Time
+			if tm != nil {
+				d0 = time.Now()
+			}
+			r, fromDisk = c.disk.Get(k)
+			if tm != nil {
+				tm.disk += time.Since(d0)
+				tm.diskHit = fromDisk
+			}
+			if c.testHook != nil {
+				c.testHook(hookProbed)
+			}
+		}
+		if !fromDisk {
+			r, err = compute()
+			if err == nil && c.disk != nil {
+				// Durability before evictability: Put lands the result in
+				// the store's pending map synchronously (the disk write
+				// itself is behind), so by the time the entry is resident —
+				// and therefore evictable — the durable layer can already
+				// serve it.
+				c.disk.Put(k, r)
+			}
 		}
 		var e0 time.Time
 		if tm != nil {
@@ -262,28 +278,17 @@ func (c *resultCache) doTimed(ctx context.Context, k Key, tm *candTimings, compu
 			tm.evict += time.Since(e0)
 			tm.evicted = true
 		}
-		if err != nil {
+		switch {
+		case err != nil:
 			c.canceled.Add(1)
 			return Result{}, false, err
+		case fromDisk:
+			c.hits.Add(1)
+			c.diskHits.Add(1)
+			return r, true, nil
 		}
 		c.misses.Add(1)
 		return r, false, nil
-	}
-}
-
-// storeTimed installs a result with the same nil-guarded evict timing as the
-// miss path (used by the disk-promote path, which runs without the lock).
-func (c *resultCache) storeTimed(k Key, r Result, tm *candTimings) {
-	var e0 time.Time
-	if tm != nil {
-		e0 = time.Now()
-	}
-	c.mu.Lock()
-	ev := c.store(k, r)
-	c.mu.Unlock()
-	if tm != nil && ev > 0 {
-		tm.evict += time.Since(e0)
-		tm.evicted = true
 	}
 }
 

@@ -160,14 +160,16 @@ func TestRouterFailoverDrainsDownNode(t *testing.T) {
 	const group, n = 1, 12
 	servers := make([]*Server, 3)
 	https := make([]*httptest.Server, 3)
-	urls := make([]string, 3)
+	clients := make([]Backend, 3)
 	for i := range servers {
 		servers[i] = mustServer(t, Config{Archs: []isa.Arch{isa.RISCV}, WorkersPerArch: 2})
 		https[i] = httptest.NewServer(servers[i].Handler())
 		defer https[i].Close()
-		urls[i] = https[i].URL
+		clients[i] = NewClient(https[i].URL)
 	}
-	rt, err := NewRouter(RouterConfig{Nodes: urls, ProbeInterval: -1})
+	// Fixed ring identities: hashed by its ephemeral URL, node 1 now and
+	// then owned none of the twelve keys and was never found dead.
+	rt, err := NewRouterBackends([]string{"node-a", "node-b", "node-c"}, clients, RouterConfig{ProbeInterval: -1})
 	if err != nil {
 		t.Fatal(err)
 	}

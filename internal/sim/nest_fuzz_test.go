@@ -218,16 +218,18 @@ func diagonalCondition(s *schedule.Schedule) bool {
 // TestFuzzNestSeedShapes reads the checked-in seed corpus and holds each
 // seed to the nest shape its file name promises.
 func TestFuzzNestSeedShapes(t *testing.T) {
-	shapes := map[string]func(*lower.Program, *nestShapes) bool{
-		"box3d":  func(_ *lower.Program, n *nestShapes) bool { return n.boxes3D > 0 },
-		"cold2d": func(_ *lower.Program, n *nestShapes) bool { return n.coldThen2D },
+	shapes := map[string]func(candidate, *lower.Program, *nestShapes) bool{
+		"box3d":  func(_ candidate, _ *lower.Program, n *nestShapes) bool { return n.boxes3D > 0 },
+		"cold2d": func(_ candidate, _ *lower.Program, n *nestShapes) bool { return n.coldThen2D },
 		// Spills close the box classifier before it looks at conditions.
-		"diagonal": func(p *lower.Program, n *nestShapes) bool {
+		"diagonal": func(_ candidate, p *lower.Program, n *nestShapes) bool {
 			return diagonalCondition(p.Sched) && p.SpillRegisters() == 0 && n.spans > 0
 		},
 		// Interior rows of a padded conv aggregate; boundary rows, where the
 		// padding check cuts the inner range, go span by span.
-		"padded": func(_ *lower.Program, n *nestShapes) bool { return n.spans > 0 && n.boxes2D+n.boxes3D > 0 },
+		"padded": func(c candidate, _ *lower.Program, n *nestShapes) bool {
+			return strings.HasPrefix(c.name, "conv") && n.spans > 0 && n.boxes2D+n.boxes3D > 0
+		},
 	}
 	for name, holds := range shapes {
 		raw, err := os.ReadFile(filepath.Join("testdata", "fuzz", "FuzzNest", name))
@@ -247,11 +249,8 @@ func TestFuzzNestSeedShapes(t *testing.T) {
 			}
 		}
 		c := fuzzCandidate(t, in[0], uint(in[1]), uint(in[3]))
-		if name == "padded" && in[1]%(te.NumConvGroups+1) == te.NumConvGroups {
-			t.Fatalf("padded: workload %d is not a conv", in[1])
-		}
 		archs := isa.Archs()
-		if prog, seen := checkNest(t, c, archs[in[2]%uint64(len(archs))]); !holds(prog, seen) {
+		if prog, seen := checkNest(t, c, archs[in[2]%uint64(len(archs))]); !holds(c, prog, seen) {
 			t.Errorf("%s (%s): the seed no longer reaches its shape: %+v", name, c.name, *seen)
 		}
 	}

@@ -187,17 +187,31 @@ type poolKey struct {
 
 // pools holds per-configuration free lists of reset machines, so repeated
 // candidate simulations (SimulatorRunner, dataset generation, benchmarks)
-// re-use cache hierarchies instead of allocating a fresh one per run.
-var pools sync.Map // poolKey -> *sync.Pool
+// re-use cache hierarchies instead of allocating a fresh one per run. A
+// typed map under a mutex: the lookup on either side of every candidate
+// allocates nothing.
+var (
+	poolsMu sync.Mutex
+	pools   = map[poolKey]*sync.Pool{}
+)
+
+func poolFor(arch isa.Arch, caches cache.HierarchyConfig) *sync.Pool {
+	key := poolKey{arch: arch, caches: caches}
+	poolsMu.Lock()
+	defer poolsMu.Unlock()
+	p := pools[key]
+	if p == nil {
+		p = &sync.Pool{}
+		pools[key] = p
+	}
+	return p
+}
 
 // Acquire returns a reset simulator for the configuration, re-using a pooled
 // instance when one is available. Release it after reading Stats.
 func Acquire(arch isa.Arch, caches cache.HierarchyConfig) (*Machine, error) {
-	key := poolKey{arch: arch, caches: caches}
-	if p, ok := pools.Load(key); ok {
-		if m, _ := p.(*sync.Pool).Get().(*Machine); m != nil {
-			return m, nil
-		}
+	if m, _ := poolFor(arch, caches).Get().(*Machine); m != nil {
+		return m, nil
 	}
 	return New(arch, caches)
 }
@@ -208,9 +222,7 @@ func Release(m *Machine) {
 		return
 	}
 	m.Reset()
-	key := poolKey{arch: m.model.Arch, caches: m.hier.Cfg}
-	p, _ := pools.LoadOrStore(key, &sync.Pool{})
-	p.(*sync.Pool).Put(m)
+	poolFor(m.model.Arch, m.hier.Cfg).Put(m)
 }
 
 // Run executes a lowered program on a pooled simulator instance and returns

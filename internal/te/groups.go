@@ -2,7 +2,7 @@ package te
 
 import "fmt"
 
-// Scale selects the workload sizing of the reproduction (DESIGN.md §6).
+// Scale selects the workload sizing of the reproduction.
 type Scale string
 
 // Available scales.

@@ -55,7 +55,7 @@ const (
 // Archs lists all targets in paper order.
 func Archs() []Arch { return isa.Archs() }
 
-// Scale selects workload sizing (see DESIGN.md §6).
+// Scale selects workload sizing (see te.Scale).
 type Scale = te.Scale
 
 // Available scales.
