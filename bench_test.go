@@ -12,8 +12,6 @@ package simtune_test
 
 import (
 	"context"
-	"encoding/json"
-	"fmt"
 	"io"
 	"os"
 	"strings"
@@ -214,33 +212,6 @@ func BenchmarkAblationTuners(b *testing.B) {
 
 // --- substrate micro-benchmarks ---
 
-// BenchmarkSimulatorThroughput measures instruction-accurate simulation
-// speed (simulated instructions per host second), the quantity that bounds
-// dataset generation. Instructions are accumulated across iterations —
-// scaling one iteration's count by b.N would silently misreport if the
-// workload ever varied per iteration. events/s reports the protocol-event
-// rate of the block-aggregated executor→sink encoding (events ≪ instrs).
-func BenchmarkSimulatorThroughput(b *testing.B) {
-	wl := te.ConvGroup(te.ScaleSmall, 1)
-	prog, err := lower.Build(schedule.New(wl.Op), isa.Lookup(isa.RISCV))
-	if err != nil {
-		b.Fatal(err)
-	}
-	var instrs, events uint64
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		st, err := sim.Run(prog, hw.Lookup(isa.RISCV).Caches)
-		if err != nil {
-			b.Fatal(err)
-		}
-		instrs += st.Total
-		events += st.SinkEvents
-	}
-	b.ReportMetric(float64(instrs)/b.Elapsed().Seconds(), "instr/s")
-	b.ReportMetric(float64(events)/b.Elapsed().Seconds(), "events/s")
-}
-
 // mustBenchServer builds a service node (the error path is store-only and
 // these configs are memory-only).
 func mustBenchServer(b *testing.B, cfg service.Config) *service.Server {
@@ -272,8 +243,8 @@ func serviceBenchBatch(b *testing.B, n int) []service.Candidate {
 	return out
 }
 
-// BenchmarkServiceThroughput measures the batch simulation service on the
-// same workload as BenchmarkSimulatorThroughput (ConvGroup small/1, RISC-V):
+// BenchmarkServiceThroughput measures the batch simulation service on
+// ConvGroup small/1, RISC-V:
 // candidates per second through the in-process Backend, separately for the
 // cold path (every candidate compiled and simulated on the 4-worker shard; a
 // fresh server per iteration keeps the cache empty) and the hot path (the
@@ -328,133 +299,6 @@ func BenchmarkServiceThroughput(b *testing.B) {
 	cfgOff := cfg
 	cfgOff.DisableTelemetry = true
 	b.Run("hit-notel", func(b *testing.B) { hit(b, cfgOff) })
-}
-
-// BenchmarkBoundedResidency measures what the ARC memory bound costs at
-// serve time: the same primed 64-candidate batch served by an unbounded node
-// (every hit a RAM map lookup) vs a node bounded to 8 resident results over
-// a durable store — ARC keeps the re-touched hot entries in RAM and every
-// other hit reads through to the segment log. The disk-hit rate is the floor
-// a memory-bounded node serves a corpus ≫ its RAM at; it must sit orders of
-// magnitude above re-simulation (BenchmarkServiceThroughput/miss), because
-// that is the bargain the bound strikes: cap RAM, never re-pay a simulation.
-func BenchmarkBoundedResidency(b *testing.B) {
-	const batch, bound = 64, 8
-	req := &service.SimulateRequest{
-		Arch:       "riscv",
-		Workload:   service.ConvGroupSpec(te.ScaleSmall, 1),
-		Candidates: serviceBenchBatch(b, batch),
-	}
-	ctx := context.Background()
-	run := func(b *testing.B, cfg service.Config) {
-		srv := mustBenchServer(b, cfg)
-		if _, err := srv.Simulate(ctx, req); err != nil { // prime the corpus
-			b.Fatal(err)
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			resp, err := srv.Simulate(ctx, req)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if r := resp.Results[0]; r.Err != "" || !r.CacheHit {
-				b.Fatalf("primed batch missed: %+v", r)
-			}
-		}
-		b.ReportMetric(float64(batch*b.N)/b.Elapsed().Seconds(), "cand/s")
-		st, err := srv.Statusz(ctx)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(float64(st.CacheResident), "resident")
-	}
-	b.Run("unbounded-ram", func(b *testing.B) {
-		run(b, service.Config{Archs: []isa.Arch{isa.RISCV}, WorkersPerArch: 4})
-	})
-	b.Run("bounded-disk", func(b *testing.B) {
-		run(b, service.Config{
-			Archs: []isa.Arch{isa.RISCV}, WorkersPerArch: 4,
-			MaxResidentResults: bound, CacheDir: b.TempDir(),
-		})
-	})
-}
-
-// BenchmarkRouterThroughput measures the consistent-hash routing tier on the
-// cache-hit path — the multi-node half of the BenchmarkServiceThroughput
-// story. Parallel clients re-submit a primed 32-candidate batch; "direct" is
-// the PR 2 single-node backend under the same parallel load, "1node" adds
-// the routing tier in front of one node (its overhead: per-candidate key
-// hashing and fan-out assembly), and "3node" shards the key space across
-// three nodes so concurrent batches stop contending on a single cache map.
-// Backends are in-process (no HTTP), isolating the routing machinery itself.
-func BenchmarkRouterThroughput(b *testing.B) {
-	const batch = 32
-	req := &service.SimulateRequest{
-		Arch:       "riscv",
-		Workload:   service.ConvGroupSpec(te.ScaleSmall, 1),
-		Candidates: serviceBenchBatch(b, batch),
-	}
-	cfg := service.Config{Archs: []isa.Arch{isa.RISCV}, WorkersPerArch: 4}
-	ctx := context.Background()
-
-	hitPath := func(b *testing.B, backend service.Backend) {
-		prime, err := backend.Simulate(ctx, req) // prime every owner
-		if err != nil {
-			b.Fatal(err)
-		}
-		// Wire cost per candidate: what one round trip of this batch would
-		// move as JSON at the HTTP tier the in-process backends elide.
-		// Encoded outside the timed loop so the metric rides along without
-		// perturbing cand/s.
-		reqBytes, err := json.Marshal(req)
-		if err != nil {
-			b.Fatal(err)
-		}
-		respBytes, err := json.Marshal(prime)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		b.RunParallel(func(pb *testing.PB) {
-			for pb.Next() {
-				resp, err := backend.Simulate(ctx, req)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if r := resp.Results[0]; r.Err != "" || !r.CacheHit {
-					b.Fatalf("hot path missed: %+v", r)
-				}
-			}
-		})
-		b.ReportMetric(float64(batch*b.N)/b.Elapsed().Seconds(), "cand/s")
-		b.ReportMetric(float64(len(reqBytes)+len(respBytes))/batch, "wire-B/cand")
-	}
-	cfgOff := cfg
-	cfgOff.DisableTelemetry = true
-	router := func(nodes int, cfg service.Config, rcfg service.RouterConfig) *service.Router {
-		ids := make([]string, nodes)
-		backends := make([]service.Backend, nodes)
-		for i := range ids {
-			ids[i] = fmt.Sprintf("node-%d", i)
-			backends[i] = mustBenchServer(b, cfg)
-		}
-		rt, err := service.NewRouterBackends(ids, backends, rcfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		return rt
-	}
-	on := service.RouterConfig{ProbeInterval: -1}
-	off := service.RouterConfig{ProbeInterval: -1, DisableTelemetry: true}
-
-	b.Run("hit-direct", func(b *testing.B) { hitPath(b, mustBenchServer(b, cfg)) })
-	b.Run("hit-1node", func(b *testing.B) { hitPath(b, router(1, cfg, on)) })
-	b.Run("hit-3node", func(b *testing.B) { hitPath(b, router(3, cfg, on)) })
-	// Telemetry A/B: the same fleet with every histogram and trace disabled
-	// at both tiers — the router-path half of the <2% overhead budget.
-	b.Run("hit-3node-notel", func(b *testing.B) { hitPath(b, router(3, cfgOff, off)) })
 }
 
 // BenchmarkTimingModel measures the cycle-approximate back-end.

@@ -21,7 +21,7 @@ import (
 // (a live node or router), or — without it — against an in-process fleet of
 // -nodes fresh servers behind an in-process router, which is the
 // reproducible saturation-test fixture. With -report it writes the
-// BENCH-style saturation artifact cmd/benchreport understands.
+// saturation report (loadgen.Report) as JSON.
 func loadgenCmd(args []string) error {
 	fs := flag.NewFlagSet("simtune loadgen", flag.ExitOnError)
 	seed := fs.Uint64("seed", 1, "trace seed; the same seed reproduces the same offered-load trace")

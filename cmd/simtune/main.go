@@ -13,7 +13,7 @@
 //	simtune serve -addr :8070 -workers 8
 //	simtune route -addr :8060 -nodes http://sim-0:8070,http://sim-1:8070,http://sim-2:8070
 //	simtune -arch riscv -group 3 -trials 200 -runner sim -server http://tuner-farm:8060
-//	simtune loadgen -seed 1 -steps 0.5,1,2 -report BENCH_10.json
+//	simtune loadgen -seed 1 -steps 0.5,1,2 -report saturation.json
 package main
 
 import (
@@ -53,8 +53,7 @@ func serve(args []string) error {
 	addr := fs.String("addr", ":8070", "listen address")
 	archsFlag := fs.String("archs", "x86,arm,riscv", "comma-separated served architectures")
 	workers := fs.Int("workers", 4, "simulator instances per architecture shard")
-	cacheCap := fs.Int("cache-cap", 1<<18, "in-memory result cache capacity (entries)")
-	maxResident := fs.Int("max-resident", 0, "ARC bound on results held in RAM; evicted results stay servable from -cache-dir (0 = use -cache-cap)")
+	maxResident := fs.Int("max-resident", 1<<18, "ARC bound on results held in RAM; evicted results stay servable from -cache-dir")
 	cacheDir := fs.String("cache-dir", "", "durable result store directory; a restarted server recovers its computed corpus from the segment log here (empty = memory only)")
 	segBytes := fs.Int64("cache-seg-bytes", 0, "store segment rotation size in bytes (default 64 MB)")
 	maxQueued := fs.Int("max-queued", 0, "admission bound: candidates held (queued+running) before new batches get 429 + Retry-After (default 65536)")
@@ -79,8 +78,11 @@ func serve(args []string) error {
 	if err != nil {
 		return err
 	}
+	if *maxResident == 0 {
+		*maxResident = 1 << 18 // Config's default, so the banner below prints the bound in force
+	}
 	srv, err := service.NewServer(service.Config{
-		Archs: archs, WorkersPerArch: *workers, CacheCapacity: *cacheCap,
+		Archs: archs, WorkersPerArch: *workers,
 		MaxResidentResults: *maxResident, TenantWeights: weights,
 		CacheDir: *cacheDir, CacheSegmentBytes: *segBytes,
 		MaxQueuedCandidates: *maxQueued, DrainTimeout: *drainTimeout,
@@ -92,8 +94,8 @@ func serve(args []string) error {
 	}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	fmt.Printf("simtune serve: listening on %s (archs %v, %d workers/arch, cache cap %d)\n",
-		*addr, archs, *workers, *cacheCap)
+	fmt.Printf("simtune serve: listening on %s (archs %v, %d workers/arch, max resident %d)\n",
+		*addr, archs, *workers, *maxResident)
 	if *cacheDir != "" {
 		st, _ := srv.Statusz(ctx)
 		fmt.Printf("  durable store %s: %d results recovered\n", *cacheDir, st.CacheDiskEntries)
@@ -144,10 +146,8 @@ func route(args []string) error {
 	fs := flag.NewFlagSet("simtune route", flag.ExitOnError)
 	addr := fs.String("addr", ":8060", "listen address")
 	nodesFlag := fs.String("nodes", "", "comma-separated backend server URLs (required), e.g. http://sim-0:8070,http://sim-1:8070")
-	replicas := fs.Int("replicas", 0, "virtual nodes per backend on the hash ring (default 128)")
 	probe := fs.Duration("probe", 2*time.Second, "health-probe interval (a recovered node rejoins within one interval)")
 	handoff := fs.Bool("handoff", true, "warm-handoff on rejoin: replay the keys a recovered node owns from its ring successors before it re-enters rotation")
-	handoffChunk := fs.Int("handoff-chunk", 0, "results per fetch/ingest round trip during handoff (default 256)")
 	rf := fs.Int("rf", 0, "replication factor: ring nodes holding each key — owner plus rf-1 successors (default 2; 1 disables replication)")
 	antiEntropy := fs.Duration("antientropy", 0, "anti-entropy round interval: diff /v1/keys between replicas and repair gaps (default 1m; negative disables)")
 	slowBatch := fs.Duration("slow-batch", 0, "log a structured slow-batch line for batches slower than this (0 = off)")
@@ -167,8 +167,7 @@ func route(args []string) error {
 		return fmt.Errorf("route: -nodes is required (comma-separated simulate-server URLs)")
 	}
 	rt, err := service.NewRouter(service.RouterConfig{
-		Nodes: nodes, Replicas: *replicas, ProbeInterval: *probe,
-		DisableHandoff: !*handoff, HandoffChunk: *handoffChunk,
+		Nodes: nodes, ProbeInterval: *probe, DisableHandoff: !*handoff,
 		ReplicationFactor: *rf, AntiEntropyInterval: *antiEntropy,
 		SlowBatchThreshold: *slowBatch, TraceRingSize: *traceRing,
 		EnablePprof: *pprofFlag, DisableTelemetry: *noTel,

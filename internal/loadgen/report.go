@@ -7,11 +7,10 @@ import (
 	"math"
 )
 
-// Report is the saturation artifact `simtune loadgen -report` emits (the
-// BENCH-style JSON cmd/benchreport understands): per-tenant latency
-// percentiles vs offered load, reject rates, and the fleet-ledger
-// reconciliation for every phase, plus the aggressor-isolation verdict when
-// the config names a tenant pair.
+// Report is the saturation artifact `simtune loadgen -report` emits as
+// JSON: per-tenant latency percentiles vs offered load, reject rates, and
+// the fleet-ledger reconciliation for every phase, plus the
+// aggressor-isolation verdict when the config names a tenant pair.
 type Report struct {
 	// Seed reproduces the run; TraceSHA256 is the deterministic witness —
 	// a hash over every phase's offered-load trace, identical across runs

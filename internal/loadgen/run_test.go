@@ -110,8 +110,7 @@ func TestAggressorIsolationE2E(t *testing.T) {
 
 // TestRunnerReportSmoke runs a small single-tenant Poisson config against a
 // 1-node fleet and checks the artifact survives a JSON round trip with its
-// validation intact — the schema contract cmd/benchreport and the CI smoke
-// job rely on.
+// validation intact — the schema contract the CI smoke job relies on.
 func TestRunnerReportSmoke(t *testing.T) {
 	cfg := Config{
 		Seed:     5,

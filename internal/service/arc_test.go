@@ -362,13 +362,3 @@ func TestMaxResidentConfig(t *testing.T) {
 		t.Fatalf("disk-hit path broke the candidate reconciliation: %+v", st)
 	}
 }
-
-// TestMaxResidentZeroFallsBackToCacheCapacity pins the legacy-name
-// precedence so existing deployments keep their bound.
-func TestMaxResidentZeroFallsBackToCacheCapacity(t *testing.T) {
-	cfg := Config{Archs: []isa.Arch{isa.RISCV}, CacheCapacity: 7}
-	cfg.defaults()
-	if cfg.MaxResidentResults != 7 {
-		t.Fatalf("MaxResidentResults defaulted to %d, want CacheCapacity 7", cfg.MaxResidentResults)
-	}
-}

@@ -8,6 +8,7 @@ import (
 	"os"
 	"reflect"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -37,10 +38,14 @@ type chaosNode struct {
 	dir  string
 	addr string
 
-	mu   sync.Mutex
-	srv  *Server
-	hsrv *http.Server
-	ln   net.Listener
+	mu  sync.Mutex
+	srv *Server
+	// sigterm cancels the serve loop's context, which is all SIGTERM does to
+	// `simtune serve`; served delivers what the loop returned.
+	sigterm context.CancelFunc
+	served  chan error
+	// crashed makes the stop skip the drain: kill's process death.
+	crashed atomic.Bool
 }
 
 func (n *chaosNode) config() Config {
@@ -68,10 +73,20 @@ func (n *chaosNode) start(wrap func(Config) Config) {
 	if err != nil {
 		n.t.Fatal(err)
 	}
-	hsrv := &http.Server{Handler: srv.Handler()}
-	go hsrv.Serve(ln)
+	// The production serve loop, in its listener-taking form: a restarted
+	// node must come back on the address the router's ring knows it by.
+	ctx, sigterm := context.WithCancel(context.Background())
+	served := make(chan error, 1)
+	go func() {
+		served <- serveListener(ctx, ln, srv.Handler(), func() error {
+			if n.crashed.Load() {
+				return nil
+			}
+			return srv.drain()
+		})
+	}()
 	n.mu.Lock()
-	n.srv, n.hsrv, n.ln = srv, hsrv, ln
+	n.srv, n.sigterm, n.served = srv, sigterm, served
 	n.addr = ln.Addr().String()
 	n.mu.Unlock()
 }
@@ -82,21 +97,17 @@ func (n *chaosNode) server() *Server {
 	return n.srv
 }
 
-// drainStop is the SIGTERM path a real `simtune serve` takes: drain the
-// server (statusz flips to draining first, so a probing router rotates the
-// node out), then stop the HTTP surface.
+// drainStop is the SIGTERM path a real `simtune serve` takes, through the
+// same code: drain the server (statusz flips to draining first, so a probing
+// router rotates the node out), then stop the HTTP surface.
 func (n *chaosNode) drainStop() {
 	n.t.Helper()
-	if err := n.server().Shutdown(context.Background()); err != nil {
-		n.t.Fatalf("drain %s: %v", n.addr, err)
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
 	n.mu.Lock()
-	hsrv := n.hsrv
+	sigterm, served := n.sigterm, n.served
 	n.mu.Unlock()
-	if err := hsrv.Shutdown(ctx); err != nil {
-		n.t.Fatalf("http stop %s: %v", n.addr, err)
+	sigterm()
+	if err := <-served; err != nil {
+		n.t.Fatalf("stop %s: %v", n.addr, err)
 	}
 }
 
@@ -403,11 +414,9 @@ func TestChaosStoreFaultsAreSurvivable(t *testing.T) {
 // replicas.
 func (n *chaosNode) kill() {
 	n.t.Helper()
-	n.mu.Lock()
-	hsrv, srv := n.hsrv, n.srv
-	n.mu.Unlock()
-	hsrv.Close() // immediate, not graceful — a crash, not a SIGTERM
-	srv.Close()
+	n.crashed.Store(true) // no drain: in-flight requests are aborted, not finished
+	n.drainStop()
+	n.server().Close()
 	if err := os.RemoveAll(n.dir); err != nil {
 		n.t.Fatal(err)
 	}

@@ -66,12 +66,8 @@ func (c *Client) Simulate(ctx context.Context, req *SimulateRequest) (*SimulateR
 
 // Statusz implements Backend over GET /v1/statusz.
 func (c *Client) Statusz(ctx context.Context) (*Statusz, error) {
-	httpReq, err := http.NewRequestWithContext(ctx, http.MethodGet, c.BaseURL+"/v1/statusz", nil)
-	if err != nil {
-		return nil, fmt.Errorf("service: %w", err)
-	}
 	var st Statusz
-	if err := c.roundTrip(httpReq, &st); err != nil {
+	if err := c.get(ctx, "/v1/statusz", &st); err != nil {
 		return nil, err
 	}
 	return &st, nil
@@ -81,16 +77,12 @@ func (c *Client) Statusz(ctx context.Context) (*Statusz, error) {
 // lo=0, hi=^uint64(0); any other pair is sent as ?range=lo-hi (wrapping
 // when lo > hi, matching ring arcs).
 func (c *Client) Keys(ctx context.Context, lo, hi uint64) ([]Key, error) {
-	url := c.BaseURL + "/v1/keys"
+	path := "/v1/keys"
 	if !(lo == 0 && hi == ^uint64(0)) {
-		url += fmt.Sprintf("?range=%016x-%016x", lo, hi)
-	}
-	httpReq, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
-	if err != nil {
-		return nil, fmt.Errorf("service: %w", err)
+		path += fmt.Sprintf("?range=%016x-%016x", lo, hi)
 	}
 	var resp KeysResponse
-	if err := c.roundTrip(httpReq, &resp); err != nil {
+	if err := c.get(ctx, path, &resp); err != nil {
 		return nil, err
 	}
 	return resp.Keys, nil
@@ -112,6 +104,14 @@ func (c *Client) Ingest(ctx context.Context, entries []Entry) (int, error) {
 		return 0, err
 	}
 	return resp.Ingested, nil
+}
+
+func (c *Client) get(ctx context.Context, path string, out any) error {
+	httpReq, err := http.NewRequestWithContext(ctx, http.MethodGet, c.BaseURL+path, nil)
+	if err != nil {
+		return fmt.Errorf("service: %w", err)
+	}
+	return c.roundTrip(httpReq, out)
 }
 
 func (c *Client) post(ctx context.Context, path string, body, out any) error {
@@ -144,12 +144,8 @@ func (c *Client) post(ctx context.Context, path string, body, out any) error {
 // mergeable-snapshot surface a router polls to fold this node's histograms
 // into the fleet view.
 func (c *Client) MetricsSnapshot(ctx context.Context) (*obs.MetricsSnapshot, error) {
-	httpReq, err := http.NewRequestWithContext(ctx, http.MethodGet, c.BaseURL+"/v1/metricsz", nil)
-	if err != nil {
-		return nil, fmt.Errorf("service: %w", err)
-	}
 	var snap obs.MetricsSnapshot
-	if err := c.roundTrip(httpReq, &snap); err != nil {
+	if err := c.get(ctx, "/v1/metricsz", &snap); err != nil {
 		return nil, err
 	}
 	return &snap, nil

@@ -21,9 +21,6 @@ type RouterConfig struct {
 	// ring placement (and therefore which node's cache owns which key)
 	// derives from them.
 	Nodes []string
-	// Replicas is the virtual-node count per backend on the hash ring
-	// (default 128).
-	Replicas int
 	// ProbeInterval paces the background /v1/statusz health probe that
 	// returns recovered nodes to rotation (default 2s; negative disables
 	// probing — down nodes then stay down until probeOnce is called).
@@ -48,12 +45,6 @@ type RouterConfig struct {
 	// 1m; negative disables the loop — antiEntropyOnce still works, which
 	// is what tests and operators drive directly).
 	AntiEntropyInterval time.Duration
-	// HandoffChunk bounds how many results travel per fetch/ingest round
-	// trip during a handoff replay (default 256).
-	HandoffChunk int
-	// HandoffTimeout bounds one node's whole rejoin replay (default 2m —
-	// generous, since a replay moves cached results, never simulations).
-	HandoffTimeout time.Duration
 	// DisableTelemetry turns off the router-tier obs layer (histograms,
 	// traces). Node-side telemetry is each node's own setting.
 	DisableTelemetry bool
@@ -68,6 +59,15 @@ type RouterConfig struct {
 	EnablePprof bool
 }
 
+const (
+	// moveChunk bounds how many results travel per fetch/ingest round trip
+	// when keys move between nodes (see move).
+	moveChunk = 256
+	// rejoinTimeout bounds one node's whole rejoin replay — generous, since
+	// a replay moves cached results, never simulations.
+	rejoinTimeout = 2 * time.Minute
+)
+
 func (c *RouterConfig) defaults() {
 	if c.ProbeInterval == 0 {
 		c.ProbeInterval = 2 * time.Second
@@ -77,12 +77,6 @@ func (c *RouterConfig) defaults() {
 	}
 	if c.AntiEntropyInterval == 0 {
 		c.AntiEntropyInterval = time.Minute
-	}
-	if c.HandoffChunk <= 0 {
-		c.HandoffChunk = 256
-	}
-	if c.HandoffTimeout <= 0 {
-		c.HandoffTimeout = 2 * time.Minute
 	}
 	if c.TraceRingSize == 0 {
 		c.TraceRingSize = 256
@@ -220,7 +214,7 @@ func NewRouterBackends(ids []string, backends []Backend, cfg RouterConfig) (*Rou
 	}
 	rt := &Router{
 		cfg:   cfg,
-		ring:  newRing(ids, cfg.Replicas),
+		ring:  newRing(ids, defaultRingReplicas),
 		nodes: make([]*routerNode, len(ids)),
 		start: time.Now(),
 		tel:   newTelemetry(cfg.DisableTelemetry, cfg.TraceRingSize, cfg.SlowBatchThreshold, nil),
@@ -313,7 +307,7 @@ func (rt *Router) probeOnce(ctx context.Context) {
 
 // probe starts one concurrent health-check/rejoin round and returns its
 // WaitGroup without waiting. Statusz probes are bounded by the probe
-// timeout; a rejoin replay runs under its own HandoffTimeout budget and is
+// timeout; a rejoin replay runs under its own rejoinTimeout budget and is
 // guarded per node, so overlapping rounds never start a second replay.
 func (rt *Router) probe(ctx context.Context) *sync.WaitGroup {
 	timeout := rt.cfg.ProbeInterval
@@ -355,7 +349,7 @@ func (rt *Router) probe(ctx context.Context) *sync.WaitGroup {
 				return // a replay is already running; it decides the markUp
 			}
 			defer n.handingOff.Store(false)
-			hctx, hcancel := context.WithTimeout(ctx, rt.cfg.HandoffTimeout)
+			hctx, hcancel := context.WithTimeout(ctx, rejoinTimeout)
 			defer hcancel()
 			rt.rejoin(hctx, i, n)
 		}(i, n)
@@ -400,76 +394,162 @@ func (rt *Router) rejoin(ctx context.Context, idx int, n *routerNode) {
 	for _, k := range targetKeys {
 		have[k] = true
 	}
-	// Delta passes: while the replay runs the node is still out of
+	// One round: list every live peer, copy the keys idx owns (decided
+	// against the ring, which hashes exactly what the peers hashed) that are
+	// not yet in have. Only idx is a target, so only idx has a has-set; plan
+	// enters what it plans into it, which is what makes the next round see
+	// only the delta. ok is false only when the rejoining node itself failed
+	// an ingest — peer-side errors just leave those keys where they are.
+	has := make([]map[Key]bool, len(rt.nodes))
+	has[idx] = have
+	self := []int{idx}
+	round := func() (planned int, ok bool) {
+		transfers := plan(rt.inventories(ctx, idx), has, func(k Key) []int {
+			if rt.ring.owner(k) == idx {
+				return self
+			}
+			return nil
+		})
+		_, failed := rt.move(ctx, transfers, &rt.handoffKeys)
+		return len(transfers), !failed[idx]
+	}
+	// Delta rounds: while the replay runs the node is still out of
 	// rotation, so its keys keep draining to the successors — a peer may
 	// compute more owned results after its inventory was taken. Re-scan
-	// until a pass finds nothing new (have accumulates, so each pass sees
-	// only the delta); the pass cap bounds a pathological client that
-	// produces owned keys faster than they can be copied.
+	// until a round plans nothing; the cap bounds a pathological client
+	// that produces owned keys faster than they can be copied.
 	for pass := 0; pass < 4; pass++ {
-		found, ok := rt.handoffSweep(ctx, idx, target, have)
+		planned, ok := round()
 		if !ok {
 			return // the rejoining node faltered; retry later
 		}
-		if found == 0 {
+		if planned == 0 {
 			break
 		}
 	}
 	n.markUp()
-	// Closing sweep: a key in flight on a successor when the last pass
+	// Closing round: a key in flight on a successor when the last round
 	// scanned may have completed just before markUp and would otherwise be
 	// stranded there (anything computed after markUp routes to the node
-	// itself). One post-markUp sweep closes that window.
-	rt.handoffSweep(ctx, idx, target, have)
+	// itself). One post-markUp round closes that window.
+	round()
 }
 
-// handoffSweep performs one replay pass for node idx: scan every live
-// peer's inventory, transfer the owned keys not yet in have, and report how
-// many new keys the scan found. ok is false only when the rejoining node
-// itself failed an ingest.
-func (rt *Router) handoffSweep(ctx context.Context, idx int, target HandoffBackend, have map[Key]bool) (found int, ok bool) {
-	for j, peer := range rt.nodes {
-		if j == idx || !peer.up.Load() {
+// inventories lists the keys of every live node with a handoff surface, in
+// parallel, skip aside (-1 skips nobody). One full listing per node:
+// /v1/keys also accepts ?range= for narrower pulls, but with 128 virtual
+// nodes per backend any node's share is many small arcs, so one listing is
+// the cheaper shape. A node whose listing fails is absent from the result
+// for this round, which is not the same as present and empty: an empty node
+// is a target that lacks everything, an absent one is neither a source nor a
+// target until the next round asks it again.
+func (rt *Router) inventories(ctx context.Context, skip int) map[int][]Key {
+	var mu sync.Mutex
+	invs := make(map[int][]Key, len(rt.nodes))
+	var wg sync.WaitGroup
+	for i, n := range rt.nodes {
+		hb, ok := n.backend.(HandoffBackend)
+		if !ok || i == skip || !n.up.Load() {
 			continue
 		}
-		pb, ok := peer.backend.(HandoffBackend)
-		if !ok {
-			continue
-		}
-		// One inventory round trip per peer; ownership is decided here
-		// against the ring, which hashes exactly what the peers hashed.
-		// (/v1/keys also accepts ?range= for narrower pulls — with 128
-		// virtual nodes per backend the rejoined node's range is many
-		// small arcs, so one full listing is the cheaper shape.)
-		keys, err := pb.Keys(ctx, 0, ^uint64(0))
-		if err != nil {
-			continue
-		}
-		var want []Key
-		for _, k := range keys {
-			if !have[k] && rt.ring.owner(k) == idx {
-				have[k] = true
-				want = append(want, k)
-			}
-		}
-		found += len(want)
-		for start := 0; start < len(want); start += rt.cfg.HandoffChunk {
-			end := start + rt.cfg.HandoffChunk
-			if end > len(want) {
-				end = len(want)
-			}
-			entries, err := pb.Fetch(ctx, want[start:end])
+		wg.Add(1)
+		go func(i int, hb HandoffBackend) {
+			defer wg.Done()
+			keys, err := hb.Keys(ctx, 0, ^uint64(0))
 			if err != nil {
-				break // this peer is struggling; try the next one
+				return
 			}
-			n, err := target.Ingest(ctx, entries)
-			if err != nil {
-				return found, false
+			mu.Lock()
+			invs[i] = keys
+			mu.Unlock()
+		}(i, hb)
+	}
+	wg.Wait()
+	return invs
+}
+
+// transfer is one planned copy into target: keys to fetch from source, or —
+// source -1: write-through, which has just been handed the results — entries
+// in hand.
+type transfer struct {
+	source, target int
+	keys           []Key
+	entries        []Entry
+}
+
+// plan diffs inventories against placement: for every key held anywhere,
+// each node place(k) names that lacks it gets it from the first node seen
+// holding it. has[j] is what node j holds; a node with no has-set is not a
+// target, a node with no inventory is not a source. A planned key is entered
+// into the target's has-set, so each key is planned once per round (a second
+// holder finds nothing missing) and a caller that keeps a has-set across
+// rounds sees only the delta. Pure: no Router, no I/O.
+func plan(invs map[int][]Key, has []map[Key]bool, place func(Key) []int) []transfer {
+	var out []transfer
+	at := make(map[[2]int]int) // (source, target) → index into out
+	for i := range has {
+		for _, k := range invs[i] {
+			for _, j := range place(k) {
+				if j == i || has[j] == nil || has[j][k] {
+					continue
+				}
+				has[j][k] = true
+				t, ok := at[[2]int{i, j}]
+				if !ok {
+					t = len(out)
+					at[[2]int{i, j}] = t
+					out = append(out, transfer{source: i, target: j})
+				}
+				out[t].keys = append(out[t].keys, k)
 			}
-			rt.handoffKeys.Add(uint64(n))
 		}
 	}
-	return found, true
+	return out
+}
+
+// move carries out transfers — the only loop that steps by moveChunk, and
+// the only place results travel between nodes. Each chunk is fetched from
+// the source (unless the entries are in hand) and ingested into the target;
+// ledger is credited with what the target reports as new, which is also
+// what moved sums. Errors are tolerated, never retried inline: a failed
+// fetch ends that transfer (the source is struggling; its keys stay where
+// they are and the next round replans), a failed ingest stops every further
+// send to that target and is reported in failed.
+func (rt *Router) move(ctx context.Context, transfers []transfer, ledger *atomic.Uint64) (moved int, failed map[int]bool) {
+	failed = make(map[int]bool)
+	for _, t := range transfers {
+		target, ok := rt.nodes[t.target].backend.(HandoffBackend)
+		if !ok || failed[t.target] {
+			continue
+		}
+		n := len(t.keys)
+		var source HandoffBackend
+		if t.source < 0 {
+			n = len(t.entries)
+		} else if source, ok = rt.nodes[t.source].backend.(HandoffBackend); !ok {
+			continue
+		}
+		for start := 0; start < n; start += moveChunk {
+			end := min(start+moveChunk, n)
+			var entries []Entry
+			if source == nil {
+				entries = t.entries[start:end]
+			} else {
+				var err error
+				if entries, err = source.Fetch(ctx, t.keys[start:end]); err != nil {
+					break
+				}
+			}
+			got, err := target.Ingest(ctx, entries)
+			if err != nil {
+				failed[t.target] = true
+				break
+			}
+			moved += got
+			ledger.Add(uint64(got))
+		}
+	}
+	return moved, failed
 }
 
 // replicationEnabled reports whether the ring keeps multiple copies of each
@@ -498,40 +578,14 @@ func (rt *Router) liveReplicas(k Key) []int {
 	return out
 }
 
-// pushEntries ingests each target's entries in HandoffChunk-sized rounds,
-// crediting replicaKeys with what the targets report as new. Errors are
-// tolerated per target — a replica that cannot take its copy right now is
-// repaired by a later anti-entropy round, never retried inline.
-func (rt *Router) pushEntries(ctx context.Context, byTarget map[int][]Entry) int {
-	moved := 0
-	for j, entries := range byTarget {
-		tb, ok := rt.nodes[j].backend.(HandoffBackend)
-		if !ok {
-			continue
-		}
-		for start := 0; start < len(entries); start += rt.cfg.HandoffChunk {
-			end := start + rt.cfg.HandoffChunk
-			if end > len(entries) {
-				end = len(entries)
-			}
-			n, err := tb.Ingest(ctx, entries[start:end])
-			if err != nil {
-				break // this replica is struggling; anti-entropy catches it up
-			}
-			moved += n
-			rt.replicaKeys.Add(uint64(n))
-		}
-	}
-	return moved
-}
-
 // replicateFresh write-through-replicates a batch's freshly computed results
 // (miss-fills, never cache hits) onto each key's other live replicas. It runs
 // synchronously at the end of Simulate — by the time a batch returns, its
 // results are already on ReplicationFactor nodes, so statusz reconciliation
 // across the fleet never observes replication in flight. The copies land via
 // /v1/ingest, which skips keys the replica already holds, so replaying a key
-// is always safe.
+// is always safe; a replica that cannot take its copy right now is repaired
+// by a later anti-entropy round.
 func (rt *Router) replicateFresh(ctx context.Context, keys []Key, results []Result, servedBy []int) {
 	if !rt.replicationEnabled() {
 		return
@@ -557,7 +611,11 @@ func (rt *Router) replicateFresh(ctx context.Context, keys []Key, results []Resu
 	if len(byTarget) == 0 {
 		return
 	}
-	rt.pushEntries(ctx, byTarget)
+	transfers := make([]transfer, 0, len(byTarget))
+	for j, entries := range byTarget {
+		transfers = append(transfers, transfer{source: -1, target: j, entries: entries})
+	}
+	rt.move(ctx, transfers, &rt.replicaKeys)
 	if rt.tel != nil {
 		rt.rtReplicate.Observe(time.Since(r0))
 	}
@@ -579,79 +637,15 @@ func (rt *Router) antiEntropyOnce(ctx context.Context) int {
 	if rt.tel != nil {
 		a0 = time.Now()
 	}
-	// Inventory every live node with a handoff surface, in parallel.
-	invs := make([][]Key, len(rt.nodes))
-	participating := make([]bool, len(rt.nodes))
-	var wg sync.WaitGroup
-	for i, n := range rt.nodes {
-		hb, ok := n.backend.(HandoffBackend)
-		if !ok || !n.up.Load() {
-			continue
-		}
-		wg.Add(1)
-		go func(i int, hb HandoffBackend) {
-			defer wg.Done()
-			keys, err := hb.Keys(ctx, 0, ^uint64(0))
-			if err != nil {
-				return // skip this node this round; the next round retries
-			}
-			invs[i] = keys
-			participating[i] = true
-		}(i, hb)
-	}
-	wg.Wait()
-
+	invs := rt.inventories(ctx, -1)
 	has := make([]map[Key]bool, len(rt.nodes))
-	for i := range rt.nodes {
-		if !participating[i] {
-			continue
-		}
-		has[i] = make(map[Key]bool, len(invs[i]))
-		for _, k := range invs[i] {
+	for i, keys := range invs {
+		has[i] = make(map[Key]bool, len(keys))
+		for _, k := range keys {
 			has[i][k] = true
 		}
 	}
-	// For every key anywhere in the fleet, find the replicas that lack it.
-	// The first node seen holding a key sources every pull for it (seen
-	// dedupes, so each key is planned exactly once per round).
-	type pullPair struct{ target, source int }
-	pulls := make(map[pullPair][]Key)
-	seen := make(map[Key]bool)
-	for i := range rt.nodes {
-		if !participating[i] {
-			continue
-		}
-		for _, k := range invs[i] {
-			if seen[k] {
-				continue
-			}
-			seen[k] = true
-			for _, j := range rt.liveReplicas(k) {
-				if j == i || !participating[j] || has[j][k] {
-					continue
-				}
-				pulls[pullPair{target: j, source: i}] = append(pulls[pullPair{target: j, source: i}], k)
-			}
-		}
-	}
-	moved := 0
-	for pair, want := range pulls {
-		src, ok := rt.nodes[pair.source].backend.(HandoffBackend)
-		if !ok {
-			continue
-		}
-		for start := 0; start < len(want); start += rt.cfg.HandoffChunk {
-			end := start + rt.cfg.HandoffChunk
-			if end > len(want) {
-				end = len(want)
-			}
-			entries, err := src.Fetch(ctx, want[start:end])
-			if err != nil {
-				break // source faltered; the next round replans
-			}
-			moved += rt.pushEntries(ctx, map[int][]Entry{pair.target: entries})
-		}
-	}
+	moved, _ := rt.move(ctx, plan(invs, has, rt.liveReplicas), &rt.replicaKeys)
 	rt.aeRounds.Add(1)
 	if rt.tel != nil {
 		rt.rtAntiEnt.Observe(time.Since(a0))

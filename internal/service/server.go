@@ -462,14 +462,8 @@ func (s *Server) Handler() http.Handler { return backendHandler(s, s.tel, s.cfg.
 func backendHandler(b Backend, tel *telemetry, enablePprof bool) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/v1/simulate", func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodPost {
-			httpError(w, http.StatusMethodNotAllowed, "POST only")
-			return
-		}
 		var req SimulateRequest
-		dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes))
-		if err := dec.Decode(&req); err != nil {
-			httpError(w, http.StatusBadRequest, "decode request: "+err.Error())
+		if !readRequest(w, r, http.MethodPost, &req) {
 			return
 		}
 		// The trace ID travels as a header across the wire and as a context
@@ -510,33 +504,56 @@ func backendHandler(b Backend, tel *telemetry, enablePprof bool) http.Handler {
 		}
 		writeJSON(w, resp)
 	})
-	mux.HandleFunc("/v1/statusz", func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodGet {
-			httpError(w, http.StatusMethodNotAllowed, "GET only")
-			return
-		}
-		st, err := b.Statusz(r.Context())
-		if err != nil {
-			writeError(w, err)
-			return
-		}
-		writeJSON(w, st)
-	})
+	handleGet(mux, "/v1/statusz", func(r *http.Request) (*Statusz, error) { return b.Statusz(r.Context()) })
+	// The telemetry snapshot is exposed twice: rendered for a Prometheus
+	// scraper (/v1/metrics) and as the raw mergeable JSON a router folds into
+	// its fleet view (/v1/metricsz).
 	if mb, ok := b.(MetricsBackend); ok {
-		registerMetricsRoutes(mux, mb)
-	}
-	if tel != nil && tel.traces != nil {
-		mux.HandleFunc("/v1/traces", func(w http.ResponseWriter, r *http.Request) {
-			if r.Method != http.MethodGet {
-				httpError(w, http.StatusMethodNotAllowed, "GET only")
+		mux.HandleFunc("/v1/metrics", func(w http.ResponseWriter, r *http.Request) {
+			if !readRequest(w, r, http.MethodGet, nil) {
 				return
 			}
-			traces, total := tel.traces.Snapshot()
-			writeJSON(w, &TracesResponse{Total: total, Traces: traces})
+			snap, err := mb.MetricsSnapshot(r.Context())
+			if err != nil {
+				writeError(w, err)
+				return
+			}
+			w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+			snap.WritePrometheus(w)
+		})
+		handleGet(mux, "/v1/metricsz", func(r *http.Request) (*obs.MetricsSnapshot, error) {
+			return mb.MetricsSnapshot(r.Context())
 		})
 	}
+	if tel != nil && tel.traces != nil {
+		handleGet(mux, "/v1/traces", func(*http.Request) (*TracesResponse, error) {
+			traces, total := tel.traces.Snapshot()
+			return &TracesResponse{Total: total, Traces: traces}, nil
+		})
+	}
+	// The replication triple. Only backends that implement HandoffBackend
+	// (leaf servers) get these routes; on a router the paths 404 like any
+	// other unknown path.
 	if hb, ok := b.(HandoffBackend); ok {
-		registerHandoffRoutes(mux, hb)
+		handleGet(mux, "/v1/keys", func(r *http.Request) (*KeysResponse, error) {
+			lo, hi := uint64(0), ^uint64(0)
+			if rng := r.URL.Query().Get("range"); rng != "" {
+				var err error
+				if lo, hi, err = parseKeyRange(rng); err != nil {
+					return nil, badRequestf("%v", err)
+				}
+			}
+			keys, err := hb.Keys(r.Context(), lo, hi)
+			return &KeysResponse{Keys: keys}, err
+		})
+		handlePost(mux, "/v1/fetch", func(ctx context.Context, req *FetchRequest) (*FetchResponse, error) {
+			entries, err := hb.Fetch(ctx, req.Keys)
+			return &FetchResponse{Entries: entries}, err
+		})
+		handlePost(mux, "/v1/ingest", func(ctx context.Context, req *IngestRequest) (*IngestResponse, error) {
+			n, err := hb.Ingest(ctx, req.Entries)
+			return &IngestResponse{Ingested: n}, err
+		})
 	}
 	if enablePprof {
 		mux.HandleFunc("/debug/pprof/", pprof.Index)
@@ -548,97 +565,54 @@ func backendHandler(b Backend, tel *telemetry, enablePprof bool) http.Handler {
 	return mux
 }
 
-// registerMetricsRoutes exposes the telemetry snapshot twice: rendered for a
-// Prometheus scraper (/v1/metrics) and as the raw mergeable JSON a router
-// folds into its fleet view (/v1/metricsz).
-func registerMetricsRoutes(mux *http.ServeMux, mb MetricsBackend) {
-	mux.HandleFunc("/v1/metrics", func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodGet {
-			httpError(w, http.StatusMethodNotAllowed, "GET only")
-			return
+// readRequest is the one place a request becomes a value: it checks the
+// method and, given somewhere to put it, decodes the size-bounded JSON body.
+// On failure it has already written the 405 or 400 and reports false.
+func readRequest(w http.ResponseWriter, r *http.Request, method string, into any) bool {
+	if r.Method != method {
+		httpError(w, http.StatusMethodNotAllowed, method+" only")
+		return false
+	}
+	if into == nil {
+		return true
+	}
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes))
+	if err := dec.Decode(into); err != nil {
+		httpError(w, http.StatusBadRequest, "decode request: "+err.Error())
+		return false
+	}
+	return true
+}
+
+// handleGet mounts a body-less JSON endpoint: method check, get, then the
+// value or the error's classification on the wire.
+func handleGet[Resp any](mux *http.ServeMux, path string, get func(*http.Request) (Resp, error)) {
+	mux.HandleFunc(path, func(w http.ResponseWriter, r *http.Request) {
+		if readRequest(w, r, http.MethodGet, nil) {
+			resp, err := get(r)
+			respond(w, resp, err)
 		}
-		snap, err := mb.MetricsSnapshot(r.Context())
-		if err != nil {
-			writeError(w, err)
-			return
-		}
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		snap.WritePrometheus(w)
-	})
-	mux.HandleFunc("/v1/metricsz", func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodGet {
-			httpError(w, http.StatusMethodNotAllowed, "GET only")
-			return
-		}
-		snap, err := mb.MetricsSnapshot(r.Context())
-		if err != nil {
-			writeError(w, err)
-			return
-		}
-		writeJSON(w, snap)
 	})
 }
 
-// registerHandoffRoutes exposes the replication triple. Only backends that
-// implement HandoffBackend (leaf servers) get these routes; on a router the
-// paths 404 like any other unknown path.
-func registerHandoffRoutes(mux *http.ServeMux, hb HandoffBackend) {
-	mux.HandleFunc("/v1/keys", func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodGet {
-			httpError(w, http.StatusMethodNotAllowed, "GET only")
-			return
+// handlePost mounts a JSON-in, JSON-out endpoint the same way.
+func handlePost[Req, Resp any](mux *http.ServeMux, path string, do func(context.Context, *Req) (Resp, error)) {
+	mux.HandleFunc(path, func(w http.ResponseWriter, r *http.Request) {
+		var req Req
+		if readRequest(w, r, http.MethodPost, &req) {
+			resp, err := do(r.Context(), &req)
+			respond(w, resp, err)
 		}
-		lo, hi := uint64(0), ^uint64(0)
-		if rng := r.URL.Query().Get("range"); rng != "" {
-			var err error
-			if lo, hi, err = parseKeyRange(rng); err != nil {
-				httpError(w, http.StatusBadRequest, err.Error())
-				return
-			}
-		}
-		keys, err := hb.Keys(r.Context(), lo, hi)
-		if err != nil {
-			writeError(w, err)
-			return
-		}
-		writeJSON(w, &KeysResponse{Keys: keys})
 	})
-	mux.HandleFunc("/v1/fetch", func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodPost {
-			httpError(w, http.StatusMethodNotAllowed, "POST only")
-			return
-		}
-		var req FetchRequest
-		dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes))
-		if err := dec.Decode(&req); err != nil {
-			httpError(w, http.StatusBadRequest, "decode request: "+err.Error())
-			return
-		}
-		entries, err := hb.Fetch(r.Context(), req.Keys)
-		if err != nil {
-			writeError(w, err)
-			return
-		}
-		writeJSON(w, &FetchResponse{Entries: entries})
-	})
-	mux.HandleFunc("/v1/ingest", func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodPost {
-			httpError(w, http.StatusMethodNotAllowed, "POST only")
-			return
-		}
-		var req IngestRequest
-		dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes))
-		if err := dec.Decode(&req); err != nil {
-			httpError(w, http.StatusBadRequest, "decode request: "+err.Error())
-			return
-		}
-		n, err := hb.Ingest(r.Context(), req.Entries)
-		if err != nil {
-			writeError(w, err)
-			return
-		}
-		writeJSON(w, &IngestResponse{Ingested: n})
-	})
+}
+
+// respond writes a handler's outcome: the value, or the error's status.
+func respond(w http.ResponseWriter, resp any, err error) {
+	if err != nil {
+		writeError(w, err)
+		return
+	}
+	writeJSON(w, resp)
 }
 
 // parseKeyRange parses the "?range=lo-hi" query form: two 16-digit hex ring
@@ -697,28 +671,44 @@ func writeError(w http.ResponseWriter, err error) {
 // all bounded by Config.DrainTimeout. Only if the drain deadline passes are
 // the stragglers hard-aborted through their request contexts.
 func (s *Server) ListenAndServe(ctx context.Context, addr string) error {
-	return serveHTTP(ctx, addr, s.Handler(), func() error {
-		drainCtx, cancel := context.WithTimeout(context.Background(), s.cfg.DrainTimeout)
-		defer cancel()
-		return s.Shutdown(drainCtx)
-	})
+	return serveHTTP(ctx, addr, s.Handler(), s.drain)
+}
+
+func (s *Server) drain() error {
+	drainCtx, cancel := context.WithTimeout(context.Background(), s.cfg.DrainTimeout)
+	defer cancel()
+	return s.Shutdown(drainCtx)
 }
 
 // serveHTTP is the shared listen/shutdown loop behind Server.ListenAndServe
-// and Router.ListenAndServe. Request contexts derive from an internal base
-// context that outlives ctx: cancelling ctx triggers drain (when the backend
-// has one) with in-flight batches still running; the base is cancelled only
-// after drain returns, hard-aborting whatever the drain deadline left behind.
+// and Router.ListenAndServe.
 func serveHTTP(ctx context.Context, addr string, h http.Handler, drain func() error) error {
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		return err
+	}
+	return serveListener(ctx, ln, h, drain)
+}
+
+// serveListener serves h on ln until ctx is cancelled, then stops. Request
+// contexts derive from an internal base context that outlives ctx:
+// cancelling ctx triggers drain (when the backend has one) with in-flight
+// batches still running; the base is cancelled only after drain returns,
+// hard-aborting whatever the drain deadline left behind.
+func serveListener(ctx context.Context, ln net.Listener, h http.Handler, drain func() error) error {
 	baseCtx, hardStop := context.WithCancel(context.Background())
 	defer hardStop()
+	var unused unusedConns
 	httpSrv := &http.Server{
-		Addr:        addr,
 		Handler:     h,
 		BaseContext: func(net.Listener) context.Context { return baseCtx },
+		ConnState:   unused.track,
+		// A peer that connects and then trickles (or never sends) its request
+		// line may not hold a connection and its goroutine forever.
+		ReadHeaderTimeout: 10 * time.Second,
 	}
 	errc := make(chan error, 1)
-	go func() { errc <- httpSrv.ListenAndServe() }()
+	go func() { errc <- httpSrv.Serve(ln) }()
 	select {
 	case err := <-errc:
 		return err
@@ -728,12 +718,38 @@ func serveHTTP(ctx context.Context, addr string, h http.Handler, drain func() er
 			drainErr = drain()
 		}
 		hardStop()
+		unused.closeAll() // or Shutdown below waits 5 s for each of them
 		shutdownCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		defer cancel()
 		err := httpSrv.Shutdown(shutdownCtx)
+		if err != nil {
+			httpSrv.Close() // the grace is spent: drop what is still open
+		}
 		if drainErr != nil {
 			return drainErr
 		}
 		return err
 	}
+}
+
+// unusedConns tracks connections that were accepted but have not carried a
+// byte yet (http.StateNew) — a keep-alive client's speculative second dial is
+// enough to leave one. http.Server.Shutdown counts such a connection as busy
+// until it is 5 s old, so every graceful stop that meets one silently takes
+// 5 s longer. Closing it instead loses nothing: no request was ever on it.
+type unusedConns struct{ sync.Map }
+
+func (u *unusedConns) track(c net.Conn, state http.ConnState) {
+	if state == http.StateNew {
+		u.Store(c, nil)
+	} else {
+		u.Delete(c)
+	}
+}
+
+func (u *unusedConns) closeAll() {
+	u.Range(func(c, _ any) bool {
+		c.(net.Conn).Close()
+		return true
+	})
 }

@@ -253,15 +253,11 @@ type Config struct {
 	// WorkersPerArch is the simulator parallelism per shard (default 4 —
 	// the paper's n_parallel default).
 	WorkersPerArch int
-	// CacheCapacity is the legacy name for the resident result bound
-	// (default 1<<18). It is consulted only when MaxResidentResults is 0.
-	CacheCapacity int
 	// MaxResidentResults bounds how many results the cache keeps resident
-	// in RAM (the ARC bound; 0 falls back to CacheCapacity and its default,
-	// negative is a configuration error). The durable layer below it is
-	// unbounded — disk records are the corpus the fleet paid simulations
-	// for, and a key evicted from RAM is served from its segment record at
-	// disk-hit rate, never re-simulated.
+	// in RAM (the ARC bound; default 1<<18, negative is a configuration
+	// error). The durable layer below it is unbounded — disk records are the
+	// corpus the fleet paid simulations for, and a key evicted from RAM is
+	// served from its segment record at disk-hit rate, never re-simulated.
 	MaxResidentResults int
 	// CacheDir, when non-empty, enables the durable result store: computed
 	// results are written behind to an append-only segment log under this
@@ -327,11 +323,8 @@ func (c *Config) defaults() {
 	if c.WorkersPerArch <= 0 {
 		c.WorkersPerArch = 4
 	}
-	if c.CacheCapacity <= 0 {
-		c.CacheCapacity = 1 << 18
-	}
 	if c.MaxResidentResults == 0 {
-		c.MaxResidentResults = c.CacheCapacity
+		c.MaxResidentResults = 1 << 18
 	}
 	if c.MaxQueuedCandidates <= 0 {
 		c.MaxQueuedCandidates = 1 << 16

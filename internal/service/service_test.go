@@ -401,7 +401,7 @@ func TestConcurrentBatchSubmission(t *testing.T) {
 
 // TestCacheEviction checks the capacity bound holds.
 func TestCacheEviction(t *testing.T) {
-	srv := mustServer(t, Config{Archs: []isa.Arch{isa.RISCV}, CacheCapacity: 4})
+	srv := mustServer(t, Config{Archs: []isa.Arch{isa.RISCV}, MaxResidentResults: 4})
 	req := &SimulateRequest{
 		Arch:       "riscv",
 		Workload:   ConvGroupSpec(te.ScaleTiny, 1),
