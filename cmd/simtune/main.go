@@ -12,6 +12,7 @@
 //	simtune -arch riscv -group 3 -trials 200 -runner sim -predictor XGBoost
 //	simtune serve -addr :8070 -workers 8
 //	simtune route -addr :8060 -nodes http://sim-0:8070,http://sim-1:8070,http://sim-2:8070
+//	simtune route -addr :8060 -nodes a=http://10.0.0.5:8070,b=http://10.0.0.6:8070
 //	simtune -arch riscv -group 3 -trials 200 -runner sim -server http://tuner-farm:8060
 //	simtune loadgen -seed 1 -steps 0.5,1,2 -report saturation.json
 package main
@@ -145,7 +146,7 @@ func parseTenantWeights(spec string) (map[string]float64, error) {
 func route(args []string) error {
 	fs := flag.NewFlagSet("simtune route", flag.ExitOnError)
 	addr := fs.String("addr", ":8060", "listen address")
-	nodesFlag := fs.String("nodes", "", "comma-separated backend server URLs (required), e.g. http://sim-0:8070,http://sim-1:8070")
+	nodesFlag := fs.String("nodes", "", "comma-separated backend servers (required), each a URL or id=URL, e.g. sim-0=http://10.0.0.5:8070,http://sim-1:8070; the id (default: the URL) places the node on the ring, so a node that moves to a new address under its old id keeps its key range")
 	probe := fs.Duration("probe", 2*time.Second, "health-probe interval (a recovered node rejoins within one interval)")
 	handoff := fs.Bool("handoff", true, "warm-handoff on rejoin: replay the keys a recovered node owns from its ring successors before it re-enters rotation")
 	rf := fs.Int("rf", 0, "replication factor: ring nodes holding each key — owner plus rf-1 successors (default 2; 1 disables replication)")
@@ -157,17 +158,16 @@ func route(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	var nodes []string
-	for _, n := range strings.Split(*nodesFlag, ",") {
-		if n = strings.TrimSpace(n); n != "" {
-			nodes = append(nodes, n)
-		}
+	ids, urls, err := parseNodes(*nodesFlag)
+	if err != nil {
+		return err
 	}
-	if len(nodes) == 0 {
-		return fmt.Errorf("route: -nodes is required (comma-separated simulate-server URLs)")
+	backends := make([]service.Backend, len(urls))
+	for i, u := range urls {
+		backends[i] = service.NewClient(u)
 	}
-	rt, err := service.NewRouter(service.RouterConfig{
-		Nodes: nodes, ProbeInterval: *probe, DisableHandoff: !*handoff,
+	rt, err := service.NewRouterBackends(ids, backends, service.RouterConfig{
+		ProbeInterval: *probe, DisableHandoff: !*handoff,
 		ReplicationFactor: *rf, AntiEntropyInterval: *antiEntropy,
 		SlowBatchThreshold: *slowBatch, TraceRingSize: *traceRing,
 		EnablePprof: *pprofFlag, DisableTelemetry: *noTel,
@@ -177,12 +177,47 @@ func route(args []string) error {
 	}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	fmt.Printf("simtune route: listening on %s, sharding across %d nodes:\n", *addr, len(nodes))
-	for _, n := range nodes {
-		fmt.Printf("  %s\n", n)
+	fmt.Printf("simtune route: listening on %s, sharding across %d nodes:\n", *addr, len(ids))
+	for i, id := range ids {
+		if id == urls[i] {
+			fmt.Printf("  %s\n", id)
+		} else {
+			fmt.Printf("  %s at %s\n", id, urls[i])
+		}
 	}
 	fmt.Printf("  POST %s/v1/simulate   GET %s/v1/statusz (aggregated)   GET %s/v1/metrics (fleet-merged)\n", *addr, *addr, *addr)
 	return rt.ListenAndServe(ctx, *addr)
+}
+
+// parseNodes splits the -nodes list into ring identities and base URLs.
+// An element is a URL, whose identity is the URL itself, or id=URL; empty
+// elements are skipped. Two nodes under one identity would share every ring
+// position, so a repeated id is an error.
+func parseNodes(spec string) (ids, urls []string, err error) {
+	seen := map[string]bool{}
+	for _, n := range strings.Split(spec, ",") {
+		n = strings.TrimSpace(n)
+		if n == "" {
+			continue
+		}
+		id, u := n, n
+		// A URL's own '=' can only follow its "://"; an id has no slash.
+		if eq := strings.IndexByte(n, '='); eq >= 0 && !strings.Contains(n[:eq], "/") {
+			id, u = strings.TrimSpace(n[:eq]), strings.TrimSpace(n[eq+1:])
+			if id == "" || u == "" {
+				return nil, nil, fmt.Errorf("route: -nodes element %q: want id=url", n)
+			}
+		}
+		if seen[id] {
+			return nil, nil, fmt.Errorf("route: -nodes names node %q twice", id)
+		}
+		seen[id] = true
+		ids, urls = append(ids, id), append(urls, u)
+	}
+	if len(ids) == 0 {
+		return nil, nil, fmt.Errorf("route: -nodes is required (comma-separated simulate-server URLs, optionally id=url)")
+	}
+	return ids, urls, nil
 }
 
 func run() error {

@@ -32,6 +32,18 @@ func DefaultAnalyzers() []*Analyzer {
 				// clock read (pinned by the hotmod want-corpus).
 				{Name: "repro/internal/service.resultCache.do"},
 				{Name: "repro/internal/service.resultCache.doTimed"},
+				// The simulate wire (PR 19): the append encoders and cursor
+				// decoders exist because reflection was three quarters of a
+				// routed hit's CPU, and the per-candidate key because
+				// formatting was most of a key's. None of them may reach fmt,
+				// encoding/json or a clock — which is also why the fallback
+				// to encoding/json is called by their callers, never by them.
+				{Name: "repro/internal/service.appendSimulateRequest", NoLock: true},
+				{Name: "repro/internal/service.appendSimulateResponse", NoLock: true},
+				{Name: "repro/internal/service.decodeSimulateRequest", NoLock: true},
+				{Name: "repro/internal/service.decodeSimulateResponse", NoLock: true},
+				{Name: "repro/internal/service.candidateKey", NoLock: true},
+				{Name: "repro/internal/service.keyPrefix", NoLock: true},
 				// Load-generator schedule path (PR 10): the offered-load
 				// trace must be a pure function of the seed, so the plan
 				// builder and the pacing loop ban clocks, formatting and

@@ -3,7 +3,7 @@ package service
 import (
 	"context"
 	"crypto/sha256"
-	"fmt"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -19,20 +19,43 @@ import (
 // simulator statistics is in the hash; nothing else is.
 type Key [sha256.Size]byte
 
-// CacheKey computes the content address of a candidate. The geometry is
-// hashed explicitly (not just the arch name) so a profile change in a future
-// release cannot serve stale statistics for the old Table I parameters.
+// CacheKey computes the content address of a candidate. A batch computes
+// the part of the preimage its candidates share once (keyPrefix) and hashes
+// each candidate with candidateKey; this is the two in one call.
 func CacheKey(arch isa.Arch, caches cache.HierarchyConfig, wl WorkloadSpec, steps []schedule.Step) Key {
-	h := sha256.New()
-	fmt.Fprintf(h, "simsvc:v1\x00%s\x00", arch)
-	for _, lv := range []cache.Config{caches.L1D, caches.L1I, caches.L2, caches.L3} {
-		fmt.Fprintf(h, "%s:%d:%d:%d\x00", lv.Name, lv.SizeBytes, lv.LineBytes, lv.Assoc)
+	var scratch [192]byte
+	return candidateKey(keyPrefix(scratch[:0], arch, caches, wl), steps)
+}
+
+// keyPrefix appends the part of a cache-key preimage that every candidate
+// of one batch shares: the key-format version, the architecture, the four
+// cache geometries and the workload signature. The geometry is hashed
+// explicitly (not just the arch name) so a profile change in a future release
+// cannot serve stale statistics for the old Table I parameters.
+func keyPrefix(dst []byte, arch isa.Arch, caches cache.HierarchyConfig, wl WorkloadSpec) []byte {
+	dst = append(dst, "simsvc:v1\x00"...)
+	dst = append(dst, arch...)
+	dst = append(dst, 0)
+	for _, lv := range [...]*cache.Config{&caches.L1D, &caches.L1I, &caches.L2, &caches.L3} {
+		dst = append(dst, lv.Name...)
+		dst = append(dst, ':')
+		dst = strconv.AppendInt(dst, int64(lv.SizeBytes), 10)
+		dst = append(dst, ':')
+		dst = strconv.AppendInt(dst, int64(lv.LineBytes), 10)
+		dst = append(dst, ':')
+		dst = strconv.AppendInt(dst, int64(lv.Assoc), 10)
+		dst = append(dst, 0)
 	}
-	fmt.Fprintf(h, "%s\x00", wl.signature())
-	h.Write(schedule.Canonical(steps))
-	var k Key
-	h.Sum(k[:0])
-	return k
+	dst = wl.appendSignature(dst)
+	return append(dst, 0)
+}
+
+// candidateKey is the content address of one candidate under a batch's
+// keyPrefix: sha256 over the prefix and the canonical step encoding.
+func candidateKey(prefix []byte, steps []schedule.Step) Key {
+	var scratch [512]byte
+	b := append(scratch[:0], prefix...)
+	return sha256.Sum256(schedule.AppendCanonical(b, steps))
 }
 
 // flight is one in-progress lookup of a key that is not resident — the

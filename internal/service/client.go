@@ -115,9 +115,23 @@ func (c *Client) get(ctx context.Context, path string, out any) error {
 }
 
 func (c *Client) post(ctx context.Context, path string, body, out any) error {
-	enc, err := json.Marshal(body)
-	if err != nil {
-		return fmt.Errorf("service: encode request: %w", err)
+	// A simulate request whose strings need no escaping is appended into a
+	// pooled buffer — the bytes json.Marshal would have produced.
+	var enc []byte
+	var pooled *[]byte
+	if req, ok := body.(*SimulateRequest); ok && req != nil {
+		bp := wireBufs.Get().(*[]byte)
+		if *bp, ok = appendSimulateRequest((*bp)[:0], req); ok {
+			enc, pooled = *bp, bp
+		} else {
+			putWireBuf(bp)
+		}
+	}
+	if enc == nil {
+		var err error
+		if enc, err = json.Marshal(body); err != nil {
+			return fmt.Errorf("service: encode request: %w", err)
+		}
 	}
 	httpReq, err := http.NewRequestWithContext(ctx, http.MethodPost, c.BaseURL+path, bytes.NewReader(enc))
 	if err != nil {
@@ -137,7 +151,16 @@ func (c *Client) post(ctx context.Context, path string, body, out any) error {
 	if tnt := TenantFrom(ctx); tnt != "" {
 		httpReq.Header.Set(TenantHeader, tnt)
 	}
-	return c.roundTrip(httpReq, out)
+	err = c.roundTrip(httpReq, out)
+	// The transport can still be sending the body when Do returns, if the
+	// peer answered (or the caller gave up) before reading all of it. A node
+	// answers 200 only after it has read the whole body, so only then may
+	// another request write over these bytes; otherwise the buffer is left
+	// to the collector.
+	if err == nil && pooled != nil {
+		putWireBuf(pooled)
+	}
+	return err
 }
 
 // MetricsSnapshot implements MetricsBackend over GET /v1/metricsz — the
@@ -189,7 +212,14 @@ func (c *Client) roundTrip(req *http.Request, out any) error {
 		// foremost) can recover the 4xx/5xx classification via errors.As.
 		return fmt.Errorf("service: %s %s: %w", req.Method, req.URL.Path, se)
 	}
-	if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
+	// The same discipline as the server's decodeBody: the whole body into a
+	// pooled buffer, then decodeWire.
+	bp := wireBufs.Get().(*[]byte)
+	defer putWireBuf(bp)
+	if *bp, err = readBody((*bp)[:0], resp.Body, resp.ContentLength); err == nil {
+		err = decodeWire(*bp, out)
+	}
+	if err != nil {
 		return fmt.Errorf("service: decode response: %w", err)
 	}
 	return nil

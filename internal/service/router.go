@@ -663,10 +663,12 @@ func (rt *Router) Simulate(ctx context.Context, req *SimulateRequest) (*Simulate
 	// reroute hops — carries the same X-Simtune-Trace identity downstream.
 	var batchStart time.Time
 	var tr *obs.ActiveTrace
+	var sig string
 	if rt.tel != nil {
 		batchStart = time.Now()
 		ctx, tr = rt.tel.startTrace(ctx, "router")
-		tr.Describe(req.Arch, req.Workload.signature(), len(req.Candidates))
+		sig = req.Workload.signature()
+		tr.Describe(req.Arch, sig, len(req.Candidates))
 	}
 	finish := func(outcome string, err error) {
 		if rt.tel == nil {
@@ -675,7 +677,7 @@ func (rt *Router) Simulate(ctx context.Context, req *SimulateRequest) (*Simulate
 		dur := time.Since(batchStart)
 		tr.Finish(err)
 		rt.rtBatch[outcome].Observe(dur)
-		rt.tel.slowBatchLog(tr, dur, "router", req.Arch, req.Workload.signature(), len(req.Candidates), err)
+		rt.tel.slowBatchLog(tr, dur, "router", req.Arch, sig, len(req.Candidates), err)
 	}
 
 	// Validate up front so malformed requests are rejected at the routing
@@ -704,10 +706,11 @@ func (rt *Router) Simulate(ctx context.Context, req *SimulateRequest) (*Simulate
 		sp0 = time.Now()
 	}
 	caches := hw.Lookup(arch).Caches
+	prefix := keyPrefix(make([]byte, 0, 128), arch, caches, req.Workload)
 	keys := make([]Key, len(req.Candidates))
 	remaining := make([]int, len(req.Candidates))
 	for i, c := range req.Candidates {
-		keys[i] = CacheKey(arch, caches, req.Workload, c.Steps)
+		keys[i] = candidateKey(prefix, c.Steps)
 		remaining[i] = i
 	}
 	if rt.tel != nil {

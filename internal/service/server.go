@@ -197,16 +197,18 @@ func (s *Server) Simulate(ctx context.Context, req *SimulateRequest) (*SimulateR
 	// trace (tier "node", the context's trace ID or a freshly minted one).
 	var batchStart time.Time
 	var tr *obs.ActiveTrace
+	var sig string // what the trace and the slow-batch line call the workload
 	if s.tel != nil {
 		batchStart = time.Now()
 		ctx, tr = s.tel.startTrace(ctx, "node")
-		tr.Describe(req.Arch, req.Workload.signature(), len(req.Candidates))
+		sig = req.Workload.signature()
+		tr.Describe(req.Arch, sig, len(req.Candidates))
 	}
 
 	arch, err := isa.ParseArch(req.Arch)
 	if err != nil {
 		err = fmt.Errorf("service: %w", badRequestf("%v", err))
-		s.tel.finishBatch(tr, nil, nil, batchStart, "node", req.Arch, req.Workload.signature(), len(req.Candidates), err)
+		s.tel.finishBatch(tr, nil, nil, batchStart, "node", req.Arch, sig, len(req.Candidates), err)
 		return nil, err
 	}
 	sh, ok := s.shards[arch]
@@ -217,7 +219,7 @@ func (s *Server) Simulate(ctx context.Context, req *SimulateRequest) (*SimulateR
 		// node out of rotation.
 		err := fmt.Errorf("service: %w",
 			unservedf("arch %s not served (configured: %v)", arch, s.cfg.Archs))
-		s.tel.finishBatch(tr, nil, nil, batchStart, "node", req.Arch, req.Workload.signature(), len(req.Candidates), err)
+		s.tel.finishBatch(tr, nil, nil, batchStart, "node", req.Arch, sig, len(req.Candidates), err)
 		return nil, err
 	}
 	at := s.tel.forArch(arch)
@@ -225,7 +227,7 @@ func (s *Server) Simulate(ctx context.Context, req *SimulateRequest) (*SimulateR
 	if err != nil {
 		err = fmt.Errorf("service: %w", badRequestf("%v", err))
 		if at != nil {
-			s.tel.finishBatch(tr, nil, at.batchError, batchStart, "node", req.Arch, req.Workload.signature(), len(req.Candidates), err)
+			s.tel.finishBatch(tr, nil, at.batchError, batchStart, "node", req.Arch, sig, len(req.Candidates), err)
 		}
 		return nil, err
 	}
@@ -249,7 +251,7 @@ func (s *Server) Simulate(ctx context.Context, req *SimulateRequest) (*SimulateR
 			"overloaded: %d candidates admitted (max %d, tenant %s over fair share)",
 			s.admit.cur.Load(), s.cfg.MaxQueuedCandidates, tenant))
 		if at != nil {
-			s.tel.finishBatch(tr, nil, at.batchRejected, batchStart, "node", req.Arch, req.Workload.signature(), len(req.Candidates), err)
+			s.tel.finishBatch(tr, nil, at.batchRejected, batchStart, "node", req.Arch, sig, len(req.Candidates), err)
 		}
 		return nil, err
 	}
@@ -274,13 +276,14 @@ func (s *Server) Simulate(ctx context.Context, req *SimulateRequest) (*SimulateR
 	}
 
 	results := make([]Result, len(req.Candidates))
+	prefix := keyPrefix(make([]byte, 0, 128), arch, sh.prof.Caches, req.Workload)
 	var mu sync.Mutex
 	var cancelErr error // first cancellation seen by any worker
 	var dispatched atomic.Uint64
 	perr := runner.ParallelCtx(ctx, s.cfg.WorkersPerArch, len(req.Candidates), func(i int) {
 		dispatched.Add(1)
 		steps := req.Candidates[i].Steps
-		key := CacheKey(arch, sh.prof.Caches, req.Workload, steps)
+		key := candidateKey(prefix, steps)
 		var tm *candTimings
 		var c0 time.Time
 		if at != nil {
@@ -323,12 +326,12 @@ func (s *Server) Simulate(ctx context.Context, req *SimulateRequest) (*SimulateR
 		tl.canceled.Add(undispatched)
 		err := fmt.Errorf("service: %w", unavailablef("batch canceled: %v", perr))
 		if at != nil {
-			s.tel.finishBatch(tr, agg, at.batchCanceled, batchStart, "node", req.Arch, req.Workload.signature(), len(req.Candidates), err)
+			s.tel.finishBatch(tr, agg, at.batchCanceled, batchStart, "node", req.Arch, sig, len(req.Candidates), err)
 		}
 		return nil, err
 	}
 	if at != nil {
-		s.tel.finishBatch(tr, agg, at.batchOK, batchStart, "node", req.Arch, req.Workload.signature(), len(req.Candidates), nil)
+		s.tel.finishBatch(tr, agg, at.batchOK, batchStart, "node", req.Arch, sig, len(req.Candidates), nil)
 	}
 	return &SimulateResponse{Results: results}, nil
 }
@@ -567,18 +570,39 @@ func backendHandler(b Backend, tel *telemetry, enablePprof bool) http.Handler {
 
 // readRequest is the one place a request becomes a value: it checks the
 // method and, given somewhere to put it, decodes the size-bounded JSON body.
-// On failure it has already written the 405 or 400 and reports false.
+// On failure it has already written the 405, 413 or 400 and reports false.
 func readRequest(w http.ResponseWriter, r *http.Request, method string, into any) bool {
 	if r.Method != method {
 		httpError(w, http.StatusMethodNotAllowed, method+" only")
 		return false
 	}
-	if into == nil {
-		return true
+	return into == nil || decodeBody(w, r, into, maxRequestBytes)
+}
+
+// decodeBody reads a body of at most limit bytes into a pooled buffer and
+// decodes it (decodeWire). The buffer is needed because the cursor decoder
+// wants the whole body; it grows with the bytes that arrive, not with the
+// length the client declared (readBody). On failure the 413 or 400 is
+// written.
+func decodeBody(w http.ResponseWriter, r *http.Request, into any, limit int64) bool {
+	if r.ContentLength > limit {
+		httpError(w, http.StatusRequestEntityTooLarge, "decode request: http: request body too large")
+		return false
 	}
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes))
-	if err := dec.Decode(into); err != nil {
-		httpError(w, http.StatusBadRequest, "decode request: "+err.Error())
+	bp := wireBufs.Get().(*[]byte)
+	defer putWireBuf(bp)
+	var err error
+	*bp, err = readBody((*bp)[:0], http.MaxBytesReader(w, r.Body, limit), r.ContentLength)
+	if err == nil {
+		err = decodeWire(*bp, into)
+	}
+	if err != nil {
+		status := http.StatusBadRequest
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		httpError(w, status, "decode request: "+err.Error())
 		return false
 	}
 	return true
@@ -631,10 +655,21 @@ func parseKeyRange(s string) (lo, hi uint64, err error) {
 	return lo, hi, nil
 }
 
+// writeJSON writes v as json.Encoder does, newline included. A simulate
+// response whose strings need no escaping takes the append encoder, which
+// produces the same bytes without reflection.
 func writeJSON(w http.ResponseWriter, v any) {
 	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	_ = enc.Encode(v)
+	if resp, ok := v.(*SimulateResponse); ok && resp != nil {
+		bp := wireBufs.Get().(*[]byte)
+		defer putWireBuf(bp)
+		if *bp, ok = appendSimulateResponse((*bp)[:0], resp); ok {
+			*bp = append(*bp, '\n')
+			_, _ = w.Write(*bp)
+			return
+		}
+	}
+	_ = json.NewEncoder(w).Encode(v)
 }
 
 func httpError(w http.ResponseWriter, status int, msg string) {

@@ -82,6 +82,7 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"strconv"
 	"time"
 
 	"repro/internal/isa"
@@ -395,11 +396,28 @@ func (w WorkloadSpec) Factory() (runner.WorkloadFactory, error) {
 // signature renders the canonical identity string hashed into cache keys.
 // It must stay injective over valid specs and stable across releases.
 func (w WorkloadSpec) signature() string {
+	var buf [64]byte
+	return string(w.appendSignature(buf[:0]))
+}
+
+// appendSignature appends the signature with plain appends: it is part of
+// every batch's cache-key prefix, where formatting has no place. Dims are in
+// the form fmt's %v gives a []int — "[16 16 16]" — which is what every stored
+// key was hashed over.
+func (w WorkloadSpec) appendSignature(dst []byte) []byte {
 	switch w.Kind {
 	case "", "conv_group":
-		return fmt.Sprintf("conv_group/%s/%d", w.Scale, w.Group)
+		dst = append(dst, "conv_group/"...)
+		dst = append(dst, w.Scale...)
+		dst = append(dst, '/')
+		return strconv.AppendInt(dst, int64(w.Group), 10)
 	case "matmul":
-		return fmt.Sprintf("matmul/%v", w.Dims)
+		return appendInts(append(dst, "matmul/"...), w.Dims, ' ')
 	}
-	return fmt.Sprintf("%s/%s/%d/%v", w.Kind, w.Scale, w.Group, w.Dims)
+	dst = append(dst, w.Kind...)
+	dst = append(dst, '/')
+	dst = append(dst, w.Scale...)
+	dst = append(dst, '/')
+	dst = strconv.AppendInt(dst, int64(w.Group), 10)
+	return appendInts(append(dst, '/'), w.Dims, ' ')
 }

@@ -1,0 +1,99 @@
+#!/usr/bin/env bash
+# Paired, alternating runs of one repository-benchmark workload: a base
+# commit against the working tree.
+#
+#   scripts/bench-ab.sh <base-ref> <workload> <pairs> [seed]
+#
+# The base is exported (git archive) under .bench_build/ab/ and both sides
+# are built by their own benchmark/run.sh, so each builds and writes under a
+# .bench_build/ of its own. Pair i runs the base first when i is odd and the
+# head first when i is even, which keeps slow drift of a shared host from
+# landing on one side. Every run's last-line JSON is kept under
+# .bench_build/ab/<workload>.seed<seed>.trace<0|1>/, each end-to-end metric is printed
+# pair by pair, and the summary gives q1/median/q3 per side and the pairs the
+# head won — the form benchmark/README.md asks a claim to be reported in.
+#
+# BENCH_SECONDS (default 20, BENCHMARK.json's run_seconds) and BENCH_TRACE
+# (default 0; 1 compares the per-layer metrics instead) adjust the runs.
+set -euo pipefail
+if [ $# -lt 3 ] || [ $# -gt 4 ]; then
+	echo "usage: $0 <base-ref> <workload> <pairs> [seed]" >&2
+	exit 2
+fi
+base_ref=$1 workload=$2 pairs=$3 seed=${4:-1}
+seconds=${BENCH_SECONDS:-20} trace=${BENCH_TRACE:-0}
+cd "$(dirname "$0")/.."
+head_dir=$PWD
+base_sha=$(git rev-parse --verify "$base_ref^{commit}")
+ab="$head_dir/.bench_build/ab"
+base_dir="$ab/base-$base_sha"
+out="$ab/$workload.seed$seed.trace$trace"
+mkdir -p "$out"
+if [ ! -d "$base_dir" ]; then
+	mkdir -p "$base_dir.tmp"
+	git archive "$base_sha" | tar -x -C "$base_dir.tmp"
+	mv "$base_dir.tmp" "$base_dir"
+fi
+
+# run <side> <dir> <pair>: one benchmark run; a failed run stops the script
+# with the run's own report on the terminal.
+run() {
+	local side=$1 dir=$2 pair=$3 log
+	log="$out/$side.$pair.log"
+	if ! bash "$dir/benchmark/run.sh" --workload "$workload" --seed "$seed" \
+		--seconds "$seconds" --trace "$trace" >"$log" 2>&1; then
+		cat "$log" >&2
+		echo "bench-ab: $side run of pair $pair failed" >&2
+		exit 1
+	fi
+	tail -n 1 "$log" >"$out/$side.$pair.json"
+	jq -e '.correct and .failed == 0' "$out/$side.$pair.json" >/dev/null ||
+		{ echo "bench-ab: $side run of pair $pair: not correct or failed operations" >&2; exit 1; }
+}
+
+echo "base $base_sha vs working tree, $workload, seed $seed, $pairs pairs of ${seconds}s runs, trace $trace"
+for i in $(seq 1 "$pairs"); do
+	if [ $((i % 2)) -eq 1 ]; then
+		run base "$base_dir" "$i"
+		run head "$head_dir" "$i"
+	else
+		run head "$head_dir" "$i"
+		run base "$base_dir" "$i"
+	fi
+	echo "pair $i done"
+done
+
+# Which way is better comes from BENCHMARK.json; a metric it does not list
+# (none today) is reported without wins.
+for metric in $(jq -r '.metrics | keys[]' "$out/head.1.json"); do
+	better=$(jq -r --arg m "$metric" \
+		'[.end_to_end[], .per_layer[]] | map(select(.name == $m)) | .[0].better // "?"' BENCHMARK.json)
+	echo
+	echo "$metric ($(jq -r --arg m "$metric" '.metrics[$m].unit' "$out/head.1.json"), $better is better)"
+	for i in $(seq 1 "$pairs"); do
+		printf '%s %s %s\n' "$i" \
+			"$(jq -r --arg m "$metric" '.metrics[$m].value' "$out/base.$i.json")" \
+			"$(jq -r --arg m "$metric" '.metrics[$m].value' "$out/head.$i.json")"
+	done | awk -v better="$better" '
+		function quartile(v, n, q,    pos, lo, frac) {
+			pos = (n - 1) * q; lo = int(pos); frac = pos - lo
+			return lo + 1 < n ? v[lo + 1] * (1 - frac) + v[lo + 2] * frac : v[n]
+		}
+		function summarize(name, v, n,    i, j, t) {
+			for (i = 2; i <= n; i++) for (j = i; j > 1 && v[j - 1] > v[j]; j--) { t = v[j]; v[j] = v[j - 1]; v[j - 1] = t }
+			printf "  %-4s q1 %.6g  median %.6g  q3 %.6g\n", name, quartile(v, n, 0.25), quartile(v, n, 0.5), quartile(v, n, 0.75)
+			return quartile(v, n, 0.5)
+		}
+		{
+			printf "  pair %2d  base %-14.6g head %-14.6g\n", $1, $2, $3
+			b[NR] = $2; h[NR] = $3
+			if ($2 != $3 && ((better == "higher") == ($3 > $2))) wins++
+			if ($2 == $3) ties++
+		}
+		END {
+			mb = summarize("base", b, NR); mh = summarize("head", h, NR)
+			if (mb != 0) printf "  head/base median ratio %.3f", mh / mb
+			if (better != "?") printf "   head better in %d of %d pairs (%d ties)", wins, NR, ties
+			printf "\n"
+		}'
+done
