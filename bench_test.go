@@ -274,7 +274,7 @@ func BenchmarkServiceThroughput(b *testing.B) {
 		}
 		b.ReportMetric(float64(batch*b.N)/b.Elapsed().Seconds(), "cand/s")
 	})
-	hit := func(b *testing.B, cfg service.Config) {
+	b.Run("hit", func(b *testing.B) {
 		srv := mustBenchServer(b, cfg)
 		if _, err := srv.Simulate(ctx, req); err != nil {
 			b.Fatal(err)
@@ -291,14 +291,7 @@ func BenchmarkServiceThroughput(b *testing.B) {
 			}
 		}
 		b.ReportMetric(float64(batch*b.N)/b.Elapsed().Seconds(), "cand/s")
-	}
-	b.Run("hit", func(b *testing.B) { hit(b, cfg) })
-	// The telemetry A/B pair: "hit" carries the full instrument panel
-	// (per-stage histograms, trace spans); "hit-notel" disables it. The CI
-	// metrics-smoke job asserts the gap stays under the 2% budget.
-	cfgOff := cfg
-	cfgOff.DisableTelemetry = true
-	b.Run("hit-notel", func(b *testing.B) { hit(b, cfgOff) })
+	})
 }
 
 // BenchmarkTimingModel measures the cycle-approximate back-end.

@@ -48,67 +48,66 @@ func main() {
 	}
 }
 
-// serve runs the batch simulation service until interrupted.
-func serve(args []string) error {
-	fs := flag.NewFlagSet("simtune serve", flag.ExitOnError)
-	addr := fs.String("addr", ":8070", "listen address")
+// serveConfig declares `simtune serve`'s flags on fs and parses args into the
+// listen address and the server configuration they ask for.
+func serveConfig(fs *flag.FlagSet, args []string) (addr string, cfg service.Config, err error) {
+	fs.StringVar(&addr, "addr", ":8070", "listen address")
 	archsFlag := fs.String("archs", "x86,arm,riscv", "comma-separated served architectures")
-	workers := fs.Int("workers", 4, "simulator instances per architecture shard")
-	maxResident := fs.Int("max-resident", 1<<18, "ARC bound on results held in RAM; evicted results stay servable from -cache-dir")
-	cacheDir := fs.String("cache-dir", "", "durable result store directory; a restarted server recovers its computed corpus from the segment log here (empty = memory only)")
-	segBytes := fs.Int64("cache-seg-bytes", 0, "store segment rotation size in bytes (default 64 MB)")
-	maxQueued := fs.Int("max-queued", 0, "admission bound: candidates held (queued+running) before new batches get 429 + Retry-After (default 65536)")
+	fs.IntVar(&cfg.WorkersPerArch, "workers", 4, "simulator instances per architecture shard")
+	// Config's default spelled out, so the banner prints the bound in force.
+	fs.IntVar(&cfg.MaxResidentResults, "max-resident", 1<<18, "ARC bound on results held in RAM; evicted results stay servable from -cache-dir")
+	fs.StringVar(&cfg.CacheDir, "cache-dir", "", "durable result store directory; a restarted server recovers its computed corpus from the segment log here (empty = memory only)")
+	fs.Int64Var(&cfg.CacheSegmentBytes, "cache-seg-bytes", 0, "store segment rotation size in bytes (default 64 MB)")
+	fs.IntVar(&cfg.MaxQueuedCandidates, "max-queued", 0, "admission bound: candidates held (queued+running) before new batches get 429 + Retry-After (default 65536)")
 	tenantWeights := fs.String("tenant-weights", "", "fair-share weights for the admission gate, e.g. 'ci=3,adhoc=1' (unlisted tenants weigh 1)")
-	drainTimeout := fs.Duration("drain-timeout", 0, "graceful-drain budget after SIGINT/SIGTERM: how long in-flight batches may finish before hard cancel (default 30s)")
-	slowBatch := fs.Duration("slow-batch", 0, "log a structured slow-batch line for batches slower than this (0 = off)")
-	traceRing := fs.Int("trace-ring", 0, "batch traces retained for GET /v1/traces (default 256, negative disables tracing)")
-	pprofFlag := fs.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/")
-	noTel := fs.Bool("no-telemetry", false, "disable stage histograms and tracing (counters on /v1/metrics remain)")
+	fs.DurationVar(&cfg.DrainTimeout, "drain-timeout", 0, "graceful-drain budget after SIGINT/SIGTERM: how long in-flight batches may finish before hard cancel (default 30s)")
+	fs.DurationVar(&cfg.SlowBatchThreshold, "slow-batch", 0, "log a structured slow-batch line for batches slower than this (0 = off)")
+	fs.BoolVar(&cfg.EnablePprof, "pprof", false, "expose net/http/pprof under /debug/pprof/")
 	if err := fs.Parse(args); err != nil {
-		return err
+		return "", cfg, err
 	}
-	var archs []isa.Arch
 	for _, a := range strings.Split(*archsFlag, ",") {
 		arch, err := isa.ParseArch(strings.TrimSpace(a))
 		if err != nil {
-			return err
+			return "", cfg, err
 		}
-		archs = append(archs, arch)
+		cfg.Archs = append(cfg.Archs, arch)
 	}
-	weights, err := parseTenantWeights(*tenantWeights)
+	if cfg.TenantWeights, err = parseTenantWeights(*tenantWeights); err != nil {
+		return "", cfg, err
+	}
+	if cfg.MaxResidentResults == 0 {
+		cfg.MaxResidentResults = 1 << 18
+	}
+	return addr, cfg, nil
+}
+
+// serve runs the batch simulation service until interrupted.
+func serve(args []string) error {
+	addr, cfg, err := serveConfig(flag.NewFlagSet("simtune serve", flag.ExitOnError), args)
 	if err != nil {
 		return err
 	}
-	if *maxResident == 0 {
-		*maxResident = 1 << 18 // Config's default, so the banner below prints the bound in force
-	}
-	srv, err := service.NewServer(service.Config{
-		Archs: archs, WorkersPerArch: *workers,
-		MaxResidentResults: *maxResident, TenantWeights: weights,
-		CacheDir: *cacheDir, CacheSegmentBytes: *segBytes,
-		MaxQueuedCandidates: *maxQueued, DrainTimeout: *drainTimeout,
-		SlowBatchThreshold: *slowBatch, TraceRingSize: *traceRing,
-		EnablePprof: *pprofFlag, DisableTelemetry: *noTel,
-	})
+	srv, err := service.NewServer(cfg)
 	if err != nil {
 		return err
 	}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	fmt.Printf("simtune serve: listening on %s (archs %v, %d workers/arch, max resident %d)\n",
-		*addr, archs, *workers, *maxResident)
-	if *cacheDir != "" {
+		addr, cfg.Archs, cfg.WorkersPerArch, cfg.MaxResidentResults)
+	if cfg.CacheDir != "" {
 		st, _ := srv.Statusz(ctx)
-		fmt.Printf("  durable store %s: %d results recovered\n", *cacheDir, st.CacheDiskEntries)
+		fmt.Printf("  durable store %s: %d results recovered\n", cfg.CacheDir, st.CacheDiskEntries)
 	}
-	fmt.Printf("  POST %s/v1/simulate   GET %s/v1/statusz   GET %s/v1/metrics\n", *addr, *addr, *addr)
+	fmt.Printf("  POST %s/v1/simulate   GET %s/v1/statusz   GET %s/v1/metrics\n", addr, addr, addr)
 	// SIGINT/SIGTERM cancel ctx; ListenAndServe then drains gracefully —
 	// stops admitting (statusz flips to draining, routers rotate the node
 	// out), lets in-flight batches finish within -drain-timeout, and flushes
 	// and closes the durable store so everything computed this lifetime is
 	// recoverable on the next start. Close here is an idempotent backstop
 	// for the listen-error path.
-	serveErr := srv.ListenAndServe(ctx, *addr)
+	serveErr := srv.ListenAndServe(ctx, addr)
 	if err := srv.Close(); err != nil && serveErr == nil {
 		serveErr = err
 	}
@@ -139,26 +138,30 @@ func parseTenantWeights(spec string) (map[string]float64, error) {
 	return weights, nil
 }
 
+// routeConfig declares `simtune route`'s flags on fs and parses args into the
+// listen address, the ring (identities and node URLs) and the router
+// configuration they ask for.
+func routeConfig(fs *flag.FlagSet, args []string) (addr string, ids, urls []string, cfg service.RouterConfig, err error) {
+	fs.StringVar(&addr, "addr", ":8060", "listen address")
+	nodesFlag := fs.String("nodes", "", "comma-separated backend servers (required), each a URL or id=URL, e.g. sim-0=http://10.0.0.5:8070,http://sim-1:8070; the id (default: the URL) places the node on the ring, so a node that moves to a new address under its old id keeps its key range")
+	fs.DurationVar(&cfg.ProbeInterval, "probe", 2*time.Second, "health-probe interval (a recovered node rejoins, warmed from its ring successors, within one interval)")
+	fs.IntVar(&cfg.ReplicationFactor, "rf", 0, "replication factor: ring nodes holding each key — owner plus rf-1 successors (default 2; 1 disables replication)")
+	fs.DurationVar(&cfg.AntiEntropyInterval, "antientropy", 0, "anti-entropy round interval: diff /v1/keys between replicas and repair gaps (default 1m; negative disables)")
+	fs.DurationVar(&cfg.SlowBatchThreshold, "slow-batch", 0, "log a structured slow-batch line for batches slower than this (0 = off)")
+	fs.BoolVar(&cfg.EnablePprof, "pprof", false, "expose net/http/pprof under /debug/pprof/")
+	if err := fs.Parse(args); err != nil {
+		return "", nil, nil, cfg, err
+	}
+	ids, urls, err = parseNodes(*nodesFlag)
+	return addr, ids, urls, cfg, err
+}
+
 // route runs the consistent-hash routing tier over N simulate servers until
 // interrupted. The router speaks the exact wire protocol of a single server,
 // so clients point -server at it unchanged; each cache key lives on exactly
 // one node and a down node's key range drains to its ring successors.
 func route(args []string) error {
-	fs := flag.NewFlagSet("simtune route", flag.ExitOnError)
-	addr := fs.String("addr", ":8060", "listen address")
-	nodesFlag := fs.String("nodes", "", "comma-separated backend servers (required), each a URL or id=URL, e.g. sim-0=http://10.0.0.5:8070,http://sim-1:8070; the id (default: the URL) places the node on the ring, so a node that moves to a new address under its old id keeps its key range")
-	probe := fs.Duration("probe", 2*time.Second, "health-probe interval (a recovered node rejoins within one interval)")
-	handoff := fs.Bool("handoff", true, "warm-handoff on rejoin: replay the keys a recovered node owns from its ring successors before it re-enters rotation")
-	rf := fs.Int("rf", 0, "replication factor: ring nodes holding each key — owner plus rf-1 successors (default 2; 1 disables replication)")
-	antiEntropy := fs.Duration("antientropy", 0, "anti-entropy round interval: diff /v1/keys between replicas and repair gaps (default 1m; negative disables)")
-	slowBatch := fs.Duration("slow-batch", 0, "log a structured slow-batch line for batches slower than this (0 = off)")
-	traceRing := fs.Int("trace-ring", 0, "batch traces retained for GET /v1/traces (default 256, negative disables tracing)")
-	pprofFlag := fs.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/")
-	noTel := fs.Bool("no-telemetry", false, "disable stage histograms and tracing (counters on /v1/metrics remain)")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	ids, urls, err := parseNodes(*nodesFlag)
+	addr, ids, urls, cfg, err := routeConfig(flag.NewFlagSet("simtune route", flag.ExitOnError), args)
 	if err != nil {
 		return err
 	}
@@ -166,18 +169,13 @@ func route(args []string) error {
 	for i, u := range urls {
 		backends[i] = service.NewClient(u)
 	}
-	rt, err := service.NewRouterBackends(ids, backends, service.RouterConfig{
-		ProbeInterval: *probe, DisableHandoff: !*handoff,
-		ReplicationFactor: *rf, AntiEntropyInterval: *antiEntropy,
-		SlowBatchThreshold: *slowBatch, TraceRingSize: *traceRing,
-		EnablePprof: *pprofFlag, DisableTelemetry: *noTel,
-	})
+	rt, err := service.NewRouterBackends(ids, backends, cfg)
 	if err != nil {
 		return err
 	}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	fmt.Printf("simtune route: listening on %s, sharding across %d nodes:\n", *addr, len(ids))
+	fmt.Printf("simtune route: listening on %s, sharding across %d nodes:\n", addr, len(ids))
 	for i, id := range ids {
 		if id == urls[i] {
 			fmt.Printf("  %s\n", id)
@@ -185,8 +183,8 @@ func route(args []string) error {
 			fmt.Printf("  %s at %s\n", id, urls[i])
 		}
 	}
-	fmt.Printf("  POST %s/v1/simulate   GET %s/v1/statusz (aggregated)   GET %s/v1/metrics (fleet-merged)\n", *addr, *addr, *addr)
-	return rt.ListenAndServe(ctx, *addr)
+	fmt.Printf("  POST %s/v1/simulate   GET %s/v1/statusz (aggregated)   GET %s/v1/metrics (fleet-merged)\n", addr, addr, addr)
+	return rt.ListenAndServe(ctx, addr)
 }
 
 // parseNodes splits the -nodes list into ring identities and base URLs.

@@ -1,10 +1,72 @@
 package main
 
 import (
+	"flag"
+	"io"
 	"reflect"
 	"strings"
 	"testing"
+	"time"
+
+	"repro/internal/isa"
+	"repro/internal/service"
 )
+
+// quietFlags is a flag set that returns parse errors instead of exiting.
+func quietFlags() *flag.FlagSet {
+	fs := flag.NewFlagSet("test", flag.ContinueOnError)
+	fs.SetOutput(io.Discard)
+	return fs
+}
+
+// TestServeAndRouteFlagWiring: argument lists become exactly the Config and
+// RouterConfig they spell — defaults left zero for the service to fill — and
+// the flags that selected deleted paths are refused by name.
+func TestServeAndRouteFlagWiring(t *testing.T) {
+	addr, cfg, err := serveConfig(quietFlags(), nil)
+	if want := (service.Config{Archs: isa.Archs(), WorkersPerArch: 4, MaxResidentResults: 1 << 18}); err != nil ||
+		addr != ":8070" || !reflect.DeepEqual(cfg, want) {
+		t.Errorf("serve defaults = %q, %+v, %v; want :8070, %+v", addr, cfg, err, want)
+	}
+	addr, cfg, err = serveConfig(quietFlags(), strings.Fields("-addr :1 -archs riscv,arm -workers 2 -max-resident 0"+
+		" -cache-dir /d -cache-seg-bytes 9 -max-queued 7 -tenant-weights ci=3 -drain-timeout 5s -slow-batch 1ms -pprof"))
+	if want := (service.Config{Archs: []isa.Arch{isa.RISCV, isa.ARM}, WorkersPerArch: 2, MaxResidentResults: 1 << 18,
+		CacheDir: "/d", CacheSegmentBytes: 9, MaxQueuedCandidates: 7, TenantWeights: map[string]float64{"ci": 3},
+		DrainTimeout: 5 * time.Second, SlowBatchThreshold: time.Millisecond, EnablePprof: true}); err != nil ||
+		addr != ":1" || !reflect.DeepEqual(cfg, want) {
+		t.Errorf("serve flags = %q, %+v, %v; want :1, %+v", addr, cfg, err, want)
+	}
+
+	addr, ids, urls, rcfg, err := routeConfig(quietFlags(), strings.Fields("-nodes a=http://x:1,http://y:2"))
+	if want := (service.RouterConfig{ProbeInterval: 2 * time.Second}); err != nil || addr != ":8060" ||
+		!reflect.DeepEqual(ids, []string{"a", "http://y:2"}) || !reflect.DeepEqual(urls, []string{"http://x:1", "http://y:2"}) ||
+		!reflect.DeepEqual(rcfg, want) {
+		t.Errorf("route defaults = %q, %v, %v, %+v, %v; want :8060, %+v", addr, ids, urls, rcfg, err, want)
+	}
+	_, _, _, rcfg, err = routeConfig(quietFlags(), strings.Fields("-nodes http://x:1 -probe 300ms -rf 3 -antientropy -1s -slow-batch 2ms -pprof"))
+	if want := (service.RouterConfig{ProbeInterval: 300 * time.Millisecond, ReplicationFactor: 3,
+		AntiEntropyInterval: -time.Second, SlowBatchThreshold: 2 * time.Millisecond, EnablePprof: true}); err != nil ||
+		!reflect.DeepEqual(rcfg, want) {
+		t.Errorf("route flags = %+v, %v; want %+v", rcfg, err, want)
+	}
+	if _, _, _, _, err := routeConfig(quietFlags(), nil); err == nil {
+		t.Error("route without -nodes was accepted")
+	}
+
+	refused := func(err error, name string) bool {
+		return err != nil && strings.Contains(err.Error(), "not defined: "+name)
+	}
+	for _, gone := range []string{"-no-telemetry", "-trace-ring"} {
+		if _, _, err := serveConfig(quietFlags(), []string{gone + "=1"}); !refused(err, gone) {
+			t.Errorf("serve %s: %v, want it refused by name", gone, err)
+		}
+	}
+	for _, gone := range []string{"-no-telemetry", "-trace-ring", "-handoff"} {
+		if _, _, _, _, err := routeConfig(quietFlags(), []string{"-nodes", "http://x:1", gone + "=1"}); !refused(err, gone) {
+			t.Errorf("route %s: %v, want it refused by name", gone, err)
+		}
+	}
+}
 
 func TestParseNodes(t *testing.T) {
 	for _, tc := range []struct {

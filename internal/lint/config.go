@@ -22,16 +22,12 @@ func DefaultAnalyzers() []*Analyzer {
 				{Name: "repro/internal/cache.Hierarchy.Fetch", NoLock: true},
 				{Name: "repro/internal/cache.Hierarchy.FetchResident", NoLock: true},
 				{Name: "repro/internal/cache.Hierarchy.FetchRun", NoLock: true},
-				// Cache-hit serve path (PR 2/PR 7): ~490k cand/s; one
-				// batched mutex is the design, so locks are allowed, but
-				// clock reads must stay behind nil telemetry guards and
-				// formatting/JSON stay off the path entirely. The ARC
-				// eviction bookkeeping (PR 9) rides the same mutex and
-				// times itself behind the same nil guard — a compound
-				// `tm != nil && evicted > 0` condition still waives the
-				// clock read (pinned by the hotmod want-corpus).
-				{Name: "repro/internal/service.resultCache.do"},
-				{Name: "repro/internal/service.resultCache.doTimed"},
+				// Cache-hit serve path (PR 2/PR 7): the RAM-hit step of
+				// resultCache.do — one mutex (the design, so locks are
+				// allowed), the resident check and the ARC touch. No clock,
+				// no formatting, no JSON: what do times (flight waits, the
+				// disk probe, eviction) it times after lookup has said miss.
+				{Name: "repro/internal/service.resultCache.lookup"},
 				// The simulate wire (PR 19): the append encoders and cursor
 				// decoders exist because reflection was three quarters of a
 				// routed hit's CPU, and the per-candidate key because

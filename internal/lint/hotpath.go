@@ -58,12 +58,11 @@ var lockCalls = map[string]bool{
 // hotViolation is one banned call recorded during Collect, adjudicated in
 // Finish once reachability is known.
 type hotViolation struct {
-	pos      token.Pos
-	fset     int // index into pkgs, to recover the right Pass for reporting
-	callee   string
-	kind     string
-	isLock   bool
-	nilGuard bool // enclosed in an `if x != nil` arm: the telemetry pattern
+	pos    token.Pos
+	fset   int // index into pkgs, to recover the right Pass for reporting
+	callee string
+	kind   string
+	isLock bool
 }
 
 // HotPath reports impurities in functions reachable from the configured hot
@@ -73,11 +72,6 @@ type hotViolation struct {
 // cand/s respectively, one stray time.Now or Sprintf per candidate is a
 // measurable regression, and runtime benchmarks only catch it after the
 // fact.
-//
-// Clock reads guarded by a nil check (`if tm != nil { tm.x = time.Since(t0) }`)
-// are deliberate non-findings: that is the telemetry-handle pattern from
-// PR 7 — the telemetry-off path takes zero clock reads, which is exactly
-// what the invariant protects.
 func HotPath(cfg HotPathConfig) *Analyzer {
 	stops := map[string]bool{}
 	for _, s := range cfg.Stops {
@@ -135,11 +129,7 @@ func HotPath(cfg HotPathConfig) *Analyzer {
 						return true
 					}
 					viols[id] = append(viols[id], hotViolation{
-						pos:      call.Pos(),
-						callee:   callee,
-						kind:     kind,
-						isLock:   isLock,
-						nilGuard: underNilGuard(stack),
+						pos: call.Pos(), callee: callee, kind: kind, isLock: isLock,
 					})
 					return true
 				})
@@ -158,9 +148,6 @@ func HotPath(cfg HotPathConfig) *Analyzer {
 				for _, v := range viols[id] {
 					if v.isLock && !root.NoLock {
 						continue
-					}
-					if !v.isLock && v.nilGuard && strings.HasPrefix(v.kind, "clock") {
-						continue // telemetry-handle pattern
 					}
 					kind := v.kind
 					if v.isLock {
@@ -200,31 +187,6 @@ func declFuncID(p *Pass, fd *ast.FuncDecl) string {
 	return ""
 }
 
-// underNilGuard reports whether the node stack passes through the body of
-// an if whose condition contains an `x != nil` comparison — the nil-safe
-// telemetry-handle idiom.
-func underNilGuard(stack []ast.Node) bool {
-	for i := len(stack) - 1; i >= 0; i-- {
-		ifs, ok := stack[i].(*ast.IfStmt)
-		if !ok {
-			continue
-		}
-		hasNilCheck := false
-		ast.Inspect(ifs.Cond, func(n ast.Node) bool {
-			if b, ok := n.(*ast.BinaryExpr); ok && b.Op.String() == "!=" {
-				if isNilIdent(b.X) || isNilIdent(b.Y) {
-					hasNilCheck = true
-				}
-			}
-			return true
-		})
-		if hasNilCheck {
-			return true
-		}
-	}
-	return false
-}
-
 // underPanic reports whether the node stack passes through the argument
 // list of a builtin panic call.
 func underPanic(stack []ast.Node) bool {
@@ -238,11 +200,6 @@ func underPanic(stack []ast.Node) bool {
 		}
 	}
 	return false
-}
-
-func isNilIdent(e ast.Expr) bool {
-	id, ok := unparen(e).(*ast.Ident)
-	return ok && id.Name == "nil"
 }
 
 // chainSuffix renders " via a -> b" for the BFS parent chain ending at id

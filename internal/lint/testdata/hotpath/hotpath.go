@@ -41,34 +41,19 @@ func lockStep() {
 	mu.Unlock()
 }
 
-// timings is the nil-safe telemetry handle from the serve path: a nil
-// handle means telemetry off, and the off path takes zero clock reads.
-type timings struct{ d, evict time.Duration }
+type timings struct{ d time.Duration }
 
 // Serve is the cache-hit serve-path stand-in: hot, but its one batched
-// lock is sanctioned (NoLock=false). The eviction branch mirrors the ARC
-// bookkeeping on the real serve path: the clock read is waived because the
-// enclosing condition carries the nil guard, even compounded with the
-// did-anything-evict check.
+// lock is sanctioned (NoLock=false). A clock read is a finding on it whether
+// or not a nil check on some handle guards it: the path has one shape, and
+// timing belongs outside the root.
 func Serve(tm *timings) int {
-	var t0 time.Time
-	if tm != nil {
-		t0 = time.Now() // nil-guarded telemetry read: no finding
-	}
+	t0 := time.Now() // want "clock read"
 	v := lookup()
-	if ev := evictExcess(); tm != nil && ev > 0 {
-		tm.evict = time.Since(t0) // nil-guarded eviction bookkeeping: no finding
-	}
 	if tm != nil {
-		tm.d = time.Since(t0) // nil-guarded telemetry read: no finding
+		tm.d = time.Since(t0) // want "clock read"
 	}
 	return v
-}
-
-// evictExcess is the eviction stand-in: pointer surgery only — no clocks,
-// no formatting — so it contributes nothing the analyzer should flag.
-func evictExcess() int {
-	return 0
 }
 
 func lookup() int {

@@ -367,8 +367,8 @@ func LocalFleet(n int, scfg service.Config) (*service.Router, func(), error) {
 		backends[i] = srv
 	}
 	rt, err := service.NewRouterBackends(ids, backends, service.RouterConfig{
-		ProbeInterval:  -1,
-		DisableHandoff: true,
+		ProbeInterval:     -1,
+		ReplicationFactor: 1,
 	})
 	if err != nil {
 		for _, s := range nodes {

@@ -33,7 +33,7 @@ func TestARCBoundedResidency(t *testing.T) {
 	c := newResultCache(cap, nil)
 	get := func(i int) {
 		t.Helper()
-		_, _, err := c.do(context.Background(), testKey(i), func() (Result, error) {
+		_, _, err := c.do(context.Background(), testKey(i), new(candTimings), func() (Result, error) {
 			return arcResult(i), nil
 		})
 		if err != nil {
@@ -83,7 +83,7 @@ func TestARCGhostHitAdapts(t *testing.T) {
 	const cap = 4
 	c := newResultCache(cap, nil)
 	get := func(i int) {
-		_, _, _ = c.do(context.Background(), testKey(i), func() (Result, error) {
+		_, _, _ = c.do(context.Background(), testKey(i), new(candTimings), func() (Result, error) {
 			return arcResult(i), nil
 		})
 	}
@@ -98,7 +98,7 @@ func TestARCGhostHitAdapts(t *testing.T) {
 	// Memory-only: the value is gone, so the refill recomputes — and the
 	// ghost hit must steer the insert into T2 and raise p.
 	var recomputed bool
-	_, hit, err := c.do(context.Background(), testKey(1), func() (Result, error) {
+	_, hit, err := c.do(context.Background(), testKey(1), new(candTimings), func() (Result, error) {
 		recomputed = true
 		return arcResult(1), nil
 	})
@@ -121,7 +121,7 @@ func TestARCGhostHitAdapts(t *testing.T) {
 func TestUnboundedCapacityNeverEvicts(t *testing.T) {
 	c := newResultCache(0, nil)
 	for i := 0; i < 500; i++ {
-		_, _, _ = c.do(context.Background(), testKey(i), func() (Result, error) {
+		_, _, _ = c.do(context.Background(), testKey(i), new(candTimings), func() (Result, error) {
 			return arcResult(i), nil
 		})
 	}
@@ -162,7 +162,7 @@ func TestEvictionSingleflightRace(t *testing.T) {
 			for r := 0; r < rounds; r++ {
 				for _, i := range rng.Perm(keys) {
 					i := i
-					res, _, err := c.do(context.Background(), testKey(i), func() (Result, error) {
+					res, _, err := c.do(context.Background(), testKey(i), new(candTimings), func() (Result, error) {
 						computes[i].Add(1)
 						return arcResult(i), nil
 					})
@@ -210,7 +210,7 @@ func TestStaleDiskMissCannotLeadTwice(t *testing.T) {
 	c := newResultCache(1, disk)
 	var computes [2]atomic.Uint64
 	do := func(i int) (bool, error) {
-		_, hit, err := c.do(context.Background(), testKey(i), func() (Result, error) {
+		_, hit, err := c.do(context.Background(), testKey(i), new(candTimings), func() (Result, error) {
 			computes[i].Add(1)
 			return arcResult(i), nil
 		})
@@ -273,7 +273,7 @@ func TestFetchReadsThroughEviction(t *testing.T) {
 	const n = 10
 	c := newResultCache(2, disk)
 	for i := 0; i < n; i++ {
-		if _, _, err := c.do(context.Background(), testKey(i), func() (Result, error) {
+		if _, _, err := c.do(context.Background(), testKey(i), new(candTimings), func() (Result, error) {
 			return arcResult(i), nil
 		}); err != nil {
 			t.Fatal(err)

@@ -65,7 +65,7 @@ type flight struct {
 	done chan struct{}
 }
 
-// Points of doTimed a test can hold a caller at (resultCache.testHook).
+// Points of do a test can hold a caller at (resultCache.testHook).
 const (
 	hookWaiting = iota // about to wait on another caller's flight
 	hookProbed         // leading a flight, durable-store probe done
@@ -154,7 +154,7 @@ type resultCache struct {
 	t1, t2, b1, b2 entryList
 
 	// testHook, nil outside tests, is called without the lock at the hook*
-	// points of doTimed.
+	// points of do.
 	testHook func(point int)
 
 	hits   atomic.Uint64
@@ -195,6 +195,26 @@ func newResultCache(capacity int, disk *Store) *resultCache {
 	return c
 }
 
+// lookup is the RAM-hit step of do and the whole of a resident hit's cost:
+// one lock, the resident check and the ARC touch. For a key that is not
+// resident it joins the flight already on it (lead false) or registers a new
+// one for the caller to lead. It reads no clock — the hot-path lint root that
+// keeps the serve path's timing in do, after a miss is known.
+func (c *resultCache) lookup(k Key) (r Result, hit bool, f *flight, lead bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if e, ok := c.entries[k]; ok && e.resident() {
+		c.touch(e)
+		return e.res, true, nil, false
+	}
+	if f = c.inflight[k]; f != nil {
+		return Result{}, false, f, false
+	}
+	f = &flight{done: make(chan struct{})}
+	c.inflight[k] = f
+	return Result{}, false, f, true
+}
+
 // do returns the cached result for k, or computes it exactly once across all
 // concurrent callers. hit reports whether this caller was spared a
 // simulation (served from the resident set, the durable store, or another
@@ -202,56 +222,34 @@ func newResultCache(capacity int, disk *Store) *resultCache {
 // non-deterministic failures (cancellation) — those are never cached;
 // deterministic build/simulate failures travel inside Result.Err and are
 // cached like successes, since re-submitting a broken candidate would fail
-// identically.
-func (c *resultCache) do(ctx context.Context, k Key, compute func() (Result, error)) (r Result, hit bool, err error) {
-	return c.doTimed(ctx, k, nil, compute)
-}
-
-// doTimed is do with optional stage timing: a non-nil tm accumulates how
-// long this caller spent waiting on another flight (singleflight_wait),
-// reading the durable layer (disk_hit), and doing eviction bookkeeping
-// (evict). nil tm measures nothing — the telemetry-off path takes no clock
-// reads here.
-func (c *resultCache) doTimed(ctx context.Context, k Key, tm *candTimings, compute func() (Result, error)) (r Result, hit bool, err error) {
+// identically. tm accumulates how long this caller spent waiting on another
+// flight (singleflight_wait), reading the durable layer (disk_hit), and doing
+// eviction bookkeeping (evict).
+func (c *resultCache) do(ctx context.Context, k Key, tm *candTimings, compute func() (Result, error)) (Result, bool, error) {
 	for {
-		c.mu.Lock()
-		if e, ok := c.entries[k]; ok && e.resident() {
-			c.touch(e)
-			r := e.res
-			c.mu.Unlock()
+		r, hit, f, lead := c.lookup(k)
+		if hit {
 			c.hits.Add(1)
 			return r, true, nil
 		}
-		if f, ok := c.inflight[k]; ok {
-			c.mu.Unlock()
+		if !lead {
 			if c.testHook != nil {
 				c.testHook(hookWaiting)
 			}
-			var w0 time.Time
-			if tm != nil {
-				w0 = time.Now()
-			}
+			w0 := time.Now()
 			select {
 			case <-f.done:
 				// The leader finished (or abandoned): loop to re-check the
 				// map and, if the leader was canceled or its entry is
 				// already evicted, lead the next flight.
-				if tm != nil {
-					tm.sfWait += time.Since(w0)
-				}
+				tm.sfWait += time.Since(w0)
 				continue
 			case <-ctx.Done():
-				if tm != nil {
-					tm.sfWait += time.Since(w0)
-				}
+				tm.sfWait += time.Since(w0)
 				c.canceled.Add(1)
 				return Result{}, false, ctx.Err()
 			}
 		}
-		// Not resident and nobody is on it: this caller leads the flight.
-		f := &flight{done: make(chan struct{})}
-		c.inflight[k] = f
-		c.mu.Unlock()
 
 		// The durable layer may hold the key from a previous process
 		// lifetime or from before an eviction. The probe belongs to the
@@ -261,19 +259,15 @@ func (c *resultCache) doTimed(ctx context.Context, k Key, tm *candTimings, compu
 		// evicted before a waiter looks.
 		fromDisk := false
 		if c.disk != nil {
-			var d0 time.Time
-			if tm != nil {
-				d0 = time.Now()
-			}
+			d0 := time.Now()
 			r, fromDisk = c.disk.Get(k)
-			if tm != nil {
-				tm.disk += time.Since(d0)
-				tm.diskHit = fromDisk
-			}
+			tm.disk += time.Since(d0)
+			tm.diskHit = fromDisk
 			if c.testHook != nil {
 				c.testHook(hookProbed)
 			}
 		}
+		var err error
 		if !fromDisk {
 			r, err = compute()
 			if err == nil && c.disk != nil {
@@ -285,10 +279,7 @@ func (c *resultCache) doTimed(ctx context.Context, k Key, tm *candTimings, compu
 				c.disk.Put(k, r)
 			}
 		}
-		var e0 time.Time
-		if tm != nil {
-			e0 = time.Now()
-		}
+		e0 := time.Now()
 		ev := 0
 		c.mu.Lock()
 		if err == nil {
@@ -297,7 +288,7 @@ func (c *resultCache) doTimed(ctx context.Context, k Key, tm *candTimings, compu
 		delete(c.inflight, k)
 		c.mu.Unlock()
 		close(f.done)
-		if tm != nil && ev > 0 {
+		if ev > 0 {
 			tm.evict += time.Since(e0)
 			tm.evicted = true
 		}

@@ -159,7 +159,7 @@ func TestCacheDoCanceledAccounting(t *testing.T) {
 	leaderDone := make(chan struct{})
 	go func() {
 		defer close(leaderDone)
-		_, _, err := c.do(context.Background(), k, func() (Result, error) {
+		_, _, err := c.do(context.Background(), k, new(candTimings), func() (Result, error) {
 			<-release
 			return Result{Err: "deterministic"}, nil
 		})
@@ -181,7 +181,7 @@ func TestCacheDoCanceledAccounting(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, _, err := c.do(ctx, k, nil); !errors.Is(err, context.Canceled) {
+	if _, _, err := c.do(ctx, k, new(candTimings), nil); !errors.Is(err, context.Canceled) {
 		t.Fatalf("canceled waiter returned %v", err)
 	}
 	close(release)
@@ -194,7 +194,7 @@ func TestCacheDoCanceledAccounting(t *testing.T) {
 	// Leader-canceled compute: counts canceled, stores nothing.
 	var k2 Key
 	k2[0] = 9
-	_, _, err := c.do(context.Background(), k2, func() (Result, error) {
+	_, _, err := c.do(context.Background(), k2, new(candTimings), func() (Result, error) {
 		return Result{}, context.Canceled
 	})
 	if !errors.Is(err, context.Canceled) {
@@ -204,7 +204,7 @@ func TestCacheDoCanceledAccounting(t *testing.T) {
 		t.Fatalf("canceled = %d, want 2", cc)
 	}
 	// The canceled key was never cached: the next caller computes fresh.
-	r, hit, err := c.do(context.Background(), k2, func() (Result, error) {
+	r, hit, err := c.do(context.Background(), k2, new(candTimings), func() (Result, error) {
 		return Result{Err: "recomputed"}, nil
 	})
 	if err != nil || hit || r.Err != "recomputed" {

@@ -100,7 +100,9 @@ type Result struct {
 
 // Statusz is the GET /v1/statusz body: the server-side counters operators
 // (and the break-even analysis) watch — how much work the cache absorbed and
-// how loaded each shard is.
+// how loaded each shard is. What each number is exported as, what a router
+// reports for it and whether it is a term of hits + misses + canceled ==
+// candidates is declared once, in ledger.go.
 type Statusz struct {
 	UptimeSec float64 `json:"uptime_sec"`
 	// Draining reports that Shutdown has started: the node still answers
@@ -111,79 +113,63 @@ type Statusz struct {
 	Requests   uint64 `json:"requests"`
 	Candidates uint64 `json:"candidates"`
 	// RejectedCandidates counts candidates refused by the admission gate
-	// (429). Rejected work was never accepted, so — like HandoffKeys — it is
-	// a parallel ledger outside the hits+misses+canceled == candidates
-	// reconciliation. On a router, the sum over reachable nodes.
+	// (429). Rejected work was never accepted.
 	RejectedCandidates uint64 `json:"rejected_candidates"`
 	// CacheHits/CacheMisses partition successfully served candidates;
 	// CacheCanceled counts candidates whose batch was canceled before the
-	// cache could serve them (so hits+misses+canceled reconciles with the
-	// candidates accepted); Entries is the current in-memory cache size.
+	// cache could serve them; Entries is the older name of CacheResident.
 	CacheHits     uint64 `json:"cache_hits"`
 	CacheMisses   uint64 `json:"cache_misses"`
 	CacheCanceled uint64 `json:"cache_canceled"`
 	CacheEntries  int    `json:"cache_entries"`
 	// CacheDiskHits is the subset of CacheHits served from the durable
 	// store rather than RAM (first touch of a key after a restart or after
-	// RAM eviction). It is a breakdown, not an extra term: the
-	// hits+misses+canceled == candidates reconciliation is unchanged.
+	// RAM eviction) — a breakdown, not an extra term.
 	CacheDiskHits uint64 `json:"cache_disk_hits"`
 	// CacheDiskEntries is the durable store's key count (0 without a
-	// -cache-dir); it can exceed CacheEntries, whose RAM map is bounded.
+	// -cache-dir); it can exceed CacheResident, which is bounded.
 	CacheDiskEntries int `json:"cache_disk_entries"`
 	// CacheResident is the ARC resident count (|T1|+|T2| — the results
-	// actually held in RAM). It equals CacheEntries; the explicit name
-	// exists so operators watching the memory bound don't have to know the
-	// legacy field's semantics. On a router, the sum over reachable nodes.
+	// actually held in RAM).
 	CacheResident int `json:"cache_resident"`
 	// CacheEvictions counts resident results demoted to ghosts (or dropped)
-	// by the ARC bound. An eviction serves no candidate, so — like
-	// HandoffKeys — it is a parallel ledger outside the
-	// hits+misses+canceled == candidates reconciliation.
+	// by the ARC bound.
 	CacheEvictions uint64 `json:"cache_evictions"`
 	// HandoffKeys: on a leaf server, results installed via /v1/ingest
 	// (warm-handoff replay into this node); on a router, results it
-	// replayed into rejoining nodes. Handoff moves cache contents without
-	// serving candidates, so it never enters the hit/miss reconciliation.
+	// replayed into rejoining nodes.
 	HandoffKeys uint64 `json:"handoff_keys"`
-	// Shards reports per-architecture worker pools (leaf servers only).
+	// Shards reports per-architecture worker pools (on a router, merged by
+	// arch).
 	Shards []ShardStatus `json:"shards"`
 	// Tenants partitions the candidate ledgers by tenant identity
 	// (X-Simtune-Tenant; unidentified traffic lands in "default"), sorted
-	// by tenant name. Per tenant, hits+misses+canceled == candidates
-	// reconciles exactly like the fleet-wide invariant; rejected stays a
-	// parallel ledger. On a router, per-node rows merged by tenant name.
+	// by tenant name; on a router, per-node rows merged by tenant name.
 	// Empty until the first batch arrives.
 	Tenants []TenantStatus `json:"tenants,omitempty"`
 	// Nodes reports the backing servers when this statusz comes from a
-	// routing tier; the counters above are then sums over reachable nodes.
+	// routing tier.
 	Nodes []NodeStatus `json:"nodes,omitempty"`
 	// Rerouted counts sub-batches a router re-sent to a ring successor
-	// after their owner failed (routing tier only).
+	// (routing tier only).
 	Rerouted uint64 `json:"rerouted,omitempty"`
 	// Stages summarizes the telemetry histograms (one row per metric series:
-	// per-stage, per-arch, per-outcome latency quantiles). Empty when the
-	// tier runs with telemetry disabled. The full mergeable histograms are on
-	// /v1/metricsz and the Prometheus rendering on /v1/metrics; statusz
-	// carries only the human-readable quantile summary.
+	// per-stage, per-arch, per-outcome latency quantiles). The full mergeable
+	// histograms are on /v1/metricsz and the Prometheus rendering on
+	// /v1/metrics; statusz carries only the human-readable quantile summary.
 	Stages []StageLatency `json:"stages,omitempty"`
 	// StoreLiveBytes/StoreTotalBytes report the durable store's segment
 	// footprint (live = still-referenced record bytes, total = bytes on
 	// disk including garbage awaiting compaction). Zero without -cache-dir.
 	StoreLiveBytes  int64 `json:"store_live_bytes,omitempty"`
 	StoreTotalBytes int64 `json:"store_total_bytes,omitempty"`
-	// StoreCompactions counts completed background segment compactions
-	// (the dead-bytes-threshold rewrites that keep TotalBytes near
-	// LiveBytes). Zero without -cache-dir.
+	// StoreCompactions counts completed background segment compactions.
 	StoreCompactions uint64 `json:"store_compactions,omitempty"`
 	// ReplicaKeys: on a router, entries it write-through-replicated or
-	// anti-entropy-repaired onto ring replicas. Replication moves cache
-	// contents without serving candidates, so like HandoffKeys it stays
-	// outside the hit/miss reconciliation. Leaf servers report 0 — their
-	// side of the traffic lands in HandoffKeys (the /v1/ingest ledger).
+	// anti-entropy-repaired onto ring replicas. Leaf servers report 0 —
+	// their side of the traffic lands in HandoffKeys.
 	ReplicaKeys uint64 `json:"replica_keys,omitempty"`
-	// AntiEntropyRounds counts completed anti-entropy rounds on this router
-	// (a round diffs /v1/keys between replicas and repairs the gaps).
+	// AntiEntropyRounds counts completed anti-entropy rounds on this router.
 	AntiEntropyRounds uint64 `json:"antientropy_rounds,omitempty"`
 }
 

@@ -156,7 +156,7 @@ func TestRouterRotatesOutDrainingNode(t *testing.T) {
 		ids[i] = "node-" + string(rune('a'+i))
 		backends[i] = servers[i]
 	}
-	rt, err := NewRouterBackends(ids, backends, RouterConfig{ProbeInterval: -1, DisableHandoff: true})
+	rt, err := NewRouterBackends(ids, backends, RouterConfig{ProbeInterval: -1, ReplicationFactor: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -39,7 +39,7 @@ func (t handlerTransport) RoundTrip(r *http.Request) (*http.Response, error) {
 // are the files under testdata/fuzz/FuzzParseKeyRange.
 func FuzzParseKeyRange(f *testing.F) {
 	backend := &rangeRecorder{}
-	h := backendHandler(backend, nil, false)
+	h := backendHandler(backend, newTelemetry(0, nil), false)
 	cl := &Client{BaseURL: "http://node", HTTPClient: &http.Client{Transport: handlerTransport{h}}}
 	f.Fuzz(func(t *testing.T, s string) {
 		lo, hi, err := parseKeyRange(s)

@@ -157,7 +157,7 @@ func TestRetryAfterTravelsTheWire(t *testing.T) {
 	// router's own Retry-After header (a "0" header would tell clients to
 	// hammer a saturated fleet immediately).
 	rt, err := NewRouterBackends([]string{"node-a"}, []Backend{NewClient(hs.URL)},
-		RouterConfig{ProbeInterval: -1, DisableHandoff: true})
+		RouterConfig{ProbeInterval: -1, ReplicationFactor: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -174,55 +174,39 @@ func newShard(prof hw.Profile, workers int) *shard {
 // pure function of the cache key, and a process-local override would poison
 // a cache shared across clients. Custom simulator backends belong behind
 // their own Backend implementation instead.
-// A non-nil tm records how long the candidate waited for a slot
-// (queue_wait) and how long the build+simulate took (simulate); nil tm
-// measures nothing.
+// tm records how long the candidate waited for a slot (queue_wait) and how
+// long the build+simulate took (simulate).
 func (sh *shard) exec(ctx context.Context, factory runner.WorkloadFactory, steps []schedule.Step, tm *candTimings) (Result, error) {
 	sh.queued.Add(1)
-	var q0 time.Time
-	if tm != nil {
-		q0 = time.Now()
-	}
+	q0 := time.Now()
 	select {
 	case sh.slots <- struct{}{}:
 		sh.queued.Add(-1)
-		if tm != nil {
-			tm.queueWait = time.Since(q0)
-		}
+		tm.queueWait = time.Since(q0)
 	case <-ctx.Done():
 		sh.queued.Add(-1)
-		if tm != nil {
-			tm.queueWait = time.Since(q0)
-		}
+		tm.queueWait = time.Since(q0)
 		return Result{}, ctx.Err()
 	}
 	sh.running.Add(1)
+	s0 := time.Now()
 	defer func() {
+		tm.simulate = time.Since(s0)
+		tm.simulated = true
 		sh.running.Add(-1)
 		<-sh.slots
 	}()
 
-	var s0 time.Time
-	if tm != nil {
-		s0 = time.Now()
-	}
-	done := func(r Result) Result {
-		if tm != nil {
-			tm.simulate = time.Since(s0)
-			tm.simulated = true
-		}
-		return r
-	}
 	build := sh.builder.Build([]runner.MeasureInput{{Factory: factory, Steps: steps}})[0]
 	if build.Err != nil {
-		return done(Result{Err: build.Err.Error()}), nil
+		return Result{Err: build.Err.Error()}, nil
 	}
 	st, err := sim.Run(build.Prog, sh.prof.Caches)
 	if err != nil {
-		return done(Result{Err: err.Error()}), nil
+		return Result{Err: err.Error()}, nil
 	}
 	sh.simulated.Add(1)
-	return done(Result{Stats: st}), nil
+	return Result{Stats: st}, nil
 }
 
 // status snapshots the shard's load counters.

@@ -265,16 +265,15 @@ func TestAntiEntropyHealsAroundPermanentLoss(t *testing.T) {
 	}
 }
 
-// TestReplicationDisabledByConfig pins the gates: RF=1 and DisableHandoff
-// both turn write-through off, and a negative RF is a construction error.
+// TestReplicationDisabledByConfig pins the gates: RF=1 turns write-through
+// off, and a negative RF is a construction error.
 func TestReplicationDisabledByConfig(t *testing.T) {
 	if _, err := NewRouterBackends([]string{"a"}, []Backend{Local()},
 		RouterConfig{ProbeInterval: -1, ReplicationFactor: -1}); err == nil {
 		t.Fatal("negative ReplicationFactor must be rejected")
 	}
 	for name, cfg := range map[string]RouterConfig{
-		"rf1":        {ProbeInterval: -1, ReplicationFactor: 1},
-		"no-handoff": {ProbeInterval: -1, DisableHandoff: true},
+		"rf1": {ProbeInterval: -1, ReplicationFactor: 1},
 	} {
 		servers := []*Server{
 			mustServer(t, Config{Archs: []isa.Arch{isa.RISCV}, WorkersPerArch: 2}),

@@ -4,6 +4,8 @@ import (
 	"context"
 	"fmt"
 	"net/http"
+	"slices"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -27,12 +29,6 @@ type RouterConfig struct {
 	ProbeInterval time.Duration
 	// HTTPClient overrides the transport shared by all node clients.
 	HTTPClient *http.Client
-	// DisableHandoff turns off the warm-handoff replay that runs when a
-	// node rejoins the ring. With handoff off, a rejoining node re-simulates
-	// the keys it owns (its misses) instead of receiving them from the
-	// successors that covered its range. It also disables replication and
-	// anti-entropy, which ride the same endpoint triple.
-	DisableHandoff bool
 	// ReplicationFactor is how many ring nodes hold each key: the owner
 	// plus RF-1 successors (default 2; clamped to the node count; 1 turns
 	// replication off; negative is a configuration error). Fresh results
@@ -45,12 +41,6 @@ type RouterConfig struct {
 	// 1m; negative disables the loop — antiEntropyOnce still works, which
 	// is what tests and operators drive directly).
 	AntiEntropyInterval time.Duration
-	// DisableTelemetry turns off the router-tier obs layer (histograms,
-	// traces). Node-side telemetry is each node's own setting.
-	DisableTelemetry bool
-	// TraceRingSize bounds the router's recent-trace ring behind GET
-	// /v1/traces (default 256; negative disables tracing, keeps metrics).
-	TraceRingSize int
 	// SlowBatchThreshold, when positive, logs one structured line per batch
 	// slower than it at the routing tier (same format as the node's).
 	SlowBatchThreshold time.Duration
@@ -77,9 +67,6 @@ func (c *RouterConfig) defaults() {
 	}
 	if c.AntiEntropyInterval == 0 {
 		c.AntiEntropyInterval = time.Minute
-	}
-	if c.TraceRingSize == 0 {
-		c.TraceRingSize = 256
 	}
 }
 
@@ -118,8 +105,8 @@ type Router struct {
 	// aeRounds counts completed anti-entropy rounds.
 	aeRounds atomic.Uint64
 
-	// tel is the routing-tier instrument panel (nil when disabled):
-	// per-outcome batch histograms, per-node dispatch histograms, and the
+	// tel is the routing-tier instrument panel: per-outcome batch
+	// histograms, per-node dispatch histograms, and the
 	// router's own trace ring. Telemetry here is per-batch/per-sub-batch
 	// only — the router does no per-candidate timing.
 	tel         *telemetry
@@ -140,7 +127,7 @@ type routerNode struct {
 	id      string
 	backend Backend
 	// dispatch records this node's sub-batch round-trip latency as seen from
-	// the router (nil when router telemetry is off).
+	// the router.
 	dispatch *obs.Histogram
 
 	up atomic.Bool
@@ -212,29 +199,27 @@ func NewRouterBackends(ids []string, backends []Backend, cfg RouterConfig) (*Rou
 	if cfg.ReplicationFactor > len(ids) {
 		cfg.ReplicationFactor = len(ids)
 	}
+	tel := newTelemetry(cfg.SlowBatchThreshold, nil)
+	stage := func(s string) *obs.Histogram { return tel.m.Histogram(metricStage, obs.Labels("stage", s)) }
 	rt := &Router{
-		cfg:   cfg,
-		ring:  newRing(ids, defaultRingReplicas),
-		nodes: make([]*routerNode, len(ids)),
-		start: time.Now(),
-		tel:   newTelemetry(cfg.DisableTelemetry, cfg.TraceRingSize, cfg.SlowBatchThreshold, nil),
+		cfg:         cfg,
+		ring:        newRing(ids, defaultRingReplicas),
+		nodes:       make([]*routerNode, len(ids)),
+		start:       time.Now(),
+		tel:         tel,
+		rtBatch:     make(map[string]*obs.Histogram),
+		rtSplit:     stage(stageSplit),
+		rtReroute:   stage(stageReroute),
+		rtReplicate: stage(stageReplicate),
+		rtAntiEnt:   stage(stageAntiEnt),
 	}
-	if rt.tel != nil {
-		rt.rtBatch = make(map[string]*obs.Histogram)
-		for _, o := range []string{"ok", "canceled", "error", "overloaded", "unserved", "undeliverable"} {
-			rt.rtBatch[o] = rt.tel.m.Histogram(metricRtBatch, obs.Labels("outcome", o))
-		}
-		rt.rtSplit = rt.tel.m.Histogram(metricStage, obs.Labels("stage", stageSplit))
-		rt.rtReroute = rt.tel.m.Histogram(metricStage, obs.Labels("stage", stageReroute))
-		rt.rtReplicate = rt.tel.m.Histogram(metricStage, obs.Labels("stage", stageReplicate))
-		rt.rtAntiEnt = rt.tel.m.Histogram(metricStage, obs.Labels("stage", stageAntiEnt))
+	for _, o := range []string{"ok", "canceled", "error", "overloaded", "unserved", "undeliverable"} {
+		rt.rtBatch[o] = tel.m.Histogram(metricRtBatch, obs.Labels("outcome", o))
 	}
 	for i := range ids {
-		rt.nodes[i] = &routerNode{id: ids[i], backend: backends[i]}
+		rt.nodes[i] = &routerNode{id: ids[i], backend: backends[i],
+			dispatch: tel.m.Histogram(metricRtDisp, obs.Labels("node", ids[i]))}
 		rt.nodes[i].up.Store(true)
-		if rt.tel != nil {
-			rt.nodes[i].dispatch = rt.tel.m.Histogram(metricRtDisp, obs.Labels("node", ids[i]))
-		}
 	}
 	// The lifecycle context outlives any single request: the prober and the
 	// anti-entropy loop both run under it, and Close cancels it. It exists
@@ -242,41 +227,34 @@ func NewRouterBackends(ids []string, backends []Backend, cfg RouterConfig) (*Rou
 	lifeCtx, cancel := context.WithCancel(context.Background())
 	rt.stopBG = cancel
 	if cfg.ProbeInterval > 0 {
-		rt.bg.Add(1)
-		go func() {
-			defer rt.bg.Done()
-			tick := time.NewTicker(cfg.ProbeInterval)
-			defer tick.Stop()
-			for {
-				select {
-				case <-lifeCtx.Done():
-					return
-				case <-tick.C:
-					// Fire-and-track: a slow rejoin replay on one node must
-					// not delay liveness updates for the others, so rounds
-					// may overlap (per-node replays stay single-flight).
-					rt.probe(lifeCtx)
-				}
-			}
-		}()
+		// Fire-and-track: a slow rejoin replay on one node must not delay
+		// liveness updates for the others, so rounds may overlap (per-node
+		// replays stay single-flight).
+		rt.every(lifeCtx, cfg.ProbeInterval, func() { rt.probe(lifeCtx) })
 	}
 	if cfg.AntiEntropyInterval > 0 && rt.replicationEnabled() {
-		rt.bg.Add(1)
-		go func() {
-			defer rt.bg.Done()
-			tick := time.NewTicker(cfg.AntiEntropyInterval)
-			defer tick.Stop()
-			for {
-				select {
-				case <-lifeCtx.Done():
-					return
-				case <-tick.C:
-					rt.antiEntropyOnce(lifeCtx)
-				}
-			}
-		}()
+		rt.every(lifeCtx, cfg.AntiEntropyInterval, func() { rt.antiEntropyOnce(lifeCtx) })
 	}
 	return rt, nil
+}
+
+// every runs f once per interval on a tracked background goroutine until ctx
+// is cancelled.
+func (rt *Router) every(ctx context.Context, interval time.Duration, f func()) {
+	rt.bg.Add(1)
+	go func() {
+		defer rt.bg.Done()
+		tick := time.NewTicker(interval)
+		defer tick.Stop()
+		for {
+			select {
+			case <-ctx.Done():
+				return
+			case <-tick.C:
+				f()
+			}
+		}
+	}()
 }
 
 // Close stops the background goroutines (health probe, anti-entropy loop).
@@ -337,7 +315,7 @@ func (rt *Router) probe(ctx context.Context) *sync.WaitGroup {
 				n.markDown(fmt.Errorf("draining"))
 				return
 			}
-			if n.up.Load() || rt.cfg.DisableHandoff {
+			if n.up.Load() {
 				n.markUp()
 				return
 			}
@@ -446,26 +424,31 @@ func (rt *Router) rejoin(ctx context.Context, idx int, n *routerNode) {
 func (rt *Router) inventories(ctx context.Context, skip int) map[int][]Key {
 	var mu sync.Mutex
 	invs := make(map[int][]Key, len(rt.nodes))
-	var wg sync.WaitGroup
-	for i, n := range rt.nodes {
+	rt.eachNode(func(i int, n *routerNode) {
 		hb, ok := n.backend.(HandoffBackend)
 		if !ok || i == skip || !n.up.Load() {
-			continue
+			return
 		}
-		wg.Add(1)
-		go func(i int, hb HandoffBackend) {
-			defer wg.Done()
-			keys, err := hb.Keys(ctx, 0, ^uint64(0))
-			if err != nil {
-				return
-			}
+		if keys, err := hb.Keys(ctx, 0, ^uint64(0)); err == nil {
 			mu.Lock()
 			invs[i] = keys
 			mu.Unlock()
-		}(i, hb)
+		}
+	})
+	return invs
+}
+
+// eachNode runs f for every node concurrently and returns when all are done.
+func (rt *Router) eachNode(f func(i int, n *routerNode)) {
+	var wg sync.WaitGroup
+	for i, n := range rt.nodes {
+		wg.Add(1)
+		go func(i int, n *routerNode) {
+			defer wg.Done()
+			f(i, n)
+		}(i, n)
 	}
 	wg.Wait()
-	return invs
 }
 
 // transfer is one planned copy into target: keys to fetch from source, or —
@@ -553,11 +536,8 @@ func (rt *Router) move(ctx context.Context, transfers []transfer, ledger *atomic
 }
 
 // replicationEnabled reports whether the ring keeps multiple copies of each
-// key. Replication rides the handoff endpoint triple, so DisableHandoff
-// turns it off too, and a single-node ring has nowhere to replicate to.
-func (rt *Router) replicationEnabled() bool {
-	return rt.cfg.ReplicationFactor > 1 && !rt.cfg.DisableHandoff && len(rt.nodes) > 1
-}
+// key (ReplicationFactor is already clamped to the node count).
+func (rt *Router) replicationEnabled() bool { return rt.cfg.ReplicationFactor > 1 }
 
 // liveReplicas returns the first ReplicationFactor live nodes on k's
 // successor walk (index 0 is the owner when it is up). Computing the replica
@@ -590,10 +570,7 @@ func (rt *Router) replicateFresh(ctx context.Context, keys []Key, results []Resu
 	if !rt.replicationEnabled() {
 		return
 	}
-	var r0 time.Time
-	if rt.tel != nil {
-		r0 = time.Now()
-	}
+	r0 := time.Now()
 	byTarget := make(map[int][]Entry)
 	seen := make(map[Key]bool, len(keys))
 	for i, k := range keys {
@@ -616,9 +593,7 @@ func (rt *Router) replicateFresh(ctx context.Context, keys []Key, results []Resu
 		transfers = append(transfers, transfer{source: -1, target: j, entries: entries})
 	}
 	rt.move(ctx, transfers, &rt.replicaKeys)
-	if rt.tel != nil {
-		rt.rtReplicate.Observe(time.Since(r0))
-	}
+	rt.rtReplicate.Observe(time.Since(r0))
 }
 
 // antiEntropyOnce runs one anti-entropy round: diff the live nodes' key
@@ -633,10 +608,7 @@ func (rt *Router) antiEntropyOnce(ctx context.Context) int {
 	if !rt.replicationEnabled() {
 		return 0
 	}
-	var a0 time.Time
-	if rt.tel != nil {
-		a0 = time.Now()
-	}
+	a0 := time.Now()
 	invs := rt.inventories(ctx, -1)
 	has := make([]map[Key]bool, len(rt.nodes))
 	for i, keys := range invs {
@@ -647,51 +619,67 @@ func (rt *Router) antiEntropyOnce(ctx context.Context) int {
 	}
 	moved, _ := rt.move(ctx, plan(invs, has, rt.liveReplicas), &rt.replicaKeys)
 	rt.aeRounds.Add(1)
-	if rt.tel != nil {
-		rt.rtAntiEnt.Observe(time.Since(a0))
-	}
+	rt.rtAntiEnt.Observe(time.Since(a0))
 	return moved
+}
+
+// action is what Router.Simulate does with one sub-batch's outcome.
+type action int
+
+const (
+	deliver      action = iota // place the results
+	callerCancel               // fail the batch: the caller gave up
+	routeAround                // 501: skip the node for this batch only
+	shed                       // 429: skip the node for this batch only
+	failRequest                // fail the batch: the request is defective
+	nodeFault                  // take the node out of rotation, retry on successors
+)
+
+// classify decides a sub-batch's action from the node's answer and whether
+// the caller's context is done. The order is the policy: the caller's
+// cancellation wins over any node error (it says nothing about node health,
+// so it never ejects a node or reroutes); a 501 or a 429 skips a healthy node
+// for this batch only — and 429 is retryable, so it is recognised before
+// generic retryability would call it a node fault; any other non-retryable
+// error is the node proving the request itself defective, which no replica
+// can help; what is left is a node fault, and its keys drain to successors.
+func classify(err error, callerDone bool) action {
+	switch {
+	case err == nil:
+		return deliver
+	case callerDone:
+		return callerCancel
+	case isUnserved(err):
+		return routeAround
+	case isOverloaded(err):
+		return shed
+	case !IsRetryable(err):
+		return failRequest
+	}
+	return nodeFault
 }
 
 // Simulate implements Backend: split the batch by ring owner, fan sub-batches
 // out to the owning nodes, re-assemble index-aligned. Node faults re-route
 // the failed sub-batch to each key's ring successors; request defects (4xx)
 // and the caller's own cancellation fail the batch immediately.
-func (rt *Router) Simulate(ctx context.Context, req *SimulateRequest) (*SimulateResponse, error) {
+func (rt *Router) Simulate(ctx context.Context, req *SimulateRequest) (_ *SimulateResponse, err error) {
 	// Telemetry opens first: the trace ID the client minted (or one minted
 	// here) is in ctx before any node call, so every dispatch — including
 	// reroute hops — carries the same X-Simtune-Trace identity downstream.
-	var batchStart time.Time
-	var tr *obs.ActiveTrace
-	var sig string
-	if rt.tel != nil {
-		batchStart = time.Now()
-		ctx, tr = rt.tel.startTrace(ctx, "router")
-		sig = req.Workload.signature()
-		tr.Describe(req.Arch, sig, len(req.Candidates))
-	}
-	finish := func(outcome string, err error) {
-		if rt.tel == nil {
-			return
-		}
-		dur := time.Since(batchStart)
-		tr.Finish(err)
-		rt.rtBatch[outcome].Observe(dur)
-		rt.tel.slowBatchLog(tr, dur, "router", req.Arch, sig, len(req.Candidates), err)
-	}
+	// Every way out seals the batch under the outcome in force at that point.
+	ctx, b := rt.tel.begin(ctx, "router", req)
+	outcome := "error"
+	defer func() { b.finish(rt.rtBatch[outcome], err) }()
 
 	// Validate up front so malformed requests are rejected at the routing
 	// tier — they must never count as node faults or trigger failover.
 	arch, err := isa.ParseArch(req.Arch)
 	if err != nil {
-		err = fmt.Errorf("service: %w", badRequestf("%v", err))
-		finish("error", err)
-		return nil, err
+		return nil, fmt.Errorf("service: %w", badRequestf("%v", err))
 	}
 	if _, err := req.Workload.Factory(); err != nil {
-		err = fmt.Errorf("service: %w", badRequestf("%v", err))
-		finish("error", err)
-		return nil, err
+		return nil, fmt.Errorf("service: %w", badRequestf("%v", err))
 	}
 	rt.requests.Add(1)
 	rt.candidates.Add(uint64(len(req.Candidates)))
@@ -701,10 +689,7 @@ func (rt *Router) Simulate(ctx context.Context, req *SimulateRequest) (*Simulate
 	// Keys are kept for failover; the successor walk itself is deferred to
 	// the (rare) rounds where a key's owner is down, keeping the
 	// all-nodes-up hot path to one hash and one ring lookup per candidate.
-	var sp0 time.Time
-	if rt.tel != nil {
-		sp0 = time.Now()
-	}
+	sp0 := time.Now()
 	caches := hw.Lookup(arch).Caches
 	prefix := keyPrefix(make([]byte, 0, 128), arch, caches, req.Workload)
 	keys := make([]Key, len(req.Candidates))
@@ -713,11 +698,9 @@ func (rt *Router) Simulate(ctx context.Context, req *SimulateRequest) (*Simulate
 		keys[i] = candidateKey(prefix, c.Steps)
 		remaining[i] = i
 	}
-	if rt.tel != nil {
-		spDur := time.Since(sp0)
-		rt.rtSplit.Observe(spDur)
-		tr.Span(stageSplit, sp0, spDur, len(req.Candidates), "")
-	}
+	spDur := time.Since(sp0)
+	rt.rtSplit.Observe(spDur)
+	b.tr.Span(stageSplit, sp0, spDur, len(req.Candidates), "")
 
 	results := make([]Result, len(req.Candidates))
 	// servedBy records which node produced each result so the write-through
@@ -746,10 +729,9 @@ func (rt *Router) Simulate(ctx context.Context, req *SimulateRequest) (*Simulate
 	}
 	for attempt := 0; len(remaining) > 0; attempt++ {
 		if attempt > len(rt.nodes) {
-			err := fmt.Errorf("service: %w",
+			outcome = "undeliverable"
+			return nil, fmt.Errorf("service: %w",
 				unavailablef("batch undeliverable after %d failover rounds", attempt))
-			finish("undeliverable", err)
-			return nil, err
 		}
 		groups := make(map[int][]int)
 		for _, i := range remaining {
@@ -759,24 +741,23 @@ func (rt *Router) Simulate(ctx context.Context, req *SimulateRequest) (*Simulate
 					// Every live node is saturated: propagate the 429 (with
 					// its Retry-After) so the client backs off and retries —
 					// the fleet is healthy, just full.
-					finish("overloaded", overloadErr)
+					outcome = "overloaded"
 					return nil, overloadErr
 				}
 				if unservedErr != nil {
 					// Every live node declined the arch: the fleet's config,
 					// not its health, fails this batch — report the stable
 					// 501 so clients do not spin on retries.
-					finish("unserved", unservedErr)
+					outcome = "unserved"
 					return nil, unservedErr
 				}
-				err := fmt.Errorf("service: %w", unavailablef("no live nodes (of %d)", len(rt.nodes)))
-				finish("undeliverable", err)
-				return nil, err
+				outcome = "undeliverable"
+				return nil, fmt.Errorf("service: %w", unavailablef("no live nodes (of %d)", len(rt.nodes)))
 			}
 			groups[n] = append(groups[n], i)
 		}
 
-		type outcome struct {
+		type reply struct {
 			node int
 			idx  []int
 			resp *SimulateResponse
@@ -784,7 +765,7 @@ func (rt *Router) Simulate(ctx context.Context, req *SimulateRequest) (*Simulate
 			t0   time.Time
 			dur  time.Duration
 		}
-		ch := make(chan outcome, len(groups))
+		ch := make(chan reply, len(groups))
 		for n, idx := range groups {
 			go func(n int, idx []int) {
 				sub := &SimulateRequest{Arch: req.Arch, Workload: req.Workload,
@@ -792,84 +773,59 @@ func (rt *Router) Simulate(ctx context.Context, req *SimulateRequest) (*Simulate
 				for j, i := range idx {
 					sub.Candidates[j] = req.Candidates[i]
 				}
-				var t0 time.Time
-				if rt.tel != nil {
-					t0 = time.Now()
-				}
+				t0 := time.Now()
 				resp, err := rt.nodes[n].backend.Simulate(ctx, sub)
-				var dur time.Duration
-				if rt.tel != nil {
-					dur = time.Since(t0)
-					rt.nodes[n].dispatch.Observe(dur)
-					tr.Span(stageDispatch, t0, dur, len(idx), rt.nodes[n].id)
-				}
+				dur := time.Since(t0)
+				rt.nodes[n].dispatch.Observe(dur)
+				b.tr.Span(stageDispatch, t0, dur, len(idx), rt.nodes[n].id)
 				if err == nil && len(resp.Results) != len(idx) {
 					err = fmt.Errorf("service: node %s returned %d results for %d candidates",
 						rt.nodes[n].id, len(resp.Results), len(idx))
 				}
-				ch <- outcome{node: n, idx: idx, resp: resp, err: err, t0: t0, dur: dur}
+				ch <- reply{node: n, idx: idx, resp: resp, err: err, t0: t0, dur: dur}
 			}(n, idx)
 		}
 
-		reroute := func(o outcome) {
-			rt.rerouted.Add(1)
-			if rt.tel != nil {
-				// The reroute span carries the failed dispatch's cost — the
-				// latency this batch paid before its keys moved on.
-				rt.rtReroute.Observe(o.dur)
-				tr.Span(stageReroute, o.t0, o.dur, len(o.idx), rt.nodes[o.node].id)
-			}
-		}
 		var retry []int
 		var batchErr error
+		// reroute sends a sub-batch's keys round again. Its span carries the
+		// failed dispatch's cost — the latency this batch paid before its
+		// keys moved on.
+		reroute := func(o reply) {
+			rt.rerouted.Add(1)
+			rt.rtReroute.Observe(o.dur)
+			b.tr.Span(stageReroute, o.t0, o.dur, len(o.idx), rt.nodes[o.node].id)
+			retry = append(retry, o.idx...)
+		}
 		for range groups {
 			o := <-ch
-			switch {
-			case o.err == nil:
+			switch classify(o.err, ctx.Err() != nil) {
+			case deliver:
 				for j, i := range o.idx {
 					results[i] = o.resp.Results[j]
 					servedBy[i] = o.node
 				}
 				rt.nodes[o.node].candidates.Add(uint64(len(o.idx)))
-			case ctx.Err() != nil:
-				// The caller canceled; says nothing about node health.
+			case callerCancel, failRequest:
 				if batchErr == nil {
 					batchErr = o.err
 				}
-			case isUnserved(o.err):
-				// The node is healthy but its operator config does not
-				// serve this arch: route around it for this batch only.
+			case routeAround:
 				excluded[o.node] = true
 				unservedErr = o.err
 				reroute(o)
-				retry = append(retry, o.idx...)
-			case isOverloaded(o.err):
-				// The node's admission gate is full — a load fact, not a
-				// fault. Shed this batch to ring successors without ejecting
-				// the node; if every live node is saturated, the 429 (and its
-				// Retry-After) propagates so the client paces itself.
+			case shed:
 				excluded[o.node] = true
 				overloadErr = o.err
 				reroute(o)
-				retry = append(retry, o.idx...)
-			case !IsRetryable(o.err):
-				// The node proved the request itself defective — not the
-				// node's fault; fail the batch.
-				if batchErr == nil {
-					batchErr = o.err
-				}
-			default:
-				// Node fault: out of rotation, keys drain to ring successors.
+			case nodeFault:
 				rt.nodes[o.node].markDown(o.err)
 				reroute(o)
-				retry = append(retry, o.idx...)
 			}
 		}
 		if batchErr != nil {
 			if ctx.Err() != nil {
-				finish("canceled", batchErr)
-			} else {
-				finish("error", batchErr)
+				outcome = "canceled"
 			}
 			return nil, batchErr
 		}
@@ -880,17 +836,13 @@ func (rt *Router) Simulate(ctx context.Context, req *SimulateRequest) (*Simulate
 	// reconcile at every instant, and a node lost the moment after a batch
 	// completes has already been covered.
 	rt.replicateFresh(ctx, keys, results, servedBy)
-	finish("ok", nil)
+	outcome = "ok"
 	return &SimulateResponse{Results: results}, nil
 }
 
-// Statusz implements Backend: the router's own routing counters plus the
-// reachable nodes' counters summed — cache hits/misses/canceled and entries
-// across the fleet, and per-arch shard loads merged by architecture — with a
-// per-node breakdown in Nodes. Unreachable nodes are reported but not
-// summed (their counters are unknowable, not zero).
-func (rt *Router) Statusz(ctx context.Context) (*Statusz, error) {
-	agg := &Statusz{
+// ledgers reads the router's own counters into the statusz shape.
+func (rt *Router) ledgers() *Statusz {
+	return &Statusz{
 		UptimeSec:         time.Since(rt.start).Seconds(),
 		Requests:          rt.requests.Load(),
 		Candidates:        rt.candidates.Load(),
@@ -899,71 +851,64 @@ func (rt *Router) Statusz(ctx context.Context) (*Statusz, error) {
 		ReplicaKeys:       rt.replicaKeys.Load(),
 		AntiEntropyRounds: rt.aeRounds.Load(),
 	}
+}
+
+// Statusz implements Backend: the router's own routing counters plus the
+// reachable nodes' counters summed — cache hits/misses/canceled and entries
+// across the fleet, and per-arch shard loads merged by architecture — with a
+// per-node breakdown in Nodes. Unreachable nodes are reported but not
+// summed (their counters are unknowable, not zero).
+func (rt *Router) Statusz(ctx context.Context) (*Statusz, error) {
+	agg := rt.ledgers()
 	type nodeStatusz struct {
 		st  *Statusz
 		err error
 	}
 	polled := make([]nodeStatusz, len(rt.nodes))
-	var wg sync.WaitGroup
-	for i, n := range rt.nodes {
-		wg.Add(1)
-		go func(i int, n *routerNode) {
-			defer wg.Done()
-			polled[i].st, polled[i].err = n.backend.Statusz(ctx)
-		}(i, n)
-	}
-	wg.Wait()
+	rt.eachNode(func(i int, n *routerNode) { polled[i].st, polled[i].err = n.backend.Statusz(ctx) })
 
-	shardByArch := make(map[string]*ShardStatus)
-	tenantByName := make(map[string]*TenantStatus)
-	var shardOrder []string
 	for i, n := range rt.nodes {
 		ns := n.status()
 		if polled[i].err != nil {
 			ns.Up = false
 			ns.LastErr = polled[i].err.Error()
-		} else {
-			st := polled[i].st
-			ns.Draining = st.Draining
-			agg.RejectedCandidates += st.RejectedCandidates
-			agg.CacheHits += st.CacheHits
-			agg.CacheMisses += st.CacheMisses
-			agg.CacheCanceled += st.CacheCanceled
-			agg.CacheEntries += st.CacheEntries
-			agg.CacheDiskHits += st.CacheDiskHits
-			agg.CacheDiskEntries += st.CacheDiskEntries
-			agg.CacheResident += st.CacheResident
-			agg.CacheEvictions += st.CacheEvictions
-			agg.StoreCompactions += st.StoreCompactions
-			for _, sh := range st.Shards {
-				m, ok := shardByArch[sh.Arch]
-				if !ok {
-					m = &ShardStatus{Arch: sh.Arch}
-					shardByArch[sh.Arch] = m
-					shardOrder = append(shardOrder, sh.Arch)
-				}
-				m.Workers += sh.Workers
-				m.Queued += sh.Queued
-				m.Running += sh.Running
-				m.Simulated += sh.Simulated
-			}
-			mergeTenantStatus(tenantByName, st.Tenants)
+			agg.Nodes = append(agg.Nodes, ns)
+			continue
 		}
+		st := polled[i].st
+		ns.Draining = st.Draining
 		agg.Nodes = append(agg.Nodes, ns)
+		sumLedgers(statuszLedgers, agg, st)
+		// Shard rows merge by arch and tenant rows by tenant name: a key the
+		// aggregate has not seen is appended bare, then the node's row is
+		// summed into it — per tenant the fleet view reconciles like a node's.
+		for i := range st.Shards {
+			sh := &st.Shards[i]
+			j := slices.IndexFunc(agg.Shards, func(a ShardStatus) bool { return a.Arch == sh.Arch })
+			if j < 0 {
+				j, agg.Shards = len(agg.Shards), append(agg.Shards, ShardStatus{Arch: sh.Arch})
+			}
+			sumLedgers(shardLedgers, &agg.Shards[j], sh)
+		}
+		for i := range st.Tenants {
+			ts := &st.Tenants[i]
+			j := slices.IndexFunc(agg.Tenants, func(a TenantStatus) bool { return a.Tenant == ts.Tenant })
+			if j < 0 {
+				j, agg.Tenants = len(agg.Tenants), append(agg.Tenants, TenantStatus{Tenant: ts.Tenant})
+			}
+			// Weights are per-node configuration and homogeneous fleets
+			// agree; the router reports the max it saw.
+			agg.Tenants[j].Weight = max(agg.Tenants[j].Weight, ts.Weight)
+			sumLedgers(tenantLedgers, &agg.Tenants[j], ts)
+		}
 	}
-	for _, arch := range shardOrder {
-		agg.Shards = append(agg.Shards, *shardByArch[arch])
-	}
-	// Per-tenant ledgers merge by tenant name exactly like shards merge by
-	// arch: the fleet view of each tenant's candidates/hits/misses/canceled
-	// (reconciling per tenant) and rejected (the fairness gate's shed work).
-	agg.Tenants = sortedTenantStatus(tenantByName)
+	sort.Slice(agg.Tenants, func(i, j int) bool { return agg.Tenants[i].Tenant < agg.Tenants[j].Tenant })
 	// Stages on a router statusz summarizes the routing tier's own
 	// histograms (split, dispatch, reroute, per-outcome batches). The exact
 	// fleet-wide merge — node histograms folded bucket-wise — lives on
 	// /v1/metrics; quantiles cannot be merged after summarization, so they
 	// are never summed here.
-	agg.Stages = stageLatencies(rt.tel.histSnapshot())
+	agg.Stages = stageLatencies(rt.tel.m.Snapshot())
 	return agg, nil
 }
 
@@ -975,34 +920,18 @@ func (rt *Router) Statusz(ctx context.Context) (*Statusz, error) {
 // Unreachable nodes and nodes without a telemetry surface are skipped, like
 // Statusz skips their counters.
 func (rt *Router) MetricsSnapshot(ctx context.Context) (*obs.MetricsSnapshot, error) {
-	snap := &obs.MetricsSnapshot{Hists: rt.tel.histSnapshot()}
-	counter := func(name string, v uint64) {
-		snap.Counters = append(snap.Counters, obs.ScalarMetric{Name: name, Value: float64(v)})
-	}
-	counter("simtune_router_requests_total", rt.requests.Load())
-	counter("simtune_router_candidates_total", rt.candidates.Load())
-	counter("simtune_router_rerouted_total", rt.rerouted.Load())
-	counter("simtune_router_handoff_keys_total", rt.handoffKeys.Load())
-	counter("simtune_router_replica_keys_total", rt.replicaKeys.Load())
-	counter("simtune_router_antientropy_rounds_total", rt.aeRounds.Load())
+	snap := &obs.MetricsSnapshot{Hists: rt.tel.m.Snapshot()}
+	exportLedgers(snap, statuszLedgers, rt.ledgers(), "", func(l ledger) string { return l.router })
 	snap.Gauges = append(snap.Gauges, obs.RuntimeGauges()...)
 
 	polled := make([]*obs.MetricsSnapshot, len(rt.nodes))
-	var wg sync.WaitGroup
-	for i, n := range rt.nodes {
-		mb, ok := n.backend.(MetricsBackend)
-		if !ok || !n.up.Load() {
-			continue
-		}
-		wg.Add(1)
-		go func(i int, mb MetricsBackend) {
-			defer wg.Done()
+	rt.eachNode(func(i int, n *routerNode) {
+		if mb, ok := n.backend.(MetricsBackend); ok && n.up.Load() {
 			if s, err := mb.MetricsSnapshot(ctx); err == nil {
 				polled[i] = s
 			}
-		}(i, mb)
-	}
-	wg.Wait()
+		}
+	})
 	for _, s := range polled {
 		snap.Merge(s)
 	}

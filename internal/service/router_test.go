@@ -3,10 +3,12 @@ package service
 import (
 	"context"
 	"errors"
+	"fmt"
 	"net/http/httptest"
 	"reflect"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/isa"
 	"repro/internal/te"
@@ -473,6 +475,36 @@ func TestRouterSmoke(t *testing.T) {
 	for _, sh := range agg.Shards {
 		if sh.Arch == "riscv" && sh.Workers != 3*2 {
 			t.Fatalf("aggregated shard workers = %d, want 6", sh.Workers)
+		}
+	}
+}
+
+// TestClassify walks Router.Simulate's decision table case by case, without
+// a fleet — including the two orderings that matter: the caller's
+// cancellation wins over any node error, and 429 (which is retryable) is
+// recognised before generic retryability would call it a node fault.
+func TestClassify(t *testing.T) {
+	wrap := func(e *Error) error { return fmt.Errorf("service: %w", e) }
+	for _, tc := range []struct {
+		name       string
+		err        error
+		callerDone bool
+		want       action
+	}{
+		{"results", nil, false, deliver},
+		{"results that beat the caller's cancellation", nil, true, deliver},
+		{"501", wrap(unservedf("arch x86 not served")), false, routeAround},
+		{"429 is shed, not a node fault", wrap(overloadedf(time.Second, "overloaded")), false, shed},
+		{"400", wrap(badRequestf("unknown arch")), false, failRequest},
+		{"503", wrap(unavailablef("draining")), false, nodeFault},
+		{"unclassified transport error", errors.New("connection reset"), false, nodeFault},
+		{"caller canceled, node said 503", wrap(unavailablef("batch canceled")), true, callerCancel},
+		{"caller canceled, node said 429", wrap(overloadedf(time.Second, "overloaded")), true, callerCancel},
+		{"caller canceled, node said 400", wrap(badRequestf("unknown arch")), true, callerCancel},
+		{"caller canceled, transport error", context.Canceled, true, callerCancel},
+	} {
+		if got := classify(tc.err, tc.callerDone); got != tc.want {
+			t.Errorf("%s: classify = %d, want %d", tc.name, got, tc.want)
 		}
 	}
 }

@@ -36,7 +36,7 @@ type Server struct {
 	disk   *Store // nil without CacheDir; also reachable as cache.disk
 	start  time.Time
 	admit  admission
-	tel    *telemetry // nil when Config.DisableTelemetry
+	tel    *telemetry
 	// tenants partitions the candidate ledgers by tenant identity — the
 	// per-tenant view of the same accounting the fields below keep globally.
 	tenants *tenantSet
@@ -70,14 +70,13 @@ func NewServer(cfg Config) (*Server, error) {
 		return nil, fmt.Errorf("service: MaxResidentResults must be >= 0, got %d", cfg.MaxResidentResults)
 	}
 	cfg.defaults()
-	tel := newTelemetry(cfg.DisableTelemetry, cfg.TraceRingSize, cfg.SlowBatchThreshold, cfg.Archs)
+	tel := newTelemetry(cfg.SlowBatchThreshold, cfg.Archs)
 	var disk *Store
 	if cfg.CacheDir != "" {
 		var err error
 		disk, err = OpenStore(cfg.CacheDir, StoreOptions{
 			MaxSegmentBytes: cfg.CacheSegmentBytes, WrapFile: cfg.StoreWrapFile,
-			WriteHist:   tel.storeWriteHist(),
-			CompactHist: tel.storeCompactHist(),
+			WriteHist: tel.storeWrite, CompactHist: tel.storeCompact,
 		})
 		if err != nil {
 			return nil, err
@@ -180,7 +179,7 @@ func (s *Server) Draining() bool {
 // +Inf and tuners permanently discard. A canceled batch says nothing about
 // any candidate's viability, so it must surface as a batch-level error the
 // caller can retry.
-func (s *Server) Simulate(ctx context.Context, req *SimulateRequest) (*SimulateResponse, error) {
+func (s *Server) Simulate(ctx context.Context, req *SimulateRequest) (_ *SimulateResponse, err error) {
 	// Drain gate first: once Shutdown has started, no new batch may join
 	// the in-flight set. The 503 is retryable — a router fails the batch
 	// over to ring successors, exactly like a node that is already gone.
@@ -193,23 +192,15 @@ func (s *Server) Simulate(ctx context.Context, req *SimulateRequest) (*SimulateR
 	s.drainMu.RUnlock()
 	defer s.inflight.Done()
 
-	// Telemetry opens before validation so even malformed batches leave a
-	// trace (tier "node", the context's trace ID or a freshly minted one).
-	var batchStart time.Time
-	var tr *obs.ActiveTrace
-	var sig string // what the trace and the slow-batch line call the workload
-	if s.tel != nil {
-		batchStart = time.Now()
-		ctx, tr = s.tel.startTrace(ctx, "node")
-		sig = req.Workload.signature()
-		tr.Describe(req.Arch, sig, len(req.Candidates))
-	}
+	// Every way out of here seals the batch's telemetry, under the outcome
+	// series in force at that point (none until the arch is known).
+	ctx, b := s.tel.begin(ctx, "node", req)
+	var outcome *obs.Histogram
+	defer func() { b.finish(outcome, err) }()
 
 	arch, err := isa.ParseArch(req.Arch)
 	if err != nil {
-		err = fmt.Errorf("service: %w", badRequestf("%v", err))
-		s.tel.finishBatch(tr, nil, nil, batchStart, "node", req.Arch, sig, len(req.Candidates), err)
-		return nil, err
+		return nil, fmt.Errorf("service: %w", badRequestf("%v", err))
 	}
 	sh, ok := s.shards[arch]
 	if !ok {
@@ -217,19 +208,14 @@ func (s *Server) Simulate(ctx context.Context, req *SimulateRequest) (*SimulateR
 		// deployment fact, not a request defect and not a node fault — a
 		// router tries a differently-configured replica without taking this
 		// node out of rotation.
-		err := fmt.Errorf("service: %w",
+		return nil, fmt.Errorf("service: %w",
 			unservedf("arch %s not served (configured: %v)", arch, s.cfg.Archs))
-		s.tel.finishBatch(tr, nil, nil, batchStart, "node", req.Arch, sig, len(req.Candidates), err)
-		return nil, err
 	}
-	at := s.tel.forArch(arch)
+	at := s.tel.arch[arch]
+	outcome = at.batchError
 	factory, err := req.Workload.Factory()
 	if err != nil {
-		err = fmt.Errorf("service: %w", badRequestf("%v", err))
-		if at != nil {
-			s.tel.finishBatch(tr, nil, at.batchError, batchStart, "node", req.Arch, sig, len(req.Candidates), err)
-		}
-		return nil, err
+		return nil, fmt.Errorf("service: %w", badRequestf("%v", err))
 	}
 	// Admission: the request is well-formed but the tenant's share of the
 	// gate is full — refuse rather than queue without bound. The gate is
@@ -240,41 +226,25 @@ func (s *Server) Simulate(ctx context.Context, req *SimulateRequest) (*SimulateR
 	// candidates invariant is untouched.
 	tenant := tenantOf(ctx)
 	tl := s.tenants.get(tenant, s.tel)
-	var adm0 time.Time
-	if s.tel != nil {
-		adm0 = time.Now()
-	}
+	adm0 := time.Now()
 	if !s.admit.tryAcquire(tenant, len(req.Candidates)) {
 		s.rejected.Add(uint64(len(req.Candidates)))
 		tl.rejected.Add(uint64(len(req.Candidates)))
-		err := fmt.Errorf("service: %w", overloadedf(s.cfg.RetryAfterHint,
+		outcome = at.batchRejected
+		return nil, fmt.Errorf("service: %w", overloadedf(s.cfg.RetryAfterHint,
 			"overloaded: %d candidates admitted (max %d, tenant %s over fair share)",
 			s.admit.cur.Load(), s.cfg.MaxQueuedCandidates, tenant))
-		if at != nil {
-			s.tel.finishBatch(tr, nil, at.batchRejected, batchStart, "node", req.Arch, sig, len(req.Candidates), err)
-		}
-		return nil, err
 	}
-	if at != nil {
-		admDur := time.Since(adm0)
-		at.admission.Observe(admDur)
-		tr.Span(stageAdmission, adm0, admDur, 1, "")
-	}
+	admDur := time.Since(adm0)
+	at.admission.Observe(admDur)
+	b.tr.Span(stageAdmission, adm0, admDur, 1, "")
 	defer s.admit.release(tenant, len(req.Candidates))
 	s.requests.Add(1)
 	s.candidates.Add(uint64(len(req.Candidates)))
 	tl.candidates.Add(uint64(len(req.Candidates)))
 
-	// Per-candidate timing state: one slice allocation per batch, nil slots
-	// when telemetry is off (candTimings pointers then disable every
-	// measurement point down the doTimed/exec path).
-	var tms []candTimings
-	var agg *batchAgg
-	if at != nil {
-		tms = make([]candTimings, len(req.Candidates))
-		agg = &batchAgg{}
-	}
-
+	// Per-candidate timing state: one slice allocation per batch.
+	tms := make([]candTimings, len(req.Candidates))
 	results := make([]Result, len(req.Candidates))
 	prefix := keyPrefix(make([]byte, 0, 128), arch, sh.prof.Caches, req.Workload)
 	var mu sync.Mutex
@@ -284,20 +254,13 @@ func (s *Server) Simulate(ctx context.Context, req *SimulateRequest) (*SimulateR
 		dispatched.Add(1)
 		steps := req.Candidates[i].Steps
 		key := candidateKey(prefix, steps)
-		var tm *candTimings
-		var c0 time.Time
-		if at != nil {
-			tm = &tms[i]
-			c0 = time.Now()
-		}
-		r, hit, err := s.cache.doTimed(ctx, key, tm, func() (Result, error) {
+		tm := &tms[i]
+		c0 := time.Now()
+		r, hit, err := s.cache.do(ctx, key, tm, func() (Result, error) {
 			return sh.exec(ctx, factory, steps, tm)
 		})
-		var total time.Duration
-		if at != nil {
-			total = time.Since(c0)
-			at.record(agg, tm, total, hit, err)
-		}
+		total := time.Since(c0)
+		at.record(&b.agg, tm, total, hit, err)
 		tl.recordServe(total, hit, err)
 		if err != nil {
 			// Only cancellation reaches here (deterministic failures travel
@@ -324,20 +287,24 @@ func (s *Server) Simulate(ctx context.Context, req *SimulateRequest) (*SimulateR
 		undispatched := uint64(len(req.Candidates)) - dispatched.Load()
 		s.cache.canceled.Add(undispatched)
 		tl.canceled.Add(undispatched)
-		err := fmt.Errorf("service: %w", unavailablef("batch canceled: %v", perr))
-		if at != nil {
-			s.tel.finishBatch(tr, agg, at.batchCanceled, batchStart, "node", req.Arch, sig, len(req.Candidates), err)
-		}
-		return nil, err
+		outcome = at.batchCanceled
+		return nil, fmt.Errorf("service: %w", unavailablef("batch canceled: %v", perr))
 	}
-	if at != nil {
-		s.tel.finishBatch(tr, agg, at.batchOK, batchStart, "node", req.Arch, sig, len(req.Candidates), nil)
-	}
+	outcome = at.batchOK
 	return &SimulateResponse{Results: results}, nil
 }
 
 // Statusz implements Backend.
 func (s *Server) Statusz(context.Context) (*Statusz, error) {
+	st := s.ledgers()
+	st.Stages = stageLatencies(s.tel.m.Snapshot())
+	return st, nil
+}
+
+// ledgers reads every counter and gauge of the node into the statusz shape —
+// the one place the atomics are read; the metrics scrape below is derived
+// from the same value through the ledger declaration.
+func (s *Server) ledgers() *Statusz {
 	st := &Statusz{
 		UptimeSec:          time.Since(s.start).Seconds(),
 		Draining:           s.Draining(),
@@ -362,63 +329,34 @@ func (s *Server) Statusz(context.Context) (*Statusz, error) {
 		st.Shards = append(st.Shards, s.shards[arch].status())
 	}
 	st.Tenants = s.tenantStatuses()
-	st.Stages = stageLatencies(s.tel.histSnapshot())
-	return st, nil
+	return st
 }
 
 // MetricsSnapshot implements MetricsBackend: every telemetry histogram plus
 // the server's counters and gauges as one mergeable snapshot — the
 // /v1/metricsz body a router folds into its fleet view. The counters mirror
 // statusz (they are the same atomics); the histograms exist only here and
-// on /v1/metrics. Works with telemetry disabled too (counters and gauges
-// only).
+// on /v1/metrics. The tenant serve-latency histograms are already in Hists
+// via the registry snapshot; series with the same (name, labels) merge
+// bucket-wise across nodes like every other histogram, so fleet-level
+// per-tenant quantiles stay exact.
 func (s *Server) MetricsSnapshot(context.Context) (*obs.MetricsSnapshot, error) {
-	snap := &obs.MetricsSnapshot{Hists: s.tel.histSnapshot()}
-	counter := func(name, labels string, v uint64) {
-		snap.Counters = append(snap.Counters, obs.ScalarMetric{Name: name, Labels: labels, Value: float64(v)})
+	snap := &obs.MetricsSnapshot{Hists: s.tel.m.Snapshot()}
+	st := s.ledgers()
+	nodeSeries := func(l ledger) string {
+		if l.disk && s.disk == nil {
+			return ""
+		}
+		return l.series
 	}
-	gauge := func(name, labels string, v float64) {
-		snap.Gauges = append(snap.Gauges, obs.ScalarMetric{Name: name, Labels: labels, Value: v})
+	exportLedgers(snap, statuszLedgers, st, "", nodeSeries)
+	snap.Gauges = append(snap.Gauges, obs.ScalarMetric{
+		Name: "simtune_admitted_candidates", Value: float64(s.admit.cur.Load())})
+	for i := range st.Shards {
+		exportLedgers(snap, shardLedgers, &st.Shards[i], obs.Labels("arch", st.Shards[i].Arch), nodeSeries)
 	}
-	counter("simtune_requests_total", "", s.requests.Load())
-	counter("simtune_candidates_total", "", s.candidates.Load())
-	counter("simtune_rejected_candidates_total", "", s.rejected.Load())
-	counter("simtune_cache_hits_total", "", s.cache.hits.Load())
-	counter("simtune_cache_misses_total", "", s.cache.misses.Load())
-	counter("simtune_cache_canceled_total", "", s.cache.canceled.Load())
-	counter("simtune_cache_disk_hits_total", "", s.cache.diskHits.Load())
-	counter("simtune_cache_evictions_total", "", s.cache.evictions.Load())
-	counter("simtune_handoff_keys_total", "", s.cache.handoffKeys.Load())
-	gauge("simtune_admitted_candidates", "", float64(s.admit.cur.Load()))
-	gauge("simtune_cache_entries", "", float64(s.cache.len()))
-	gauge("simtune_cache_resident", "", float64(s.cache.len()))
-	for _, arch := range s.cfg.Archs {
-		sh := s.shards[arch]
-		l := obs.Labels("arch", string(arch))
-		counter("simtune_simulated_total", l, sh.simulated.Load())
-		gauge("simtune_queue_depth", l, float64(sh.queued.Load()))
-		gauge("simtune_running", l, float64(sh.running.Load()))
-	}
-	// Per-tenant ledgers as tenant-labeled series. The tenant serve-latency
-	// histograms (simtune_tenant_serve_seconds) are already in Hists via the
-	// registry snapshot; series with the same (name, labels) merge
-	// bucket-wise across nodes like every other histogram, so fleet-level
-	// per-tenant quantiles stay exact.
-	for _, tl := range s.tenants.snapshot() {
-		l := obs.Labels("tenant", tl.name)
-		counter("simtune_tenant_candidates_total", l, tl.candidates.Load())
-		counter("simtune_tenant_rejected_candidates_total", l, tl.rejected.Load())
-		counter("simtune_tenant_cache_hits_total", l, tl.hits.Load())
-		counter("simtune_tenant_cache_misses_total", l, tl.misses.Load())
-		counter("simtune_tenant_cache_canceled_total", l, tl.canceled.Load())
-		gauge("simtune_tenant_admitted_candidates", l, float64(s.admit.admitted(tl.name)))
-	}
-	if s.disk != nil {
-		live, total := s.disk.Bytes()
-		gauge("simtune_cache_disk_entries", "", float64(s.disk.Len()))
-		gauge("simtune_store_live_bytes", "", float64(live))
-		gauge("simtune_store_total_bytes", "", float64(total))
-		counter("simtune_store_compactions_total", "", s.disk.Compactions())
+	for i := range st.Tenants {
+		exportLedgers(snap, tenantLedgers, &st.Tenants[i], obs.Labels("tenant", st.Tenants[i].Tenant), nodeSeries)
 	}
 	snap.Gauges = append(snap.Gauges, obs.RuntimeGauges()...)
 	return snap, nil
@@ -446,7 +384,7 @@ func (s *Server) Ingest(_ context.Context, entries []Entry) (int, error) {
 //	GET  /v1/statusz  — Statusz out
 //	GET  /v1/metrics  — Prometheus text exposition
 //	GET  /v1/metricsz — mergeable obs.MetricsSnapshot (JSON)
-//	GET  /v1/traces   — recent batch traces (when tracing is on)
+//	GET  /v1/traces   — recent batch traces
 //
 // Requests run under the HTTP request context, so a disconnecting client
 // aborts its own batch's undispatched work.
@@ -459,9 +397,8 @@ func (s *Server) Handler() http.Handler { return backendHandler(s, s.tel, s.cfg.
 // faults and cancellation, so routers and dashboards can tell "this batch
 // can never succeed" from "retry elsewhere".
 //
-// tel (nil when the tier runs without telemetry) supplies the trace ring
-// behind /v1/traces and the encode-stage histogram; enablePprof mounts
-// net/http/pprof under /debug/pprof/.
+// tel supplies the trace ring behind /v1/traces and the encode-stage
+// histogram; enablePprof mounts net/http/pprof under /debug/pprof/.
 func backendHandler(b Backend, tel *telemetry, enablePprof bool) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/v1/simulate", func(w http.ResponseWriter, r *http.Request) {
@@ -490,22 +427,18 @@ func backendHandler(b Backend, tel *telemetry, enablePprof bool) http.Handler {
 			writeError(w, err)
 			return
 		}
-		if tel != nil {
-			e0 := time.Now()
-			writeJSON(w, resp)
-			ed := time.Since(e0)
-			tel.encode.Observe(ed)
-			// The batch trace sealed inside Simulate; attach the encode span
-			// after the fact. Only wire-identified batches can be amended —
-			// a server-minted ID never escapes Simulate's context.
-			if id := obs.TraceID(ctx); id != "" {
-				tel.traces.Amend(id, obs.Span{
-					Stage: stageEncode, StartNS: e0.UnixNano(), DurNS: int64(ed), N: 1,
-				})
-			}
-			return
-		}
+		e0 := time.Now()
 		writeJSON(w, resp)
+		ed := time.Since(e0)
+		tel.encode.Observe(ed)
+		// The batch trace sealed inside Simulate; attach the encode span
+		// after the fact. Only wire-identified batches can be amended — a
+		// server-minted ID never escapes Simulate's context.
+		if id := obs.TraceID(ctx); id != "" {
+			tel.traces.Amend(id, obs.Span{
+				Stage: stageEncode, StartNS: e0.UnixNano(), DurNS: int64(ed), N: 1,
+			})
+		}
 	})
 	handleGet(mux, "/v1/statusz", func(r *http.Request) (*Statusz, error) { return b.Statusz(r.Context()) })
 	// The telemetry snapshot is exposed twice: rendered for a Prometheus
@@ -528,12 +461,10 @@ func backendHandler(b Backend, tel *telemetry, enablePprof bool) http.Handler {
 			return mb.MetricsSnapshot(r.Context())
 		})
 	}
-	if tel != nil && tel.traces != nil {
-		handleGet(mux, "/v1/traces", func(*http.Request) (*TracesResponse, error) {
-			traces, total := tel.traces.Snapshot()
-			return &TracesResponse{Total: total, Traces: traces}, nil
-		})
-	}
+	handleGet(mux, "/v1/traces", func(*http.Request) (*TracesResponse, error) {
+		traces, total := tel.traces.Snapshot()
+		return &TracesResponse{Total: total, Traces: traces}, nil
+	})
 	// The replication triple. Only backends that implement HandoffBackend
 	// (leaf servers) get these routes; on a router the paths 404 like any
 	// other unknown path.

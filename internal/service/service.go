@@ -298,15 +298,6 @@ type Config struct {
 	// shutdown: how long in-flight batches may finish after SIGINT/SIGTERM
 	// before they are hard-canceled (default 30s).
 	DrainTimeout time.Duration
-	// DisableTelemetry turns off the obs layer wholesale: no histograms,
-	// no traces, no /v1/metrics series beyond what statusz already counts.
-	// The request path then records nothing — this is the A/B seam the
-	// telemetry-overhead benchmark flips, not a production setting.
-	DisableTelemetry bool
-	// TraceRingSize bounds the in-memory ring of recent batch traces
-	// behind GET /v1/traces (default 256; negative disables tracing while
-	// keeping metrics).
-	TraceRingSize int
 	// SlowBatchThreshold, when positive, logs one structured line for
 	// every batch slower than it — trace ID included, so the line joins
 	// against /v1/traces. Zero disables slow-batch logging.
@@ -335,9 +326,6 @@ func (c *Config) defaults() {
 	}
 	if c.DrainTimeout <= 0 {
 		c.DrainTimeout = 30 * time.Second
-	}
-	if c.TraceRingSize == 0 {
-		c.TraceRingSize = 256
 	}
 }
 

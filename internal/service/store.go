@@ -83,12 +83,12 @@ type StoreOptions struct {
 	// WrapFile, when set, wraps every segment file handle the store opens.
 	// Fault-injection hook; nil means use the file as-is.
 	WrapFile func(*os.File) StoreFile
-	// WriteHist, when non-nil, records the latency of every write-behind
+	// WriteHist records (a nil histogram discards) the latency of every write-behind
 	// append (encode + frame + disk write) — the store_write telemetry
 	// stage. The appends run on the writer goroutine, so this measures the
 	// durability lag, not anything on the serve path.
 	WriteHist *obs.Histogram
-	// CompactHist, when non-nil, records the latency of every compaction
+	// CompactHist records (a nil histogram discards) the latency of every compaction
 	// pass (startup-triggered, background-triggered, or explicit) — the
 	// compact telemetry stage. Compactions run on the writer goroutine, off
 	// the serve path.
@@ -121,8 +121,8 @@ type Store struct {
 	maxSeg      int64
 	logf        func(format string, args ...any)
 	wrap        func(*os.File) StoreFile
-	writeHist   *obs.Histogram // nil: append latency not recorded
-	compactHist *obs.Histogram // nil: compaction latency not recorded
+	writeHist   *obs.Histogram
+	compactHist *obs.Histogram
 
 	// compactions counts completed compaction passes (statusz surface).
 	compactions atomic.Uint64
@@ -519,14 +519,9 @@ func (s *Store) writer() {
 			op.compact <- s.runCompact()
 			continue
 		}
-		var a0 time.Time
-		if s.writeHist != nil {
-			a0 = time.Now()
-		}
+		a0 := time.Now()
 		err := s.append(op.key, op.res)
-		if s.writeHist != nil {
-			s.writeHist.Observe(time.Since(a0))
-		}
+		s.writeHist.Observe(time.Since(a0))
 		if err != nil {
 			s.logf("service/store: append %x: %v", op.key[:4], err)
 			s.mu.Lock()
@@ -549,14 +544,9 @@ func (s *Store) writer() {
 // runCompact is the timed, counted wrapper every compaction path (startup
 // queue, dead-bytes trigger, explicit Compact) goes through.
 func (s *Store) runCompact() error {
-	var c0 time.Time
-	if s.compactHist != nil {
-		c0 = time.Now()
-	}
+	c0 := time.Now()
 	err := s.compact()
-	if s.compactHist != nil {
-		s.compactHist.Observe(time.Since(c0))
-	}
+	s.compactHist.Observe(time.Since(c0))
 	if err == nil {
 		s.compactions.Add(1)
 	}

@@ -55,11 +55,11 @@ const (
 	outcomeCanceled = "canceled"
 )
 
+// traceRingSize is how many recent batch traces a tier keeps for /v1/traces.
+const traceRingSize = 256
+
 // telemetry is one tier's instrument panel: the histogram registry, the
-// recent-trace ring, and the slow-batch log hook. A nil *telemetry is
-// telemetry switched off — every histogram it would hand out is nil (which
-// discards observations) and StartTrace returns an inert nil trace, so the
-// request path needs no feature flags, only the pointers it already holds.
+// recent-trace ring, and the slow-batch log hook. Every tier has one.
 type telemetry struct {
 	m      *obs.Metrics
 	traces *obs.TraceRing
@@ -90,14 +90,10 @@ type archTel struct {
 
 // newTelemetry builds the panel for a leaf server (archs non-empty) or a
 // router (archs nil — router histograms are registered by the caller).
-// ringSize <= 0 disables tracing only; disabled turns everything off.
-func newTelemetry(disabled bool, ringSize int, slow time.Duration, archs []isa.Arch) *telemetry {
-	if disabled {
-		return nil
-	}
+func newTelemetry(slow time.Duration, archs []isa.Arch) *telemetry {
 	t := &telemetry{
 		m:      obs.NewMetrics(),
-		traces: obs.NewTraceRing(ringSize),
+		traces: obs.NewTraceRing(traceRingSize),
 		slow:   slow,
 		logf:   log.Printf,
 		arch:   make(map[isa.Arch]*archTel, len(archs)),
@@ -139,48 +135,50 @@ func newTelemetry(disabled bool, ringSize int, slow time.Duration, archs []isa.A
 	return t
 }
 
-// forArch returns the architecture's histogram set, nil when telemetry is
-// off or the arch unknown (callers treat a nil *archTel as "skip").
-func (t *telemetry) forArch(a isa.Arch) *archTel {
-	if t == nil {
-		return nil
-	}
-	return t.arch[a]
+// batch is one batch's telemetry scope at one tier: the trace it opened, when,
+// and what the trace and the slow-batch line call the batch.
+type batch struct {
+	tel   *telemetry
+	tr    *obs.ActiveTrace
+	start time.Time
+	tier  string
+	req   *SimulateRequest
+	sig   string // the workload's signature
+	agg   batchAgg
 }
 
-// startTrace opens a batch trace at this tier under the context's trace ID
+// begin opens a batch's scope at this tier under the context's trace ID
 // (minting one if the batch arrived without — direct in-process callers).
-// Returns the possibly-updated context so in-process sub-calls inherit the
-// identity, plus the trace (nil when tracing is off — still inert-safe).
-func (t *telemetry) startTrace(ctx context.Context, tier string) (context.Context, *obs.ActiveTrace) {
-	if t == nil || t.traces == nil {
-		return ctx, nil
-	}
+// It runs before validation, so even a malformed batch leaves a trace, and
+// returns the possibly-updated context so every sub-call, in process or over
+// the wire, carries the same identity.
+func (t *telemetry) begin(ctx context.Context, tier string, req *SimulateRequest) (context.Context, *batch) {
 	ctx, id := obs.EnsureTrace(ctx)
-	return ctx, obs.StartTrace(t.traces, id, tier)
+	b := &batch{
+		tel: t, tr: obs.StartTrace(t.traces, id, tier), start: time.Now(),
+		tier: tier, req: req, sig: req.Workload.signature(),
+	}
+	b.tr.Describe(req.Arch, b.sig, len(req.Candidates))
+	return ctx, b
 }
 
-// slowBatchLog emits the structured slow-batch line when the batch exceeded
-// the threshold: one greppable line with the trace ID as the join key into
-// /v1/traces.
-func (t *telemetry) slowBatchLog(tr *obs.ActiveTrace, dur time.Duration, tier, arch, workload string, candidates int, err error) {
-	if t == nil || t.slow <= 0 || dur < t.slow || tr == nil {
-		return
+// finish seals the batch: aggregated stage spans, the trace, the outcome
+// histogram (nil on error paths that have no outcome series — Observe
+// discards), and the slow-batch line — one greppable line with the trace ID
+// as the join key into /v1/traces.
+func (b *batch) finish(outcome *obs.Histogram, err error) {
+	b.agg.emit(b.tr, b.start)
+	dur := time.Since(b.start)
+	b.tr.Finish(err)
+	outcome.Observe(dur)
+	if t := b.tel; t.slow > 0 && dur >= t.slow {
+		errs := ""
+		if err != nil {
+			errs = err.Error()
+		}
+		t.logf("obs: slow-batch trace=%s tier=%s arch=%s workload=%s candidates=%d dur=%s threshold=%s err=%q",
+			b.tr.ID(), b.tier, b.req.Arch, b.sig, len(b.req.Candidates), dur.Round(time.Microsecond), t.slow, errs)
 	}
-	errs := ""
-	if err != nil {
-		errs = err.Error()
-	}
-	t.logf("obs: slow-batch trace=%s tier=%s arch=%s workload=%s candidates=%d dur=%s threshold=%s err=%q",
-		tr.ID(), tier, arch, workload, candidates, dur.Round(time.Microsecond), t.slow, errs)
-}
-
-// histSnapshot returns the registered histograms, nil when telemetry is off.
-func (t *telemetry) histSnapshot() []obs.HistSnapshot {
-	if t == nil {
-		return nil
-	}
-	return t.m.Snapshot()
 }
 
 // stageLatencies summarizes every histogram as statusz-friendly quantiles.
@@ -206,40 +204,18 @@ func stageLatencies(hists []obs.HistSnapshot) []StageLatency {
 
 func durMS(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
 
-// tenantServe returns the tenant's serve-latency histogram (nil when
-// telemetry is off). Unlike the per-arch panel this registers lazily —
-// tenants appear with traffic — but only once per tenant (tenantSet caches
-// the ledger), so workers still never touch the registry lock.
+// tenantServe returns the tenant's serve-latency histogram. Unlike the
+// per-arch panel this registers lazily — tenants appear with traffic — but
+// only once per tenant (tenantSet caches the ledger), so workers still never
+// touch the registry lock.
 func (t *telemetry) tenantServe(tenant string) *obs.Histogram {
-	if t == nil {
-		return nil
-	}
 	return t.m.Histogram(metricTenant, obs.Labels("tenant", tenant))
 }
 
-// storeWriteHist hands the durable store its append-latency histogram (nil
-// when telemetry is off — the store then records nothing).
-func (t *telemetry) storeWriteHist() *obs.Histogram {
-	if t == nil {
-		return nil
-	}
-	return t.storeWrite
-}
-
-// storeCompactHist hands the durable store its compaction-latency histogram
-// (nil when telemetry is off — the store then records nothing).
-func (t *telemetry) storeCompactHist() *obs.Histogram {
-	if t == nil {
-		return nil
-	}
-	return t.storeCompact
-}
-
 // candTimings collects one candidate's cold-path stage durations as it moves
-// through resultCache.do and shard.exec. A nil *candTimings disables
-// measurement entirely — the telemetry-off hot path takes no extra clock
-// reads. RAM hits leave every field zero: their whole cost is the serve
-// total the caller measures around the do() call.
+// through resultCache.do and shard.exec. RAM hits leave every field zero:
+// their whole cost is the serve total the caller measures around the do()
+// call.
 type candTimings struct {
 	sfWait    time.Duration // waited on another caller's in-flight compute
 	disk      time.Duration // durable-store read (hit or probe)
@@ -275,9 +251,6 @@ type batchAgg struct {
 }
 
 func (g *batchAgg) emit(tr *obs.ActiveTrace, start time.Time) {
-	if g == nil {
-		return
-	}
 	g.cacheHit.span(tr, stageCacheHit, start)
 	g.diskHit.span(tr, stageDiskHit, start)
 	g.sfWait.span(tr, stageSFWait, start)
@@ -287,7 +260,7 @@ func (g *batchAgg) emit(tr *obs.ActiveTrace, start time.Time) {
 }
 
 // record folds one served candidate into the per-arch histograms and the
-// batch's aggregated spans. total is the full doTimed duration — on a RAM
+// batch's aggregated spans. total is the full do() duration — on a RAM
 // hit that is the entire serve cost, which is why the hit path's telemetry
 // bill is two clock reads plus the Observe calls below.
 func (at *archTel) record(agg *batchAgg, tm *candTimings, total time.Duration, hit bool, err error) {
@@ -321,18 +294,4 @@ func (at *archTel) record(agg *batchAgg, tm *candTimings, total time.Duration, h
 		at.evict.Observe(tm.evict)
 		agg.evict.add(tm.evict)
 	}
-}
-
-// finishBatch seals a batch's telemetry: aggregated stage spans, the batch
-// outcome histogram (nil-safe — error paths before arch resolution pass
-// nil), the trace, and the slow-batch log line.
-func (t *telemetry) finishBatch(tr *obs.ActiveTrace, agg *batchAgg, outcome *obs.Histogram, start time.Time, tier, arch, workload string, candidates int, err error) {
-	if t == nil {
-		return
-	}
-	agg.emit(tr, start)
-	dur := time.Since(start)
-	tr.Finish(err)
-	outcome.Observe(dur)
-	t.slowBatchLog(tr, dur, tier, arch, workload, candidates, err)
 }

@@ -262,7 +262,7 @@ func TestTraceSurvivesReroute(t *testing.T) {
 		hot[i] = &overloadBackend{Backend: servers[i], hint: time.Millisecond}
 		backends[i] = hot[i]
 	}
-	rt, err := NewRouterBackends(ids, backends, RouterConfig{ProbeInterval: -1, DisableHandoff: true})
+	rt, err := NewRouterBackends(ids, backends, RouterConfig{ProbeInterval: -1, ReplicationFactor: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -329,14 +329,14 @@ func TestRouterMetricsMergeIsExact(t *testing.T) {
 		backends[i] = servers[i]
 	}
 	rt, err := NewRouterBackends([]string{"node-a", "node-b"}, backends,
-		RouterConfig{ProbeInterval: -1, DisableHandoff: true})
+		RouterConfig{ProbeInterval: -1, ReplicationFactor: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer rt.Close()
 
-	fast := servers[0].tel.forArch(isa.RISCV).simulate
-	slow := servers[1].tel.forArch(isa.RISCV).simulate
+	fast := servers[0].tel.arch[isa.RISCV].simulate
+	slow := servers[1].tel.arch[isa.RISCV].simulate
 	for i := 0; i < 60; i++ {
 		fast.Observe(time.Millisecond)
 	}
@@ -408,8 +408,7 @@ func TestRouterMetricsMergeIsExact(t *testing.T) {
 }
 
 // TestStatuszStageLatencies: a served batch must surface per-stage quantile
-// rows in statusz; with telemetry disabled the section is empty, the trace
-// surface is absent, but the counters-only metrics scrape still works.
+// rows in statusz.
 func TestStatuszStageLatencies(t *testing.T) {
 	srv := mustServer(t, Config{Archs: []isa.Arch{isa.RISCV}, WorkersPerArch: 2})
 	if _, err := srv.Simulate(context.Background(), &SimulateRequest{
@@ -439,44 +438,6 @@ func TestStatuszStageLatencies(t *testing.T) {
 	}
 	if !sawBatch {
 		t.Fatalf("no ok-batch series in %+v", st.Stages)
-	}
-
-	// Telemetry off: no stage rows, no traces route, counters still scrape.
-	off := mustServer(t, Config{
-		Archs: []isa.Arch{isa.RISCV}, WorkersPerArch: 2, DisableTelemetry: true,
-	})
-	if _, err := off.Simulate(context.Background(), &SimulateRequest{
-		Arch: "riscv", Workload: ConvGroupSpec("tiny", 1),
-		Candidates: tinyCandidates(t, 1, 2),
-	}); err != nil {
-		t.Fatal(err)
-	}
-	ost, err := off.Statusz(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ost.Stages) != 0 {
-		t.Fatalf("telemetry-off statusz has stage rows: %+v", ost.Stages)
-	}
-	hs := httptest.NewServer(off.Handler())
-	defer hs.Close()
-	if resp, err := http.Get(hs.URL + "/v1/traces"); err != nil {
-		t.Fatal(err)
-	} else {
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusNotFound {
-			t.Fatalf("telemetry-off /v1/traces returned %d, want 404", resp.StatusCode)
-		}
-	}
-	resp, err := http.Get(hs.URL + "/v1/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	body, _ := io.ReadAll(resp.Body)
-	names := validatePrometheus(t, string(body))
-	if !names["simtune_candidates_total"] {
-		t.Fatalf("telemetry-off scrape lost its counters: %s", body)
 	}
 }
 
@@ -555,4 +516,41 @@ func TestClientRetryTelemetry(t *testing.T) {
 	if tel.AttemptLatency.Count != 2 {
 		t.Fatalf("attempt-latency count %d, want 2 (failed attempts are recorded too)", tel.AttemptLatency.Count)
 	}
+}
+
+// timingsSink keeps BenchmarkTelemetryPanel's timings slice on the heap,
+// where Server.Simulate's lives (its workers capture it).
+var timingsSink []candTimings
+
+// BenchmarkTelemetryPanel prices the instrument panel directly: one op is
+// every telemetry call Server.Simulate makes for a batch of 32 RAM hits —
+// open the trace and describe it, the admission span, the timings slice, per
+// candidate two clock reads, record and the tenant's observe, then finish —
+// and nothing else. CI's metrics-smoke job gates ns/cand and allocs/op.
+func BenchmarkTelemetryPanel(b *testing.B) {
+	const n = 32
+	srv := mustServer(b, Config{Archs: []isa.Arch{isa.RISCV}})
+	at := srv.tel.arch[isa.RISCV]
+	tl := srv.tenants.get(DefaultTenant, srv.tel)
+	req := &SimulateRequest{Arch: "riscv", Workload: ConvGroupSpec(te.ScaleSmall, 1), Candidates: make([]Candidate, n)}
+	ctx := context.Background()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_, bt := srv.tel.begin(ctx, "node", req)
+		adm0 := time.Now()
+		admDur := time.Since(adm0)
+		at.admission.Observe(admDur)
+		bt.tr.Span(stageAdmission, adm0, admDur, 1, "")
+		tms := make([]candTimings, n)
+		timingsSink = tms
+		for j := range tms {
+			c0 := time.Now()
+			total := time.Since(c0)
+			at.record(&bt.agg, &tms[j], total, true, nil)
+			tl.recordServe(total, true, nil)
+		}
+		bt.finish(at.batchOK, nil)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/cand")
 }

@@ -85,7 +85,7 @@ type tenantLedger struct {
 	hits       atomic.Uint64
 	misses     atomic.Uint64
 	canceled   atomic.Uint64
-	serve      *obs.Histogram // nil when telemetry is off
+	serve      *obs.Histogram
 }
 
 // tenantSet is the server's ledger registry: get-or-create once per batch
@@ -101,8 +101,7 @@ func newTenantSet() *tenantSet {
 }
 
 // get returns the tenant's ledger, creating it on first sight. tel supplies
-// the serve histogram (nil telemetry hands out a nil histogram, which
-// discards observations).
+// the serve histogram.
 func (ts *tenantSet) get(tenant string, tel *telemetry) *tenantLedger {
 	ts.mu.RLock()
 	l := ts.ledgers[tenant]
@@ -117,18 +116,6 @@ func (ts *tenantSet) get(tenant string, tel *telemetry) *tenantLedger {
 		ts.ledgers[tenant] = l
 	}
 	return l
-}
-
-// snapshot returns the ledgers sorted by tenant name for stable rendering.
-func (ts *tenantSet) snapshot() []*tenantLedger {
-	ts.mu.RLock()
-	out := make([]*tenantLedger, 0, len(ts.ledgers))
-	for _, l := range ts.ledgers {
-		out = append(out, l)
-	}
-	ts.mu.RUnlock()
-	sort.Slice(out, func(i, j int) bool { return out[i].name < out[j].name })
-	return out
 }
 
 // TenantStatus is one tenant's row in statusz: its fair-share weight, the
@@ -154,13 +141,16 @@ type TenantStatus struct {
 	CacheCanceled      uint64 `json:"cache_canceled"`
 }
 
-// tenantStatuses renders the server's per-tenant rows.
+// tenantStatuses renders the server's per-tenant rows, sorted by tenant name
+// (nil before the first batch).
 func (s *Server) tenantStatuses() []TenantStatus {
-	ledgers := s.tenants.snapshot()
-	if len(ledgers) == 0 {
-		return nil
+	s.tenants.mu.RLock()
+	ledgers := make([]*tenantLedger, 0, len(s.tenants.ledgers))
+	for _, l := range s.tenants.ledgers {
+		ledgers = append(ledgers, l)
 	}
-	out := make([]TenantStatus, 0, len(ledgers))
+	s.tenants.mu.RUnlock()
+	var out []TenantStatus
 	for _, l := range ledgers {
 		out = append(out, TenantStatus{
 			Tenant:             l.name,
@@ -173,52 +163,12 @@ func (s *Server) tenantStatuses() []TenantStatus {
 			CacheCanceled:      l.canceled.Load(),
 		})
 	}
-	return out
-}
-
-// mergeTenantStatus folds per-node tenant rows into a router aggregate,
-// keyed by tenant name. Counters sum; Admitted sums (total held across the
-// fleet); Weight reports the max seen — weights are per-node configuration
-// and homogeneous fleets agree.
-func mergeTenantStatus(agg map[string]*TenantStatus, rows []TenantStatus) {
-	for _, ts := range rows {
-		m := agg[ts.Tenant]
-		if m == nil {
-			m = &TenantStatus{Tenant: ts.Tenant}
-			agg[ts.Tenant] = m
-		}
-		if ts.Weight > m.Weight {
-			m.Weight = ts.Weight
-		}
-		m.Admitted += ts.Admitted
-		m.Candidates += ts.Candidates
-		m.RejectedCandidates += ts.RejectedCandidates
-		m.CacheHits += ts.CacheHits
-		m.CacheMisses += ts.CacheMisses
-		m.CacheCanceled += ts.CacheCanceled
-	}
-}
-
-// sortedTenantStatus renders a merge map as a name-sorted slice.
-func sortedTenantStatus(agg map[string]*TenantStatus) []TenantStatus {
-	if len(agg) == 0 {
-		return nil
-	}
-	names := make([]string, 0, len(agg))
-	for n := range agg {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	out := make([]TenantStatus, 0, len(names))
-	for _, n := range names {
-		out = append(out, *agg[n])
-	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Tenant < out[j].Tenant })
 	return out
 }
 
 // recordServe folds one served candidate into the tenant's ledger: the
-// hit/miss/canceled partition plus the serve-latency histogram (nil when
-// telemetry is off — then only the counters move).
+// hit/miss/canceled partition plus the serve-latency histogram.
 func (l *tenantLedger) recordServe(total time.Duration, hit bool, err error) {
 	switch {
 	case err != nil:
@@ -228,7 +178,5 @@ func (l *tenantLedger) recordServe(total time.Duration, hit bool, err error) {
 	default:
 		l.misses.Add(1)
 	}
-	if l.serve != nil {
-		l.serve.Observe(total)
-	}
+	l.serve.Observe(total)
 }

@@ -227,7 +227,7 @@ func TestRouterTenantStatuszMerge(t *testing.T) {
 		backends[i] = servers[i]
 	}
 	rt, err := NewRouterBackends([]string{"node-a", "node-b"}, backends,
-		RouterConfig{ProbeInterval: -1, DisableHandoff: true})
+		RouterConfig{ProbeInterval: -1, ReplicationFactor: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -401,7 +401,7 @@ func TestWireFallbackThroughHandler(t *testing.T) {
 		{Err: `schedule: unknown step kind "fuse"`},
 		{Stats: &sim.Stats{Arch: isa.RISCV, Total: 7, Caches: []sim.LevelStats{{Name: "L1D"}}, SimWallSeconds: 1e-7}, CacheHit: true},
 	}}
-	hs := httptest.NewServer(backendHandler(backend, nil, false))
+	hs := httptest.NewServer(backendHandler(backend, newTelemetry(0, nil), false))
 	defer hs.Close()
 
 	req := &SimulateRequest{Arch: `ri"scv`, Workload: WorkloadSpec{Kind: "café", Dims: []int{1}},
@@ -458,7 +458,7 @@ func (b *endlessBody) Read(p []byte) (int, error) {
 // (chunked) body is cut off at the limit, both with 413; and a declared
 // length never reserves more than maxPooledBuf ahead of the bytes.
 func TestRequestBodyBound(t *testing.T) {
-	h := backendHandler(&echoBackend{}, nil, false)
+	h := backendHandler(&echoBackend{}, newTelemetry(0, nil), false)
 	declared := httptest.NewRequest(http.MethodPost, "/v1/simulate", &endlessBody{n: 16})
 	declared.ContentLength = maxRequestBytes + 1
 	rec := httptest.NewRecorder()
