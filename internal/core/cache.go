@@ -50,36 +50,63 @@ func configKey(cfg DatasetConfig) string {
 	return fmt.Sprintf("%016x", h.Sum64())
 }
 
+// memDatasets is how many datasets the in-process memo keeps. The
+// experiment drivers hold one corpus per architecture, three keys; a
+// process that trains on a new seed every pass would otherwise keep them all.
+const memDatasets = 4
+
+type memEntry struct {
+	key string
+	ds  *Dataset
+}
+
 var (
 	memCacheMu sync.Mutex
-	memCache   = map[string]*Dataset{}
+	memCache   []memEntry // least recently used first
 )
 
-// CachedDataset returns the dataset for cfg, generating it at most once per
-// process (in-memory cache) and, when cacheDir is non-empty, persisting it
-// to disk across runs. The benchmark harness relies on this so that every
-// table/figure bench shares one corpus.
+// memo returns the memoised dataset for key, storing ds under it first when
+// there is none and ds is not nil; the entry becomes the most recently used
+// and, past memDatasets, the least recently used one is dropped.
+func memo(key string, ds *Dataset) *Dataset {
+	memCacheMu.Lock()
+	defer memCacheMu.Unlock()
+	for i, e := range memCache {
+		if e.key == key {
+			copy(memCache[i:], memCache[i+1:])
+			memCache[len(memCache)-1] = e
+			return e.ds
+		}
+	}
+	if ds == nil {
+		return nil
+	}
+	if len(memCache) == memDatasets {
+		memCache = memCache[:copy(memCache, memCache[1:])]
+	}
+	memCache = append(memCache, memEntry{key, ds})
+	return ds
+}
+
+// CachedDataset returns the dataset for cfg from the in-process memo of the
+// most recently used datasets and, when cacheDir is non-empty, from disk
+// across runs, generating it only when neither has it. The benchmark harness
+// relies on this so that every table/figure bench shares one corpus.
 func CachedDataset(cfg DatasetConfig, cacheDir string) (*Dataset, error) {
 	if cfg.FactoryFor != nil {
 		// Custom workload factories cannot be fingerprinted; generate fresh.
 		return GenerateDataset(cfg)
 	}
 	key := configKey(cfg)
-	memCacheMu.Lock()
-	if ds, ok := memCache[key]; ok {
-		memCacheMu.Unlock()
+	if ds := memo(key, nil); ds != nil {
 		return ds, nil
 	}
-	memCacheMu.Unlock()
 
 	var path string
 	if cacheDir != "" {
 		path = filepath.Join(cacheDir, "dataset-"+key+".json")
 		if ds, err := LoadDataset(path); err == nil {
-			memCacheMu.Lock()
-			memCache[key] = ds
-			memCacheMu.Unlock()
-			return ds, nil
+			return memo(key, ds), nil
 		}
 	}
 	ds, err := GenerateDataset(cfg)
@@ -91,8 +118,5 @@ func CachedDataset(cfg DatasetConfig, cacheDir string) (*Dataset, error) {
 			return nil, err
 		}
 	}
-	memCacheMu.Lock()
-	memCache[key] = ds
-	memCacheMu.Unlock()
-	return ds, nil
+	return memo(key, ds), nil
 }

@@ -10,9 +10,11 @@
 package xgb
 
 import (
+	"cmp"
 	"errors"
+	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/num"
 )
@@ -89,23 +91,25 @@ func (m *Model) Fit(x [][]float64, y []float64) error {
 	if len(x) == 0 || len(x) != len(y) {
 		return errors.New("xgb: empty or mismatched training data")
 	}
-	n := len(x)
-	d := len(x[0])
+	g, err := newGrower(m, x)
+	if err != nil {
+		return err
+	}
+	n, d := len(x), len(x[0])
 	m.base = num.Mean(y)
 	m.trees = m.trees[:0]
 	preds := make([]float64, n)
 	for i := range preds {
 		preds[i] = m.base
 	}
-	grads := make([]float64, n)
 
 	for round := 0; round < m.cfg.Rounds; round++ {
-		for i := range grads {
-			grads[i] = preds[i] - y[i]
+		for i := range g.grads {
+			g.grads[i] = preds[i] - y[i]
 		}
 		rows := m.sampleRows(n)
 		cols := m.sampleCols(d)
-		tr := m.buildTree(x, grads, rows, cols)
+		tr := g.buildTree(rows, cols)
 		m.trees = append(m.trees, tr)
 		for i := range preds {
 			preds[i] += tr.predict(x[i])
@@ -143,36 +147,149 @@ func (m *Model) sampleCols(d int) []int {
 	return m.rng.Perm(d)[:k]
 }
 
-type buildItem struct {
-	nodeIdx int
-	rows    []int
-	depth   int
+// grower is what one Fit keeps across its rounds: the training matrix by
+// column, each column's rows sorted once, and the scratch one tree needs.
+type grower struct {
+	m     *Model
+	n     int
+	val   []float64 // val[f*n+r] = x[r][f]
+	order []int32   // order[f*n:(f+1)*n]: the rows ascending by (x[r][f], r)
+	grads []float64
+	slot  []int32    // row → index of its node in the level being split, −1 if none
+	rows  [2][]int   // node row lists of alternate levels
+	level [2][]split // nodes of alternate levels
 }
 
-// buildTree grows one regression tree greedily.
-func (m *Model) buildTree(x [][]float64, grads []float64, rows, cols []int) tree {
-	t := tree{}
-	t.nodes = append(t.nodes, node{})
-	queue := []buildItem{{nodeIdx: 0, rows: rows, depth: 0}}
-	for len(queue) > 0 {
-		item := queue[0]
-		queue = queue[1:]
-		g, h := sums(grads, item.rows)
-		if item.depth >= m.cfg.MaxDepth || len(item.rows) < 2 {
-			t.nodes[item.nodeIdx] = m.makeLeaf(g, h)
-			continue
+// split is one node of the level being split: its rows in sampled order,
+// their sums, the scan's running left sums and the best split seen so far.
+type split struct {
+	idx          int // index in tree.nodes
+	rows         []int
+	g, h, parent float64
+	gl, hl, prev float64
+	gain, thresh float64
+	feat         int
+}
+
+func newGrower(m *Model, x [][]float64) (*grower, error) {
+	n, d := len(x), len(x[0])
+	if d == 0 {
+		return nil, errors.New("xgb: training rows have no features")
+	}
+	g := &grower{m: m, n: n, val: make([]float64, d*n), order: make([]int32, d*n),
+		grads: make([]float64, n), slot: make([]int32, n)}
+	for r, row := range x {
+		if len(row) != d {
+			return nil, fmt.Errorf("xgb: row %d has %d features, row 0 has %d", r, len(row), d)
 		}
-		feat, thresh, gain, left, right := m.bestSplit(x, grads, item.rows, cols, g, h)
-		if gain <= 0 {
-			t.nodes[item.nodeIdx] = m.makeLeaf(g, h)
-			continue
+		for f, v := range row {
+			if math.IsNaN(v) {
+				return nil, fmt.Errorf("xgb: row %d feature %d is NaN", r, f)
+			}
+			g.val[f*n+r] = v
 		}
-		li, ri := len(t.nodes), len(t.nodes)+1
-		t.nodes = append(t.nodes, node{}, node{})
-		t.nodes[item.nodeIdx] = node{feat: feat, thresh: thresh, left: li, right: ri}
-		queue = append(queue,
-			buildItem{nodeIdx: li, rows: left, depth: item.depth + 1},
-			buildItem{nodeIdx: ri, rows: right, depth: item.depth + 1})
+		g.slot[r] = -1
+	}
+	for f := 0; f < d; f++ {
+		val, order := g.val[f*n:(f+1)*n], g.order[f*n:(f+1)*n]
+		for r := range order {
+			order[r] = int32(r)
+		}
+		// Stable from ascending rows: ties inside a column are broken by row.
+		slices.SortStableFunc(order, func(a, b int32) int { return cmp.Compare(val[a], val[b]) })
+	}
+	g.rows[0], g.rows[1] = make([]int, n), make([]int, n)
+	return g, nil
+}
+
+// buildTree grows one regression tree level by level (exact greedy): every
+// sampled column is walked once per level in its sorted order, each row
+// advancing the scan of the node it sits in, so a node sees the candidates
+// it would see had its own rows been sorted, in the same order.
+func (g *grower) buildTree(rows, cols []int) tree {
+	cfg, n, slot, grads := &g.m.cfg, g.n, g.slot, g.grads
+	t := tree{nodes: make([]node, 1)}
+	leaf := func(s *split) {
+		t.nodes[s.idx] = g.m.makeLeaf(s.g, s.h)
+		for _, r := range s.rows {
+			slot[r] = -1
+		}
+	}
+	g.level[0] = append(g.level[0][:0], split{rows: rows})
+	for depth := 0; len(g.level[depth&1]) > 0; depth++ {
+		open := g.level[depth&1][:0]
+		for _, s := range g.level[depth&1] {
+			s.g, s.h = sums(grads, s.rows)
+			if depth >= cfg.MaxDepth || len(s.rows) < 2 {
+				leaf(&s)
+				continue
+			}
+			s.parent = s.g * s.g / (s.h + cfg.Lambda)
+			for _, r := range s.rows {
+				slot[r] = int32(len(open))
+			}
+			open = append(open, s)
+		}
+		if len(open) == 0 {
+			break
+		}
+		for _, f := range cols {
+			val, order := g.val[f*n:(f+1)*n], g.order[f*n:(f+1)*n]
+			if val[order[0]] == val[order[n-1]] {
+				continue // a constant column separates no two rows
+			}
+			for i := range open {
+				open[i].gl, open[i].hl = 0, 0
+			}
+			for _, r := range order {
+				if slot[r] < 0 {
+					continue
+				}
+				s, v := &open[slot[r]], val[r]
+				if s.hl > 0 && v != s.prev {
+					gr, hr := s.g-s.gl, s.h-s.hl
+					if s.hl >= cfg.MinChildWeight && hr >= cfg.MinChildWeight {
+						sc := 0.5*(s.gl*s.gl/(s.hl+cfg.Lambda)+gr*gr/(hr+cfg.Lambda)-s.parent) - cfg.Gamma
+						if sc > s.gain {
+							s.gain, s.feat, s.thresh = sc, f, (s.prev+v)/2
+						}
+					}
+				}
+				s.gl += grads[r]
+				s.hl += 1
+				s.prev = v
+			}
+		}
+		// Children take their rows in the parent's order and their numbers
+		// in the order a breadth-first queue would hand them out.
+		next, dst := g.level[(depth+1)&1][:0], g.rows[depth&1]
+		for i := range open {
+			s := &open[i]
+			val, nl := g.val[s.feat*n:(s.feat+1)*n], 0
+			for _, r := range s.rows {
+				if val[r] < s.thresh {
+					nl++
+				}
+			}
+			if s.gain <= 0 || nl == 0 || nl == len(s.rows) {
+				leaf(s)
+				continue
+			}
+			left, right := dst[:0:nl], dst[nl:nl:len(s.rows)]
+			for _, r := range s.rows {
+				if val[r] < s.thresh {
+					left = append(left, r)
+				} else {
+					right = append(right, r)
+				}
+			}
+			dst = dst[len(s.rows):]
+			li := len(t.nodes)
+			t.nodes = append(t.nodes, node{}, node{})
+			t.nodes[s.idx] = node{feat: s.feat, thresh: s.thresh, left: li, right: li + 1}
+			next = append(next, split{idx: li, rows: left}, split{idx: li + 1, rows: right})
+		}
+		g.level[(depth+1)&1] = next
 	}
 	return t
 }
@@ -192,56 +309,6 @@ func (m *Model) makeLeaf(g, h float64) node {
 		}
 	}
 	return node{isLeaf: true, leaf: -gSoft / (h + m.cfg.Lambda) * m.cfg.LearningRate}
-}
-
-// bestSplit scans the sampled features for the maximum-gain split.
-func (m *Model) bestSplit(x [][]float64, grads []float64, rows, cols []int, g, h float64) (feat int, thresh, gain float64, left, right []int) {
-	gain = 0
-	parentScore := g * g / (h + m.cfg.Lambda)
-	type fv struct {
-		v float64
-		r int
-	}
-	vals := make([]fv, 0, len(rows))
-	for _, f := range cols {
-		vals = vals[:0]
-		for _, r := range rows {
-			vals = append(vals, fv{v: x[r][f], r: r})
-		}
-		sort.Slice(vals, func(a, b int) bool { return vals[a].v < vals[b].v })
-		gl, hl := 0.0, 0.0
-		for i := 0; i+1 < len(vals); i++ {
-			gl += grads[vals[i].r]
-			hl += 1
-			if vals[i].v == vals[i+1].v {
-				continue
-			}
-			gr, hr := g-gl, h-hl
-			if hl < m.cfg.MinChildWeight || hr < m.cfg.MinChildWeight {
-				continue
-			}
-			sc := 0.5*(gl*gl/(hl+m.cfg.Lambda)+gr*gr/(hr+m.cfg.Lambda)-parentScore) - m.cfg.Gamma
-			if sc > gain {
-				gain = sc
-				feat = f
-				thresh = (vals[i].v + vals[i+1].v) / 2
-			}
-		}
-	}
-	if gain <= 0 {
-		return 0, 0, 0, nil, nil
-	}
-	for _, r := range rows {
-		if x[r][feat] < thresh {
-			left = append(left, r)
-		} else {
-			right = append(right, r)
-		}
-	}
-	if len(left) == 0 || len(right) == 0 {
-		return 0, 0, 0, nil, nil
-	}
-	return feat, thresh, gain, left, right
 }
 
 func sums(grads []float64, rows []int) (g, h float64) {

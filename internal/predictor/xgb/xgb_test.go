@@ -2,6 +2,7 @@ package xgb
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/num"
@@ -130,6 +131,44 @@ func TestFitErrors(t *testing.T) {
 	}
 	if err := m.Fit([][]float64{{1}}, []float64{1, 2}); err == nil {
 		t.Fatal("mismatched fit must error")
+	}
+}
+
+// A ragged matrix cannot be read by column and a NaN feature has no place in
+// a sorted column (nor a threshold next to it a meaning); both are refused
+// before any tree is built or the generator is drawn from.
+func TestFitRejectsBadInput(t *testing.T) {
+	nan := math.NaN()
+	for _, c := range []struct {
+		name string
+		x    [][]float64
+		y    []float64
+	}{
+		{"no rows", nil, nil},
+		{"rows and targets differ", [][]float64{{1}, {2}}, []float64{1}},
+		{"no columns", [][]float64{{}, {}}, []float64{1, 2}},
+		{"short row", [][]float64{{1, 2}, {3}, {4, 5}}, []float64{1, 2, 3}},
+		{"long row", [][]float64{{1, 2}, {3, 4, 5}}, []float64{1, 2}},
+		{"nil row", [][]float64{{1}, nil}, []float64{1, 2}},
+		{"NaN feature", [][]float64{{1, 2}, {3, nan}, {4, 5}}, []float64{1, 2, 3}},
+		{"NaN in the first row", [][]float64{{nan}, {1}}, []float64{1, 2}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			m := New(DefaultConfig(), num.NewRNG(1))
+			before := *m.rng
+			err := m.Fit(c.x, c.y)
+			if err == nil || !strings.HasPrefix(err.Error(), "xgb: ") {
+				t.Fatalf("Fit = %v, want an xgb: error", err)
+			}
+			if m.NumTrees() != 0 || *m.rng != before {
+				t.Fatalf("Fit built %d trees and drew from the generator before refusing", m.NumTrees())
+			}
+		})
+	}
+	// Infinite features order like any other value and are accepted.
+	m := New(DefaultConfig(), num.NewRNG(1))
+	if err := m.Fit([][]float64{{math.Inf(-1)}, {0}, {math.Inf(1)}}, []float64{1, 2, 3}); err != nil {
+		t.Fatalf("infinite features: %v", err)
 	}
 }
 
