@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"regexp"
+	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -314,6 +315,153 @@ func TestTraceSurvivesReroute(t *testing.T) {
 	if len(servers[0].tel.traces.Find(id)) != 0 {
 		t.Fatal("saturated node never admitted the batch but recorded a trace")
 	}
+}
+
+// TestTelemetrySurface pins what an operator sees of the instrument panel:
+// every registered histogram series, in registration order (the order
+// /v1/metrics renders and statusz.stages summarizes), at both tiers, and
+// the set of span stages a node trace and a router trace carry. The node
+// serves a cold batch and then a warm one under a named tenant, with a
+// two-entry resident set over a durable store so the warm batch is served
+// from RAM and from disk and both batches evict; the router reroutes once
+// around a node that sheds its sub-batch.
+func TestTelemetrySurface(t *testing.T) {
+	names := func(tel *telemetry) []string {
+		var out []string
+		for _, h := range tel.m.Snapshot() {
+			out = append(out, h.Name+"{"+h.Labels+"}")
+		}
+		return out
+	}
+	equal := func(what string, got, want []string) {
+		t.Helper()
+		if strings.Join(got, "\n") != strings.Join(want, "\n") {
+			t.Errorf("%s:\ngot  %q\nwant %q", what, got, want)
+		}
+	}
+	spanStages := func(traces []obs.Trace) []string {
+		seen := map[string]bool{}
+		for _, tr := range traces {
+			for _, sp := range tr.Spans {
+				seen[sp.Stage] = true
+			}
+		}
+		out := make([]string, 0, len(seen))
+		for s := range seen {
+			out = append(out, s)
+		}
+		sort.Strings(out)
+		return out
+	}
+
+	// One worker serves the candidates in index order, so the ARC moves are
+	// fixed: the cold batch fills 0..3 and keeps 2 and 3 resident; the warm
+	// batch hits 3 and 2 in RAM, then reads 0 from disk, which evicts.
+	srv := mustServer(t, Config{
+		Archs: []isa.Arch{isa.RISCV, isa.ARM}, WorkersPerArch: 1,
+		MaxResidentResults: 2, CacheDir: t.TempDir(),
+	})
+	defer srv.Close()
+	cands := tinyCandidates(t, 1, 4)
+	ctx := WithTenant(context.Background(), "acme")
+	const coldID, warmID = "c01dc01dc01dc01d", "3a3a3a3a3a3a3a3a"
+	for _, b := range []struct {
+		id    string
+		cands []Candidate
+	}{
+		{coldID, cands},
+		{warmID, []Candidate{cands[3], cands[2], cands[0]}},
+	} {
+		if _, err := srv.Simulate(obs.WithTrace(ctx, b.id), &SimulateRequest{
+			Arch: "riscv", Workload: ConvGroupSpec("tiny", 1), Candidates: b.cands,
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	equal("node series", names(srv.tel), []string{
+		`simtune_stage_duration_seconds{stage="encode"}`,
+		`simtune_stage_duration_seconds{stage="store_write"}`,
+		`simtune_stage_duration_seconds{stage="compact"}`,
+		`simtune_stage_duration_seconds{stage="admission",arch="riscv"}`,
+		`simtune_stage_duration_seconds{stage="queue_wait",arch="riscv"}`,
+		`simtune_stage_duration_seconds{stage="cache_lookup",arch="riscv"}`,
+		`simtune_stage_duration_seconds{stage="disk_hit",arch="riscv"}`,
+		`simtune_stage_duration_seconds{stage="singleflight_wait",arch="riscv"}`,
+		`simtune_stage_duration_seconds{stage="simulate",arch="riscv"}`,
+		`simtune_stage_duration_seconds{stage="evict",arch="riscv"}`,
+		`simtune_candidate_serve_seconds{arch="riscv",outcome="hit"}`,
+		`simtune_candidate_serve_seconds{arch="riscv",outcome="disk_hit"}`,
+		`simtune_candidate_serve_seconds{arch="riscv",outcome="miss"}`,
+		`simtune_candidate_serve_seconds{arch="riscv",outcome="canceled"}`,
+		`simtune_batch_duration_seconds{arch="riscv",outcome="ok"}`,
+		`simtune_batch_duration_seconds{arch="riscv",outcome="canceled"}`,
+		`simtune_batch_duration_seconds{arch="riscv",outcome="rejected"}`,
+		`simtune_batch_duration_seconds{arch="riscv",outcome="error"}`,
+		`simtune_stage_duration_seconds{stage="admission",arch="arm"}`,
+		`simtune_stage_duration_seconds{stage="queue_wait",arch="arm"}`,
+		`simtune_stage_duration_seconds{stage="cache_lookup",arch="arm"}`,
+		`simtune_stage_duration_seconds{stage="disk_hit",arch="arm"}`,
+		`simtune_stage_duration_seconds{stage="singleflight_wait",arch="arm"}`,
+		`simtune_stage_duration_seconds{stage="simulate",arch="arm"}`,
+		`simtune_stage_duration_seconds{stage="evict",arch="arm"}`,
+		`simtune_candidate_serve_seconds{arch="arm",outcome="hit"}`,
+		`simtune_candidate_serve_seconds{arch="arm",outcome="disk_hit"}`,
+		`simtune_candidate_serve_seconds{arch="arm",outcome="miss"}`,
+		`simtune_candidate_serve_seconds{arch="arm",outcome="canceled"}`,
+		`simtune_batch_duration_seconds{arch="arm",outcome="ok"}`,
+		`simtune_batch_duration_seconds{arch="arm",outcome="canceled"}`,
+		`simtune_batch_duration_seconds{arch="arm",outcome="rejected"}`,
+		`simtune_batch_duration_seconds{arch="arm",outcome="error"}`,
+		`simtune_tenant_serve_seconds{tenant="acme"}`,
+	})
+	equal("cold node trace stages", spanStages(srv.tel.traces.Find(coldID)),
+		[]string{"admission", "evict", "queue_wait", "simulate"})
+	equal("warm node trace stages", spanStages(srv.tel.traces.Find(warmID)),
+		[]string{"admission", "cache_lookup", "disk_hit", "evict"})
+
+	servers := make([]*Server, 2)
+	hot := make([]*overloadBackend, 2)
+	backends := make([]Backend, 2)
+	for i := range servers {
+		servers[i] = mustServer(t, Config{Archs: []isa.Arch{isa.RISCV}, WorkersPerArch: 2})
+		hot[i] = &overloadBackend{Backend: servers[i], hint: time.Millisecond}
+		backends[i] = hot[i]
+	}
+	hot[0].saturated = true
+	rt, err := NewRouterBackends([]string{"node-a", "node-b"}, backends,
+		RouterConfig{ProbeInterval: -1, ReplicationFactor: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Close()
+	const routedID = "deadbeef05060708"
+	if _, err := rt.Simulate(obs.WithTrace(ctx, routedID), &SimulateRequest{
+		Arch: "riscv", Workload: ConvGroupSpec("tiny", 2), Candidates: tinyCandidates(t, 2, 8),
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if hot[0].rejected != 1 || rt.rerouted.Load() != 1 {
+		t.Fatalf("want one shed sub-batch and one reroute, got %d and %d", hot[0].rejected, rt.rerouted.Load())
+	}
+	equal("router series", names(rt.tel), []string{
+		`simtune_stage_duration_seconds{stage="encode"}`,
+		`simtune_stage_duration_seconds{stage="store_write"}`,
+		`simtune_stage_duration_seconds{stage="compact"}`,
+		`simtune_stage_duration_seconds{stage="split"}`,
+		`simtune_stage_duration_seconds{stage="reroute"}`,
+		`simtune_stage_duration_seconds{stage="replicate"}`,
+		`simtune_stage_duration_seconds{stage="antientropy"}`,
+		`simtune_router_batch_duration_seconds{outcome="ok"}`,
+		`simtune_router_batch_duration_seconds{outcome="canceled"}`,
+		`simtune_router_batch_duration_seconds{outcome="error"}`,
+		`simtune_router_batch_duration_seconds{outcome="overloaded"}`,
+		`simtune_router_batch_duration_seconds{outcome="unserved"}`,
+		`simtune_router_batch_duration_seconds{outcome="undeliverable"}`,
+		`simtune_router_dispatch_seconds{node="node-a"}`,
+		`simtune_router_dispatch_seconds{node="node-b"}`,
+	})
+	equal("router trace stages", spanStages(rt.tel.traces.Find(routedID)),
+		[]string{"dispatch", "reroute", "split"})
 }
 
 // TestRouterMetricsMergeIsExact pins the fleet-quantile semantics: the
