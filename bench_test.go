@@ -11,7 +11,6 @@
 package simtune_test
 
 import (
-	"context"
 	"io"
 	"os"
 	"strings"
@@ -26,7 +25,6 @@ import (
 	"repro/internal/num"
 	"repro/internal/predictor/registry"
 	"repro/internal/schedule"
-	"repro/internal/service"
 	"repro/internal/sim"
 	"repro/internal/te"
 )
@@ -211,88 +209,6 @@ func BenchmarkAblationTuners(b *testing.B) {
 }
 
 // --- substrate micro-benchmarks ---
-
-// mustBenchServer builds a service node (the error path is store-only and
-// these configs are memory-only).
-func mustBenchServer(b *testing.B, cfg service.Config) *service.Server {
-	b.Helper()
-	srv, err := service.NewServer(cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	return srv
-}
-
-// serviceBenchBatch builds one measurement batch of distinct candidate
-// schedules (loop-order permutations) of the headline throughput workload.
-func serviceBenchBatch(b *testing.B, n int) []service.Candidate {
-	b.Helper()
-	out := make([]service.Candidate, n)
-	for i := range out {
-		s := schedule.New(te.ConvGroup(te.ScaleSmall, 1).Op)
-		perm := num.NthPerm(i, len(s.Leaves))
-		order := make([]*schedule.IterVar, len(perm))
-		for j, p := range perm {
-			order[j] = s.Leaves[p]
-		}
-		if err := s.Reorder(order); err != nil {
-			b.Fatal(err)
-		}
-		out[i].Steps = s.Steps
-	}
-	return out
-}
-
-// BenchmarkServiceThroughput measures the batch simulation service on
-// ConvGroup small/1, RISC-V:
-// candidates per second through the in-process Backend, separately for the
-// cold path (every candidate compiled and simulated on the 4-worker shard; a
-// fresh server per iteration keeps the cache empty) and the hot path (the
-// same batch re-submitted, served entirely by the content-addressed result
-// cache). The hit/miss ratio is the scaling lever the service exists for:
-// identical candidates re-proposed across tuning runs and clients cost a
-// map lookup instead of a simulation.
-func BenchmarkServiceThroughput(b *testing.B) {
-	const batch = 32
-	req := &service.SimulateRequest{
-		Arch:       "riscv",
-		Workload:   service.ConvGroupSpec(te.ScaleSmall, 1),
-		Candidates: serviceBenchBatch(b, batch),
-	}
-	cfg := service.Config{Archs: []isa.Arch{isa.RISCV}, WorkersPerArch: 4}
-	ctx := context.Background()
-	b.Run("miss", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			resp, err := mustBenchServer(b, cfg).Simulate(ctx, req)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if r := resp.Results[0]; r.Err != "" || r.CacheHit {
-				b.Fatalf("cold path served %+v", r)
-			}
-		}
-		b.ReportMetric(float64(batch*b.N)/b.Elapsed().Seconds(), "cand/s")
-	})
-	b.Run("hit", func(b *testing.B) {
-		srv := mustBenchServer(b, cfg)
-		if _, err := srv.Simulate(ctx, req); err != nil {
-			b.Fatal(err)
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			resp, err := srv.Simulate(ctx, req)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if r := resp.Results[0]; r.Err != "" || !r.CacheHit {
-				b.Fatalf("hot path missed: %+v", r)
-			}
-		}
-		b.ReportMetric(float64(batch*b.N)/b.Elapsed().Seconds(), "cand/s")
-	})
-}
 
 // BenchmarkTimingModel measures the cycle-approximate back-end.
 func BenchmarkTimingModel(b *testing.B) {

@@ -116,23 +116,6 @@ func TestARCGhostHitAdapts(t *testing.T) {
 	}
 }
 
-// TestUnboundedCapacityNeverEvicts pins the capacity <= 0 escape hatch the
-// direct constructor callers rely on.
-func TestUnboundedCapacityNeverEvicts(t *testing.T) {
-	c := newResultCache(0, nil)
-	for i := 0; i < 500; i++ {
-		_, _, _ = c.do(context.Background(), testKey(i), new(candTimings), func() (Result, error) {
-			return arcResult(i), nil
-		})
-	}
-	if got := c.len(); got != 500 {
-		t.Fatalf("unbounded cache holds %d of 500", got)
-	}
-	if ev := c.evictions.Load(); ev != 0 {
-		t.Fatalf("unbounded cache evicted %d entries", ev)
-	}
-}
-
 // TestEvictionSingleflightRace is the -race pin for the tentpole's core
 // invariant: with a resident bound far below the keyspace and a durable
 // layer beneath it, concurrent callers hammering overlapping keys still

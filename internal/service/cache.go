@@ -135,13 +135,13 @@ func (l *entryList) back() *cacheEntry {
 // Residency is bounded by an ARC policy (Megiddo & Modha): at most capacity
 // results are held in RAM, split between a recency list (T1) and a frequency
 // list (T2) whose balance adapts via ghost hits (B1/B2 track recently evicted
-// keys without their values). capacity <= 0 means unbounded — no eviction,
-// no ghosts. When disk is non-nil it is the durable layer beneath the
-// resident set: computed results are written behind asynchronously, and a key
-// missing from RAM (restart, eviction) is served from its segment record
-// instead of re-simulated. The miss path installs the durable record
-// *before* the entry becomes resident, so every evictable entry is already
-// servable from disk — bounding RAM never loses a paid-for result.
+// keys without their values). When disk is non-nil it is the durable layer
+// beneath the resident set: computed results are written behind
+// asynchronously, and a key missing from RAM (restart, eviction) is served
+// from its segment record instead of re-simulated. The miss path installs
+// the durable record *before* the entry becomes resident, so every evictable
+// entry is already servable from disk — bounding RAM never loses a paid-for
+// result.
 type resultCache struct {
 	mu       sync.Mutex
 	entries  map[Key]*cacheEntry // every tracked key: resident and ghost
@@ -242,10 +242,10 @@ func (c *resultCache) do(ctx context.Context, k Key, tm *candTimings, compute fu
 				// The leader finished (or abandoned): loop to re-check the
 				// map and, if the leader was canceled or its entry is
 				// already evicted, lead the next flight.
-				tm.sfWait += time.Since(w0)
+				tm.add(stSFWait, time.Since(w0))
 				continue
 			case <-ctx.Done():
-				tm.sfWait += time.Since(w0)
+				tm.add(stSFWait, time.Since(w0))
 				c.canceled.Add(1)
 				return Result{}, false, ctx.Err()
 			}
@@ -260,9 +260,9 @@ func (c *resultCache) do(ctx context.Context, k Key, tm *candTimings, compute fu
 		fromDisk := false
 		if c.disk != nil {
 			d0 := time.Now()
-			r, fromDisk = c.disk.Get(k)
-			tm.disk += time.Since(d0)
-			tm.diskHit = fromDisk
+			if r, fromDisk = c.disk.Get(k); fromDisk {
+				tm.add(stDiskHit, time.Since(d0))
+			}
 			if c.testHook != nil {
 				c.testHook(hookProbed)
 			}
@@ -289,8 +289,7 @@ func (c *resultCache) do(ctx context.Context, k Key, tm *candTimings, compute fu
 		c.mu.Unlock()
 		close(f.done)
 		if ev > 0 {
-			tm.evict += time.Since(e0)
-			tm.evicted = true
+			tm.add(stEvict, time.Since(e0))
 		}
 		switch {
 		case err != nil:
@@ -442,12 +441,6 @@ func (c *resultCache) store(k Key, r Result) int {
 		}
 	}
 	e := &cacheEntry{key: k, res: r, list: listT1}
-	if c.capacity <= 0 {
-		// Unbounded: plain insert, no ghosts, no eviction.
-		c.entries[k] = e
-		c.t1.pushFront(e)
-		return 0
-	}
 	// Case IV: brand-new key.
 	ev := 0
 	if c.t1.n+c.b1.n >= c.capacity {

@@ -182,17 +182,16 @@ func (sh *shard) exec(ctx context.Context, factory runner.WorkloadFactory, steps
 	select {
 	case sh.slots <- struct{}{}:
 		sh.queued.Add(-1)
-		tm.queueWait = time.Since(q0)
+		tm.add(stQueueWait, time.Since(q0))
 	case <-ctx.Done():
 		sh.queued.Add(-1)
-		tm.queueWait = time.Since(q0)
+		tm.add(stQueueWait, time.Since(q0))
 		return Result{}, ctx.Err()
 	}
 	sh.running.Add(1)
 	s0 := time.Now()
 	defer func() {
-		tm.simulate = time.Since(s0)
-		tm.simulated = true
+		tm.add(stSimulate, time.Since(s0))
 		sh.running.Add(-1)
 		<-sh.slots
 	}()

@@ -105,16 +105,12 @@ type Router struct {
 	// aeRounds counts completed anti-entropy rounds.
 	aeRounds atomic.Uint64
 
-	// tel is the routing-tier instrument panel: per-outcome batch
-	// histograms, per-node dispatch histograms, and the
-	// router's own trace ring. Telemetry here is per-batch/per-sub-batch
-	// only — the router does no per-candidate timing.
-	tel         *telemetry
-	rtBatch     map[string]*obs.Histogram // outcome → batch duration
-	rtSplit     *obs.Histogram
-	rtReroute   *obs.Histogram
-	rtReplicate *obs.Histogram
-	rtAntiEnt   *obs.Histogram
+	// tel is the routing-tier instrument panel: per-outcome batch and
+	// per-stage histograms in its own panel, per-node dispatch histograms
+	// (routerNode.latency), and the router's own trace ring. Telemetry here
+	// is per-batch/per-sub-batch only — the router does no per-candidate
+	// timing.
+	tel *telemetry
 
 	// stopBG cancels the background goroutines (health prober, anti-entropy
 	// loop); bg tracks them plus the per-node probe goroutines.
@@ -126,9 +122,9 @@ type Router struct {
 type routerNode struct {
 	id      string
 	backend Backend
-	// dispatch records this node's sub-batch round-trip latency as seen from
-	// the router.
-	dispatch *obs.Histogram
+	// latency records this node's sub-batch round trip as seen from the
+	// router (the dispatch stage).
+	latency *obs.Histogram
 
 	up atomic.Bool
 	// handingOff guards the rejoin replay: at most one warm handoff runs
@@ -200,25 +196,16 @@ func NewRouterBackends(ids []string, backends []Backend, cfg RouterConfig) (*Rou
 		cfg.ReplicationFactor = len(ids)
 	}
 	tel := newTelemetry(cfg.SlowBatchThreshold, nil)
-	stage := func(s string) *obs.Histogram { return tel.m.Histogram(metricStage, obs.Labels("stage", s)) }
 	rt := &Router{
-		cfg:         cfg,
-		ring:        newRing(ids, defaultRingReplicas),
-		nodes:       make([]*routerNode, len(ids)),
-		start:       time.Now(),
-		tel:         tel,
-		rtBatch:     make(map[string]*obs.Histogram),
-		rtSplit:     stage(stageSplit),
-		rtReroute:   stage(stageReroute),
-		rtReplicate: stage(stageReplicate),
-		rtAntiEnt:   stage(stageAntiEnt),
-	}
-	for _, o := range []string{"ok", "canceled", "error", "overloaded", "unserved", "undeliverable"} {
-		rt.rtBatch[o] = tel.m.Histogram(metricRtBatch, obs.Labels("outcome", o))
+		cfg:   cfg,
+		ring:  newRing(ids, defaultRingReplicas),
+		nodes: make([]*routerNode, len(ids)),
+		start: time.Now(),
+		tel:   tel,
 	}
 	for i := range ids {
 		rt.nodes[i] = &routerNode{id: ids[i], backend: backends[i],
-			dispatch: tel.m.Histogram(metricRtDisp, obs.Labels("node", ids[i]))}
+			latency: tel.m.Histogram(metricRtDisp, obs.Labels("node", ids[i]))}
 		rt.nodes[i].up.Store(true)
 	}
 	// The lifecycle context outlives any single request: the prober and the
@@ -593,7 +580,7 @@ func (rt *Router) replicateFresh(ctx context.Context, keys []Key, results []Resu
 		transfers = append(transfers, transfer{source: -1, target: j, entries: entries})
 	}
 	rt.move(ctx, transfers, &rt.replicaKeys)
-	rt.rtReplicate.Observe(time.Since(r0))
+	rt.tel.stage[stReplicate].Observe(time.Since(r0))
 }
 
 // antiEntropyOnce runs one anti-entropy round: diff the live nodes' key
@@ -619,7 +606,7 @@ func (rt *Router) antiEntropyOnce(ctx context.Context) int {
 	}
 	moved, _ := rt.move(ctx, plan(invs, has, rt.liveReplicas), &rt.replicaKeys)
 	rt.aeRounds.Add(1)
-	rt.rtAntiEnt.Observe(time.Since(a0))
+	rt.tel.stage[stAntiEntropy].Observe(time.Since(a0))
 	return moved
 }
 
@@ -669,8 +656,8 @@ func (rt *Router) Simulate(ctx context.Context, req *SimulateRequest) (_ *Simula
 	// reroute hops — carries the same X-Simtune-Trace identity downstream.
 	// Every way out seals the batch under the outcome in force at that point.
 	ctx, b := rt.tel.begin(ctx, "router", req)
-	outcome := "error"
-	defer func() { b.finish(rt.rtBatch[outcome], err) }()
+	outcome := outError
+	defer func() { b.finish(rt.tel.batch[outcome], err) }()
 
 	// Validate up front so malformed requests are rejected at the routing
 	// tier — they must never count as node faults or trigger failover.
@@ -698,107 +685,45 @@ func (rt *Router) Simulate(ctx context.Context, req *SimulateRequest) (_ *Simula
 		keys[i] = candidateKey(prefix, c.Steps)
 		remaining[i] = i
 	}
-	spDur := time.Since(sp0)
-	rt.rtSplit.Observe(spDur)
-	b.tr.Span(stageSplit, sp0, spDur, len(req.Candidates), "")
+	b.timed(stSplit, rt.tel.stage[stSplit], sp0, time.Since(sp0), len(req.Candidates), "")
 
 	results := make([]Result, len(req.Candidates))
 	// servedBy records which node produced each result so the write-through
 	// replication pass can copy fresh results to the other replicas without
 	// re-ingesting into the node that just computed them.
-	servedBy := make([]int, len(req.Candidates))
-	for i := range servedBy {
-		servedBy[i] = -1
-	}
+	servedBy := slices.Repeat([]int{-1}, len(req.Candidates))
 	// excluded marks nodes that declined THIS batch while staying healthy:
 	// a 501 (arch not served there) or a 429 (admission gate full). Both
 	// stay in rotation for other traffic, but this batch's keys must route
 	// past them.
 	excluded := make([]bool, len(rt.nodes))
 	var unservedErr, overloadErr error
-	pick := func(i int) int {
-		if n := rt.ring.owner(keys[i]); rt.nodes[n].up.Load() && !excluded[n] {
-			return n
-		}
-		for _, n := range rt.ring.successors(keys[i]) {
-			if rt.nodes[n].up.Load() && !excluded[n] {
-				return n
-			}
-		}
-		return -1
-	}
 	for attempt := 0; len(remaining) > 0; attempt++ {
 		if attempt > len(rt.nodes) {
-			outcome = "undeliverable"
+			outcome = outUndeliverable
 			return nil, fmt.Errorf("service: %w",
 				unavailablef("batch undeliverable after %d failover rounds", attempt))
 		}
-		groups := make(map[int][]int)
-		for _, i := range remaining {
-			n := pick(i)
-			if n < 0 {
-				if overloadErr != nil {
-					// Every live node is saturated: propagate the 429 (with
-					// its Retry-After) so the client backs off and retries —
-					// the fleet is healthy, just full.
-					outcome = "overloaded"
-					return nil, overloadErr
-				}
-				if unservedErr != nil {
-					// Every live node declined the arch: the fleet's config,
-					// not its health, fails this batch — report the stable
-					// 501 so clients do not spin on retries.
-					outcome = "unserved"
-					return nil, unservedErr
-				}
-				outcome = "undeliverable"
-				return nil, fmt.Errorf("service: %w", unavailablef("no live nodes (of %d)", len(rt.nodes)))
-			}
-			groups[n] = append(groups[n], i)
+		replies, routed := rt.dispatchRound(ctx, b, req, keys, remaining, excluded)
+		switch {
+		case routed:
+		case overloadErr != nil:
+			// Every live node is saturated: propagate the 429 (with its
+			// Retry-After) so the client backs off and retries.
+			outcome = outOverloaded
+			return nil, overloadErr
+		case unservedErr != nil:
+			// Every live node declined the arch: the fleet's config fails
+			// this batch — the stable 501 keeps clients from spinning.
+			outcome = outUnserved
+			return nil, unservedErr
+		default:
+			outcome = outUndeliverable
+			return nil, fmt.Errorf("service: %w", unavailablef("no live nodes (of %d)", len(rt.nodes)))
 		}
-
-		type reply struct {
-			node int
-			idx  []int
-			resp *SimulateResponse
-			err  error
-			t0   time.Time
-			dur  time.Duration
-		}
-		ch := make(chan reply, len(groups))
-		for n, idx := range groups {
-			go func(n int, idx []int) {
-				sub := &SimulateRequest{Arch: req.Arch, Workload: req.Workload,
-					Candidates: make([]Candidate, len(idx))}
-				for j, i := range idx {
-					sub.Candidates[j] = req.Candidates[i]
-				}
-				t0 := time.Now()
-				resp, err := rt.nodes[n].backend.Simulate(ctx, sub)
-				dur := time.Since(t0)
-				rt.nodes[n].dispatch.Observe(dur)
-				b.tr.Span(stageDispatch, t0, dur, len(idx), rt.nodes[n].id)
-				if err == nil && len(resp.Results) != len(idx) {
-					err = fmt.Errorf("service: node %s returned %d results for %d candidates",
-						rt.nodes[n].id, len(resp.Results), len(idx))
-				}
-				ch <- reply{node: n, idx: idx, resp: resp, err: err, t0: t0, dur: dur}
-			}(n, idx)
-		}
-
-		var retry []int
+		remaining = nil
 		var batchErr error
-		// reroute sends a sub-batch's keys round again. Its span carries the
-		// failed dispatch's cost — the latency this batch paid before its
-		// keys moved on.
-		reroute := func(o reply) {
-			rt.rerouted.Add(1)
-			rt.rtReroute.Observe(o.dur)
-			b.tr.Span(stageReroute, o.t0, o.dur, len(o.idx), rt.nodes[o.node].id)
-			retry = append(retry, o.idx...)
-		}
-		for range groups {
-			o := <-ch
+		for _, o := range replies {
 			switch classify(o.err, ctx.Err() != nil) {
 			case deliver:
 				for j, i := range o.idx {
@@ -806,38 +731,103 @@ func (rt *Router) Simulate(ctx context.Context, req *SimulateRequest) (_ *Simula
 					servedBy[i] = o.node
 				}
 				rt.nodes[o.node].candidates.Add(uint64(len(o.idx)))
+				continue
 			case callerCancel, failRequest:
 				if batchErr == nil {
 					batchErr = o.err
 				}
+				continue
 			case routeAround:
 				excluded[o.node] = true
 				unservedErr = o.err
-				reroute(o)
 			case shed:
 				excluded[o.node] = true
 				overloadErr = o.err
-				reroute(o)
 			case nodeFault:
 				rt.nodes[o.node].markDown(o.err)
-				reroute(o)
 			}
+			// The keys go round again. The reroute span carries the failed
+			// dispatch's cost — what this batch paid before its keys moved on.
+			rt.rerouted.Add(1)
+			b.timed(stReroute, rt.tel.stage[stReroute], o.t0, o.dur, len(o.idx), rt.nodes[o.node].id)
+			remaining = append(remaining, o.idx...)
 		}
 		if batchErr != nil {
 			if ctx.Err() != nil {
-				outcome = "canceled"
+				outcome = outCanceled
 			}
 			return nil, batchErr
 		}
-		remaining = retry
 	}
 	// Write-through: before the batch returns, its miss-fills are copied to
 	// their other live replicas. Synchronous on purpose — fleet-wide counters
 	// reconcile at every instant, and a node lost the moment after a batch
 	// completes has already been covered.
 	rt.replicateFresh(ctx, keys, results, servedBy)
-	outcome = "ok"
+	outcome = outOK
 	return &SimulateResponse{Results: results}, nil
+}
+
+// reply is one sub-batch's answer in a dispatch round.
+type reply struct {
+	node int
+	idx  []int // the batch positions the sub-batch carried
+	resp *SimulateResponse
+	err  error
+	t0   time.Time
+	dur  time.Duration
+}
+
+// dispatchRound is one round of Simulate's failover loop: it groups the
+// remaining candidates by the first live node on each key's ring walk that
+// has not declined this batch (excluded), sends every group to its node
+// concurrently and collects all the replies. routed is false, and nothing is
+// sent, when some candidate has no such node left.
+func (rt *Router) dispatchRound(ctx context.Context, b *batch, req *SimulateRequest, keys []Key, remaining []int, excluded []bool) (replies []reply, routed bool) {
+	pick := func(k Key) int {
+		if n := rt.ring.owner(k); rt.nodes[n].up.Load() && !excluded[n] {
+			return n
+		}
+		for _, n := range rt.ring.successors(k) {
+			if rt.nodes[n].up.Load() && !excluded[n] {
+				return n
+			}
+		}
+		return -1
+	}
+	groups := make(map[int][]int)
+	for _, i := range remaining {
+		n := pick(keys[i])
+		if n < 0 {
+			return nil, false
+		}
+		groups[n] = append(groups[n], i)
+	}
+	ch := make(chan reply, len(groups))
+	for n, idx := range groups {
+		go func(n int, idx []int) {
+			node := rt.nodes[n]
+			sub := &SimulateRequest{Arch: req.Arch, Workload: req.Workload,
+				Candidates: make([]Candidate, len(idx))}
+			for j, i := range idx {
+				sub.Candidates[j] = req.Candidates[i]
+			}
+			t0 := time.Now()
+			resp, err := node.backend.Simulate(ctx, sub)
+			dur := time.Since(t0)
+			b.timed(stDispatch, node.latency, t0, dur, len(idx), node.id)
+			if err == nil && len(resp.Results) != len(idx) {
+				err = fmt.Errorf("service: node %s returned %d results for %d candidates",
+					node.id, len(resp.Results), len(idx))
+			}
+			ch <- reply{node: n, idx: idx, resp: resp, err: err, t0: t0, dur: dur}
+		}(n, idx)
+	}
+	replies = make([]reply, len(groups))
+	for i := range replies {
+		replies[i] = <-ch
+	}
+	return replies, true
 }
 
 // ledgers reads the router's own counters into the statusz shape.

@@ -76,7 +76,7 @@ func NewServer(cfg Config) (*Server, error) {
 		var err error
 		disk, err = OpenStore(cfg.CacheDir, StoreOptions{
 			MaxSegmentBytes: cfg.CacheSegmentBytes, WrapFile: cfg.StoreWrapFile,
-			WriteHist: tel.storeWrite, CompactHist: tel.storeCompact,
+			WriteHist: tel.stage[stStoreWrite], CompactHist: tel.stage[stCompact],
 		})
 		if err != nil {
 			return nil, err
@@ -212,7 +212,7 @@ func (s *Server) Simulate(ctx context.Context, req *SimulateRequest) (_ *Simulat
 			unservedf("arch %s not served (configured: %v)", arch, s.cfg.Archs))
 	}
 	at := s.tel.arch[arch]
-	outcome = at.batchError
+	outcome = at.batch[outError]
 	factory, err := req.Workload.Factory()
 	if err != nil {
 		return nil, fmt.Errorf("service: %w", badRequestf("%v", err))
@@ -230,14 +230,12 @@ func (s *Server) Simulate(ctx context.Context, req *SimulateRequest) (_ *Simulat
 	if !s.admit.tryAcquire(tenant, len(req.Candidates)) {
 		s.rejected.Add(uint64(len(req.Candidates)))
 		tl.rejected.Add(uint64(len(req.Candidates)))
-		outcome = at.batchRejected
+		outcome = at.batch[outRejected]
 		return nil, fmt.Errorf("service: %w", overloadedf(s.cfg.RetryAfterHint,
 			"overloaded: %d candidates admitted (max %d, tenant %s over fair share)",
 			s.admit.cur.Load(), s.cfg.MaxQueuedCandidates, tenant))
 	}
-	admDur := time.Since(adm0)
-	at.admission.Observe(admDur)
-	b.tr.Span(stageAdmission, adm0, admDur, 1, "")
+	b.timed(stAdmission, at.stage[stAdmission], adm0, time.Since(adm0), 1, "")
 	defer s.admit.release(tenant, len(req.Candidates))
 	s.requests.Add(1)
 	s.candidates.Add(uint64(len(req.Candidates)))
@@ -287,10 +285,10 @@ func (s *Server) Simulate(ctx context.Context, req *SimulateRequest) (_ *Simulat
 		undispatched := uint64(len(req.Candidates)) - dispatched.Load()
 		s.cache.canceled.Add(undispatched)
 		tl.canceled.Add(undispatched)
-		outcome = at.batchCanceled
+		outcome = at.batch[outCanceled]
 		return nil, fmt.Errorf("service: %w", unavailablef("batch canceled: %v", perr))
 	}
-	outcome = at.batchOK
+	outcome = at.batch[outOK]
 	return &SimulateResponse{Results: results}, nil
 }
 
@@ -430,13 +428,13 @@ func backendHandler(b Backend, tel *telemetry, enablePprof bool) http.Handler {
 		e0 := time.Now()
 		writeJSON(w, resp)
 		ed := time.Since(e0)
-		tel.encode.Observe(ed)
+		tel.stage[stEncode].Observe(ed)
 		// The batch trace sealed inside Simulate; attach the encode span
 		// after the fact. Only wire-identified batches can be amended — a
 		// server-minted ID never escapes Simulate's context.
 		if id := obs.TraceID(ctx); id != "" {
 			tel.traces.Amend(id, obs.Span{
-				Stage: stageEncode, StartNS: e0.UnixNano(), DurNS: int64(ed), N: 1,
+				Stage: stageNames[stEncode], StartNS: e0.UnixNano(), DurNS: int64(ed), N: 1,
 			})
 		}
 	})

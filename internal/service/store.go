@@ -318,15 +318,24 @@ func (s *Store) scanSegment(id int) error {
 	return nil
 }
 
-// openActive creates segment id and makes it the append target.
-func (s *Store) openActive(id int) error {
+// createSegment creates the new segment id and writes its header.
+func (s *Store) createSegment(id int) (StoreFile, error) {
 	osf, err := os.OpenFile(s.segPath(id), os.O_CREATE|os.O_EXCL|os.O_RDWR, 0o644)
 	if err != nil {
-		return fmt.Errorf("service: store: %w", err)
+		return nil, err
 	}
 	f := s.wrapFile(osf)
 	if _, err := f.Write([]byte(storeMagic)); err != nil {
 		f.Close()
+		return nil, err
+	}
+	return f, nil
+}
+
+// openActive creates segment id and makes it the append target.
+func (s *Store) openActive(id int) error {
+	f, err := s.createSegment(id)
+	if err != nil {
 		return fmt.Errorf("service: store: %w", err)
 	}
 	s.active = f
@@ -665,13 +674,8 @@ func (s *Store) compact() error {
 	var outSize int64
 	newReaders := make(map[int]StoreFile)
 	openOut := func() error {
-		osf, err := os.OpenFile(s.segPath(nextID), os.O_CREATE|os.O_EXCL|os.O_RDWR, 0o644)
+		f, err := s.createSegment(nextID)
 		if err != nil {
-			return err
-		}
-		f := s.wrapFile(osf)
-		if _, err := f.Write([]byte(storeMagic)); err != nil {
-			f.Close()
 			return err
 		}
 		out, outID, outSize = f, nextID, int64(len(storeMagic))

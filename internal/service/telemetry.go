@@ -10,53 +10,114 @@ import (
 	"repro/internal/obs"
 )
 
-// Metric and stage names. The span taxonomy (ARCHITECTURE.md "Telemetry"):
-// a batch enters admission, its cold candidates wait in queue_wait for a
-// shard slot and pay simulate, warm ones are served by cache_lookup (RAM),
-// disk_hit (durable store) or singleflight_wait (another caller's flight),
-// computed results drain through store_write behind the serve path, and the
-// HTTP layer pays encode on the way out. Bounded-memory bookkeeping shows up
-// as evict (ARC demotion on the fill path) and compact (background segment
-// rewrite on the store's writer goroutine). Router-tier spans: split (key
-// hashing + ring grouping), dispatch (one sub-batch round trip to a node),
-// reroute (a failover round re-grouping), replicate (write-through fan-out of
-// fresh results to ring replicas), antientropy (one replica-diff repair
-// round).
 const (
-	metricStage     = "simtune_stage_duration_seconds"
-	metricServe     = "simtune_candidate_serve_seconds"
-	metricTenant    = "simtune_tenant_serve_seconds"
-	metricBatch     = "simtune_batch_duration_seconds"
-	metricRtBatch   = "simtune_router_batch_duration_seconds"
-	metricRtDisp    = "simtune_router_dispatch_seconds"
-	stageAdmission  = "admission"
-	stageQueueWait  = "queue_wait"
-	stageCacheHit   = "cache_lookup"
-	stageDiskHit    = "disk_hit"
-	stageSFWait     = "singleflight_wait"
-	stageSimulate   = "simulate"
-	stageStoreWrite = "store_write"
-	stageEncode     = "encode"
-	stageEvict      = "evict"
-	stageCompact    = "compact"
-	stageSplit      = "split"
-	stageDispatch   = "dispatch"
-	stageReroute    = "reroute"
-	stageReplicate  = "replicate"
-	stageAntiEnt    = "antientropy"
+	metricStage   = "simtune_stage_duration_seconds"
+	metricServe   = "simtune_candidate_serve_seconds"
+	metricTenant  = "simtune_tenant_serve_seconds"
+	metricBatch   = "simtune_batch_duration_seconds"
+	metricRtBatch = "simtune_router_batch_duration_seconds"
+	metricRtDisp  = "simtune_router_dispatch_seconds"
 )
 
-// Candidate serve outcomes (the per-outcome latency partition; rejected
-// batches never serve candidates, so rejection is a batch outcome only).
+// stage indexes stageNames. Spans (ARCHITECTURE.md "Telemetry"): a node's
+// admission, queue_wait, simulate, cache_lookup (RAM), disk_hit,
+// singleflight_wait, evict (ARC demotion) and encode; the router's split,
+// dispatch (one sub-batch round trip) and reroute. store_write and compact
+// (the store's writer goroutine), replicate and antientropy are histograms.
+type stage uint8
+
 const (
-	outcomeHit      = "hit"
-	outcomeDiskHit  = "disk_hit"
-	outcomeMiss     = "miss"
-	outcomeCanceled = "canceled"
+	stAdmission stage = iota
+	stQueueWait
+	stCacheLookup
+	stDiskHit
+	stSFWait
+	stSimulate
+	stEvict
+	stEncode
+	stStoreWrite
+	stCompact
+	stSplit
+	stDispatch
+	stReroute
+	stReplicate
+	stAntiEntropy
+	numStages
+
+	// numNodeStages counts the stages a node registers per arch. They come
+	// first, so a candidate's timings and a batch's spans index them directly.
+	numNodeStages = stEvict + 1
+)
+
+// outcome indexes outcomeNames: how a candidate was served or a batch ended
+// (a rejected batch serves no candidate, so rejection is a batch outcome).
+type outcome uint8
+
+const (
+	outHit outcome = iota
+	outDiskHit
+	outMiss
+	outOK
+	outCanceled
+	outRejected
+	outError
+	outOverloaded
+	outUnserved
+	outUndeliverable
+	numOutcomes
+)
+
+// stageNames and outcomeNames are the one place a stage or an outcome is
+// spelled. The lists name the series a tier registers besides a node's
+// per-arch stages, in registration order: the order /v1/metrics renders and
+// statusz.stages summarizes.
+var (
+	stageNames = [numStages]string{
+		stAdmission:   "admission",
+		stQueueWait:   "queue_wait",
+		stCacheLookup: "cache_lookup",
+		stDiskHit:     "disk_hit",
+		stSFWait:      "singleflight_wait",
+		stSimulate:    "simulate",
+		stEvict:       "evict",
+		stEncode:      "encode",
+		stStoreWrite:  "store_write",
+		stCompact:     "compact",
+		stSplit:       "split",
+		stDispatch:    "dispatch",
+		stReroute:     "reroute",
+		stReplicate:   "replicate",
+		stAntiEntropy: "antientropy",
+	}
+	outcomeNames = [numOutcomes]string{
+		outHit:           "hit",
+		outDiskHit:       "disk_hit",
+		outMiss:          "miss",
+		outOK:            "ok",
+		outCanceled:      "canceled",
+		outRejected:      "rejected",
+		outError:         "error",
+		outOverloaded:    "overloaded",
+		outUnserved:      "unserved",
+		outUndeliverable: "undeliverable",
+	}
+
+	tierStages     = []stage{stEncode, stStoreWrite, stCompact}
+	routerStages   = []stage{stSplit, stReroute, stReplicate, stAntiEntropy} // dispatch's histograms are per node
+	serveOutcomes  = []outcome{outHit, outDiskHit, outMiss, outCanceled}
+	batchOutcomes  = []outcome{outOK, outCanceled, outRejected, outError}
+	routerOutcomes = []outcome{outOK, outCanceled, outError, outOverloaded, outUnserved, outUndeliverable}
 )
 
 // traceRingSize is how many recent batch traces a tier keeps for /v1/traces.
 const traceRingSize = 256
+
+// panel holds pre-registered histograms, so workers never touch the registry
+// lock: one per served arch, and the tier's own (tier and router series).
+type panel struct {
+	stage        [numStages]*obs.Histogram
+	serve, batch [numOutcomes]*obs.Histogram
+}
 
 // telemetry is one tier's instrument panel: the histogram registry, the
 // recent-trace ring, and the slow-batch log hook. Every tier has one.
@@ -66,71 +127,44 @@ type telemetry struct {
 	slow   time.Duration
 	logf   func(format string, args ...any)
 
-	encode       *obs.Histogram
-	storeWrite   *obs.Histogram
-	storeCompact *obs.Histogram
-	arch         map[isa.Arch]*archTel
-}
-
-// archTel pre-registers one architecture's hot-path histograms so workers
-// never touch the registry lock.
-type archTel struct {
-	admission *obs.Histogram
-	queueWait *obs.Histogram
-	cacheHit  *obs.Histogram
-	diskHit   *obs.Histogram
-	sfWait    *obs.Histogram
-	simulate  *obs.Histogram
-	evict     *obs.Histogram
-
-	serveHit, serveDiskHit, serveMiss, serveCanceled *obs.Histogram
-
-	batchOK, batchCanceled, batchRejected, batchError *obs.Histogram
+	panel // the tier's own series
+	arch  map[isa.Arch]*panel
 }
 
 // newTelemetry builds the panel for a leaf server (archs non-empty) or a
-// router (archs nil — router histograms are registered by the caller).
+// router (archs nil — the router registers its per-node dispatch histograms
+// itself).
 func newTelemetry(slow time.Duration, archs []isa.Arch) *telemetry {
 	t := &telemetry{
 		m:      obs.NewMetrics(),
 		traces: obs.NewTraceRing(traceRingSize),
 		slow:   slow,
 		logf:   log.Printf,
-		arch:   make(map[isa.Arch]*archTel, len(archs)),
+		arch:   make(map[isa.Arch]*panel, len(archs)),
 	}
-	t.encode = t.m.Histogram(metricStage, obs.Labels("stage", stageEncode))
-	t.storeWrite = t.m.Histogram(metricStage, obs.Labels("stage", stageStoreWrite))
-	t.storeCompact = t.m.Histogram(metricStage, obs.Labels("stage", stageCompact))
+	for _, s := range tierStages {
+		t.stage[s] = t.m.Histogram(metricStage, obs.Labels("stage", stageNames[s]))
+	}
+	if archs == nil {
+		for _, s := range routerStages {
+			t.stage[s] = t.m.Histogram(metricStage, obs.Labels("stage", stageNames[s]))
+		}
+		for _, o := range routerOutcomes {
+			t.batch[o] = t.m.Histogram(metricRtBatch, obs.Labels("outcome", outcomeNames[o]))
+		}
+	}
 	for _, a := range archs {
-		as := string(a)
-		stage := func(s string) *obs.Histogram {
-			return t.m.Histogram(metricStage, obs.Labels("stage", s, "arch", as))
+		p, as := new(panel), string(a)
+		for s := range numNodeStages {
+			p.stage[s] = t.m.Histogram(metricStage, obs.Labels("stage", stageNames[s], "arch", as))
 		}
-		serve := func(o string) *obs.Histogram {
-			return t.m.Histogram(metricServe, obs.Labels("arch", as, "outcome", o))
+		for _, o := range serveOutcomes {
+			p.serve[o] = t.m.Histogram(metricServe, obs.Labels("arch", as, "outcome", outcomeNames[o]))
 		}
-		batch := func(o string) *obs.Histogram {
-			return t.m.Histogram(metricBatch, obs.Labels("arch", as, "outcome", o))
+		for _, o := range batchOutcomes {
+			p.batch[o] = t.m.Histogram(metricBatch, obs.Labels("arch", as, "outcome", outcomeNames[o]))
 		}
-		t.arch[a] = &archTel{
-			admission: stage(stageAdmission),
-			queueWait: stage(stageQueueWait),
-			cacheHit:  stage(stageCacheHit),
-			diskHit:   stage(stageDiskHit),
-			sfWait:    stage(stageSFWait),
-			simulate:  stage(stageSimulate),
-			evict:     stage(stageEvict),
-
-			serveHit:      serve(outcomeHit),
-			serveDiskHit:  serve(outcomeDiskHit),
-			serveMiss:     serve(outcomeMiss),
-			serveCanceled: serve(outcomeCanceled),
-
-			batchOK:       batch("ok"),
-			batchCanceled: batch("canceled"),
-			batchRejected: batch("rejected"),
-			batchError:    batch("error"),
-		}
+		t.arch[a] = p
 	}
 	return t
 }
@@ -160,6 +194,12 @@ func (t *telemetry) begin(ctx context.Context, tier string, req *SimulateRequest
 	}
 	b.tr.Describe(req.Arch, b.sig, len(req.Candidates))
 	return ctx, b
+}
+
+// timed records one timed step of the batch: its histogram h and its span.
+func (b *batch) timed(s stage, h *obs.Histogram, start time.Time, d time.Duration, n int, note string) {
+	h.Observe(d)
+	b.tr.Span(stageNames[s], start, d, n, note)
 }
 
 // finish seals the batch: aggregated stage spans, the trace, the outcome
@@ -213,19 +253,14 @@ func (t *telemetry) tenantServe(tenant string) *obs.Histogram {
 }
 
 // candTimings collects one candidate's cold-path stage durations as it moves
-// through resultCache.do and shard.exec. RAM hits leave every field zero:
-// their whole cost is the serve total the caller measures around the do()
-// call.
+// through resultCache.do and shard.exec. A RAM hit adds none: its whole cost
+// is the serve total the caller measures around the do() call.
 type candTimings struct {
-	sfWait    time.Duration // waited on another caller's in-flight compute
-	disk      time.Duration // durable-store read (hit or probe)
-	diskHit   bool
-	queueWait time.Duration // waited for a shard worker slot
-	simulate  time.Duration // build + simulate on the slot
-	simulated bool
-	evict     time.Duration // ARC bookkeeping on a fill that evicted
-	evicted   bool
+	d    [numNodeStages]time.Duration
+	seen uint8 // bit s: stage s happened, however short
 }
+
+func (tm *candTimings) add(s stage, d time.Duration) { tm.d[s] += d; tm.seen |= 1 << s }
 
 // stageAgg accumulates one stage's events across a batch's workers so the
 // trace records one aggregated span per stage instead of one per candidate —
@@ -238,60 +273,38 @@ type stageAgg struct {
 
 func (a *stageAgg) add(d time.Duration) { a.n.Add(1); a.sum.Add(int64(d)) }
 
-func (a *stageAgg) span(tr *obs.ActiveTrace, stage string, start time.Time) {
-	if n := a.n.Load(); n > 0 {
-		tr.Span(stage, start, time.Duration(a.sum.Load()), int(n), "")
-	}
-}
-
 // batchAgg is a batch's per-stage aggregation, filled concurrently by the
 // workers and emitted as at most one span per stage when the batch seals.
-type batchAgg struct {
-	cacheHit, diskHit, sfWait, queueWait, simulate, evict stageAgg
-}
+type batchAgg [numNodeStages]stageAgg
 
 func (g *batchAgg) emit(tr *obs.ActiveTrace, start time.Time) {
-	g.cacheHit.span(tr, stageCacheHit, start)
-	g.diskHit.span(tr, stageDiskHit, start)
-	g.sfWait.span(tr, stageSFWait, start)
-	g.queueWait.span(tr, stageQueueWait, start)
-	g.simulate.span(tr, stageSimulate, start)
-	g.evict.span(tr, stageEvict, start)
+	for s := range g {
+		if n := g[s].n.Load(); n > 0 {
+			tr.Span(stageNames[s], start, time.Duration(g[s].sum.Load()), int(n), "")
+		}
+	}
 }
 
-// record folds one served candidate into the per-arch histograms and the
-// batch's aggregated spans. total is the full do() duration — on a RAM
-// hit that is the entire serve cost, which is why the hit path's telemetry
-// bill is two clock reads plus the Observe calls below.
-func (at *archTel) record(agg *batchAgg, tm *candTimings, total time.Duration, hit bool, err error) {
+// record folds one served candidate into the arch's histograms and the
+// batch's aggregated spans. total is the full do() duration — on a RAM hit
+// that is the entire serve cost (the cache_lookup stage), which is why the
+// hit path's telemetry bill is two clock reads plus the Observe calls below.
+func (p *panel) record(agg *batchAgg, tm *candTimings, total time.Duration, hit bool, err error) {
+	o := outMiss
 	switch {
 	case err != nil:
-		at.serveCanceled.Observe(total)
-	case hit && tm.diskHit:
-		at.serveDiskHit.Observe(total)
-		at.diskHit.Observe(tm.disk)
-		agg.diskHit.add(tm.disk)
+		o = outCanceled
+	case tm.seen&(1<<stDiskHit) != 0:
+		o = outDiskHit
 	case hit:
-		at.serveHit.Observe(total)
-		at.cacheHit.Observe(total)
-		agg.cacheHit.add(total)
-	default:
-		at.serveMiss.Observe(total)
+		o = outHit
+		tm.add(stCacheLookup, total)
 	}
-	if tm.sfWait > 0 {
-		at.sfWait.Observe(tm.sfWait)
-		agg.sfWait.add(tm.sfWait)
-	}
-	if tm.queueWait > 0 {
-		at.queueWait.Observe(tm.queueWait)
-		agg.queueWait.add(tm.queueWait)
-	}
-	if tm.simulated {
-		at.simulate.Observe(tm.simulate)
-		agg.simulate.add(tm.simulate)
-	}
-	if tm.evicted {
-		at.evict.Observe(tm.evict)
-		agg.evict.add(tm.evict)
+	p.serve[o].Observe(total)
+	for s := range numNodeStages {
+		if tm.seen&(1<<s) != 0 {
+			p.stage[s].Observe(tm.d[s])
+			agg[s].add(tm.d[s])
+		}
 	}
 }

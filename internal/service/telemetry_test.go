@@ -199,7 +199,7 @@ func TestTraceTravelsClientToNode(t *testing.T) {
 		// The encode span is amended after the HTTP body is written, which
 		// races the client's return — wait for it too.
 		for _, sp := range trace.Spans {
-			if sp.Stage == stageEncode {
+			if sp.Stage == stageNames[stEncode] {
 				return true
 			}
 		}
@@ -218,7 +218,7 @@ func TestTraceTravelsClientToNode(t *testing.T) {
 			t.Fatalf("malformed span %+v", sp)
 		}
 	}
-	for _, want := range []string{stageAdmission, stageSimulate, stageEncode} {
+	for _, want := range []string{stageNames[stAdmission], stageNames[stSimulate], stageNames[stEncode]} {
 		if !stages[want] {
 			t.Errorf("trace has no %s span (spans: %v)", want, stages)
 		}
@@ -299,7 +299,7 @@ func TestTraceSurvivesReroute(t *testing.T) {
 	for _, sp := range rtraces[0].Spans {
 		stages[sp.Stage]++
 	}
-	if stages[stageSplit] == 0 || stages[stageDispatch] == 0 || stages[stageReroute] == 0 {
+	if stages[stageNames[stSplit]] == 0 || stages[stageNames[stDispatch]] == 0 || stages[stageNames[stReroute]] == 0 {
 		t.Fatalf("router trace lacks split/dispatch/reroute spans: %v", stages)
 	}
 	// The survivor saw the same trace identity on every hop that reached it.
@@ -483,8 +483,8 @@ func TestRouterMetricsMergeIsExact(t *testing.T) {
 	}
 	defer rt.Close()
 
-	fast := servers[0].tel.arch[isa.RISCV].simulate
-	slow := servers[1].tel.arch[isa.RISCV].simulate
+	fast := servers[0].tel.arch[isa.RISCV].stage[stSimulate]
+	slow := servers[1].tel.arch[isa.RISCV].stage[stSimulate]
 	for i := 0; i < 60; i++ {
 		fast.Observe(time.Millisecond)
 	}
@@ -507,7 +507,7 @@ func TestRouterMetricsMergeIsExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantLabels := obs.Labels("stage", stageSimulate, "arch", "riscv")
+	wantLabels := obs.Labels("stage", stageNames[stSimulate], "arch", "riscv")
 	var merged *obs.HistSnapshot
 	for i := range snap.Hists {
 		if snap.Hists[i].Name == metricStage && snap.Hists[i].Labels == wantLabels {
@@ -687,9 +687,7 @@ func BenchmarkTelemetryPanel(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		_, bt := srv.tel.begin(ctx, "node", req)
 		adm0 := time.Now()
-		admDur := time.Since(adm0)
-		at.admission.Observe(admDur)
-		bt.tr.Span(stageAdmission, adm0, admDur, 1, "")
+		bt.timed(stAdmission, at.stage[stAdmission], adm0, time.Since(adm0), 1, "")
 		tms := make([]candTimings, n)
 		timingsSink = tms
 		for j := range tms {
@@ -698,7 +696,7 @@ func BenchmarkTelemetryPanel(b *testing.B) {
 			at.record(&bt.agg, &tms[j], total, true, nil)
 			tl.recordServe(total, true, nil)
 		}
-		bt.finish(at.batchOK, nil)
+		bt.finish(at.batch[outOK], nil)
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/cand")
 }

@@ -607,3 +607,29 @@ func TestWireAllocations(t *testing.T) {
 	}
 	t.Logf("allocations: decode %.0f, encode %.0f, hit batch %.0f", decode, encode, hits)
 }
+
+// BenchmarkWire prices the codec on the exchange TestWireAllocations counts:
+// one op decodes (or encodes) the 32-candidate request and its response.
+func BenchmarkWire(b *testing.B) {
+	req, resp := wireExchange(b, 32)
+	reqJSON, _ := json.Marshal(req)
+	respJSON, _ := json.Marshal(resp)
+	b.Run("decode", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			var rq SimulateRequest
+			var rs SimulateResponse
+			if !decodeSimulateRequest(reqJSON, &rq) || !decodeSimulateResponse(respJSON, &rs) {
+				b.Fatal("fast path declined a canonical exchange")
+			}
+		}
+	})
+	b.Run("encode", func(b *testing.B) {
+		var buf []byte
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			buf, _ = appendSimulateRequest(buf[:0], req)
+			buf, _ = appendSimulateResponse(buf[:0], resp)
+		}
+	})
+}
