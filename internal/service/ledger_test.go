@@ -130,7 +130,8 @@ func seriesOf(t *testing.T, b MetricsBackend) []string {
 // to the other node — and then holds the wire to what it was before the
 // ledgers were declared in one place: the series a node with and without a
 // durable store and a router export (testdata/series.golden, taken at the
-// parent commit with this sequence), the invariant at every tier, and every
+// parent commit with this sequence), the invariant at every tier, each
+// node's candidate totals equal to the sums over its tenant rows, and every
 // summed ledger of the router equal to the sum over its nodes.
 func TestScrapeSeriesAndLedgerSums(t *testing.T) {
 	ctx := context.Background()
@@ -181,6 +182,20 @@ func TestScrapeSeriesAndLedgerSums(t *testing.T) {
 	nodes := []*Statusz{checkInvariant(t, NewClient(hs.URL)), checkInvariant(t, servers[1])}
 	if agg.CacheCanceled == 0 || agg.RejectedCandidates == 0 || agg.Rerouted == 0 || len(agg.Tenants) != 2 {
 		t.Fatalf("the sequence did not exercise cancel, 429 and two tenants: %+v", agg)
+	}
+	for i, st := range nodes {
+		var rows [5]uint64
+		for _, row := range st.Tenants {
+			rows[0] += row.Candidates
+			rows[1] += row.RejectedCandidates
+			rows[2] += row.CacheHits
+			rows[3] += row.CacheMisses
+			rows[4] += row.CacheCanceled
+		}
+		totals := [5]uint64{st.Candidates, st.RejectedCandidates, st.CacheHits, st.CacheMisses, st.CacheCanceled}
+		if totals != rows {
+			t.Errorf("node %d candidates, rejected, hits, misses, canceled = %v, its tenant rows sum to %v", i, totals, rows)
+		}
 	}
 	for _, l := range statuszLedgers {
 		var sum float64
