@@ -3,7 +3,6 @@ package hw
 import (
 	"sync"
 
-	"repro/internal/isa"
 	"repro/internal/lower"
 	"repro/internal/sim"
 )
@@ -28,25 +27,18 @@ import (
 // It owns no cache hierarchy. Every Sink call goes once to a sim.Machine of
 // its own, built with sim.New and never pooled with the simulator's, whose
 // hierarchy reports each access served below L1 back to it (miss); the
-// machine keeps only the class and flagged-branch tallies, the stream
-// detector and the latency sum. Cycle accounting is split by order
-// sensitivity so the block-aggregated event encoding stays bit-identical to
-// the per-instruction one: issue costs and mispredict penalties are pure
-// functions of instruction/branch counts and are summed arithmetically in
-// Cycles(), while cache-miss latencies — whose floating-point accumulation
-// order matters — are added in access order, which both encodings produce
-// identically.
+// machine reads the simulator's instruction and flagged-branch tallies
+// (sim.Machine.Counts) and keeps only the stream detector and the latency
+// sum. Cycle accounting is split by order sensitivity so the block-aggregated
+// event encoding stays bit-identical to the per-instruction one: issue costs
+// and mispredict penalties are pure functions of instruction/branch counts
+// and are summed arithmetically in Cycles(), while cache-miss latencies —
+// whose floating-point accumulation order matters — are added in access
+// order, which both encodings produce identically.
 type Machine struct {
 	Prof Profile
 	sim  *sim.Machine
 
-	// instr counts executed instructions per class (issue cycles are
-	// count·IssueCost, computed in Cycles()).
-	instr [isa.NumClasses]uint64
-	// loopExits and guardBranches count flagged branches; mispredicts and
-	// their penalties are derived in mispredicts()/Cycles().
-	loopExits     uint64
-	guardBranches uint64
 	// latencyCycles accumulates cache-miss latencies in access order.
 	latencyCycles float64
 
@@ -85,27 +77,9 @@ func (m *Machine) miss(addr uint64, depth int, write, fetch bool) {
 	m.latencyCycles += lat * (1 - t.MLPOverlap)
 }
 
-// Consume implements lower.Sink. Legacy EvInstr events carry their own class
-// and branch flags, which the machine tallies; the cache side of every event
-// is the simulator's.
-func (m *Machine) Consume(events []lower.Event) {
-	for i := range events {
-		e := &events[i]
-		if e.Kind != lower.EvInstr {
-			continue
-		}
-		m.instr[e.Class]++
-		switch {
-		case e.Class.IsLoad(), e.Class.IsStore():
-			// A memory access carries no branch flags.
-		case e.Flags&lower.FlagLoopExit != 0:
-			m.loopExits++
-		case e.Flags&lower.FlagGuard != 0:
-			m.guardBranches++
-		}
-	}
-	m.sim.Consume(events)
-}
+// Consume implements lower.Sink: the simulator tallies the events and
+// replays their cache accesses, whose misses arrive through miss.
+func (m *Machine) Consume(events []lower.Event) { m.sim.Consume(events) }
 
 // ConsumeLoop implements lower.Sink: the simulator replays the span, and its
 // misses arrive through miss in interleaved access order, exactly as the
@@ -123,17 +97,10 @@ func (m *Machine) ConsumeFetchRun(total uint64, lines, lastOrdinals []uint64) {
 }
 
 // ConsumeCounts implements lower.Sink: bulk instruction and flagged-branch
-// counts of the block-aggregated encoding. Issue cycles and mispredict
-// penalties are derived from these totals in Cycles(), so adding them in one
-// step is exact.
-func (m *Machine) ConsumeCounts(counts *lower.Counts) {
-	for cl, n := range counts.ByClass {
-		m.instr[cl] += n
-	}
-	m.loopExits += counts.LoopExits
-	m.guardBranches += counts.GuardBranches
-	m.sim.ConsumeCounts(counts)
-}
+// counts of the block-aggregated encoding, tallied by the simulator. Issue
+// cycles and mispredict penalties are derived from the totals in Cycles(),
+// so adding them in one step is exact.
+func (m *Machine) ConsumeCounts(counts *lower.Counts) { m.sim.ConsumeCounts(counts) }
 
 // Stats returns the instruction-accurate statistics of the execution the
 // machine timed: one program run yields both the reference time and the
@@ -158,31 +125,29 @@ func (m *Machine) streamHit(addr uint64) bool {
 	return ok && (line == last+1 || line == last)
 }
 
-// mispredicts derives the modelled mispredict count: every loop exit plus
-// every GuardMispredictEvery-th guard branch.
-func (m *Machine) mispredicts() uint64 {
-	n := m.loopExits
-	if every := m.Prof.Timing.GuardMispredictEvery; every > 0 {
-		n += m.guardBranches / every
-	}
-	return n
-}
-
 // Cycles returns the accumulated cycle count: per-class issue costs,
 // cache-miss latencies and branch-mispredict penalties.
 func (m *Machine) Cycles() float64 {
 	t := &m.Prof.Timing
 	cycles := m.latencyCycles
-	for cl, n := range m.instr {
+	for cl, n := range m.sim.Counts().ByClass {
 		if n > 0 {
 			cycles += float64(n) * t.IssueCost[cl]
 		}
 	}
-	return cycles + float64(m.mispredicts())*t.MispredictPenalty
+	return cycles + float64(m.Mispredicts())*t.MispredictPenalty
 }
 
-// Mispredicts returns the modelled branch mispredictions.
-func (m *Machine) Mispredicts() uint64 { return m.mispredicts() }
+// Mispredicts returns the modelled branch mispredictions: every loop exit
+// plus every GuardMispredictEvery-th guard branch.
+func (m *Machine) Mispredicts() uint64 {
+	c := m.sim.Counts()
+	n := c.LoopExits
+	if every := m.Prof.Timing.GuardMispredictEvery; every > 0 {
+		n += c.GuardBranches / every
+	}
+	return n
+}
 
 // Seconds converts cycles to wall time at the profile's clock and adds the
 // fixed per-run call overhead.
@@ -192,9 +157,6 @@ func (m *Machine) Seconds() float64 {
 
 // Reset clears cycles, caches and predictor state for a fresh run.
 func (m *Machine) Reset() {
-	m.instr = [isa.NumClasses]uint64{}
-	m.loopExits = 0
-	m.guardBranches = 0
 	m.latencyCycles = 0
 	m.sim.Reset()
 	clear(m.streams)

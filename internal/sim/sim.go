@@ -66,13 +66,15 @@ func (s *Stats) Cache(name string) (cache.Stats, bool) {
 // parallel (n_parallel); Machines are single-goroutine, so create one per
 // worker (or Acquire/Release pooled instances).
 type Machine struct {
-	model     isa.Model
-	hier      *cache.Hierarchy
-	instr     [isa.NumClasses]uint64
-	loopExits uint64
-	events    uint64
-	lastLine  uint64
-	haveLine  bool
+	model isa.Model
+	hier  *cache.Hierarchy
+	// counts tallies executed instructions by class and the flagged
+	// branches; its GuardBranches stays outside Stats (only the timing
+	// model reads it, through Counts).
+	counts   lower.Counts
+	events   uint64
+	lastLine uint64
+	haveLine bool
 	// observed is set once ObserveMisses gave the hierarchy an observer.
 	observed bool
 }
@@ -110,7 +112,7 @@ func (m *Machine) Consume(events []lower.Event) {
 		case lower.EvData:
 			m.hier.Data(e.Addr, uint32(e.Size), e.Class.IsStore())
 		default: // EvInstr
-			m.instr[e.Class]++
+			m.counts.ByClass[e.Class]++
 			line := e.PC &^ 63
 			if !m.haveLine || line != m.lastLine {
 				m.hier.Fetch(line, 1)
@@ -124,7 +126,10 @@ func (m *Machine) Consume(events []lower.Event) {
 				m.hier.Data(e.Addr, uint32(e.Size), true)
 			case e.Class == isa.Branch:
 				if e.Flags&lower.FlagLoopExit != 0 {
-					m.loopExits++
+					m.counts.LoopExits++
+				}
+				if e.Flags&lower.FlagGuard != 0 {
+					m.counts.GuardBranches++
 				}
 			}
 		}
@@ -152,25 +157,32 @@ func (m *Machine) ConsumeFetchRun(total uint64, lines, lastOrdinals []uint64) {
 	m.hier.FetchRun(total, lines, lastOrdinals)
 }
 
-// ConsumeCounts implements lower.Sink: bulk per-class instruction counts of
-// the block-aggregated encoding are added arithmetically.
+// ConsumeCounts implements lower.Sink: bulk per-class instruction and
+// flagged-branch counts of the block-aggregated encoding are added
+// arithmetically.
 func (m *Machine) ConsumeCounts(counts *lower.Counts) {
 	for cl, n := range counts.ByClass {
-		m.instr[cl] += n
+		m.counts.ByClass[cl] += n
 	}
-	m.loopExits += counts.LoopExits
+	m.counts.LoopExits += counts.LoopExits
+	m.counts.GuardBranches += counts.GuardBranches
 }
+
+// Counts returns the instruction and flagged-branch tallies so far, the
+// same under either event encoding.
+func (m *Machine) Counts() lower.Counts { return m.counts }
 
 // Stats snapshots the counters collected so far.
 func (m *Machine) Stats() *Stats {
-	s := &Stats{Arch: m.model.Arch, Instr: m.instr, LoopExits: m.loopExits,
+	in := &m.counts.ByClass
+	s := &Stats{Arch: m.model.Arch, Instr: *in, LoopExits: m.counts.LoopExits,
 		SinkEvents: m.events}
-	for _, c := range m.instr {
+	for _, c := range in {
 		s.Total += c
 	}
-	s.Loads = m.instr[isa.Load] + m.instr[isa.VLoad]
-	s.Stores = m.instr[isa.Store] + m.instr[isa.VStore]
-	s.Branches = m.instr[isa.Branch]
+	s.Loads = in[isa.Load] + in[isa.VLoad]
+	s.Stores = in[isa.Store] + in[isa.VStore]
+	s.Branches = in[isa.Branch]
 	levels := m.hier.Levels()
 	s.Caches = make([]LevelStats, len(levels))
 	for i, lv := range levels {
@@ -184,8 +196,7 @@ func (m *Machine) CheckInvariants() error { return m.hier.CheckStats() }
 
 // Reset clears instruction counters and cache contents (cold start).
 func (m *Machine) Reset() {
-	m.instr = [isa.NumClasses]uint64{}
-	m.loopExits = 0
+	m.counts = lower.Counts{}
 	m.events = 0
 	m.haveLine = false
 	m.hier.Reset()
