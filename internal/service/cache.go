@@ -157,18 +157,10 @@ type resultCache struct {
 	// points of do.
 	testHook func(point int)
 
-	hits   atomic.Uint64
-	misses atomic.Uint64
-	// canceled counts do() calls that returned with a context error instead
-	// of a result — leaders whose compute was canceled and waiters whose
-	// context died mid-flight. Without it, hits+misses undercounts served
-	// candidates (requests/candidates keep counting), and the Eq. (4)
-	// CacheStats accounting drifts on every aborted batch.
-	canceled atomic.Uint64
-	// diskHits is the subset of hits served from the durable store rather
+	// diskHits counts the do() calls served from the durable store rather
 	// than RAM (first touch of a key after a restart or after eviction).
-	// hits already includes them, so the hits+misses+canceled == candidates
-	// reconciliation is unchanged.
+	// They return hit, so the tenant ledgers count them among the hits and
+	// the hits+misses+canceled == candidates reconciliation is unchanged.
 	diskHits atomic.Uint64
 	// handoffKeys counts results ingested through the warm-handoff replay
 	// (/v1/ingest). Handoff entries are not candidate servings, so they
@@ -229,7 +221,6 @@ func (c *resultCache) do(ctx context.Context, k Key, tm *candTimings, compute fu
 	for {
 		r, hit, f, lead := c.lookup(k)
 		if hit {
-			c.hits.Add(1)
 			return r, true, nil
 		}
 		if !lead {
@@ -246,7 +237,6 @@ func (c *resultCache) do(ctx context.Context, k Key, tm *candTimings, compute fu
 				continue
 			case <-ctx.Done():
 				tm.add(stSFWait, time.Since(w0))
-				c.canceled.Add(1)
 				return Result{}, false, ctx.Err()
 			}
 		}
@@ -293,14 +283,11 @@ func (c *resultCache) do(ctx context.Context, k Key, tm *candTimings, compute fu
 		}
 		switch {
 		case err != nil:
-			c.canceled.Add(1)
 			return Result{}, false, err
 		case fromDisk:
-			c.hits.Add(1)
 			c.diskHits.Add(1)
 			return r, true, nil
 		}
-		c.misses.Add(1)
 		return r, false, nil
 	}
 }

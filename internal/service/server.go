@@ -37,17 +37,12 @@ type Server struct {
 	start  time.Time
 	admit  admission
 	tel    *telemetry
-	// tenants partitions the candidate ledgers by tenant identity — the
-	// per-tenant view of the same accounting the fields below keep globally.
+	// tenants holds the candidate ledgers, one row per tenant identity; the
+	// node's candidate, rejected, hit, miss and canceled totals are their
+	// sums (ledgers).
 	tenants *tenantSet
 
-	requests   atomic.Uint64
-	candidates atomic.Uint64
-	// rejected counts candidates refused by the admission gate (429). They
-	// were never accepted, so they stay outside the candidates counter and
-	// the hits+misses+canceled == candidates invariant — like handoff, a
-	// parallel ledger.
-	rejected atomic.Uint64
+	requests atomic.Uint64
 
 	// drainMu orders the draining flag against inflight.Add: Shutdown flips
 	// the flag under the write lock, so once it holds the lock no new batch
@@ -222,13 +217,12 @@ func (s *Server) Simulate(ctx context.Context, req *SimulateRequest) (_ *Simulat
 	// weighted-fair (see admission): an aggressor tenant is capped at its
 	// share while a tenant under its share is never rejected. Rejected
 	// candidates are never "accepted", so they are counted in their own
-	// ledgers (global and per-tenant) and the hits+misses+canceled ==
-	// candidates invariant is untouched.
+	// ledger and the hits+misses+canceled == candidates invariant is
+	// untouched.
 	tenant := tenantOf(ctx)
 	tl := s.tenants.get(tenant, s.tel)
 	adm0 := time.Now()
 	if !s.admit.tryAcquire(tenant, len(req.Candidates)) {
-		s.rejected.Add(uint64(len(req.Candidates)))
 		tl.rejected.Add(uint64(len(req.Candidates)))
 		outcome = at.batch[outRejected]
 		return nil, fmt.Errorf("service: %w", overloadedf(s.cfg.RetryAfterHint,
@@ -238,7 +232,6 @@ func (s *Server) Simulate(ctx context.Context, req *SimulateRequest) (_ *Simulat
 	b.timed(stAdmission, at.stage[stAdmission], adm0, time.Since(adm0), 1, "")
 	defer s.admit.release(tenant, len(req.Candidates))
 	s.requests.Add(1)
-	s.candidates.Add(uint64(len(req.Candidates)))
 	tl.candidates.Add(uint64(len(req.Candidates)))
 
 	// Per-candidate timing state: one slice allocation per batch.
@@ -279,12 +272,9 @@ func (s *Server) Simulate(ctx context.Context, req *SimulateRequest) (_ *Simulat
 	}
 	if perr != nil {
 		// Candidates ParallelCtx never dispatched were canceled before the
-		// cache could see them; charge them to the canceled counters (global
-		// and per-tenant) so hits+misses+canceled still reconciles with
-		// candidates accepted at both granularities.
-		undispatched := uint64(len(req.Candidates)) - dispatched.Load()
-		s.cache.canceled.Add(undispatched)
-		tl.canceled.Add(undispatched)
+		// cache could see them; charge them to the tenant's canceled count
+		// so hits+misses+canceled still reconciles with candidates accepted.
+		tl.canceled.Add(uint64(len(req.Candidates)) - dispatched.Load())
 		outcome = at.batch[outCanceled]
 		return nil, fmt.Errorf("service: %w", unavailablef("batch canceled: %v", perr))
 	}
@@ -301,21 +291,25 @@ func (s *Server) Statusz(context.Context) (*Statusz, error) {
 
 // ledgers reads every counter and gauge of the node into the statusz shape —
 // the one place the atomics are read; the metrics scrape below is derived
-// from the same value through the ledger declaration.
+// from the same value through the ledger declaration. The candidate,
+// rejected, hit, miss and canceled totals are the sums of the tenant rows.
 func (s *Server) ledgers() *Statusz {
 	st := &Statusz{
-		UptimeSec:          time.Since(s.start).Seconds(),
-		Draining:           s.Draining(),
-		Requests:           s.requests.Load(),
-		Candidates:         s.candidates.Load(),
-		RejectedCandidates: s.rejected.Load(),
-		CacheHits:          s.cache.hits.Load(),
-		CacheMisses:        s.cache.misses.Load(),
-		CacheCanceled:      s.cache.canceled.Load(),
-		CacheEntries:       s.cache.len(),
-		CacheDiskHits:      s.cache.diskHits.Load(),
-		CacheEvictions:     s.cache.evictions.Load(),
-		HandoffKeys:        s.cache.handoffKeys.Load(),
+		UptimeSec:      time.Since(s.start).Seconds(),
+		Draining:       s.Draining(),
+		Requests:       s.requests.Load(),
+		CacheEntries:   s.cache.len(),
+		CacheDiskHits:  s.cache.diskHits.Load(),
+		CacheEvictions: s.cache.evictions.Load(),
+		HandoffKeys:    s.cache.handoffKeys.Load(),
+		Tenants:        s.tenantStatuses(),
+	}
+	for _, t := range st.Tenants {
+		st.Candidates += t.Candidates
+		st.RejectedCandidates += t.RejectedCandidates
+		st.CacheHits += t.CacheHits
+		st.CacheMisses += t.CacheMisses
+		st.CacheCanceled += t.CacheCanceled
 	}
 	st.CacheResident = st.CacheEntries
 	if s.disk != nil {
@@ -326,7 +320,6 @@ func (s *Server) ledgers() *Statusz {
 	for _, arch := range s.cfg.Archs {
 		st.Shards = append(st.Shards, s.shards[arch].status())
 	}
-	st.Tenants = s.tenantStatuses()
 	return st
 }
 

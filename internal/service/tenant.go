@@ -72,11 +72,11 @@ func tenantOf(ctx context.Context) string {
 	return DefaultTenant
 }
 
-// tenantLedger is one tenant's slice of the server's candidate accounting:
-// the same counters the server keeps globally, partitioned by tenant, plus a
-// per-tenant serve-latency histogram. The per-tenant invariant mirrors the
-// global one — hits+misses+canceled == candidates — and rejected stays a
-// parallel ledger outside it, so fairness bookkeeping can never unbalance
+// tenantLedger is one tenant's row of the node's candidate accounting, the
+// only place candidates, rejections, hits, misses and cancellations are
+// counted (Server.ledgers sums the rows), plus a per-tenant serve-latency
+// histogram. Per tenant, hits+misses+canceled == candidates; rejected stays
+// a parallel ledger outside it, so fairness bookkeeping can never unbalance
 // the reconciliation operators already watch.
 type tenantLedger struct {
 	name       string
