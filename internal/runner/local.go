@@ -1,7 +1,6 @@
 package runner
 
 import (
-	"errors"
 	"math"
 	"sync"
 
@@ -65,6 +64,3 @@ func (r *LocalRunner) WallClockSec() float64 {
 	defer r.mu.Unlock()
 	return r.wallSec
 }
-
-// ErrBuildFailed marks candidates that never ran.
-var ErrBuildFailed = errors.New("runner: build failed")

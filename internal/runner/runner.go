@@ -17,8 +17,9 @@
 // index-aligned MeasureResults (stats, score, cache-hit provenance). The
 // service package's ServiceRunner implements the same pair over a remote
 // simulate fleet, which is why tuners cannot tell local simulators from a
-// shared service. ParallelCtx is the shared cancellable fan-out primitive
-// used by both the local runners and the service's batch executor.
+// shared service. ParallelCtx is the one worker pool: Parallel is
+// ParallelCtx without cancellation, which the simulator runner uses, and the
+// service's batch executor calls ParallelCtx itself.
 package runner
 
 import (
@@ -120,7 +121,7 @@ func (b LocalBuilder) Build(inputs []MeasureInput) []BuildResult {
 // Parallel executes fn over [0,count) with at most n concurrent workers,
 // preserving result order; it is the worker pool behind the simulator
 // runner's n_parallel semantics and is exported for other runners.
-func Parallel(n, count int, fn func(i int)) { runParallel(n, count, fn) }
+func Parallel(n, count int, fn func(i int)) { _ = ParallelCtx(context.Background(), n, count, fn) }
 
 // ParallelCtx is Parallel with cancellation: once ctx is done no further
 // indices are dispatched and the call returns ctx.Err() after in-flight fn
@@ -130,8 +131,7 @@ func Parallel(n, count int, fn func(i int)) { runParallel(n, count, fn) }
 // shutdown and client disconnect. A nil ctx behaves like Parallel.
 func ParallelCtx(ctx context.Context, n, count int, fn func(i int)) error {
 	if ctx == nil {
-		runParallel(n, count, fn)
-		return nil
+		ctx = context.Background()
 	}
 	if n < 1 {
 		n = 1
@@ -170,31 +170,4 @@ func ParallelCtx(ctx context.Context, n, count int, fn func(i int)) error {
 	close(work)
 	wg.Wait()
 	return err
-}
-
-// runParallel executes fn over indices with at most n concurrent workers,
-// preserving result order.
-func runParallel(n, count int, fn func(i int)) {
-	if n < 1 {
-		n = 1
-	}
-	if n > count {
-		n = count
-	}
-	var wg sync.WaitGroup
-	work := make(chan int)
-	for w := 0; w < n; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range work {
-				fn(i)
-			}
-		}()
-	}
-	for i := 0; i < count; i++ {
-		work <- i
-	}
-	close(work)
-	wg.Wait()
 }

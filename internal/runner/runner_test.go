@@ -193,13 +193,13 @@ func TestSimulatorRunnerUsesRegistryOverride(t *testing.T) {
 
 func TestRunParallelCoversAll(t *testing.T) {
 	var mask [100]int32
-	runParallel(7, 100, func(i int) { atomic.AddInt32(&mask[i], 1) })
+	Parallel(7, 100, func(i int) { atomic.AddInt32(&mask[i], 1) })
 	for i, v := range mask {
 		if v != 1 {
 			t.Fatalf("index %d executed %d times", i, v)
 		}
 	}
-	runParallel(0, 0, func(int) {}) // degenerate: no panic
+	Parallel(0, 0, func(int) {}) // degenerate: no panic
 }
 
 func TestParallelCtxCoversAllWhenNotCanceled(t *testing.T) {

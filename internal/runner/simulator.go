@@ -89,7 +89,7 @@ func (r *SimulatorRunner) Run(inputs []MeasureInput, builds []BuildResult) []Mea
 		}
 		return sim.Run(b.Prog, r.Caches)
 	}
-	runParallel(r.NPar, len(builds), func(i int) {
+	Parallel(r.NPar, len(builds), func(i int) {
 		if builds[i].Err != nil {
 			out[i] = MeasureResult{Err: builds[i].Err, Score: math.Inf(1)}
 			return
