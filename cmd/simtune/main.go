@@ -267,16 +267,21 @@ func run() error {
 
 // tuneNative measures every candidate on the modelled board (Fig. 2 flow).
 func tuneNative(prof hw.Profile, scale te.Scale, group, trials int, seed uint64, topK int, start time.Time) error {
-	g := group
-	factory := func() *te.Workload { return te.ConvGroup(scale, g) }
+	factory := func() *te.Workload { return te.ConvGroup(scale, group) }
 	lr := runner.NewLocalRunner(prof, hw.DefaultMeasureOptions(), num.NewRNG(seed))
-	records, err := searchWith(factory, prof.Arch, lr, trials, seed)
+	opt := ansor.DefaultOptions()
+	opt.Trials, opt.BatchSize = trials, 16
+	opt.Builder, opt.Runner = runner.LocalBuilder{Arch: prof.Arch}, lr
+	records, err := ansor.Search(factory, opt, num.NewRNG(seed))
 	if err != nil {
 		return err
 	}
+	ok := simtune.TopK(records, len(records)) // the successful ones, best first
 	fmt.Printf("native tuning of group %d on %s: %d candidates, wall-clock cost %.0f s (with cooldowns)\n",
-		group, prof.Arch, len(records), lr.WallClockSec())
-	printTop(records, topK)
+		group, prof.Arch, len(ok), lr.WallClockSec())
+	for i, r := range simtune.TopK(ok, topK) {
+		fmt.Printf("  #%d tref=%.6fs  %s\n", i+1, r.Score, renderSteps(r.Steps, factory))
+	}
 	fmt.Printf("(host time %v)\n", time.Since(start).Round(time.Millisecond))
 	return nil
 }
@@ -363,53 +368,6 @@ func tuneSimulator(arch isa.Arch, scale te.Scale, group, trials int, predName st
 	fmt.Printf("validated on target: best candidate #%d runs in %.6f s\n", idx+1, best)
 	fmt.Printf("(host time %v)\n", time.Since(start).Round(time.Millisecond))
 	return nil
-}
-
-func printTop(records []searchRecord, k int) {
-	// sort by score ascending
-	idx := make([]int, len(records))
-	for i := range idx {
-		idx[i] = i
-	}
-	for i := 1; i < len(idx); i++ {
-		for j := i; j > 0 && records[idx[j]].score < records[idx[j-1]].score; j-- {
-			idx[j], idx[j-1] = idx[j-1], idx[j]
-		}
-	}
-	if k > len(idx) {
-		k = len(idx)
-	}
-	for i := 0; i < k; i++ {
-		r := records[idx[i]]
-		fmt.Printf("  #%d tref=%.6fs  %s\n", i+1, r.score, r.desc)
-	}
-}
-
-type searchRecord struct {
-	score float64
-	desc  string
-}
-
-// searchWith runs the auto-scheduler against an arbitrary runner and adapts
-// records for printing.
-func searchWith(factory runner.WorkloadFactory, arch isa.Arch, r runner.Runner, trials int, seed uint64) ([]searchRecord, error) {
-	opt := ansor.DefaultOptions()
-	opt.Trials = trials
-	opt.BatchSize = 16
-	opt.Builder = runner.LocalBuilder{Arch: arch}
-	opt.Runner = r
-	recs, err := ansor.Search(factory, opt, num.NewRNG(seed))
-	if err != nil {
-		return nil, err
-	}
-	out := make([]searchRecord, 0, len(recs))
-	for _, rec := range recs {
-		if rec.Err != nil {
-			continue
-		}
-		out = append(out, searchRecord{score: rec.Score, desc: renderSteps(rec.Steps, factory)})
-	}
-	return out, nil
 }
 
 func renderSteps(steps []schedule.Step, factory runner.WorkloadFactory) string {

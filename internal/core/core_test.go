@@ -259,6 +259,18 @@ func TestExecutionPhaseAndValidate(t *testing.T) {
 	if top[0].Score > top[1].Score || top[1].Score > top[2].Score {
 		t.Fatal("TopK not sorted")
 	}
+	if n := len(TopK(records, -1)); n != 0 {
+		t.Fatalf("TopK(records, -1) = %d records, want 0", n)
+	}
+	var ok int
+	for _, r := range records {
+		if r.Err == nil {
+			ok++
+		}
+	}
+	if n := len(TopK(records, len(records)+5)); n != ok {
+		t.Fatalf("TopK(records, len+5) = %d records, want the %d successful ones", n, ok)
+	}
 	best, idx, err := ValidateOnTarget(prof, te.ScaleTiny, 1, top,
 		hw.MeasureOptions{Nexe: 3, CooldownSec: 0.1}, num.NewRNG(14))
 	if err != nil {

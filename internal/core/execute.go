@@ -113,6 +113,7 @@ func CacheStats(records []ansor.Record) (hits, misses int, simSec float64) {
 // TopK returns the k best-scored successful records (the candidates the
 // paper re-executes on the real architecture, §IV: "it is sufficient to
 // re-execute the top 2-3% of the predictions later on a real architecture").
+// k is clamped to [0, number of successful records].
 func TopK(records []ansor.Record, k int) []ansor.Record {
 	ok := make([]ansor.Record, 0, len(records))
 	for _, r := range records {
@@ -121,10 +122,7 @@ func TopK(records []ansor.Record, k int) []ansor.Record {
 		}
 	}
 	sort.SliceStable(ok, func(a, b int) bool { return ok[a].Score < ok[b].Score })
-	if k > len(ok) {
-		k = len(ok)
-	}
-	return ok[:k]
+	return ok[:min(max(k, 0), len(ok))]
 }
 
 // ValidateOnTarget measures the given records natively (the final
