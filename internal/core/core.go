@@ -84,16 +84,6 @@ type DatasetConfig struct {
 	FactoryFor func(group int) runner.WorkloadFactory `json:"-"`
 }
 
-// DefaultDatasetConfig returns a small-scale configuration.
-func DefaultDatasetConfig(arch isa.Arch) DatasetConfig {
-	return DatasetConfig{
-		Arch: arch, Scale: te.ScaleSmall,
-		Groups:        []int{0, 1, 2, 3, 4},
-		ImplsPerGroup: 80, BatchSize: 16, NParallel: 4,
-		MeasureOpt: hw.DefaultMeasureOptions(), Seed: 1,
-	}
-}
-
 // DualRunner measures each candidate on the timing model ("native") and the
 // instruction-accurate simulator in one program execution — the
 // training-phase setup of Fig. 4-I where workloads run in both worlds. The

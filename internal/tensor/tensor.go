@@ -78,9 +78,6 @@ func (t *Tensor) Alloc() *Tensor {
 	return t
 }
 
-// NumElems returns the element count.
-func (t *Tensor) NumElems() int { return t.Shape.Size() }
-
 // Bytes returns the buffer size in bytes.
 func (t *Tensor) Bytes() uint64 { return uint64(t.Shape.Size()) * ElemSize }
 
