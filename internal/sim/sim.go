@@ -174,15 +174,14 @@ func (m *Machine) Counts() lower.Counts { return m.counts }
 
 // Stats snapshots the counters collected so far.
 func (m *Machine) Stats() *Stats {
-	in := &m.counts.ByClass
-	s := &Stats{Arch: m.model.Arch, Instr: *in, LoopExits: m.counts.LoopExits,
-		SinkEvents: m.events}
-	for _, c := range in {
+	s := &Stats{Arch: m.model.Arch, Instr: m.counts.ByClass,
+		LoopExits: m.counts.LoopExits, SinkEvents: m.events}
+	for _, c := range s.Instr {
 		s.Total += c
 	}
-	s.Loads = in[isa.Load] + in[isa.VLoad]
-	s.Stores = in[isa.Store] + in[isa.VStore]
-	s.Branches = in[isa.Branch]
+	s.Loads = s.Instr[isa.Load] + s.Instr[isa.VLoad]
+	s.Stores = s.Instr[isa.Store] + s.Instr[isa.VStore]
+	s.Branches = s.Instr[isa.Branch]
 	levels := m.hier.Levels()
 	s.Caches = make([]LevelStats, len(levels))
 	for i, lv := range levels {
