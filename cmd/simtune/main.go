@@ -21,6 +21,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"strconv"
@@ -42,7 +43,7 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "simtune:", err)
 		os.Exit(1)
 	}
@@ -218,29 +219,35 @@ func parseNodes(spec string) (ids, urls []string, err error) {
 	return ids, urls, nil
 }
 
-func run() error {
-	if len(os.Args) > 1 && os.Args[1] == "serve" {
-		return serve(os.Args[2:])
+// run dispatches one command line (arguments after the program name); the
+// tuning flows report to out.
+func run(args []string, out io.Writer) error {
+	if len(args) > 0 {
+		switch args[0] {
+		case "serve":
+			return serve(args[1:])
+		case "route":
+			return route(args[1:])
+		case "loadgen":
+			return loadgenCmd(args[1:])
+		}
 	}
-	if len(os.Args) > 1 && os.Args[1] == "route" {
-		return route(os.Args[2:])
+	fs := flag.NewFlagSet("simtune", flag.ExitOnError)
+	archFlag := fs.String("arch", "riscv", "target architecture: x86|arm|riscv")
+	scaleFlag := fs.String("scale", "small", "workload scale: tiny|small|paper")
+	group := fs.Int("group", 1, "Table II conv group (0-4)")
+	trials := fs.Int("trials", 64, "candidates to evaluate")
+	runnerKind := fs.String("runner", "sim", "runner: native|sim|autotvm")
+	predName := fs.String("predictor", "XGBoost", "score predictor for -runner sim")
+	serverURL := fs.String("server", "", "simulate-service URL for -runner sim — a `simtune serve` node or a `simtune route` router, the protocol is identical (e.g. http://tuner-farm:8070); empty = in-process simulators")
+	nPar := fs.Int("parallel", 4, "parallel simulator instances")
+	implsPerGroup := fs.Int("train-impls", 40, "training implementations per group for -runner sim")
+	seed := fs.Uint64("seed", 1, "random seed")
+	topK := fs.Int("top", 5, "print the K best implementations")
+	cacheDir := fs.String("cache", os.TempDir()+"/simtune-cache", "dataset cache directory")
+	if err := fs.Parse(args); err != nil {
+		return err
 	}
-	if len(os.Args) > 1 && os.Args[1] == "loadgen" {
-		return loadgenCmd(os.Args[2:])
-	}
-	archFlag := flag.String("arch", "riscv", "target architecture: x86|arm|riscv")
-	scaleFlag := flag.String("scale", "small", "workload scale: tiny|small|paper")
-	group := flag.Int("group", 1, "Table II conv group (0-4)")
-	trials := flag.Int("trials", 64, "candidates to evaluate")
-	runnerKind := flag.String("runner", "sim", "runner: native|sim|autotvm")
-	predName := flag.String("predictor", "XGBoost", "score predictor for -runner sim")
-	serverURL := flag.String("server", "", "simulate-service URL for -runner sim — a `simtune serve` node or a `simtune route` router, the protocol is identical (e.g. http://tuner-farm:8070); empty = in-process simulators")
-	nPar := flag.Int("parallel", 4, "parallel simulator instances")
-	implsPerGroup := flag.Int("train-impls", 40, "training implementations per group for -runner sim")
-	seed := flag.Uint64("seed", 1, "random seed")
-	topK := flag.Int("top", 5, "print the K best implementations")
-	cacheDir := flag.String("cache", os.TempDir()+"/simtune-cache", "dataset cache directory")
-	flag.Parse()
 
 	arch, err := isa.ParseArch(*archFlag)
 	if err != nil {
@@ -255,18 +262,18 @@ func run() error {
 
 	switch *runnerKind {
 	case "native":
-		return tuneNative(prof, scale, *group, *trials, *seed, *topK, start)
+		return tuneNative(out, prof, scale, *group, *trials, *seed, *topK, start)
 	case "autotvm":
-		return tuneAutoTVM(prof, scale, *group, *trials, *seed, *topK, start)
+		return tuneAutoTVM(out, prof, scale, *group, *trials, *seed, *topK, start)
 	case "sim":
-		return tuneSimulator(arch, scale, *group, *trials, *predName, *nPar,
+		return tuneSimulator(out, arch, scale, *group, *trials, *predName, *nPar,
 			*implsPerGroup, *seed, *topK, *cacheDir, *serverURL, start)
 	}
 	return fmt.Errorf("unknown runner %q (want native|sim|autotvm)", *runnerKind)
 }
 
 // tuneNative measures every candidate on the modelled board (Fig. 2 flow).
-func tuneNative(prof hw.Profile, scale te.Scale, group, trials int, seed uint64, topK int, start time.Time) error {
+func tuneNative(out io.Writer, prof hw.Profile, scale te.Scale, group, trials int, seed uint64, topK int, start time.Time) error {
 	factory := func() *te.Workload { return te.ConvGroup(scale, group) }
 	lr := runner.NewLocalRunner(prof, hw.DefaultMeasureOptions(), num.NewRNG(seed))
 	opt := ansor.DefaultOptions()
@@ -277,17 +284,17 @@ func tuneNative(prof hw.Profile, scale te.Scale, group, trials int, seed uint64,
 		return err
 	}
 	ok := simtune.TopK(records, len(records)) // the successful ones, best first
-	fmt.Printf("native tuning of group %d on %s: %d candidates, wall-clock cost %.0f s (with cooldowns)\n",
+	fmt.Fprintf(out, "native tuning of group %d on %s: %d candidates, wall-clock cost %.0f s (with cooldowns)\n",
 		group, prof.Arch, len(ok), lr.WallClockSec())
 	for i, r := range simtune.TopK(ok, topK) {
-		fmt.Printf("  #%d tref=%.6fs  %s\n", i+1, r.Score, renderSteps(r.Steps, factory))
+		fmt.Fprintf(out, "  #%d tref=%.6fs  %s\n", i+1, r.Score, renderSteps(r.Steps, factory))
 	}
-	fmt.Printf("(host time %v)\n", time.Since(start).Round(time.Millisecond))
+	fmt.Fprintf(out, "(host time %v)\n", time.Since(start).Round(time.Millisecond))
 	return nil
 }
 
 // tuneAutoTVM uses the template-based flow with the model-guided tuner.
-func tuneAutoTVM(prof hw.Profile, scale te.Scale, group, trials int, seed uint64, topK int, start time.Time) error {
+func tuneAutoTVM(out io.Writer, prof hw.Profile, scale te.Scale, group, trials int, seed uint64, topK int, start time.Time) error {
 	g := group
 	factory := func() *te.Workload { return te.ConvGroup(scale, g) }
 	tmpl := autotvm.ConvTemplate{}
@@ -306,26 +313,26 @@ func tuneAutoTVM(prof hw.Profile, scale te.Scale, group, trials int, seed uint64
 		return err
 	}
 	best := autotvm.Best(records)
-	fmt.Printf("autotvm (xgb tuner) on group %d, %s: %d trials\n", group, prof.Arch, len(records))
+	fmt.Fprintf(out, "autotvm (xgb tuner) on group %d, %s: %d trials\n", group, prof.Arch, len(records))
 	if best != nil {
-		fmt.Printf("best config: %s  tref=%.6fs\n", space.String(best.Config), best.TimeSec)
-		fmt.Printf("schedule: %s\n", renderSteps(best.Steps, factory))
+		fmt.Fprintf(out, "best config: %s  tref=%.6fs\n", space.String(best.Config), best.TimeSec)
+		fmt.Fprintf(out, "schedule: %s\n", renderSteps(best.Steps, factory))
 	}
-	fmt.Printf("(host time %v)\n", time.Since(start).Round(time.Millisecond))
+	fmt.Fprintf(out, "(host time %v)\n", time.Since(start).Round(time.Millisecond))
 	return nil
 }
 
 // tuneSimulator is the paper's flow: train a predictor, tune on simulators
 // only, then validate the top-K natively. With serverURL the tuning batches
 // go to a shared simulate service instead of in-process simulators.
-func tuneSimulator(arch isa.Arch, scale te.Scale, group, trials int, predName string, nPar, implsPerGroup int, seed uint64, topK int, cacheDir, serverURL string, start time.Time) error {
+func tuneSimulator(out io.Writer, arch isa.Arch, scale te.Scale, group, trials int, predName string, nPar, implsPerGroup int, seed uint64, topK int, cacheDir, serverURL string, start time.Time) error {
 	trainGroups := []int{}
 	for gi := 0; gi < te.NumConvGroups; gi++ {
 		if gi != group {
 			trainGroups = append(trainGroups, gi)
 		}
 	}
-	fmt.Printf("training %s predictor for %s on groups %v (%d impls each)...\n",
+	fmt.Fprintf(out, "training %s predictor for %s on groups %v (%d impls each)...\n",
 		predName, arch, trainGroups, implsPerGroup)
 	model, err := simtune.TrainScorePredictor(simtune.TrainOptions{
 		Arch: arch, Scale: scale, Predictor: predName, Groups: trainGroups,
@@ -335,9 +342,9 @@ func tuneSimulator(arch isa.Arch, scale te.Scale, group, trials int, predName st
 		return err
 	}
 	if serverURL != "" {
-		fmt.Printf("tuning group %d against simulate service %s (target board NOT used)...\n", group, serverURL)
+		fmt.Fprintf(out, "tuning group %d against simulate service %s (target board NOT used)...\n", group, serverURL)
 	} else {
-		fmt.Printf("tuning group %d on %d parallel simulators (target board NOT used)...\n", group, nPar)
+		fmt.Fprintf(out, "tuning group %d on %d parallel simulators (target board NOT used)...\n", group, nPar)
 	}
 	records, err := model.TuneGroup(simtune.TuneGroupOptions{
 		Group: group, Trials: trials, NParallel: nPar, ServerURL: serverURL,
@@ -347,26 +354,26 @@ func tuneSimulator(arch isa.Arch, scale te.Scale, group, trials int, predName st
 	}
 	if serverURL != "" {
 		hits, misses, simSec := simtune.CacheStats(records)
-		fmt.Printf("service cache: %d hits / %d misses (%.0f%% absorbed), %.3f s simulated\n",
+		fmt.Fprintf(out, "service cache: %d hits / %d misses (%.0f%% absorbed), %.3f s simulated\n",
 			hits, misses, 100*float64(hits)/float64(max(1, hits+misses)), simSec)
 		if ct, ok := model.ServiceStats(); ok {
-			fmt.Printf("service client: %d attempts (%d retried, %.1f s backoff), attempt p50=%.1fms p99=%.1fms\n",
+			fmt.Fprintf(out, "service client: %d attempts (%d retried, %.1f s backoff), attempt p50=%.1fms p99=%.1fms\n",
 				ct.Attempts, ct.Retries, ct.BackoffTotal.Seconds(),
 				float64(ct.AttemptLatency.Quantile(0.5))/1e6,
 				float64(ct.AttemptLatency.Quantile(0.99))/1e6)
 		}
 	}
 	top := simtune.TopK(records, topK)
-	fmt.Printf("top %d of %d candidates by predicted score:\n", len(top), len(records))
+	fmt.Fprintf(out, "top %d of %d candidates by predicted score:\n", len(top), len(records))
 	for i, r := range top {
-		fmt.Printf("  #%d score=%+.4f\n", i+1, r.Score)
+		fmt.Fprintf(out, "  #%d score=%+.4f\n", i+1, r.Score)
 	}
 	best, idx, err := model.ValidateOnTarget(group, top)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("validated on target: best candidate #%d runs in %.6f s\n", idx+1, best)
-	fmt.Printf("(host time %v)\n", time.Since(start).Round(time.Millisecond))
+	fmt.Fprintf(out, "validated on target: best candidate #%d runs in %.6f s\n", idx+1, best)
+	fmt.Fprintf(out, "(host time %v)\n", time.Since(start).Round(time.Millisecond))
 	return nil
 }
 

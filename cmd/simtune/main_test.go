@@ -1,8 +1,11 @@
 package main
 
 import (
+	"bytes"
 	"flag"
 	"io"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -98,5 +101,35 @@ func TestParseNodes(t *testing.T) {
 		if err != nil || !reflect.DeepEqual(ids, tc.ids) || !reflect.DeepEqual(urls, tc.urls) {
 			t.Errorf("%s: parseNodes(%q) = %v, %v, %v; want %v, %v", tc.name, tc.spec, ids, urls, err, tc.ids, tc.urls)
 		}
+	}
+}
+
+// TestNativeRunnerGolden runs the classic flow — Ansor search measured on
+// the modelled board — end to end at tiny scale and holds its report, the
+// host-time line aside, byte for byte to a checked-in golden.
+func TestNativeRunnerGolden(t *testing.T) {
+	var out bytes.Buffer
+	if err := run(strings.Fields("-runner native -scale tiny -trials 24 -top 5"), &out); err != nil {
+		t.Fatal(err)
+	}
+	var got strings.Builder
+	for _, line := range strings.SplitAfter(out.String(), "\n") {
+		if !strings.HasPrefix(line, "(host time ") {
+			got.WriteString(line)
+		}
+	}
+	want, err := os.ReadFile(filepath.Join("testdata", "native_tiny.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.String() != string(want) {
+		t.Errorf("native runner report differs from testdata/native_tiny.golden:\n got:\n%s\nwant:\n%s", got.String(), want)
+	}
+}
+
+func TestUnknownRunnerRefused(t *testing.T) {
+	err := run([]string{"-runner", "bogus"}, io.Discard)
+	if err == nil || !strings.Contains(err.Error(), "want native|sim|autotvm") {
+		t.Fatalf("-runner bogus: %v, want the native|sim|autotvm error", err)
 	}
 }

@@ -22,13 +22,19 @@
 // Replay entry points, fastest first:
 //
 //   - DataRun replays a whole uniform loop span (a lower.LoopRun) of
-//     strided access sites in interleaved iteration order.
+//     strided access sites in interleaved iteration order. A span may lead
+//     with prologue sites (RunSite.Level 1 or 2), accessed once per row or
+//     once per plane ahead of the rest, which the replay visits in that
+//     stream order.
 //   - TryDataRunResident is the resident-span fast path: if every line a
 //     span touches is already resident in L1D, the span provably cannot
 //     miss or evict, so hit counters, LRU stamps, dirty bits and MRU slots
 //     are bulk-applied in O(distinct lines) — it probes side-effect-free
 //     and reports false (leaving state untouched) the moment a
-//     non-resident line appears, falling back to DataRun.
+//     non-resident line appears, falling back to DataRun. Stamps are
+//     stream ordinals in access units, prologue sites included, so rows or
+//     planes fold into one linear walk only where no prologue sits between
+//     them.
 //   - FetchResident/FetchRun are the instruction-side counterpart: a
 //     side-effect-free probe that a set of code lines is resident in L1I,
 //     and a commit that applies a whole run of fetch-line crossings over

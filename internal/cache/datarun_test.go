@@ -25,7 +25,8 @@ func testHierarchy(t *testing.T, l1Sets, l1Assoc int) *Hierarchy {
 
 // referenceDataRun is the per-access replay the fast path must be
 // bit-identical to: every access goes through the public Data path in
-// interleaved iteration order.
+// stream order — per plane its prologue sites, per row the row's prologue
+// sites, then the row's interleaved iterations.
 func referenceDataRun(h *Hierarchy, count, rows, planes int, sites []RunSite) {
 	if rows < 1 {
 		rows = 1
@@ -33,14 +34,20 @@ func referenceDataRun(h *Hierarchy, count, rows, planes int, sites []RunSite) {
 	if planes < 1 {
 		planes = 1
 	}
+	access := func(level uint8, k, j, i int) {
+		for s := range sites {
+			if st := &sites[s]; st.Level == level {
+				addr := st.Addr + uint64(int64(k)*st.PlaneStep+int64(j)*st.RowStep+int64(i)*st.Step)
+				h.Data(addr, uint32(st.Size), st.Write)
+			}
+		}
+	}
 	for k := 0; k < planes; k++ {
+		access(2, k, 0, 0)
 		for j := 0; j < rows; j++ {
+			access(1, k, j, 0)
 			for i := 0; i < count; i++ {
-				for s := range sites {
-					st := &sites[s]
-					addr := st.Addr + uint64(int64(k)*st.PlaneStep+int64(j)*st.RowStep+int64(i)*st.Step)
-					h.Data(addr, uint32(st.Size), st.Write)
-				}
+				access(0, k, j, i)
 			}
 		}
 	}
@@ -50,7 +57,9 @@ func referenceDataRun(h *Hierarchy, count, rows, planes int, sites []RunSite) {
 // biased to cover the fast path's edge cases: zero and negative steps,
 // non-power-of-two steps and sizes, misaligned bases (multi-line accessSpan
 // crossings), row/plane strides that fold into contiguous walks, and
-// strides that slam every row into the same set.
+// strides that slam every row into the same set. One span in three leads
+// with prologue sites — per plane, per row or both, highest level first —
+// which break the folds their rows and planes would otherwise allow.
 func randomSpan(rng *num.RNG, setSpan int64, compact bool) (count, rows, planes int, sites []RunSite) {
 	count = 1 + rng.Intn(40)
 	rows = 1 + rng.Intn(4)
@@ -65,8 +74,12 @@ func randomSpan(rng *num.RNG, setSpan int64, compact bool) (count, rows, planes 
 		sizes = []uint16{4, 4, 4, 8}
 		addrRange = 2048
 	}
+	var levels []uint8
+	if rng.Intn(3) == 0 {
+		levels = [][]uint8{{2}, {1}, {2, 1}, {1, 1}}[rng.Intn(4)]
+	}
 	ns := 1 + rng.Intn(3)
-	for s := 0; s < ns; s++ {
+	for s := 0; s < len(levels)+ns; s++ {
 		step := steps[rng.Intn(len(steps))]
 		rowStep := []int64{0, 4, int64(count) * step, 112, setSpan, -64}[rng.Intn(6)]
 		planeStep := []int64{0, int64(rows) * rowStep, 3136, setSpan * 2}[rng.Intn(4)]
@@ -78,14 +91,18 @@ func randomSpan(rng *num.RNG, setSpan int64, compact bool) (count, rows, planes 
 		if rng.Float64() < 0.7 {
 			addr &^= 3 // mostly element-aligned, sometimes not
 		}
-		sites = append(sites, RunSite{
+		site := RunSite{
 			Addr:      addr,
 			Step:      step,
 			RowStep:   rowStep,
 			PlaneStep: planeStep,
 			Size:      sizes[rng.Intn(len(sizes))],
 			Write:     rng.Float64() < 0.25,
-		})
+		}
+		if s < len(levels) {
+			site.Level = levels[s]
+		}
+		sites = append(sites, site)
 	}
 	return count, rows, planes, sites
 }
@@ -98,7 +115,7 @@ func randomSpan(rng *num.RNG, setSpan int64, compact bool) (count, rows, planes 
 // that miss or conflict (fast path must reject without side effects).
 func TestDataRunBitIdenticalFuzz(t *testing.T) {
 	rng := num.NewRNG(77)
-	fastTaken, fallback := 0, 0
+	fastTaken, fallback, prologueFast := 0, 0, 0
 	for trial := 0; trial < 400; trial++ {
 		// Even trials use tight geometries that force conflicts; odd trials
 		// use a roomy L1D and compact spans so warmed replays go resident.
@@ -132,6 +149,9 @@ func TestDataRunBitIdenticalFuzz(t *testing.T) {
 				copyHierarchyState(probe, fast)
 				if probe.TryDataRunResident(count, rows, planes, sites) {
 					fastTaken++
+					if sites[0].Level > 0 {
+						prologueFast++
+					}
 				} else {
 					fallback++
 				}
@@ -148,10 +168,11 @@ func TestDataRunBitIdenticalFuzz(t *testing.T) {
 			}
 		}
 	}
-	if fastTaken == 0 || fallback == 0 {
-		t.Fatalf("fuzz must exercise both paths: fast=%d fallback=%d", fastTaken, fallback)
+	if fastTaken == 0 || fallback == 0 || prologueFast == 0 {
+		t.Fatalf("fuzz must exercise both paths, prologues on the fast one: fast=%d (prologue %d) fallback=%d",
+			fastTaken, prologueFast, fallback)
 	}
-	t.Logf("spans via fast path: %d, via scalar fallback: %d", fastTaken, fallback)
+	t.Logf("spans via fast path: %d (with prologue sites %d), via scalar fallback: %d", fastTaken, prologueFast, fallback)
 }
 
 // missReport is one call of a hierarchy's miss observer.
@@ -236,6 +257,19 @@ func TestDataRunResidentRejectsWithoutSideEffects(t *testing.T) {
 	}
 	if err := h.DiffState(before); err != nil {
 		t.Fatalf("rejected span mutated state: %v", err)
+	}
+	// The same for a prologue site: resident iteration sites, and a row
+	// prologue whose second row lands on a non-resident line.
+	sites = []RunSite{
+		{Addr: 0, RowStep: 100 * 64, Size: 4, Level: 1},
+		{Addr: 0, Step: 4, RowStep: 4, Size: 4},
+		{Addr: 64, Step: 4, Size: 4, Write: true},
+	}
+	if h.TryDataRunResident(8, 2, 1, sites) {
+		t.Fatal("span with a non-resident prologue line must be rejected")
+	}
+	if err := h.DiffState(before); err != nil {
+		t.Fatalf("rejected prologue span mutated state: %v", err)
 	}
 }
 

@@ -99,7 +99,10 @@ func (h *Hierarchy) Fetch(addr uint64, size uint32) int {
 // RunSite is one strided data access of a uniform loop span (the cache-side
 // mirror of the executor protocol's loop-run site): the address at the
 // first iteration plus per-iteration (Step), per-row (RowStep) and per-plane
-// (PlaneStep) deltas.
+// (PlaneStep) deltas. Level says how often the span accesses the site: 0 at
+// every iteration, 1 once per row ahead of the row's iterations (a row
+// prologue), 2 once per plane ahead of the plane's rows (a plane prologue).
+// A span lists its sites highest level first.
 type RunSite struct {
 	Addr      uint64
 	Step      int64
@@ -107,15 +110,17 @@ type RunSite struct {
 	PlaneStep int64
 	Size      uint16
 	Write     bool
+	Level     uint8
 }
 
 // DataRun replays planes×rows×count iterations of interleaved strided
 // accesses through the data hierarchy, in exactly the order per-access Data
-// calls would take. Living inside the cache package lets it reach accessLine
-// directly, which removes the per-access wrapper cost of the hottest
-// simulator loop. Spans whose lines are all resident in L1D take the bulk
-// resident fast path (see TryDataRunResident); the result is bit-identical
-// either way.
+// calls would take: per plane its prologue sites, then per row the row's
+// prologue sites and the row's iterations. Living inside the cache package
+// lets it reach accessLine directly, which removes the per-access wrapper
+// cost of the hottest simulator loop. Spans whose lines are all resident in
+// L1D take the bulk resident fast path (see TryDataRunResident); the result
+// is bit-identical either way.
 func (h *Hierarchy) DataRun(count, rows, planes int, sites []RunSite) {
 	if rows < 1 {
 		rows = 1
@@ -126,12 +131,21 @@ func (h *Hierarchy) DataRun(count, rows, planes int, sites []RunSite) {
 	if h.TryDataRunResident(count, rows, planes, sites) {
 		return
 	}
+	planeSites, rowSites, iterSites := splitLevels(sites)
 	l1d := h.L1D
 	for k := 0; k < planes; k++ {
+		for s := range planeSites {
+			st := &planeSites[s]
+			l1d.Access(st.Addr+uint64(int64(k)*st.PlaneStep), uint32(st.Size), st.Write)
+		}
 		for j := 0; j < rows; j++ {
+			for s := range rowSites {
+				st := &rowSites[s]
+				l1d.Access(st.Addr+uint64(int64(k)*st.PlaneStep+int64(j)*st.RowStep), uint32(st.Size), st.Write)
+			}
 			for i := 0; i < count; i++ {
-				for s := range sites {
-					st := &sites[s]
+				for s := range iterSites {
+					st := &iterSites[s]
 					addr := st.Addr + uint64(int64(k)*st.PlaneStep+int64(j)*st.RowStep+int64(i)*st.Step)
 					w := b2i(st.Write)
 					first := addr >> l1d.lineShift
@@ -148,6 +162,23 @@ func (h *Hierarchy) DataRun(count, rows, planes int, sites []RunSite) {
 			}
 		}
 	}
+}
+
+// splitLevels cuts a span's sites, highest level first, into the plane
+// prologue, the row prologue and the per-iteration sites.
+func splitLevels(sites []RunSite) (plane, row, iter []RunSite) {
+	if len(sites) == 0 || sites[0].Level == 0 {
+		return nil, nil, sites
+	}
+	p := 0
+	for p < len(sites) && sites[p].Level == 2 {
+		p++
+	}
+	r := p
+	for r < len(sites) && sites[r].Level == 1 {
+		r++
+	}
+	return sites[:p], sites[p:r], sites[r:]
 }
 
 // touch is one distinct line visit recorded by the resident-span
@@ -176,102 +207,117 @@ const (
 // MRU slots and dirty bits. Those are computed in O(distinct line visits)
 // instead of O(accesses): a read-only probe pass walks each site's strided
 // line segments, records the final stamp each line would carry (the stamp
-// of its last access, derived arithmetically from the interleaved iteration
-// order), and bails without side effects on the first non-resident line.
-// The commit pass then applies stamps max-wise (a line revisited across
+// of its last access, derived arithmetically from the span's stream order),
+// and bails without side effects on the first non-resident line. The commit
+// pass then applies stamps max-wise (a line revisited across
 // rows/planes/sites keeps its latest stamp) and maintains the per-set MRU
 // invariant, leaving cache state bit-identical to the scalar replay.
 //
+// Stamps count accesses: a row is its prologue sites plus count iterations
+// of the per-iteration sites, a plane its prologue sites plus rows rows,
+// and a site's access at any position has a closed-form stream ordinal. A
+// prologue site is walked like an iteration site whose iterations are the
+// rows (or planes) it repeats over.
+//
 // The probe pass enumerates per site, not in access order — the journal is
 // order-independent — which lets a site whose rows (and planes) continue
-// each other in memory (RowStep == Count*Step, PlaneStep == Rows*RowStep)
-// collapse into one linear walk over its whole address range. The stamp of
-// a line's last access needs only that access's iteration ordinal, which
-// the linear walk preserves.
+// each other in memory and in stream order (RowStep == Count*Step and no
+// row prologue between them; likewise for planes) collapse into one linear
+// walk over its whole address range. The stamp of a line's last access
+// needs only that access's ordinal, which the linear walk preserves.
 //
 // Sites whose accesses could straddle a line boundary (size not a
 // power-of-two divisor of the line size, or misaligned address/steps) and
-// negative inner steps fall back. It reports whether the span was applied.
+// negative steps along a site's walk fall back. It reports whether the span
+// was applied.
 func (h *Hierarchy) TryDataRunResident(count, rows, planes int, sites []RunSite) bool {
 	l1 := h.L1D
-	ns := len(sites)
-	if ns == 0 || count < 1 || rows < 1 || planes < 1 {
+	if len(sites) == 0 || count < 1 || rows < 1 || planes < 1 {
 		return false
 	}
-	perSite := planes * rows * count
-	if perSite*ns < residentMinAccesses {
+	planeSites, rowSites, iterSites := splitLevels(sites)
+	// Accesses per row and per plane: the stream-order distance between
+	// one row's (plane's) access to a site and the next row's (plane's).
+	ordRow := uint64(len(rowSites)) + uint64(count)*uint64(len(iterSites))
+	ordPlane := uint64(len(planeSites)) + uint64(rows)*ordRow
+	total := uint64(planes) * ordPlane
+	if total < residentMinAccesses {
 		return false
 	}
 	shift := l1.lineShift
 	lineBytes := uint64(1) << shift
 	tr := h.touches[:0]
 	stamp0 := l1.stamp
-	nsU := uint64(ns)
-	ordRow := uint64(count)           // iteration ordinals per row
-	ordPlane := uint64(rows) * ordRow // and per plane
 	for s := range sites {
 		st := &sites[s]
 		sz := uint64(st.Size)
 		if sz == 0 {
 			sz = 1
 		}
+		// The site's walk: cnt accesses step bytes and ordStep stream
+		// positions apart, repeated over rEff rows and pEff planes.
+		cnt, step, ordStep := count, st.Step, uint64(len(iterSites))
+		rEff, rowStep, pEff, planeStep := rows, st.RowStep, planes, st.PlaneStep
+		switch st.Level {
+		case 1:
+			cnt, step, ordStep, rEff = rows, st.RowStep, ordRow, 1
+		case 2:
+			cnt, step, ordStep, rEff, pEff = planes, st.PlaneStep, ordPlane, 1, 1
+		}
 		// Alignment test: a power-of-two size that divides the line size,
 		// with address and live steps all size-aligned, can never cross a
 		// line boundary (two's complement keeps the low bits of negative
 		// steps, so the OR works for them too).
-		or := st.Addr | uint64(st.Step)
-		if rows > 1 {
-			or |= uint64(st.RowStep)
+		or := st.Addr | uint64(step)
+		if rEff > 1 {
+			or |= uint64(rowStep)
 		}
-		if planes > 1 {
-			or |= uint64(st.PlaneStep)
+		if pEff > 1 {
+			or |= uint64(planeStep)
 		}
-		if st.Step < 0 || sz&(sz-1) != 0 || sz > lineBytes || or&(sz-1) != 0 {
+		if step < 0 || sz&(sz-1) != 0 || sz > lineBytes || or&(sz-1) != 0 {
 			h.touches = tr
 			return false
 		}
-		step := uint64(st.Step)
+		stepU := uint64(step)
 		// Power-of-two steps (the overwhelmingly common strides) replace the
 		// per-line division below by a shift; stepLog < 0 marks the rest.
 		stepLog := -1
-		if step&(step-1) == 0 {
-			stepLog = bits.TrailingZeros64(step)
+		if stepU&(stepU-1) == 0 {
+			stepLog = bits.TrailingZeros64(stepU)
 		}
 		dirty := uint64(b2i(st.Write)) << dirtyShift
-		stampOff := uint64(s) + 1
 		// Fold rows (then planes) into the inner walk when they continue
-		// each other in memory: the access ordinal stays the segment-local
-		// index, so stamps are unchanged and line visits collapse.
-		cEff := uint64(count)
-		rEff, pEff := rows, planes
-		rowStep, planeStep := st.RowStep, st.PlaneStep
-		if rEff > 1 && uint64(rowStep) == cEff*step {
+		// each other in memory and in stream order: the access ordinal stays
+		// the segment-local index, so stamps are unchanged and line visits
+		// collapse.
+		cEff := uint64(cnt)
+		if rEff > 1 && uint64(rowStep) == cEff*stepU && ordRow == cEff*ordStep {
 			cEff *= uint64(rEff)
 			rEff = 1
 		}
-		if rEff == 1 && pEff > 1 && uint64(planeStep) == cEff*step {
+		if rEff == 1 && pEff > 1 && uint64(planeStep) == cEff*stepU && ordPlane == cEff*ordStep {
 			cEff *= uint64(pEff)
 			pEff = 1
 		}
 		cm1 := cEff - 1
+		stampOff := stamp0 + uint64(s) + 1 // sites are in stream order within a row
 		for k := 0; k < pEff; k++ {
 			segBase := st.Addr + uint64(int64(k)*planeStep)
-			ordK := uint64(k) * ordPlane
+			ordK := stampOff + uint64(k)*ordPlane
 			for j := 0; j < rEff; j++ {
 				base := segBase + uint64(int64(j)*rowStep)
 				ordBase := ordK + uint64(j)*ordRow
 				line := base >> shift
-				last := (base + cm1*step) >> shift
+				last := (base + cm1*stepU) >> shift
 				if line == last {
-					// Whole segment on one line (always for Step == 0).
+					// Whole segment on one line (always for a zero step).
 					idx, set := l1.findLine(line)
 					if idx < 0 || len(tr) >= maxResidentTouches {
 						h.touches = tr
 						return false
 					}
-					tr = append(tr, touch{
-						stamp: stamp0 + (ordBase+cm1)*nsU + stampOff,
-						dirty: dirty, idx: idx, set: set})
+					tr = append(tr, touch{stamp: ordBase + cm1*ordStep, dirty: dirty, idx: idx, set: set})
 					continue
 				}
 				for i := uint64(0); ; {
@@ -281,7 +327,7 @@ func (h *Hierarchy) TryDataRunResident(count, rows, planes int, sites []RunSite)
 						if stepLog >= 0 {
 							iLast = span >> stepLog
 						} else {
-							iLast = span / step
+							iLast = span / stepU
 						}
 					}
 					idx, set := l1.findLine(line)
@@ -289,14 +335,12 @@ func (h *Hierarchy) TryDataRunResident(count, rows, planes int, sites []RunSite)
 						h.touches = tr
 						return false
 					}
-					tr = append(tr, touch{
-						stamp: stamp0 + (ordBase+iLast)*nsU + stampOff,
-						dirty: dirty, idx: idx, set: set})
+					tr = append(tr, touch{stamp: ordBase + iLast*ordStep, dirty: dirty, idx: idx, set: set})
 					if iLast == cm1 {
 						break
 					}
 					i = iLast + 1
-					line = (base + i*step) >> shift
+					line = (base + i*stepU) >> shift
 				}
 			}
 		}
@@ -318,10 +362,18 @@ func (h *Hierarchy) TryDataRunResident(count, rows, planes int, sites []RunSite)
 			}
 		}
 	}
+	perIter := uint64(planes) * uint64(rows) * uint64(count)
 	for s := range sites {
-		l1.Stats.Hits[b2i(sites[s].Write)] += uint64(perSite)
+		n := perIter
+		switch sites[s].Level {
+		case 1:
+			n = uint64(planes) * uint64(rows)
+		case 2:
+			n = uint64(planes)
+		}
+		l1.Stats.Hits[b2i(sites[s].Write)] += n
 	}
-	l1.stamp = stamp0 + uint64(perSite)*nsU
+	l1.stamp = stamp0 + total
 	h.touches = tr[:0]
 	return true
 }

@@ -86,6 +86,11 @@ func (m *Machine) Consume(events []lower.Event) { m.sim.Consume(events) }
 // per-event stream's would. A span the resident fast path takes has none.
 func (m *Machine) ConsumeLoop(run *lower.LoopRun) { m.sim.ConsumeLoop(run) }
 
+// ConsumePrologueRun implements lower.PrologueRunSink: the simulator
+// replays the box, prologue sites in stream order, and its misses arrive
+// through miss.
+func (m *Machine) ConsumePrologueRun(run *lower.LoopRun) { m.sim.ConsumePrologueRun(run) }
+
 // FetchResident implements lower.FetchRunSink: a side-effect-free probe of
 // the L1I.
 func (m *Machine) FetchResident(lines []uint64) bool { return m.sim.FetchResident(lines) }

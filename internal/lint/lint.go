@@ -12,9 +12,9 @@
 //     ledgers are the motivating corpus).
 //   - hotpath: functions reachable from the simulator inner loops and the
 //     cache-hit serve path must not read the clock, format strings,
-//     touch encoding/json, or (on the simulator side) take a lock.
-//     Clock reads behind a nil-guard (the telemetry-handle pattern) are
-//     deliberate non-findings.
+//     touch encoding/json, or (on the simulator side) take a lock. A clock
+//     read is a finding even behind a nil check on some handle: a hot path
+//     has one shape, and timing belongs outside its root.
 //   - errtaxonomy: retryability and classification checks on errors must
 //     use errors.Is/errors.As, never type assertions; wire packages must
 //     route error responses through the typed writeError path.

@@ -51,7 +51,7 @@ var testdataCases = []struct {
 // TestWantCorpus checks every testdata module against its `// want "..."`
 // comments: each want must be matched by a diagnostic on that line, and
 // every diagnostic must be claimed by a want — the negative cases (the
-// liveness-exception admit, the nil-guarded telemetry reads, test sleeps)
+// liveness-exception admit, the serve path's one batched lock, test sleeps)
 // are asserted by their absence.
 func TestWantCorpus(t *testing.T) {
 	for _, tc := range testdataCases {

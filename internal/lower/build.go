@@ -184,7 +184,12 @@ func (p *Program) buildNest() {
 	if !inner.Vector {
 		p.nestFrom = max(nl-maxNestRank, p.reduceStart)
 	}
-	plain := !inner.Unrolled && p.spillRegs == 0
+	for s := nl - 1 - p.nestFrom; s >= 1; s-- {
+		for _, site := range p.levels[nl-1-s].Hoisted {
+			p.nestLoads = append(p.nestLoads, nestLoad{site: site, level: s})
+		}
+	}
+	plain := !inner.Unrolled
 	for r := 0; r < nl-p.nestFrom; r++ {
 		d := nl - 1 - r
 		st := &p.nest[r]
@@ -200,50 +205,67 @@ func (p *Program) buildNest() {
 			}
 		}
 		st.tile = p.tileStride[d]
+		for _, h := range p.nestLoads {
+			st.hoist = append(st.hoist, h.site.Elem.coefOf(d))
+		}
 		if r == 0 {
 			continue
 		}
 		lv := p.levels[d]
-		plain = plain && len(lv.Guards) == 0 && len(lv.Hoisted) == 0 && !lv.Unrolled
+		plain = plain && len(lv.Guards) == 0 && !lv.Unrolled
+		for _, site := range lv.Hoisted {
+			plain = plain && !site.CanOOB // padded hoisted loads stay on the per-row path
+		}
 		st.boxable = plain
+		for st.loadsFrom < len(p.nestLoads) && p.nestLoads[st.loadsFrom].level > r {
+			st.loadsFrom++
+		}
+		if !plain {
+			continue
+		}
 		for gi, g := range inner.Guards {
-			p.addNestCond(r, nestCond{idx: gi, bound: g.Extent})
+			p.addNestCond(r, nestCond{kind: condGuard, idx: gi, bound: g.Extent})
 		}
 		di := 0
 		for _, site := range p.bodyLoads {
 			if site.CanOOB {
 				for _, extent := range site.Tensor.Shape {
-					p.addNestCond(r, nestCond{idx: di, dim: true, bound: extent})
+					p.addNestCond(r, nestCond{kind: condDim, idx: di, bound: extent})
 					di++
 				}
 			}
 		}
-		if !st.boxable {
-			st.conds = nil
+		if p.spillRegs > 0 {
+			p.addNestCond(r, nestCond{kind: condSpill, bound: p.spillFrom})
 		}
 	}
 }
 
-// addNestCond classifies one condition for the box of nest levels 0..r by
-// the levels it varies with: two or more make the box impossible, exactly
-// one above the innermost makes it a condition on that level's range.
+// addNestCond records one condition for the box of nest levels 0..r when it
+// varies with some level above the innermost: its stride along level r and
+// the range the levels below r add to it.
 func (p *Program) addNestCond(r int, c nestCond) {
-	varying := 0
+	above := false
 	for s := 0; s <= r; s++ {
-		steps := p.nest[s].guard
-		if c.dim {
-			steps = p.nest[s].dim
+		var step int
+		switch st := &p.nest[s]; c.kind {
+		case condGuard:
+			step = st.guard[c.idx]
+		case condDim:
+			step = st.dim[c.idx]
+		default:
+			step = st.tile
 		}
-		if steps[c.idx] != 0 {
-			varying++
-			c.level, c.step = s, steps[c.idx]
+		above = above || (s > 0 && step != 0)
+		if s == r {
+			c.step = step
+			break
 		}
+		span := (p.levels[len(p.levels)-1-s].Extent - 1) * step
+		c.lo, c.hi = c.lo+min(span, 0), c.hi+max(span, 0)
 	}
-	switch st := &p.nest[r]; {
-	case varying > 1:
-		st.boxable = false
-	case varying == 1 && c.level > 0:
-		st.conds = append(st.conds, c)
+	if above {
+		p.nest[r].conds = append(p.nest[r].conds, c)
 	}
 }
 

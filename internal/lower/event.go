@@ -49,8 +49,9 @@
 //     counters (sim) or end-of-run arithmetic (hw issue cycles, mispredict
 //     penalties), so aggregating them loses no information.
 //
-// A sink may offer an optional fourth channel, FetchRunSink, which lets the
-// executor aggregate nest boxes whose code spans several I-lines:
+// A sink may offer two optional channels, each asserted once per Execute.
+// FetchRunSink lets the executor aggregate nest boxes whose code spans
+// several I-lines:
 //
 //   - FetchResident(lines) asks, with no side effects, whether every one of
 //     a box's code lines already sits in the sink's L1I, and
@@ -67,9 +68,22 @@
 //     and must stay in stream order) the executor runs that row or plane on
 //     the ordered channels and asks again at the next.
 //
-// Execute asserts the channel once; sinks without it — any implementation
-// of the three-method Sink outside this repository — receive exactly the
-// stream described above, with multi-line boxes left to the per-row path.
+// PrologueRunSink lets it aggregate nest boxes whose enclosing levels hoist
+// loads out of the inner loop:
+//
+//   - ConsumePrologueRun(run) delivers a LoopRun whose sites begin with
+//     prologue sites: LoopSite.Level 1 marks a load made once per row,
+//     ahead of the row's iterations, and Level 2 one made once per plane,
+//     ahead of the plane's rows; sites are listed highest level first. The
+//     replay order is per plane its prologue, then per row the row's
+//     prologue and the row's interleaved iterations — again exactly the
+//     per-event order. Hoisted loads with a padding check never travel this
+//     way; their boxes stay on the per-row path.
+//
+// Sinks without a channel — any implementation of the three-method Sink
+// outside this repository — receive exactly the stream described above,
+// with multi-line boxes and boxes with prologue sites left to the per-row
+// path.
 //
 // # Executor
 //
@@ -80,25 +94,35 @@
 // one, and lower.Build fills it once per program:
 //
 //   - the strides: how far each guard value, element offset, padding
-//     dimension and the tile index move per iteration of that level. runNest
+//     dimension and the tile index move per iteration of that level, and
+//     each load hoisted to a nest level (Program.nestLoads). runNest
 //     evaluates the body's affines once, at iteration 0 of every nest level,
 //     and the loops add strides from then on (advance) instead of
-//     re-evaluating affines per point.
-//   - boxable and conds, the schedule-static half of the box classifier:
-//     whether this level and the ones below can ship as one LoopRun at all
-//     (enclosing levels plain, innermost not unrolled, no spills, no
-//     condition varying with two nest levels — a diagonal), and which single
-//     level above the innermost each remaining condition varies with.
+//     re-evaluating affines per point; a box evaluates its hoisted loads
+//     once, at its first row, and ships their strides.
+//   - boxable, loadsFrom and conds, the schedule-static half of the box
+//     classifier: whether this level and the ones below can ship as one
+//     LoopRun at all (enclosing levels without guards, unrolling or padded
+//     hoisted loads, innermost not unrolled), which prologue sites it
+//     carries, and the affine conditions that bound its range: split-tail
+//     guards, padding dimensions and the spill test, each with its stride
+//     along the level and the range the levels below add to it.
 //
-// What is left for run time is interval arithmetic on the live bases.
-// runNestRows drives one nest level: nestUniformRange intersects the
-// intervals of the level's conds into the iteration range over which the
-// box repeats, runNestBlock checks that the innermost range is one uniform
-// segment and ships the range as bulk counts, one fetch (or one fetch run)
-// and one LoopRun, and the iterations outside the range go one level down —
-// to runNestRows again, or to the innermost loop, which cuts its own range
-// into uniform spans (runInnerSegments) or, for unrolled and multi-I-line
-// bodies, runs per iteration (runInnerIter).
+// What is left for run time is interval arithmetic on the live bases, one
+// rule for every condition. runNestRows drives one nest level:
+// nestUniformRange takes each condition at its least and its greatest value
+// over the full extents of the levels below and intersects the ranges of
+// the level over which it is uniform — passing throughout for a guard or a
+// padding dimension, either outcome for the spill test — into the next
+// range over which the box repeats. runNestBlock checks that the innermost
+// range is one uniform segment and ships the range as bulk counts, one
+// fetch (or one fetch run) and one LoopRun, whose sites are the enclosing
+// levels' hoisted loads as prologue sites, the body loads, and the spill
+// reload and write-back. The iterations outside the range go one level down
+// — to runNestRows again, or to the innermost loop, which cuts its own
+// range into uniform spans (runInnerSegments) or, for unrolled and
+// multi-I-line bodies, runs per iteration (runInnerIter) — and the level
+// looks for its next range after each box.
 //
 // The nest is maxNestRank = 3 levels deep because a LoopRun is Count × Rows ×
 // Planes. A fourth level would cost a stride table entry here, but a new
@@ -183,8 +207,10 @@ type Counts struct {
 }
 
 // LoopSite is one strided data access of a LoopRun: the address at the
-// first iteration plus per-iteration, per-row and per-plane deltas. It is
-// the cache package's RunSite so sinks can hand the sites straight to
+// first iteration plus per-iteration, per-row and per-plane deltas, and the
+// Level at which it is accessed (0 every iteration; 1 and 2 are row and
+// plane prologue sites, which only the PrologueRunSink channel carries). It
+// is the cache package's RunSite so sinks can hand the sites straight to
 // cache.Hierarchy.DataRun without copying.
 type LoopSite = cache.RunSite
 
@@ -195,7 +221,10 @@ type LoopSite = cache.RunSite
 // for s in Sites: access(s.Addr + k*s.PlaneStep + j*s.RowStep + i*s.Step)`
 // is bit-identical to the interleaved per-event stream the span would
 // otherwise emit — the executor proves uniformity (guards, padding checks
-// and spill status constant across the span) before emitting one. Rows and
+// and spill status constant across the span) before emitting one. A run on
+// the prologue channel leads with prologue sites, which the replay visits
+// once per plane (Level 2) or row (Level 1) ahead of the rest, at
+// s.Addr + k*s.PlaneStep (+ j*s.RowStep). Rows and
 // Planes are 1 for plain inner-loop spans; Rows > 1 covers a uniform
 // parent×inner nest rectangle and Planes > 1 a uniform three-level
 // grandparent×parent×inner nest box. The struct is only valid during the
@@ -235,8 +264,21 @@ type FetchRunSink interface {
 	ConsumeFetchRun(total uint64, lines, lastOrdinals []uint64)
 }
 
+// PrologueRunSink is the optional prologue channel of a Sink (see the
+// package comment): a sink whose replay honours LoopSite.Level can take nest
+// boxes whose enclosing levels hoist loads, with those loads as prologue
+// sites, instead of one row at a time.
+type PrologueRunSink interface {
+	// ConsumePrologueRun delivers a LoopRun whose sites begin with prologue
+	// sites (Level 1 or 2, highest level first), ordered like ConsumeLoop
+	// calls relative to the other channels. The run is only valid during
+	// the call.
+	ConsumePrologueRun(run *LoopRun)
+}
+
 // CountingSink tallies events by class; used in tests and quick estimates.
-// It models no L1I, so on the fetch-run channel every line is resident.
+// It models no L1I, so on the fetch-run channel every line is resident, and
+// it takes the prologue channel.
 type CountingSink struct {
 	ByClass [isa.NumClasses]uint64
 	Total   uint64
@@ -287,6 +329,10 @@ func (c *CountingSink) FetchResident([]uint64) bool { return true }
 
 // ConsumeFetchRun implements FetchRunSink (a run is one protocol event).
 func (c *CountingSink) ConsumeFetchRun(uint64, []uint64, []uint64) { c.Events++ }
+
+// ConsumePrologueRun implements PrologueRunSink (a run is one protocol
+// event).
+func (c *CountingSink) ConsumePrologueRun(*LoopRun) { c.Events++ }
 
 // ConsumeCounts implements Sink.
 func (c *CountingSink) ConsumeCounts(counts *Counts) {

@@ -70,6 +70,7 @@ func execute(p *Program, sink Sink, computeValues, perInstr bool) {
 	c.vals, back = back[:nl:nl], back[nl:]
 	if c.nestFrom < nl {
 		c.fetch, _ = sink.(FetchRunSink)
+		c.prologue, _ = sink.(PrologueRunSink)
 		c.innerGuardBase, back = back[:ng], back[ng:]
 		c.innerGuardLo, back = back[:ng], back[ng:]
 		c.innerGuardHi, back = back[:ng], back[ng:]
@@ -111,7 +112,7 @@ func execute(p *Program, sink Sink, computeValues, perInstr bool) {
 		sink.ConsumeCounts(&c.counts)
 	}
 	// Back to the pool holding scratch only, not the program or the sink.
-	c.p, c.em.sink, c.fetch, c.acc, c.axisVals = nil, nil, nil, nil, nil
+	c.p, c.em.sink, c.fetch, c.prologue, c.acc, c.axisVals = nil, nil, nil, nil, nil, nil
 	ctxPool.Put(c)
 }
 
@@ -128,8 +129,11 @@ type execCtx struct {
 	p  *Program
 	em emitter
 	// fetch is the sink's fetch-run channel, nil when it has none (then
-	// only single-I-line nest boxes aggregate).
-	fetch FetchRunSink
+	// only single-I-line nest boxes aggregate); prologue is its prologue
+	// channel, nil when it has none (then only boxes without prologue sites
+	// aggregate).
+	fetch    FetchRunSink
+	prologue PrologueRunSink
 	// ints backs vals and the inner-loop scratch below.
 	ints     []int
 	vals     []int
@@ -303,15 +307,21 @@ func (c *execCtx) runNestRows(d, r int, blockBase uint64) {
 	lv, child := p.levels[d], p.levels[d+1]
 	st, below := &p.nest[r], &p.nest[r-1]
 	// A box whose code spans several I-lines needs a sink that takes fetch
-	// runs.
+	// runs, and one with prologue sites a sink that takes those.
 	oneLine := blockBase&^63 == (blockBase+lv.PerIterSize-1)&^63
-	lo, hi := 0, 0
-	if st.boxable && (oneLine || c.fetch != nil) {
-		lo, hi = c.nestUniformRange(d, r)
+	// next is the iteration at which to look for the next box, -1 for none.
+	lo, hi, next := 0, 0, -1
+	prologue := st.loadsFrom < len(p.nestLoads)
+	if st.boxable && (oneLine || c.fetch != nil) && (!prologue || c.prologue != nil) {
+		next = 0
 	}
 	for i := 0; i < lv.Extent; i++ {
+		if i == next {
+			lo, hi = c.nestUniformRange(r, lv.Extent-i)
+			lo, hi, next = lo+i, hi+i, -1
+		}
 		if i == lo && hi > lo {
-			switch c.runNestBlock(d, r, hi-lo, blockBase, oneLine) {
+			switch c.runNestBlock(d, r, i, hi-lo, blockBase, oneLine) {
 			case nestDone:
 				if hi == lv.Extent {
 					c.counts.LoopExits++ // this level's own exit, on its last iteration
@@ -321,10 +331,13 @@ func (c *execCtx) runNestRows(d, r int, blockBase uint64) {
 				for s := 1; s <= r; s++ {
 					c.vals[d+s] = p.levels[d+s].Extent - 1
 				}
-				i = hi - 1
+				i, next = hi-1, hi
 				continue
 			case nestCold:
 				lo = i + 1 // this iteration fetches the code in order; ask again at the next
+				if lo == hi {
+					next = hi
+				}
 			default:
 				hi = lo // ineligible nest shape: stay on the per-iteration path
 			}
@@ -358,42 +371,54 @@ func (c *execCtx) runNestRows(d, r int, blockBase uint64) {
 	}
 }
 
-// nestUniformRange returns the iteration range of boxable nest level d over
-// which it and the r levels below form a uniform box, as far as the
-// conditions varying above the innermost level decide (runNestBlock checks
-// the rest): one that varies with level d must pass throughout the range,
-// one that varies with a level in between must pass over that level's whole
-// extent — a partial rectangle cannot repeat along d. An empty range means
-// no box.
-func (c *execCtx) nestUniformRange(d, r int) (int, int) {
-	p := c.p
-	lo, hi := 0, p.levels[d].Extent
-	for i := range p.nest[r].conds {
-		cd := &p.nest[r].conds[i]
-		ext := p.levels[d+r-cd.level].Extent
+// nestUniformRange returns the first range of the next n iterations of a
+// boxable nest level, r levels above the innermost and with the bases at
+// the first of them, over which the level and the ones below form a
+// uniform box, as far as the conditions varying above the innermost level
+// decide (runNestBlock checks the rest). One interval rule covers every
+// condition: taken at its least and its greatest value over the full
+// extents of the levels below, it must pass throughout — or, for the spill
+// test, come out the same either way. Ranges are relative to the current
+// iteration; an empty one means no box lies ahead.
+func (c *execCtx) nestUniformRange(r, n int) (int, int) {
+	lo, hi := 0, n
+	none, all := n, n // spill: no accumulator spills over [0,none), all do over [all,n)
+	for i := range c.p.nest[r].conds {
+		cd := &c.p.nest[r].conds[i]
 		var clo, chi int
-		if cd.dim {
-			clo, chi = linearBelow(c.innerDimBase[cd.idx], cd.step, cd.bound, ext)
-			alo, ahi := linearAtLeast(c.innerDimBase[cd.idx], cd.step, 0, ext)
+		switch cd.kind {
+		case condGuard:
+			clo, chi = linearBelow(c.innerGuardBase[cd.idx]+cd.hi, cd.step, cd.bound, n)
+		case condDim:
+			base := c.innerDimBase[cd.idx]
+			clo, chi = linearBelow(base+cd.hi, cd.step, cd.bound, n)
+			alo, ahi := linearAtLeast(base+cd.lo, cd.step, 0, n)
 			clo, chi = max(clo, alo), min(chi, ahi)
-		} else {
-			clo, chi = linearBelow(c.innerGuardBase[cd.idx], cd.step, cd.bound, ext)
+		case condSpill:
+			// Tile strides are non-negative: "none spills" holds over a
+			// prefix and "all spill" over a suffix.
+			_, none = linearBelow(c.innerTile+cd.hi, cd.step, cd.bound, n)
+			if alo, ahi := linearAtLeast(c.innerTile+cd.lo, cd.step, cd.bound, n); alo < ahi {
+				all = alo
+			}
+			continue
 		}
-		if cd.level == r {
-			lo, hi = max(lo, clo), min(hi, chi)
-		} else if clo != 0 || chi != ext {
-			return 0, 0
-		}
+		lo, hi = max(lo, clo), min(hi, chi)
 	}
-	return lo, hi
+	if lo < none {
+		return lo, min(hi, none)
+	}
+	return max(lo, all), hi
 }
 
-// runNestBlock executes n consecutive iterations of nest level d that form
-// a uniform box with the r >= 1 levels below (full extent each), as bulk
-// counts plus one LoopRun. Bases must be positioned at the first of the n
-// iterations; the caller adds level d's own loop exit. Enclosing levels of
-// a box are plain, so their blocks start where the innermost iteration's
-// code does: at blockBase.
+// runNestBlock executes n consecutive iterations, from iteration first, of
+// nest level d that form a uniform box with the r >= 1 levels below (full
+// extent each), as bulk counts plus one LoopRun. Bases must be positioned
+// at the first of the n iterations; the caller adds level d's own loop
+// exit. Enclosing levels of a box have no guards, so their blocks start
+// with their hoisted loads, which the LoopRun carries as prologue sites,
+// and the innermost iteration's code follows those of every enclosing
+// level.
 //
 // oneLine says the enclosing block lies on a single I-line, so one fetch
 // covers the box. Otherwise the box's fetch-line crossings go out as one
@@ -404,10 +429,10 @@ func (c *execCtx) nestUniformRange(d, r int) (int, int) {
 // stream, and tries again. nestIneligible means the box will never
 // aggregate: the inner range is not a single uniform segment, or the code
 // spans more than maxFetchRunLines (per-iteration execution handles both).
-func (c *execCtx) runNestBlock(d, r, n int, blockBase uint64, oneLine bool) nestOutcome {
+func (c *execCtx) runNestBlock(d, r, first, n int, blockBase uint64, oneLine bool) nestOutcome {
 	p := c.p
 	inner := p.levels[d+r]
-	in := &p.nest[0]
+	in, st := &p.nest[0], &p.nest[r]
 	cExt := inner.Extent
 	// Inner guards must pass across the whole inner range.
 	for gi, base := range c.innerGuardBase {
@@ -416,8 +441,41 @@ func (c *execCtx) runNestBlock(d, r, n int, blockBase uint64, oneLine bool) nest
 			return nestIneligible
 		}
 	}
-	// Each site must be wholly loaded or wholly padding-skipped.
+	// The spill status must hold across the inner range; above it,
+	// nestUniformRange has seen to it.
+	var spill uint64
+	if p.spillRegs > 0 {
+		switch lo, hi := linearAtLeast(c.innerTile, in.tile, p.spillFrom, cExt); {
+		case lo <= 0 && hi >= cExt:
+			spill = 1
+		case lo < hi:
+			return nestIneligible
+		}
+	}
 	sites := c.loopRun.Sites[:0]
+	// Prologue sites, highest level first: the hoisted loads of the box's
+	// enclosing levels, at the box's first row and plane.
+	prologue := st.loadsFrom < len(p.nestLoads)
+	if prologue {
+		c.vals[d] = first
+		for s := d + 1; s < d+r; s++ {
+			c.vals[s] = 0
+		}
+		for k := st.loadsFrom; k < len(p.nestLoads); k++ {
+			h := &p.nestLoads[k]
+			ls := LoopSite{
+				Addr:    h.site.Tensor.AddrOf(h.site.Elem.eval(c.vals)),
+				RowStep: int64(p.nest[1].hoist[k]) * tensor.ElemSize,
+				Size:    tensor.ElemSize,
+				Level:   uint8(h.level),
+			}
+			if r == 2 {
+				ls.PlaneStep = int64(p.nest[2].hoist[k]) * tensor.ElemSize
+			}
+			sites = append(sites, ls)
+		}
+	}
+	// Each site must be wholly loaded or wholly padding-skipped.
 	var canOOB, loaded uint64
 	di := 0
 	for si, site := range p.bodyLoads {
@@ -447,39 +505,63 @@ func (c *execCtx) runNestBlock(d, r, n int, blockBase uint64, oneLine bool) nest
 			return nestIneligible
 		}
 	}
+	if spill != 0 {
+		// Stream order within an iteration: body loads, spill reload, FMA
+		// burst (no data), spill writeback.
+		ls := LoopSite{
+			Addr:    p.stackBase + uint64(c.innerTile)*tensor.ElemSize,
+			Step:    int64(in.tile) * tensor.ElemSize,
+			RowStep: int64(p.nest[1].tile) * tensor.ElemSize,
+			Size:    tensor.ElemSize,
+		}
+		if r == 2 {
+			ls.PlaneStep = int64(p.nest[2].tile) * tensor.ElemSize
+		}
+		sites = append(sites, ls)
+		ls.Write = true
+		sites = append(sites, ls)
+	}
 	c.loopRun.Sites = sites
 	ng := uint64(len(c.innerGuardBase))
 	flops := uint64(p.bodyFLOPs)
-	// Per inner iteration: guard pairs, padding-check pairs, loads, the FMA
-	// burst and the inner loop overhead pair.
-	nInstrIter := 2*ng + 2*canOOB + loaded + flops + 2
-	// The box: n iterations of level d, full extents between, cExt inside.
+	// Per inner iteration: guard pairs, padding-check pairs, loads, spill
+	// reload and writeback, the FMA burst and the inner loop overhead pair.
+	nInstrIter := 2*ng + 2*canOOB + loaded + 2*spill + flops + 2
+	// The box: n iterations of level d, full extents between, cExt inside;
+	// each enclosing level's prologue, innermost first.
 	dims := [maxNestRank]int{cExt, 1, 1}
-	for s := 1; s < r; s++ {
+	var pro [maxNestRank]uint64
+	var proTotal uint64
+	for s := 1; s <= r; s++ {
 		dims[s] = p.levels[d+r-s].Extent
+		pro[s] = uint64(len(p.levels[d+r-s].Hoisted))
+		proTotal += pro[s]
 	}
 	dims[r] = n
+	base := blockBase + proTotal*c.ib // the innermost iteration's code
 	if oneLine {
 		// One fetch covers the box: every PC lies on blockBase's line.
 		c.pc = blockBase
 		c.fetchLine()
-	} else if out := c.fetchRunBox(blockBase, nInstrIter, r, &dims); out != nestDone {
+	} else if out := c.fetchRunBox(blockBase, base, nInstrIter, r, &dims, &pro); out != nestDone {
 		return out
 	}
-	// Fold the counts outwards. One iteration of a nest level is the whole
-	// extent of the level below plus its own overhead pair, and sees the
-	// level below exit once; every ALU instruction here is half of an
-	// ALU+branch pair.
-	pairs, exits, iters := ng+canOOB+1, uint64(0), uint64(1)
+	// Fold the counts outwards. One iteration of a nest level is its
+	// prologue, the whole extent of the level below and its own overhead
+	// pair, and sees the level below exit once; every ALU instruction here
+	// is half of an ALU+branch pair.
+	pairs, exits, iters, loads := ng+canOOB+1, uint64(0), uint64(1), loaded+spill
 	for s := 0; s < r; s++ {
 		e := uint64(dims[s])
 		pairs, exits, iters = e*pairs+1, e*exits+1, e*iters
+		loads = e*loads + pro[s+1]
 	}
 	nU := uint64(n)
 	c.counts.ByClass[isa.ALU] += nU * pairs
 	c.counts.ByClass[isa.Branch] += nU * pairs
 	c.counts.ByClass[isa.FMA] += nU * iters * flops
-	c.counts.ByClass[isa.Load] += nU * iters * loaded
+	c.counts.ByClass[isa.Load] += nU * loads
+	c.counts.ByClass[isa.Store] += nU * iters * spill
 	c.counts.GuardBranches += nU * iters * (ng + canOOB)
 	c.counts.LoopExits += nU * exits
 	if len(sites) > 0 {
@@ -487,11 +569,15 @@ func (c *execCtx) runNestBlock(d, r, n int, blockBase uint64, oneLine bool) nest
 		if len(c.em.buf) > 0 {
 			c.em.flush() // keep event/loop-run ordering
 		}
-		c.em.sink.ConsumeLoop(&c.loopRun)
+		if prologue {
+			c.prologue.ConsumePrologueRun(&c.loopRun)
+		} else {
+			c.em.sink.ConsumeLoop(&c.loopRun)
+		}
 	}
 	// As after the last iteration: the inner loop done, then the overhead
 	// pair of each enclosing level.
-	c.pc = blockBase + (nInstrIter+2*uint64(r))*c.ib
+	c.pc = base + (nInstrIter+2*uint64(r))*c.ib
 	return nestDone
 }
 
@@ -505,19 +591,25 @@ const (
 )
 
 // fetchRunBox ships the fetch-line crossings of a uniform nest box whose
-// code spans several I-lines as one fetch run. The box's code is the inner
+// code spans several I-lines as one fetch run. The box's code starts at
+// blockBase with the prologue of each of the r enclosing levels, outermost
+// first (pro holds their lengths in instructions), then the inner
 // iteration's nIter instructions from base and, right behind them, the
-// overhead pair of each of the r enclosing levels, innermost first; dims
-// holds the iterations per level. Nothing is delivered unless every one of
-// those code lines is resident in the sink.
-func (c *execCtx) fetchRunBox(base, nIter uint64, r int, dims *[maxNestRank]int) nestOutcome {
-	first := base &^ 63
+// overhead pair of each enclosing level, innermost first; dims holds the
+// iterations per level. Nothing is delivered unless every one of those
+// code lines is resident in the sink.
+func (c *execCtx) fetchRunBox(blockBase, base, nIter uint64, r int, dims *[maxNestRank]int, pro *[maxNestRank]uint64) nestOutcome {
+	first := blockBase &^ 63
 	n := int(((base+(nIter+2*uint64(r)-1)*c.ib)&^63-first)>>6) + 1
 	if n > maxFetchRunLines {
 		return nestIneligible
 	}
 	w := &c.walk
-	*w = fetchWalk{lastLine: c.lastLine, ib: c.ib, base: base, nIter: nIter, dims: *dims}
+	*w = fetchWalk{lastLine: c.lastLine, ib: c.ib, base: base, nIter: nIter, dims: *dims, pro: *pro}
+	for s, at := r, blockBase; s >= 1; s-- {
+		w.proBase[s] = at
+		at += pro[s] * c.ib
+	}
 	for i := 0; i < n; i++ {
 		w.lines[i] = first + uint64(i)<<6
 	}
@@ -548,7 +640,9 @@ type fetchWalk struct {
 	ib       uint64
 
 	base, nIter uint64
-	dims        [maxNestRank]int // iterations per nest level, innermost first
+	dims        [maxNestRank]int    // iterations per nest level, innermost first
+	pro         [maxNestRank]uint64 // prologue instructions per enclosing nest level
+	proBase     [maxNestRank]uint64 // and where each prologue starts
 
 	lines [maxFetchRunLines]uint64 // the box's code lines, consecutive from lines[0]
 	last  [maxFetchRunLines]uint64 // 1-based ordinal of each line's last crossing
@@ -581,12 +675,15 @@ func (w *fetchWalk) repeat(n, s int) {
 }
 
 // period walks one iteration of nest level s: the loop body for the
-// innermost level, above it every iteration of the level below and then the
-// level's own overhead pair.
+// innermost level, above it the level's prologue, every iteration of the
+// level below and then the level's own overhead pair.
 func (w *fetchWalk) period(s int) {
 	if s == 0 {
 		w.span(w.base, w.nIter)
 		return
+	}
+	if w.pro[s] > 0 {
+		w.span(w.proBase[s], w.pro[s])
 	}
 	w.repeat(w.dims[s-1], s-1)
 	w.span(w.base+(w.nIter+2*uint64(s-1))*w.ib, 2)

@@ -433,6 +433,37 @@ func TestStaticInstrEstimateOrder(t *testing.T) {
 	}
 }
 
+// TestStaticInstrEstimateChargesSpills: a register tile that spills fewer
+// than half of its accumulators still pays for their reloads and
+// write-backs — exactly inner·2·spillRegs/accRegs instructions over the
+// same estimate without its spill term, not a per-body share truncated to
+// zero.
+func TestStaticInstrEstimateChargesSpills(t *testing.T) {
+	wl := te.MatMul(3, 8, 4)
+	s := schedule.New(wl.Op)
+	i, j, k := s.Leaves[0], s.Leaves[1], s.Leaves[2]
+	if err := s.Reorder([]*schedule.IterVar{k, i, j}); err != nil {
+		t.Fatal(err)
+	}
+	p, err := Build(s, isa.Lookup(isa.X86))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.spillRegs <= 0 || 2*p.spillRegs >= p.accRegs {
+		t.Fatalf("spillRegs %d, accRegs %d: want 0 < spillRegs < accRegs/2", p.spillRegs, p.accRegs)
+	}
+	inner := int64(1)
+	for _, lv := range p.levels {
+		inner *= int64(lv.Extent)
+	}
+	unspilled := *p
+	unspilled.spillRegs = 0
+	got := p.StaticInstrEstimate() - unspilled.StaticInstrEstimate()
+	if want := inner * 2 * int64(p.spillRegs) / int64(p.accRegs); got != want || want == 0 {
+		t.Fatalf("spill term = %d instructions, want %d", got, want)
+	}
+}
+
 func TestPaddedLoadsAreGuarded(t *testing.T) {
 	// Padding must produce guard branches and skip OOB loads: the load count
 	// must be below the unguarded bound.

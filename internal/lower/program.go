@@ -102,39 +102,63 @@ const maxNestRank = 3
 // nestSteps holds, for one nest level, what Build can decide about it once
 // per program. The strides are the per-iteration deltas of the body's
 // affines along the level, which the executor adds to hoisted bases instead
-// of re-evaluating the affines per point. boxable and conds are the
-// schedule-static half of the box classifier: whether this level and the
-// nest levels below it can ship as one LoopRun at all, and which affine
-// conditions bound the iteration range over which they do. The other half —
-// interval arithmetic of those conditions on the live bases — is the
-// executor's (nestUniformRange, runNestBlock).
+// of re-evaluating the affines per point. boxable, loadsFrom and conds are
+// the schedule-static half of the box classifier: whether this level and
+// the nest levels below it can ship as one LoopRun at all, which prologue
+// sites that LoopRun carries, and which affine conditions bound the
+// iteration range over which it does. The other half — interval arithmetic
+// of those conditions on the live bases — is the executor's
+// (nestUniformRange, runNestBlock).
 type nestSteps struct {
 	guard []int // per guard of the innermost level
 	elem  []int // per body load: element offset
 	dim   []int // per tensor dimension of the padding-checked body loads, in site order
 	tile  int   // accumulator index
+	hoist []int // per Program.nestLoads entry: element offset
 
 	// boxable: every level from this one down to the innermost's parent is
-	// plain (no guards, no hoisted loads, not unrolled), the innermost is
-	// not unrolled, nothing spills, and no guard or padding condition varies
-	// with two of these levels — a diagonal boundary, whose pass region is
-	// no box.
+	// plain (no guards, not unrolled, no padding-checked hoisted load) and
+	// the innermost is not unrolled.
 	boxable bool
-	// conds lists, for a boxable level, the conditions that vary with
-	// exactly one nest level above the innermost (those varying with the
-	// innermost only, or with none, are the block check's).
+	// loadsFrom indexes in Program.nestLoads the first load hoisted to this
+	// level or one below it, down to the innermost's parent: a box ships
+	// the loads from there on as prologue sites.
+	loadsFrom int
+	// conds lists, for a boxable level, the conditions that vary with some
+	// nest level above the innermost (those varying with the innermost
+	// only, or with none, are the block check's).
 	conds []nestCond
 }
 
-// nestCond is one affine condition of the reduction body: a split-tail
-// guard (value < bound) or one tensor dimension of a padding-checked load
-// (0 <= value < bound).
+// nestCond is one affine condition of the reduction body seen from a box
+// level: a split-tail guard (value < bound), one tensor dimension of a
+// padding-checked load (0 <= value < bound), or the spill test (tile index
+// >= bound, where either outcome is uniform). step is its stride along the
+// box level; lo and hi are the least and greatest amounts the levels below
+// add to it over their full extents, so the condition is uniform over a
+// whole box row exactly when it is at both ends of that range.
 type nestCond struct {
-	idx   int  // into the guard bases, or into the flattened dim bases
-	dim   bool // a padding dimension
-	level int  // the nest level (>= 1) the condition varies with
-	step  int  // its stride along that level
-	bound int
+	kind   condKind
+	idx    int // into the guard bases, or into the flattened dim bases
+	step   int
+	lo, hi int
+	bound  int
+}
+
+// condKind says which affine condition a nestCond is.
+type condKind uint8
+
+const (
+	condGuard condKind = iota
+	condDim
+	condSpill
+)
+
+// nestLoad is a load hoisted to a nest level above the innermost: the nest
+// level (>= 1) whose iterations load it, 1 for the innermost's parent.
+type nestLoad struct {
+	site  *accessSite
+	level int
 }
 
 // Program is an executable lowered kernel for one ISA.
@@ -194,6 +218,10 @@ type Program struct {
 	// (len(levels) when none does: a vectorized innermost level).
 	nest     [maxNestRank]nestSteps
 	nestFrom int
+	// nestLoads lists the hoisted loads of the nest levels above the
+	// innermost, highest level first: a box ships those of its own levels
+	// as prologue sites, a suffix of this list.
+	nestLoads []nestLoad
 }
 
 // CodeBytes reports the static code footprint of the generated kernel, the
@@ -229,11 +257,13 @@ func (p *Program) StaticInstrEstimate() int64 {
 	}
 	if len(p.levels) > 0 {
 		inner := perLevelIters[len(p.levels)-1]
-		perBody := int64(len(p.bodyLoads) + p.bodyFLOPs)
+		total += inner * int64(len(p.bodyLoads)+p.bodyFLOPs)
 		if p.spillRegs > 0 && p.accRegs > 0 {
-			perBody += 2 * int64(p.spillRegs) / int64(p.accRegs)
+			// The spilled share of the accumulators reloads and writes back
+			// per body execution; multiply before dividing, or a share below
+			// one half truncates to nothing.
+			total += inner * 2 * int64(p.spillRegs) / int64(p.accRegs)
 		}
-		total += inner * perBody
 	}
 	// Store phase: one store per output point plus epilogue.
 	outs := int64(p.Op.SpatialSize())

@@ -16,8 +16,8 @@ const NumBuckets = 40
 // Histogram is a lock-free latency histogram with power-of-two buckets.
 // Observe is wait-free (three atomic adds plus a bounded CAS for the max)
 // and safe for any number of concurrent writers and snapshotting readers. A
-// nil *Histogram discards observations, so disabled telemetry needs no
-// branches at call sites.
+// nil *Histogram discards observations, so a call site with no series to
+// record into needs no branch.
 //
 // The pow2 bucketing is what makes fleet aggregation exact: two histograms
 // recorded on different nodes merge by adding their buckets, and any

@@ -13,9 +13,11 @@
 //     and the merged p99 is the p99 of the combined sample — averaging
 //     per-node p99s (the common mistake) can be wrong by the full spread of
 //     the fleet.
-//   - Everything is nil-safe: a nil *Histogram, *Metrics or *TraceRing is a
-//     disabled one, so telemetry can be switched off without branching at
-//     every call site.
+//   - Everything is nil-safe: a nil *Histogram, *Metrics or *TraceRing
+//     discards what it is given. The service's telemetry is always on —
+//     there is no switch that hands out nil handles — so nil-safety serves
+//     the places that have no series of their own: a batch outcome not yet
+//     known, or a Store opened without the server's histograms.
 //
 // Trace identity travels in a context value (WithTrace / TraceID) inside a
 // process and as the TraceHeader HTTP header across it, so one batch keeps

@@ -94,6 +94,10 @@ type nestShapes struct {
 	spans, boxes2D   int // LoopRuns of one row; of several rows in one plane
 	boxes3D          int // LoopRuns of several planes
 	coldThen2D       bool
+	spillBoxes       int // boxes carrying the spill reload and writeback
+	prologue2D       int // boxes of one plane with row prologue sites
+	prologue3D       int // boxes of several planes with plane prologue sites
+	prologueFetchRun int // boxes with prologue sites whose fetches came as one run
 }
 
 func (s *nestShapes) FetchResident(lines []uint64) bool {
@@ -108,6 +112,17 @@ func (s *nestShapes) ConsumeFetchRun(total uint64, lines, lastOrdinals []uint64)
 }
 
 func (s *nestShapes) ConsumeLoop(run *lower.LoopRun) {
+	s.see(run)
+	s.Machine.ConsumeLoop(run)
+}
+
+func (s *nestShapes) ConsumePrologueRun(run *lower.LoopRun) {
+	s.see(run)
+	s.Machine.ConsumePrologueRun(run)
+}
+
+func (s *nestShapes) see(run *lower.LoopRun) {
+	fetchRun := s.pendingRun
 	switch {
 	case run.Planes > 1:
 		s.boxes3D++
@@ -120,7 +135,27 @@ func (s *nestShapes) ConsumeLoop(run *lower.LoopRun) {
 		s.spans++
 	}
 	s.pendingRun = false
-	s.Machine.ConsumeLoop(run)
+	if run.Rows == 1 && run.Planes == 1 {
+		return
+	}
+	var spill, rows, planes bool
+	for _, st := range run.Sites {
+		spill = spill || st.Write // the body writes only spilled accumulators
+		rows = rows || st.Level == 1
+		planes = planes || st.Level == 2
+	}
+	if spill {
+		s.spillBoxes++
+	}
+	if rows && run.Planes == 1 {
+		s.prologue2D++
+	}
+	if (rows || planes) && fetchRun {
+		s.prologueFetchRun++
+	}
+	if planes && run.Planes > 1 {
+		s.prologue3D++
+	}
 }
 
 // checkNest runs the candidate on arch, under the profile's cache geometry
@@ -192,16 +227,18 @@ func FuzzNest(f *testing.F) {
 	})
 }
 
-// diagonalCondition reports whether some padding check of the reduction
-// body varies with two loops of the hoisted nest (the innermost three
-// levels, inside the reduction) at once, like oh*stride+kh-pad with both oh
-// and kh in the nest: its pass region is then no rectangle of rows. (The
-// corpus generators split by divisors only, so split-tail guards, the other
-// affine condition, never occur.)
-func diagonalCondition(s *schedule.Schedule) bool {
+// diagonalRank reports the lowest box rank that a diagonal condition
+// constrains, 0 when there is none. A diagonal condition is a padding check
+// of the reduction body that varies with two loops of the hoisted nest (the
+// innermost three levels, inside the reduction) at once, like
+// oh*stride+kh-pad with both oh and kh in the nest: its pass region is no
+// rectangle of rows, and a box reaching the higher of its two loops holds
+// it at both ends of its range. (The corpus generators split by divisors
+// only, so split-tail guards, the other affine condition, never occur.)
+func diagonalRank(s *schedule.Schedule) int {
 	nl := len(s.Leaves)
 	if s.Leaves[nl-1].Ann == schedule.AnnVectorize {
-		return false
+		return 0
 	}
 	from := nl
 	for i, iv := range s.Leaves {
@@ -210,27 +247,29 @@ func diagonalCondition(s *schedule.Schedule) bool {
 			break
 		}
 	}
+	rank := 0
 	for _, acc := range te.Accesses(s.Op.ReduceBody) {
 		for d, aff := range acc.Index {
-			lo, hi, inNest := aff.Const, aff.Const, 0
+			lo, hi, inNest, top := aff.Const, aff.Const, 0, 0
 			for _, term := range aff.Terms {
 				if span := term.Coef * (term.Axis.Extent - 1); span < 0 {
 					lo += span
 				} else {
 					hi += span
 				}
-				for _, iv := range s.Leaves[from:] {
-					if iv.Src == term.Axis {
+				for li := from; li < nl; li++ {
+					if s.Leaves[li].Src == term.Axis {
 						inNest++
+						top = max(top, nl-1-li)
 					}
 				}
 			}
-			if inNest >= 2 && (lo < 0 || hi >= acc.Tensor.Shape[d]) {
-				return true
+			if inNest >= 2 && (lo < 0 || hi >= acc.Tensor.Shape[d]) && (rank == 0 || top < rank) {
+				rank = top
 			}
 		}
 	}
-	return false
+	return rank
 }
 
 // TestFuzzNestSeedShapes reads the checked-in seed corpus and holds each
@@ -239,10 +278,24 @@ func TestFuzzNestSeedShapes(t *testing.T) {
 	shapes := map[string]func(candidate, *lower.Program, *nestShapes) bool{
 		"box3d":  func(_ candidate, _ *lower.Program, n *nestShapes) bool { return n.boxes3D > 0 },
 		"cold2d": func(_ candidate, _ *lower.Program, n *nestShapes) bool { return n.coldThen2D },
-		// Spills close the box classifier before it looks at conditions.
+		// Rows a diagonal condition cuts go span by span.
 		"diagonal": func(_ candidate, p *lower.Program, n *nestShapes) bool {
-			return diagonalCondition(p.Sched) && p.SpillRegisters() == 0 && n.spans > 0
+			return diagonalRank(p.Sched) > 0 && n.spans > 0
 		},
+		// The interval rule boxes the rows where a diagonal condition holds
+		// at both ends of its range.
+		"diagbox": func(_ candidate, p *lower.Program, n *nestShapes) bool {
+			r := diagonalRank(p.Sched)
+			return r > 0 && (n.boxes3D > 0 || (r == 1 && n.boxes2D > 0))
+		},
+		"spillbox": func(_ candidate, p *lower.Program, n *nestShapes) bool {
+			return p.SpillRegisters() > 0 && n.spillBoxes > 0
+		},
+		// A multi-line box: the fetch walk steps over the prologues.
+		"prologue2d": func(_ candidate, _ *lower.Program, n *nestShapes) bool {
+			return n.prologue2D > 0 && n.prologueFetchRun > 0
+		},
+		"prologue3d": func(_ candidate, _ *lower.Program, n *nestShapes) bool { return n.prologue3D > 0 },
 		// Interior rows of a padded conv aggregate; boundary rows, where the
 		// padding check cuts the inner range, go span by span.
 		"padded": func(c candidate, _ *lower.Program, n *nestShapes) bool {

@@ -146,6 +146,10 @@ func (m *Machine) ConsumeLoop(run *lower.LoopRun) {
 	m.hier.DataRun(run.Count, run.Rows, run.Planes, run.Sites)
 }
 
+// ConsumePrologueRun implements lower.PrologueRunSink: DataRun replays a
+// box's prologue sites in stream order with the rest.
+func (m *Machine) ConsumePrologueRun(run *lower.LoopRun) { m.ConsumeLoop(run) }
+
 // FetchResident implements lower.FetchRunSink: a side-effect-free probe of
 // the L1I.
 func (m *Machine) FetchResident(lines []uint64) bool { return m.hier.FetchResident(lines) }
