@@ -58,7 +58,6 @@ func serveConfig(fs *flag.FlagSet, args []string) (addr string, cfg service.Conf
 	// Config's default spelled out, so the banner prints the bound in force.
 	fs.IntVar(&cfg.MaxResidentResults, "max-resident", 1<<18, "ARC bound on results held in RAM; evicted results stay servable from -cache-dir")
 	fs.StringVar(&cfg.CacheDir, "cache-dir", "", "durable result store directory; a restarted server recovers its computed corpus from the segment log here (empty = memory only)")
-	fs.Int64Var(&cfg.CacheSegmentBytes, "cache-seg-bytes", 0, "store segment rotation size in bytes (default 64 MB)")
 	fs.IntVar(&cfg.MaxQueuedCandidates, "max-queued", 0, "admission bound: candidates held (queued+running) before new batches get 429 + Retry-After (default 65536)")
 	tenantWeights := fs.String("tenant-weights", "", "fair-share weights for the admission gate, e.g. 'ci=3,adhoc=1' (unlisted tenants weigh 1)")
 	fs.DurationVar(&cfg.DrainTimeout, "drain-timeout", 0, "graceful-drain budget after SIGINT/SIGTERM: how long in-flight batches may finish before hard cancel (default 30s)")

@@ -32,9 +32,9 @@ func TestServeAndRouteFlagWiring(t *testing.T) {
 		t.Errorf("serve defaults = %q, %+v, %v; want :8070, %+v", addr, cfg, err, want)
 	}
 	addr, cfg, err = serveConfig(quietFlags(), strings.Fields("-addr :1 -archs riscv,arm -workers 2 -max-resident 0"+
-		" -cache-dir /d -cache-seg-bytes 9 -max-queued 7 -tenant-weights ci=3 -drain-timeout 5s -slow-batch 1ms -pprof"))
+		" -cache-dir /d -max-queued 7 -tenant-weights ci=3 -drain-timeout 5s -slow-batch 1ms -pprof"))
 	if want := (service.Config{Archs: []isa.Arch{isa.RISCV, isa.ARM}, WorkersPerArch: 2, MaxResidentResults: 1 << 18,
-		CacheDir: "/d", CacheSegmentBytes: 9, MaxQueuedCandidates: 7, TenantWeights: map[string]float64{"ci": 3},
+		CacheDir: "/d", MaxQueuedCandidates: 7, TenantWeights: map[string]float64{"ci": 3},
 		DrainTimeout: 5 * time.Second, SlowBatchThreshold: time.Millisecond, EnablePprof: true}); err != nil ||
 		addr != ":1" || !reflect.DeepEqual(cfg, want) {
 		t.Errorf("serve flags = %q, %+v, %v; want :1, %+v", addr, cfg, err, want)
@@ -59,7 +59,7 @@ func TestServeAndRouteFlagWiring(t *testing.T) {
 	refused := func(err error, name string) bool {
 		return err != nil && strings.Contains(err.Error(), "not defined: "+name)
 	}
-	for _, gone := range []string{"-no-telemetry", "-trace-ring"} {
+	for _, gone := range []string{"-no-telemetry", "-trace-ring", "-cache-seg-bytes"} {
 		if _, _, err := serveConfig(quietFlags(), []string{gone + "=1"}); !refused(err, gone) {
 			t.Errorf("serve %s: %v, want it refused by name", gone, err)
 		}
@@ -104,12 +104,12 @@ func TestParseNodes(t *testing.T) {
 	}
 }
 
-// TestNativeRunnerGolden runs the classic flow — Ansor search measured on
-// the modelled board — end to end at tiny scale and holds its report, the
-// host-time line aside, byte for byte to a checked-in golden.
-func TestNativeRunnerGolden(t *testing.T) {
+// checkGolden runs simtune with args and holds its report, the host-time
+// line aside, byte for byte to testdata/<golden>.
+func checkGolden(t *testing.T, args, golden string) {
+	t.Helper()
 	var out bytes.Buffer
-	if err := run(strings.Fields("-runner native -scale tiny -trials 24 -top 5"), &out); err != nil {
+	if err := run(strings.Fields(args), &out); err != nil {
 		t.Fatal(err)
 	}
 	var got strings.Builder
@@ -118,13 +118,28 @@ func TestNativeRunnerGolden(t *testing.T) {
 			got.WriteString(line)
 		}
 	}
-	want, err := os.ReadFile(filepath.Join("testdata", "native_tiny.golden"))
+	want, err := os.ReadFile(filepath.Join("testdata", golden))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got.String() != string(want) {
-		t.Errorf("native runner report differs from testdata/native_tiny.golden:\n got:\n%s\nwant:\n%s", got.String(), want)
+		t.Errorf("report differs from testdata/%s:\n got:\n%s\nwant:\n%s", golden, got.String(), want)
 	}
+}
+
+// TestNativeRunnerGolden runs the classic flow — Ansor search measured on
+// the modelled board — end to end at tiny scale and holds its report to a
+// checked-in golden.
+func TestNativeRunnerGolden(t *testing.T) {
+	checkGolden(t, "-runner native -scale tiny -trials 24 -top 5", "native_tiny.golden")
+}
+
+// TestSimRunnerGolden runs the paper's flow — a predictor trained on
+// simulator statistics ranks candidates tuned on parallel simulators, and
+// the best is validated on the modelled board — and holds its report to a
+// checked-in golden.
+func TestSimRunnerGolden(t *testing.T) {
+	checkGolden(t, "-runner sim -scale tiny -trials 16 -train-impls 8 -parallel 2 -cache= -top 3", "sim_tiny.golden")
 }
 
 func TestUnknownRunnerRefused(t *testing.T) {

@@ -89,7 +89,6 @@ func DefaultAnalyzers() []*Analyzer {
 				"repro/internal/service.StoreFile.Sync",
 				"repro/internal/service.StoreFile.Close",
 				"repro/internal/service.Store.Flush",
-				"repro/internal/service.Store.Compact",
 			},
 		}),
 	}

@@ -1,7 +1,6 @@
 // Package obs is the telemetry layer of the simulate service: lock-free
 // latency histograms with exactly-mergeable snapshots, per-batch trace
-// recording with a bounded in-memory ring, Prometheus text rendering, and
-// small operational helpers (goroutine-leak sentinel).
+// recording with a bounded in-memory ring, and Prometheus text rendering.
 //
 // Design constraints, in order:
 //

@@ -124,26 +124,3 @@ func TestTraceContextPropagation(t *testing.T) {
 		t.Fatalf("trace ids not unique/16-hex: %q %q", a, b)
 	}
 }
-
-func TestGoroutineSentinel(t *testing.T) {
-	g := NewGoroutineSentinel()
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	for i := 0; i < 5; i++ {
-		wg.Add(1)
-		go func() { defer wg.Done(); <-stop }()
-	}
-	if g.Excess() < 5 {
-		t.Fatalf("excess %d, want >= 5", g.Excess())
-	}
-	if err := g.WaitSettled(0, 50*time.Millisecond); err == nil {
-		t.Fatal("WaitSettled must fail while the goroutines run")
-	} else if !strings.Contains(err.Error(), "goroutine leak") {
-		t.Fatalf("error %v lacks the stack dump framing", err)
-	}
-	close(stop)
-	wg.Wait()
-	if err := g.WaitSettled(0, 5*time.Second); err != nil {
-		t.Fatalf("settled sentinel still failing: %v", err)
-	}
-}

@@ -16,7 +16,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/hw"
 	"repro/internal/isa"
-	"repro/internal/obs"
 	"repro/internal/schedule"
 	"repro/internal/te"
 )
@@ -134,7 +133,7 @@ func TestChaosTuneThroughFaultyFleet(t *testing.T) {
 		trials = 24
 		seed   = 5
 	)
-	sentinel := obs.NewGoroutineSentinel()
+	sentinel := newGoroutineSentinel()
 
 	prof := hw.Lookup(isa.RISCV)
 	baseOpt := core.ExecutionOptions{
@@ -350,7 +349,7 @@ func TestChaosTuneThroughFaultyFleet(t *testing.T) {
 		}
 	}
 	inner.CloseIdleConnections()
-	if err := sentinel.WaitSettled(2, 5*time.Second); err != nil {
+	if err := sentinel.waitSettled(2, 5*time.Second); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -440,7 +439,7 @@ func TestChaosPermanentNodeLossServesFromReplica(t *testing.T) {
 		trials = 24
 		seed   = 5
 	)
-	sentinel := obs.NewGoroutineSentinel()
+	sentinel := newGoroutineSentinel()
 
 	prof := hw.Lookup(isa.RISCV)
 	baseOpt := core.ExecutionOptions{
@@ -595,7 +594,7 @@ func TestChaosPermanentNodeLossServesFromReplica(t *testing.T) {
 		}
 	}
 	inner.CloseIdleConnections()
-	if err := sentinel.WaitSettled(2, 5*time.Second); err != nil {
+	if err := sentinel.waitSettled(2, 5*time.Second); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -159,12 +159,10 @@ type Statusz struct {
 	// /v1/metrics; statusz carries only the human-readable quantile summary.
 	Stages []StageLatency `json:"stages,omitempty"`
 	// StoreLiveBytes/StoreTotalBytes report the durable store's segment
-	// footprint (live = still-referenced record bytes, total = bytes on
-	// disk including garbage awaiting compaction). Zero without -cache-dir.
+	// footprint (live = still-referenced record bytes, total adds the
+	// superseded duplicates an old log carried). Zero without -cache-dir.
 	StoreLiveBytes  int64 `json:"store_live_bytes,omitempty"`
 	StoreTotalBytes int64 `json:"store_total_bytes,omitempty"`
-	// StoreCompactions counts completed background segment compactions.
-	StoreCompactions uint64 `json:"store_compactions,omitempty"`
 	// ReplicaKeys: on a router, entries it write-through-replicated or
 	// anti-entropy-repaired onto ring replicas. Leaf servers report 0 —
 	// their side of the traffic lands in HandoffKeys.

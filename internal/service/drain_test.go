@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"repro/internal/isa"
-	"repro/internal/obs"
 )
 
 // waitFor polls cond until it holds or the deadline passes.
@@ -28,7 +27,7 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 // arriving after Shutdown get the retryable draining 503, statusz raises the
 // draining flag, and Shutdown returns only once the in-flight work is done.
 func TestShutdownDrainsInflight(t *testing.T) {
-	sentinel := obs.NewGoroutineSentinel()
+	sentinel := newGoroutineSentinel()
 	srv := mustServer(t, Config{Archs: []isa.Arch{isa.RISCV}, WorkersPerArch: 1})
 	sh := srv.shards[isa.RISCV]
 	// Occupy the only worker slot so the in-flight batch stays in flight
@@ -93,7 +92,7 @@ func TestShutdownDrainsInflight(t *testing.T) {
 	}
 	// Drain must unwind everything the server started: store writer,
 	// admission bookkeeping, worker goroutines.
-	if err := sentinel.WaitSettled(1, 5*time.Second); err != nil {
+	if err := sentinel.waitSettled(1, 5*time.Second); err != nil {
 		t.Fatal(err)
 	}
 }

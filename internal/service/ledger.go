@@ -49,7 +49,6 @@ var statuszLedgers = []ledger{
 	{field: "HandoffKeys", series: "simtune_handoff_keys_total", router: "simtune_router_handoff_keys_total"},
 	{field: "StoreLiveBytes", series: "simtune_store_live_bytes", gauge: true, disk: true},
 	{field: "StoreTotalBytes", series: "simtune_store_total_bytes", gauge: true, disk: true},
-	{field: "StoreCompactions", series: "simtune_store_compactions_total", sum: true, disk: true},
 	{field: "Rerouted", router: "simtune_router_rerouted_total"},
 	{field: "ReplicaKeys", router: "simtune_router_replica_keys_total"},
 	{field: "AntiEntropyRounds", router: "simtune_router_antientropy_rounds_total"},

@@ -70,8 +70,7 @@ func NewServer(cfg Config) (*Server, error) {
 	if cfg.CacheDir != "" {
 		var err error
 		disk, err = OpenStore(cfg.CacheDir, StoreOptions{
-			MaxSegmentBytes: cfg.CacheSegmentBytes, WrapFile: cfg.StoreWrapFile,
-			WriteHist: tel.stage[stStoreWrite], CompactHist: tel.stage[stCompact],
+			WrapFile: cfg.StoreWrapFile, WriteHist: tel.stage[stStoreWrite],
 		})
 		if err != nil {
 			return nil, err
@@ -315,7 +314,6 @@ func (s *Server) ledgers() *Statusz {
 	if s.disk != nil {
 		st.CacheDiskEntries = s.disk.Len()
 		st.StoreLiveBytes, st.StoreTotalBytes = s.disk.Bytes()
-		st.StoreCompactions = s.disk.Compactions()
 	}
 	for _, arch := range s.cfg.Archs {
 		st.Shards = append(st.Shards, s.shards[arch].status())

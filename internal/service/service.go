@@ -265,9 +265,6 @@ type Config struct {
 	// directory, and a restarted server serves its previously computed keys
 	// as cache hits after rebuilding the key index from the segments.
 	CacheDir string
-	// CacheSegmentBytes rotates store segments past this size (default
-	// 64 MB). Only meaningful with CacheDir.
-	CacheSegmentBytes int64
 	// StoreWrapFile, when non-nil, wraps every segment file the durable
 	// store opens — the fault-injection seam the chaos harness uses to
 	// exercise short writes and fsync failures (see StoreFaults). Leave nil

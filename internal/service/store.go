@@ -13,7 +13,6 @@ import (
 	"path/filepath"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/obs"
@@ -30,10 +29,13 @@ import (
 // Durability model: results are deterministic and content-addressed, so the
 // store never needs ordering, transactions or freshness — a record is
 // immutable once written and a duplicate record for the same key is merely
-// wasted bytes (the index keeps the last one; compaction drops the rest).
-// Crash safety follows from the same property: a torn or garbage tail is
-// detected by record checksums, logged, and skipped — the node simply
-// restarts with the valid prefix and re-simulates whatever the tail lost.
+// wasted bytes (the index keeps the last one). The store itself never
+// writes a duplicate — Put skips stored and queued keys, one goroutine
+// appends, nothing is deleted — so duplicates come only from logs older
+// builds wrote, and they stay visible as total − live bytes. Crash safety
+// follows from the same property: a torn or garbage tail is detected by
+// record checksums, logged, and skipped — the node simply restarts with the
+// valid prefix and re-simulates whatever the tail lost.
 // Every Open starts a fresh segment, so new records are never appended
 // after a torn tail inside an old file.
 //
@@ -51,14 +53,9 @@ const (
 	// is treated as corruption, not as a 4 GB allocation request.
 	maxRecordBytes = 16 << 20
 	// defaultSegmentBytes rotates the active segment once it grows past
-	// this, bounding the blast radius of a torn tail and giving compaction
-	// whole files to drop.
+	// this, bounding how much of the log one corrupt record can cost: a scan
+	// keeps the valid prefix of each segment and every later segment.
 	defaultSegmentBytes = 64 << 20
-	// compactMinDeadBytes is the floor of the background-compaction trigger:
-	// a pass starts only once dead bytes exceed both this floor and the live
-	// bytes (so small stores never churn and a pass always at least halves
-	// the on-disk footprint).
-	compactMinDeadBytes = 1 << 20
 )
 
 // StoreFile is the slice of *os.File the store actually uses — the seam the
@@ -76,9 +73,9 @@ type StoreFile interface {
 // StoreOptions tune a Store. The zero value is production-ready.
 type StoreOptions struct {
 	// MaxSegmentBytes rotates the active segment past this size
-	// (default 64 MB).
+	// (default 64 MB). Tests set it to get small segments.
 	MaxSegmentBytes int64
-	// Logf sinks corruption and compaction warnings (default log.Printf).
+	// Logf sinks corruption warnings (default log.Printf).
 	Logf func(format string, args ...any)
 	// WrapFile, when set, wraps every segment file handle the store opens.
 	// Fault-injection hook; nil means use the file as-is.
@@ -88,11 +85,6 @@ type StoreOptions struct {
 	// stage. The appends run on the writer goroutine, so this measures the
 	// durability lag, not anything on the serve path.
 	WriteHist *obs.Histogram
-	// CompactHist records (a nil histogram discards) the latency of every compaction
-	// pass (startup-triggered, background-triggered, or explicit) — the
-	// compact telemetry stage. Compactions run on the writer goroutine, off
-	// the serve path.
-	CompactHist *obs.Histogram
 }
 
 // recordRef locates one live record: segment id, payload offset, payload
@@ -103,29 +95,24 @@ type recordRef struct {
 	n   int
 }
 
-// storeOp is one unit of writer-goroutine work: an append, a flush barrier
-// (flush non-nil), or a compaction pass (compact non-nil).
+// storeOp is one unit of writer-goroutine work: an append, or a flush
+// barrier (flush non-nil).
 type storeOp struct {
-	key     Key
-	res     Result
-	flush   chan error
-	compact chan error
+	key   Key
+	res   Result
+	flush chan error
 }
 
 // Store is the disk layer. All mutation of segment files happens on the
-// single writer goroutine (appends, rotation, compaction), so file state
-// needs no locking; mu guards the maps (index, pending, readers) that the
-// concurrent read paths share with it.
+// single writer goroutine (appends, rotation), so file state needs no
+// locking; mu guards the maps (index, pending, readers) that the concurrent
+// read paths share with it.
 type Store struct {
-	dir         string
-	maxSeg      int64
-	logf        func(format string, args ...any)
-	wrap        func(*os.File) StoreFile
-	writeHist   *obs.Histogram
-	compactHist *obs.Histogram
-
-	// compactions counts completed compaction passes (statusz surface).
-	compactions atomic.Uint64
+	dir       string
+	maxSeg    int64
+	logf      func(format string, args ...any)
+	wrap      func(*os.File) StoreFile
+	writeHist *obs.Histogram
 
 	mu         sync.Mutex
 	index      map[Key]recordRef
@@ -162,10 +149,7 @@ func (s *Store) enqueue(op storeOp) bool {
 
 // OpenStore opens (creating if needed) the durable store in dir, scanning
 // every segment to rebuild the key→offset index. Corrupt segment tails are
-// skipped with a warning; they never fail the open. If the scan finds more
-// dead than live bytes, a compaction pass is queued onto the writer
-// goroutine — the open returns immediately and the store serves reads while
-// the rewrite runs behind it.
+// skipped with a warning; they never fail the open.
 func OpenStore(dir string, opts StoreOptions) (*Store, error) {
 	if opts.MaxSegmentBytes <= 0 {
 		opts.MaxSegmentBytes = defaultSegmentBytes
@@ -177,16 +161,15 @@ func OpenStore(dir string, opts StoreOptions) (*Store, error) {
 		return nil, fmt.Errorf("service: store: %w", err)
 	}
 	s := &Store{
-		dir:         dir,
-		maxSeg:      opts.MaxSegmentBytes,
-		logf:        opts.Logf,
-		wrap:        opts.WrapFile,
-		writeHist:   opts.WriteHist,
-		compactHist: opts.CompactHist,
-		index:       make(map[Key]recordRef),
-		pending:     make(map[Key]Result),
-		readers:     make(map[int]StoreFile),
-		queue:       make(chan storeOp, 1024),
+		dir:       dir,
+		maxSeg:    opts.MaxSegmentBytes,
+		logf:      opts.Logf,
+		wrap:      opts.WrapFile,
+		writeHist: opts.WriteHist,
+		index:     make(map[Key]recordRef),
+		pending:   make(map[Key]Result),
+		readers:   make(map[int]StoreFile),
+		queue:     make(chan storeOp, 1024),
 	}
 	ids, err := s.segmentIDs()
 	if err != nil {
@@ -208,27 +191,8 @@ func OpenStore(dir string, opts StoreOptions) (*Store, error) {
 	}
 	s.wg.Add(1)
 	go s.writer()
-	if s.shouldCompact() {
-		// Queue (don't run) the startup pass: the open path must not block
-		// on a full-log rewrite. The queue is empty and buffered, so this
-		// cannot block either; the buffered ack is deliberately unread.
-		ack := make(chan error, 1)
-		s.enqueue(storeOp{compact: ack})
-	}
 	return s, nil
 }
-
-// shouldCompact reports whether dead bytes justify a compaction pass. It
-// takes mu only for the byte counters — never across the pass itself.
-func (s *Store) shouldCompact() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	dead := s.totalBytes - s.liveBytes
-	return dead > compactMinDeadBytes && dead > s.liveBytes
-}
-
-// Compactions reports how many compaction passes have completed.
-func (s *Store) Compactions() uint64 { return s.compactions.Load() }
 
 // segmentIDs lists existing segment ids in ascending order.
 func (s *Store) segmentIDs() ([]int, error) {
@@ -370,46 +334,33 @@ func (s *Store) Put(k Key, r Result) {
 
 // Get returns the stored result for k, reading it back from its segment
 // (or from the pending write-behind queue). The disk read and JSON decode
-// run outside mu — post-restart recovery traffic pays one Get per key and
-// must not serialize on the store lock — so a concurrent compaction can
-// close the segment under the read; the retry re-resolves through the
-// freshly swapped index.
+// run outside mu: post-restart recovery traffic pays one Get per key and
+// must not serialize on the store lock. A segment handle, once indexed,
+// stays open until Close, which clears the index with it.
 func (s *Store) Get(k Key) (Result, bool) {
-	for attempt := 0; attempt < 2; attempt++ {
-		s.mu.Lock()
-		if r, ok := s.pending[k]; ok {
-			s.mu.Unlock()
-			return r, true
-		}
-		ref, ok := s.index[k]
-		if !ok {
-			s.mu.Unlock()
-			return Result{}, false
-		}
-		f, ok := s.readers[ref.seg]
+	s.mu.Lock()
+	if r, ok := s.pending[k]; ok {
 		s.mu.Unlock()
-		if !ok {
-			continue // index/readers raced a compaction swap; re-resolve
-		}
-		buf := make([]byte, ref.n)
-		if _, err := f.ReadAt(buf, ref.off); err != nil {
-			if attempt == 0 {
-				continue // likely a compaction closed the segment mid-read
-			}
-			s.logf("service/store: read %x: %v", k[:4], err)
-			return Result{}, false
-		}
-		var r Result
-		if err := json.Unmarshal(buf, &r); err != nil {
-			if attempt == 0 {
-				continue
-			}
-			s.logf("service/store: decode %x: %v", k[:4], err)
-			return Result{}, false
-		}
 		return r, true
 	}
-	return Result{}, false
+	ref, ok := s.index[k]
+	if !ok {
+		s.mu.Unlock()
+		return Result{}, false
+	}
+	f := s.readers[ref.seg]
+	s.mu.Unlock()
+	buf := make([]byte, ref.n)
+	if _, err := f.ReadAt(buf, ref.off); err != nil {
+		s.logf("service/store: read %x: %v", k[:4], err)
+		return Result{}, false
+	}
+	var r Result
+	if err := json.Unmarshal(buf, &r); err != nil {
+		s.logf("service/store: decode %x: %v", k[:4], err)
+		return Result{}, false
+	}
+	return r, true
 }
 
 // Has reports whether k is stored (on disk or pending).
@@ -431,8 +382,9 @@ func (s *Store) Len() int {
 }
 
 // Bytes reports the segment footprint: live is the record bytes the index
-// still references, total is everything on disk including dead records
-// (superseded duplicates, skipped tails) awaiting compaction.
+// references, total adds the records it does not — duplicates an old log
+// carried, superseded by a later copy of the same key. A skipped corrupt
+// tail counts in neither.
 func (s *Store) Bytes() (live, total int64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -524,10 +476,6 @@ func (s *Store) writer() {
 			op.flush <- s.active.Sync()
 			continue
 		}
-		if op.compact != nil {
-			op.compact <- s.runCompact()
-			continue
-		}
 		a0 := time.Now()
 		err := s.append(op.key, op.res)
 		s.writeHist.Observe(time.Since(a0))
@@ -536,30 +484,8 @@ func (s *Store) writer() {
 			s.mu.Lock()
 			delete(s.pending, op.key)
 			s.mu.Unlock()
-			continue
-		}
-		if s.shouldCompact() {
-			// Run the pass directly: the writer must never enqueue onto its
-			// own queue (it is the sole drainer — a full queue would
-			// deadlock). Appends queued meanwhile just wait; the serve path
-			// never does, it only enqueues.
-			if cerr := s.runCompact(); cerr != nil {
-				s.logf("service/store: background compaction: %v", cerr)
-			}
 		}
 	}
-}
-
-// runCompact is the timed, counted wrapper every compaction path (startup
-// queue, dead-bytes trigger, explicit Compact) goes through.
-func (s *Store) runCompact() error {
-	c0 := time.Now()
-	err := s.compact()
-	s.compactHist.Observe(time.Since(c0))
-	if err == nil {
-		s.compactions.Add(1)
-	}
-	return err
 }
 
 // append encodes and writes one record, then publishes it to the index.
@@ -616,139 +542,4 @@ func (s *Store) rotate() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.openActive(s.activeID + 1)
-}
-
-// Compact rewrites every live record into fresh segments and deletes the
-// old files, dropping dead bytes (superseded duplicates, skipped tails).
-// Live keys are preserved exactly. The pass runs on the writer goroutine,
-// so no append interleaves with it, and the rewrite itself runs unlocked —
-// mu is held only to snapshot the index and to swap in the new layout, so
-// concurrent Get/Keys are never stalled for the duration of the copy and
-// see either the old or the new layout, never a mix.
-func (s *Store) Compact() error {
-	ack := make(chan error, 1)
-	if !s.enqueue(storeOp{compact: ack}) {
-		return nil
-	}
-	return <-ack
-}
-
-// compact does the rewrite. It must run on the writer goroutine: that is
-// what guarantees no append mutates the segments mid-pass, which lets the
-// bulk copy proceed without holding mu. Concurrent Get/ReadAt on the old segments is safe — they are not
-// closed or removed until the swap, which happens under mu.
-func (s *Store) compact() error {
-	// Phase 1 (under mu): snapshot the live layout.
-	s.mu.Lock()
-	oldIDs := make([]int, 0, len(s.readers))
-	oldReaders := make(map[int]StoreFile, len(s.readers))
-	for id, f := range s.readers {
-		oldIDs = append(oldIDs, id)
-		oldReaders[id] = f
-	}
-	sort.Ints(oldIDs)
-	nextID := s.activeID + 1
-
-	type liveRec struct {
-		k   Key
-		ref recordRef
-	}
-	live := make([]liveRec, 0, len(s.index))
-	for k, ref := range s.index {
-		live = append(live, liveRec{k, ref})
-	}
-	s.mu.Unlock()
-	// Deterministic rewrite order (by segment, then offset) keeps locality
-	// and makes the pass reproducible.
-	sort.Slice(live, func(i, j int) bool {
-		if live[i].ref.seg != live[j].ref.seg {
-			return live[i].ref.seg < live[j].ref.seg
-		}
-		return live[i].ref.off < live[j].ref.off
-	})
-
-	newIndex := make(map[Key]recordRef, len(live))
-	var newLive int64
-	var out StoreFile
-	outID := 0
-	var outSize int64
-	newReaders := make(map[int]StoreFile)
-	openOut := func() error {
-		f, err := s.createSegment(nextID)
-		if err != nil {
-			return err
-		}
-		out, outID, outSize = f, nextID, int64(len(storeMagic))
-		newReaders[outID] = f
-		nextID++
-		return nil
-	}
-	fail := func(err error) error {
-		for id, f := range newReaders {
-			f.Close()
-			os.Remove(s.segPath(id))
-		}
-		return fmt.Errorf("service: store: compact: %w", err)
-	}
-	if err := openOut(); err != nil {
-		return fail(err)
-	}
-	for _, lr := range live {
-		src, ok := oldReaders[lr.ref.seg]
-		if !ok {
-			return fail(fmt.Errorf("segment %d vanished", lr.ref.seg))
-		}
-		payload := make([]byte, lr.ref.n)
-		if _, err := src.ReadAt(payload, lr.ref.off); err != nil {
-			return fail(err)
-		}
-		rec := encodeRecord(lr.k, payload)
-		if outSize+int64(len(rec)) > s.maxSeg && outSize > int64(len(storeMagic)) {
-			if err := out.Sync(); err != nil {
-				return fail(err)
-			}
-			if err := openOut(); err != nil {
-				return fail(err)
-			}
-		}
-		if _, err := out.WriteAt(rec, outSize); err != nil {
-			return fail(err)
-		}
-		newIndex[lr.k] = recordRef{seg: outID, off: outSize + 4 + keySize, n: lr.ref.n}
-		outSize += int64(len(rec))
-		newLive += int64(len(rec))
-	}
-	if err := out.Sync(); err != nil {
-		return fail(err)
-	}
-	// Phase 3 (under mu): swap — new segments live, the last one becomes
-	// the append target. No append ran since the snapshot (this is the
-	// writer goroutine), so newIndex is complete. The old handles are only
-	// unlinked from the maps here; closing and unlinking the files happens
-	// after the unlock — a Get that raced past the swap and still reads an
-	// old segment sees the close, and its documented retry re-resolves
-	// through the fresh index.
-	s.mu.Lock()
-	for _, id := range oldIDs {
-		delete(s.readers, id)
-	}
-	for id, f := range newReaders {
-		s.readers[id] = f
-	}
-	s.index = newIndex
-	s.active = out
-	s.activeID = outID
-	s.activeSize = outSize
-	s.liveBytes = newLive
-	s.totalBytes = newLive
-	s.mu.Unlock()
-	for _, id := range oldIDs {
-		oldReaders[id].Close()
-		if err := os.Remove(s.segPath(id)); err != nil {
-			s.logf("service/store: compact: remove %s: %v", s.segPath(id), err)
-		}
-	}
-	s.logf("service/store: compacted %d segments into %d (%d live keys, %d bytes)",
-		len(oldIDs), len(newReaders), len(newIndex), newLive)
-	return nil
 }

@@ -1,8 +1,11 @@
 package service
 
 import (
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"hash/crc32"
+	"maps"
 	"os"
 	"path/filepath"
 	"strings"
@@ -291,66 +294,87 @@ func TestStoreUnrecognizedSegmentSkipped(t *testing.T) {
 	}
 }
 
-// TestStoreCompactionPreservesLiveKeys builds a log with dead weight —
-// duplicate records for the same keys — and checks compaction drops the
-// dead bytes while preserving every live key exactly, including across a
-// subsequent restart.
-func TestStoreCompactionPreservesLiveKeys(t *testing.T) {
+// TestStoreScanDuplicatesLastWins: a log in which every key appears twice
+// (Put is idempotent, so only a log an older build wrote carries
+// duplicates) indexes each key once, serves the later copy, and keeps the
+// superseded copies visible as total − live bytes — right after open, after
+// new appends, and across a restart.
+func TestStoreScanDuplicatesLastWins(t *testing.T) {
 	dir := t.TempDir()
 	const n = 16
-	// Hand-write a segment with every record duplicated (the public Put is
-	// idempotent, so duplication only arises from crashes or old logs).
 	var buf []byte
+	var first, second int64
 	buf = append(buf, storeMagic...)
 	for round := 0; round < 2; round++ {
 		for i := 0; i < n; i++ {
-			payload, err := json.Marshal(testResult(i))
+			payload, err := json.Marshal(testResult(i + round*1000))
 			if err != nil {
 				t.Fatal(err)
 			}
-			buf = append(buf, encodeRecord(testKey(i), payload)...)
+			rec := encodeRecord(testKey(i), payload)
+			buf = append(buf, rec...)
+			if round == 0 {
+				first += int64(len(rec))
+			} else {
+				second += int64(len(rec))
+			}
 		}
 	}
 	if err := os.WriteFile(filepath.Join(dir, "seg-00000001.log"), buf, 0o644); err != nil {
 		t.Fatal(err)
+	}
+	serves := func(s *Store, i int, want Result) {
+		t.Helper()
+		r, ok := s.Get(testKey(i))
+		if !ok {
+			t.Fatalf("key %d not served", i)
+		}
+		got, _ := json.Marshal(r)
+		if w, _ := json.Marshal(want); string(got) != string(w) {
+			t.Fatalf("key %d: served %s, want %s", i, got, w)
+		}
+	}
+	footprint := func(s *Store, wantLive, wantTotal int64) {
+		t.Helper()
+		if live, total := s.Bytes(); live != wantLive || total != wantTotal {
+			t.Fatalf("Bytes() = %d live, %d total; want %d, %d", live, total, wantLive, wantTotal)
+		}
 	}
 
 	s, _ := openTestStore(t, dir, StoreOptions{MaxSegmentBytes: 512})
 	if got := s.Len(); got != n {
 		t.Fatalf("indexed %d keys from duplicated log, want %d", got, n)
 	}
-	before := diskBytes(t, dir)
-	if err := s.Compact(); err != nil {
+	for i := 0; i < n; i++ {
+		serves(s, i, testResult(i+1000))
+	}
+	footprint(s, second, first+second)
+
+	// Appends go on after the duplicates, rotating through small segments,
+	// and everything survives a restart with the same footprint.
+	const fresh = 200
+	s.Put(testKey(fresh), testResult(fresh))
+	if err := s.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	after := diskBytes(t, dir)
-	if after >= before {
-		t.Fatalf("compaction did not shrink the log: %d -> %d bytes", before, after)
+	serves(s, fresh, testResult(fresh))
+	live, total := s.Bytes()
+	if live <= second || total-live != first {
+		t.Fatalf("after Put: Bytes() = %d live, %d total; want live past %d and %d dead", live, total, second, first)
 	}
-	if got := s.Len(); got != n {
-		t.Fatalf("compaction changed live key count: %d, want %d", got, n)
-	}
-	for i := 0; i < n; i++ {
-		r, ok := s.Get(testKey(i))
-		if !ok {
-			t.Fatalf("compaction lost key %d", i)
-		}
-		want, _ := json.Marshal(testResult(i))
-		got, _ := json.Marshal(r)
-		if string(got) != string(want) {
-			t.Fatalf("compaction corrupted key %d: %s != %s", i, got, want)
-		}
-	}
-	// Appends keep working after the swap, and everything survives restart.
-	s.Put(testKey(200), testResult(200))
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
 	s2, _ := openTestStore(t, dir, StoreOptions{MaxSegmentBytes: 512})
 	defer s2.Close()
 	if got := s2.Len(); got != n+1 {
-		t.Fatalf("post-compaction restart recovered %d keys, want %d", got, n+1)
+		t.Fatalf("restart recovered %d keys, want %d", got, n+1)
 	}
+	for i := 0; i < n; i++ {
+		serves(s2, i, testResult(i+1000))
+	}
+	serves(s2, fresh, testResult(fresh))
+	footprint(s2, live, total)
 }
 
 // TestStorePutIdempotent: re-putting a stored key writes nothing new.
@@ -404,83 +428,84 @@ func TestStoreKeysRange(t *testing.T) {
 	}
 }
 
-// TestBackgroundCompactionTriggersOffOpenPath: a log carrying well over the
-// dead-bytes threshold compacts on the writer goroutine after open — with
-// no Compact() call and no blocking of the open path — while every live key
-// stays servable throughout. A log below the threshold must not trigger.
-func TestBackgroundCompactionTriggersOffOpenPath(t *testing.T) {
-	dir := t.TempDir()
-	const n, rounds = 32, 10
-	// Hand-write a segment whose records are duplicated rounds times with a
-	// payload fat enough that the dead share clears compactMinDeadBytes.
-	fat := Result{Err: strings.Repeat("x", 4<<10)}
-	body, err := json.Marshal(fat)
-	if err != nil {
-		t.Fatal(err)
+// scanRef is the reference parse FuzzStoreScan holds the segment scan to:
+// the magic, then records until the first short header, implausible length,
+// short payload or checksum mismatch, the last copy of a key winning.
+func scanRef(data []byte) (index map[Key]recordRef, live, total int64) {
+	index = map[Key]recordRef{}
+	if len(data) < len(storeMagic) || string(data[:len(storeMagic)]) != storeMagic {
+		return index, 0, 0
 	}
-	var buf []byte
-	buf = append(buf, storeMagic...)
-	for round := 0; round < rounds; round++ {
-		for i := 0; i < n; i++ {
-			buf = append(buf, encodeRecord(testKey(i), body)...)
+	for off := len(storeMagic); len(data)-off >= 4+keySize; {
+		n := int(binary.LittleEndian.Uint32(data[off:]))
+		if n > maxRecordBytes || len(data)-off < recordOverhead+n {
+			break
 		}
-	}
-	if err := os.WriteFile(filepath.Join(dir, "seg-00000001.log"), buf, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	before := diskBytes(t, dir)
-
-	s, _ := openTestStore(t, dir, StoreOptions{})
-	// The open path queued — did not run — the pass: the store serves now.
-	if got := s.Len(); got != n {
-		t.Fatalf("indexed %d keys, want %d", got, n)
-	}
-	if r, ok := s.Get(testKey(3)); !ok || r.Err != fat.Err {
-		t.Fatalf("Get(3) during pending compaction: ok=%v", ok)
-	}
-	// The writer goroutine runs the queued pass; Flush is the barrier that
-	// proves the queue (compact op included) drained.
-	if err := s.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if got := s.Compactions(); got != 1 {
-		t.Fatalf("background compactions = %d, want 1", got)
-	}
-	if after := diskBytes(t, dir); after >= before {
-		t.Fatalf("background compaction did not shrink the log: %d -> %d bytes", before, after)
-	}
-	for i := 0; i < n; i++ {
-		if r, ok := s.Get(testKey(i)); !ok || r.Err != fat.Err {
-			t.Fatalf("background compaction lost key %d (ok=%v)", i, ok)
+		var k Key
+		copy(k[:], data[off+4:])
+		payload := data[off+4+keySize : off+4+keySize+n]
+		sum := crc32.ChecksumIEEE(append(k[:], payload...))
+		if binary.LittleEndian.Uint32(data[off+4+keySize+n:]) != sum {
+			break
 		}
+		if old, ok := index[k]; ok {
+			live -= int64(recordOverhead + old.n)
+		}
+		index[k] = recordRef{seg: 1, off: int64(off + 4 + keySize), n: n}
+		live += int64(recordOverhead + n)
+		total += int64(recordOverhead + n)
+		off += recordOverhead + n
 	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
+	return index, live, total
+}
 
-	// Below threshold: duplicates exist but dead bytes are tiny — the
-	// trigger must hold its fire (the threshold exists to stop churn).
-	dir2 := t.TempDir()
-	small, _ := json.Marshal(testResult(1))
-	var buf2 []byte
-	buf2 = append(buf2, storeMagic...)
-	for round := 0; round < 3; round++ {
-		buf2 = append(buf2, encodeRecord(testKey(1), small)...)
+// FuzzStoreScan feeds arbitrary bytes to the segment scan as the only
+// segment of a store: the open never fails, and the index and byte counts
+// equal the reference parse, again after a reopen.
+func FuzzStoreScan(f *testing.F) {
+	var valid []byte
+	valid = append(valid, storeMagic...)
+	for i := 0; i < 3; i++ {
+		payload, _ := json.Marshal(testResult(i))
+		valid = append(valid, encodeRecord(testKey(i), payload)...)
 	}
-	if err := os.WriteFile(filepath.Join(dir2, "seg-00000001.log"), buf2, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	s2, _ := openTestStore(t, dir2, StoreOptions{})
-	if s2.shouldCompact() {
-		t.Fatal("a few KB of dead bytes must not trigger compaction")
-	}
-	if err := s2.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if got := s2.Compactions(); got != 0 {
-		t.Fatalf("below-threshold store compacted %d times", got)
-	}
-	if err := s2.Close(); err != nil {
-		t.Fatal(err)
-	}
+	dup := append(append([]byte{}, valid...), valid[len(storeMagic):]...)
+	dup = append(dup, encodeRecord(testKey(1), []byte(`{"err":"second"}`))...)
+	flipped := append([]byte{}, valid...)
+	flipped[len(flipped)-1] ^= 0xFF
+	oversized := append([]byte{}, valid...)
+	oversized = binary.LittleEndian.AppendUint32(oversized, maxRecordBytes+1)
+	oversized = append(oversized, make([]byte, keySize+8)...)
+	f.Add(valid)
+	f.Add(dup)
+	f.Add(valid[:len(valid)-5]) // torn tail
+	f.Add(flipped)
+	f.Add(oversized)
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, "seg-00000001.log"), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		want, wantLive, wantTotal := scanRef(data)
+		for pass := 0; pass < 2; pass++ {
+			s, err := OpenStore(dir, StoreOptions{Logf: func(string, ...any) {}})
+			if err != nil {
+				t.Fatalf("pass %d: open: %v", pass, err)
+			}
+			s.mu.Lock()
+			got := maps.Clone(s.index)
+			s.mu.Unlock()
+			live, total := s.Bytes()
+			if err := s.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if !maps.Equal(got, want) {
+				t.Fatalf("pass %d: index %v, reference %v", pass, got, want)
+			}
+			if live != wantLive || total != wantTotal {
+				t.Fatalf("pass %d: Bytes() = %d live, %d total; reference %d, %d", pass, live, total, wantLive, wantTotal)
+			}
+		}
+	})
 }

@@ -22,8 +22,8 @@ const (
 // stage indexes stageNames. Spans (ARCHITECTURE.md "Telemetry"): a node's
 // admission, queue_wait, simulate, cache_lookup (RAM), disk_hit,
 // singleflight_wait, evict (ARC demotion) and encode; the router's split,
-// dispatch (one sub-batch round trip) and reroute. store_write and compact
-// (the store's writer goroutine), replicate and antientropy are histograms.
+// dispatch (one sub-batch round trip) and reroute. store_write (the store's
+// writer goroutine), replicate and antientropy are histograms.
 type stage uint8
 
 const (
@@ -36,7 +36,6 @@ const (
 	stEvict
 	stEncode
 	stStoreWrite
-	stCompact
 	stSplit
 	stDispatch
 	stReroute
@@ -82,7 +81,6 @@ var (
 		stEvict:       "evict",
 		stEncode:      "encode",
 		stStoreWrite:  "store_write",
-		stCompact:     "compact",
 		stSplit:       "split",
 		stDispatch:    "dispatch",
 		stReroute:     "reroute",
@@ -102,7 +100,7 @@ var (
 		outUndeliverable: "undeliverable",
 	}
 
-	tierStages     = []stage{stEncode, stStoreWrite, stCompact}
+	tierStages     = []stage{stEncode, stStoreWrite}
 	routerStages   = []stage{stSplit, stReroute, stReplicate, stAntiEntropy} // dispatch's histograms are per node
 	serveOutcomes  = []outcome{outHit, outDiskHit, outMiss, outCanceled}
 	batchOutcomes  = []outcome{outOK, outCanceled, outRejected, outError}

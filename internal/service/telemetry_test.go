@@ -381,7 +381,6 @@ func TestTelemetrySurface(t *testing.T) {
 	equal("node series", names(srv.tel), []string{
 		`simtune_stage_duration_seconds{stage="encode"}`,
 		`simtune_stage_duration_seconds{stage="store_write"}`,
-		`simtune_stage_duration_seconds{stage="compact"}`,
 		`simtune_stage_duration_seconds{stage="admission",arch="riscv"}`,
 		`simtune_stage_duration_seconds{stage="queue_wait",arch="riscv"}`,
 		`simtune_stage_duration_seconds{stage="cache_lookup",arch="riscv"}`,
@@ -446,7 +445,6 @@ func TestTelemetrySurface(t *testing.T) {
 	equal("router series", names(rt.tel), []string{
 		`simtune_stage_duration_seconds{stage="encode"}`,
 		`simtune_stage_duration_seconds{stage="store_write"}`,
-		`simtune_stage_duration_seconds{stage="compact"}`,
 		`simtune_stage_duration_seconds{stage="split"}`,
 		`simtune_stage_duration_seconds{stage="reroute"}`,
 		`simtune_stage_duration_seconds{stage="replicate"}`,
