@@ -1,12 +1,13 @@
 package sim_test
 
 // The oracle of the executor's hoisted-loop path: one candidate, drawn from
-// the generators of the repository benchmark's corpus, goes through
-// lower.Execute and through the per-instruction reference, and the two must
-// agree on every statistic, on the complete cache state and on the timing
-// model's cycles and mispredicts. The checked-in
-// seeds under testdata/fuzz/FuzzNest are named after the nest shape they
-// reach; TestFuzzNestSeedShapes keeps those names true.
+// the generators of the repository benchmark's corpus or from a split-tail
+// generator of this test's own, goes through lower.Execute and through the
+// per-instruction reference, and the two must agree on every statistic, on
+// the complete cache state and on the timing model's cycles and
+// mispredicts. The checked-in seeds under testdata/fuzz/FuzzNest are named
+// after the nest shape they reach; TestFuzzNestSeedShapes keeps those names
+// true.
 
 import (
 	"fmt"
@@ -35,6 +36,10 @@ const (
 	kindPerm
 	kindAutoTVM
 	kindAnsor
+	// kindSplitTail splits one leaf by a factor that does not divide it,
+	// then reorders the leaves: the only kind whose schedules carry
+	// split-tail guards, since the corpus generators split by divisors only.
+	kindSplitTail
 	numKinds
 )
 
@@ -53,13 +58,27 @@ func fuzzCandidate(t *testing.T, seed uint64, wl, kind uint) candidate {
 	switch kind % numKinds {
 	case kindPerm:
 		s := schedule.New(c.factory().Op)
-		order := make([]*schedule.IterVar, len(s.Leaves))
-		for i, p := range num.NthPerm(1+rng.Intn(1<<20), len(s.Leaves)) {
-			order[i] = s.Leaves[p]
+		reorder(t, s, rng)
+		c.steps = s.Steps
+	case kindSplitTail:
+		s := schedule.New(c.factory().Op)
+		var long []*schedule.IterVar
+		for _, iv := range s.Leaves {
+			if iv.Extent >= 3 { // extent-1 >= 2 never divides it
+				long = append(long, iv)
+			}
 		}
-		if err := s.Reorder(order); err != nil {
+		iv := long[rng.Intn(len(long))]
+		var factors []int
+		for f := 2; f < iv.Extent; f++ {
+			if iv.Extent%f != 0 {
+				factors = append(factors, f)
+			}
+		}
+		if _, _, err := s.Split(iv, factors[rng.Intn(len(factors))]); err != nil {
 			t.Fatal(err)
 		}
+		reorder(t, s, rng)
 		c.steps = s.Steps
 	case kindAutoTVM:
 		w := c.factory()
@@ -86,12 +105,25 @@ func fuzzCandidate(t *testing.T, seed uint64, wl, kind uint) candidate {
 	return c
 }
 
+// reorder permutes the leaves of s by a seeded permutation.
+func reorder(t *testing.T, s *schedule.Schedule, rng *num.RNG) {
+	t.Helper()
+	order := make([]*schedule.IterVar, len(s.Leaves))
+	for i, p := range num.NthPerm(1+rng.Intn(1<<20), len(s.Leaves)) {
+		order[i] = s.Leaves[p]
+	}
+	if err := s.Reorder(order); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // nestShapes is what a spy between the executor and the simulator saw of
 // the nest path.
 type nestShapes struct {
 	*sim.Machine
 	cold, pendingRun bool
 	spans, boxes2D   int // LoopRuns of one row; of several rows in one plane
+	shortestSpan     int // fewest iterations of a one-row LoopRun, 0 for none
 	boxes3D          int // LoopRuns of several planes
 	coldThen2D       bool
 	spillBoxes       int // boxes carrying the spill reload and writeback
@@ -133,6 +165,9 @@ func (s *nestShapes) see(run *lower.LoopRun) {
 		s.coldThen2D = s.coldThen2D || (s.cold && s.pendingRun)
 	default:
 		s.spans++
+		if s.shortestSpan == 0 || run.Count < s.shortestSpan {
+			s.shortestSpan = run.Count
+		}
 	}
 	s.pendingRun = false
 	if run.Rows == 1 && run.Planes == 1 {
@@ -227,26 +262,48 @@ func FuzzNest(f *testing.F) {
 	})
 }
 
+// nestFrom returns the first leaf of the hoisted nest: the innermost three
+// levels inside the reduction, none under a vectorized innermost level.
+func nestFrom(s *schedule.Schedule) int {
+	nl := len(s.Leaves)
+	if s.Leaves[nl-1].Ann == schedule.AnnVectorize {
+		return nl
+	}
+	for i, iv := range s.Leaves {
+		if iv.Kind() == te.Reduce {
+			return max(i, nl-3)
+		}
+	}
+	return nl
+}
+
+// splitTail returns the leaf positions of the two halves of a kindSplitTail
+// split and whether their values overrun the axis, which makes the deeper
+// of the two carry a split-tail guard; ok is false for a schedule that
+// splits nothing.
+func splitTail(s *schedule.Schedule) (outer, inner int, guarded, ok bool) {
+	for i, a := range s.Leaves {
+		for j, b := range s.Leaves {
+			if a.Src == b.Src && a.Weight > b.Weight {
+				span := (a.Extent-1)*a.Weight + (b.Extent-1)*b.Weight
+				return i, j, span >= a.Src.Extent, true
+			}
+		}
+	}
+	return 0, 0, false, false
+}
+
 // diagonalRank reports the lowest box rank that a diagonal condition
 // constrains, 0 when there is none. A diagonal condition is a padding check
 // of the reduction body that varies with two loops of the hoisted nest (the
 // innermost three levels, inside the reduction) at once, like
 // oh*stride+kh-pad with both oh and kh in the nest: its pass region is no
 // rectangle of rows, and a box reaching the higher of its two loops holds
-// it at both ends of its range. (The corpus generators split by divisors
-// only, so split-tail guards, the other affine condition, never occur.)
+// it at both ends of its range. (Split-tail guards, the other affine
+// condition, come only from kindSplitTail.)
 func diagonalRank(s *schedule.Schedule) int {
 	nl := len(s.Leaves)
-	if s.Leaves[nl-1].Ann == schedule.AnnVectorize {
-		return 0
-	}
-	from := nl
-	for i, iv := range s.Leaves {
-		if iv.Kind() == te.Reduce {
-			from = max(i, nl-3)
-			break
-		}
-	}
+	from := nestFrom(s)
 	rank := 0
 	for _, acc := range te.Accesses(s.Op.ReduceBody) {
 		for d, aff := range acc.Index {
@@ -296,10 +353,29 @@ func TestFuzzNestSeedShapes(t *testing.T) {
 			return n.prologue2D > 0 && n.prologueFetchRun > 0
 		},
 		"prologue3d": func(_ candidate, _ *lower.Program, n *nestShapes) bool { return n.prologue3D > 0 },
-		// Interior rows of a padded conv aggregate; boundary rows, where the
-		// padding check cuts the inner range, go span by span.
-		"padded": func(c candidate, _ *lower.Program, n *nestShapes) bool {
-			return strings.HasPrefix(c.name, "conv") && n.spans > 0 && n.boxes2D+n.boxes3D > 0
+		// The innermost level carries the guard, which cuts its rows into
+		// spans shorter than the row.
+		"guardspan": func(_ candidate, p *lower.Program, n *nestShapes) bool {
+			o, i, guarded, ok := splitTail(p.Sched)
+			nl := len(p.Sched.Leaves)
+			return ok && guarded && max(o, i) == nl-1 && nestFrom(p.Sched) < nl &&
+				n.shortestSpan > 0 && n.shortestSpan < p.Sched.Leaves[nl-1].Extent
+		},
+		// The guard on the innermost level varies with the split's outer
+		// half, above the nest: rows whose guard passes throughout box.
+		"guardbox": func(_ candidate, p *lower.Program, n *nestShapes) bool {
+			o, i, guarded, ok := splitTail(p.Sched)
+			nl := len(p.Sched.Leaves)
+			return ok && guarded && i == nl-1 && o < nestFrom(p.Sched) && n.boxes2D+n.boxes3D > 0
+		},
+		// Both halves are nest levels, so the guard varies with two of
+		// them, and a box reaches the outer half: the interval rule holds
+		// the guard at both ends of the inner range.
+		"guard2lv": func(_ candidate, p *lower.Program, n *nestShapes) bool {
+			o, i, guarded, ok := splitTail(p.Sched)
+			nl := len(p.Sched.Leaves)
+			return ok && guarded && i == nl-1 && o >= nestFrom(p.Sched) &&
+				(n.boxes3D > 0 || (nl-1-o == 1 && n.boxes2D > 0))
 		},
 	}
 	for name, holds := range shapes {
