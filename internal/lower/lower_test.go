@@ -500,3 +500,31 @@ func TestProgramAccessorsSane(t *testing.T) {
 		t.Fatal("default matmul must not spill")
 	}
 }
+
+// TestLinearIntervals holds linearBelow and linearAtLeast to their truth
+// sets by brute force: an iteration lies in the returned interval exactly
+// when the condition holds there. How an empty interval is written is the
+// functions' own business.
+func TestLinearIntervals(t *testing.T) {
+	for base := -6; base <= 6; base++ {
+		for bound := -6; bound <= 6; bound++ {
+			for step := -3; step <= 3; step++ {
+				for n := 0; n <= 6; n++ {
+					blo, bhi := linearBelow(base, step, bound, n)
+					alo, ahi := linearAtLeast(base, step, bound, n)
+					for i := 0; i < n; i++ {
+						v := base + i*step
+						if in := i >= blo && i < bhi; in != (v < bound) {
+							t.Errorf("linearBelow(%d, %d, %d, %d) = [%d,%d): i=%d in %v, %d < %d is %v",
+								base, step, bound, n, blo, bhi, i, in, v, bound, v < bound)
+						}
+						if in := i >= alo && i < ahi; in != (v >= bound) {
+							t.Errorf("linearAtLeast(%d, %d, %d, %d) = [%d,%d): i=%d in %v, %d >= %d is %v",
+								base, step, bound, n, alo, ahi, i, in, v, bound, v >= bound)
+						}
+					}
+				}
+			}
+		}
+	}
+}
