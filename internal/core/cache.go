@@ -41,12 +41,14 @@ func LoadDataset(path string) (*Dataset, error) {
 	return &ds, nil
 }
 
-// configKey fingerprints a dataset configuration for caching.
+// configKey fingerprints a dataset configuration for caching. NParallel is
+// left out: parallelism changes how fast a dataset is generated, not what
+// it holds.
 func configKey(cfg DatasetConfig) string {
 	h := fnv.New64a()
-	fmt.Fprintf(h, "%s|%s|%v|%d|%d|%d|%+v|%d",
+	fmt.Fprintf(h, "%s|%s|%v|%d|%d|%+v|%d",
 		cfg.Arch, cfg.Scale, cfg.Groups, cfg.ImplsPerGroup, cfg.BatchSize,
-		cfg.NParallel, cfg.MeasureOpt, cfg.Seed)
+		cfg.MeasureOpt, cfg.Seed)
 	return fmt.Sprintf("%016x", h.Sum64())
 }
 

@@ -124,3 +124,33 @@ func TestMemoConcurrentCallers(t *testing.T) {
 		t.Fatalf("memo holds %d datasets, bound is %d", n, memDatasets)
 	}
 }
+
+// TestConfigKeyIgnoresParallelism: datasets generated at different
+// NParallel hold the same data once the wall-clock readings are zeroed, so
+// they share one cache key.
+func TestConfigKeyIgnoresParallelism(t *testing.T) {
+	var ds [2]*Dataset
+	var keys [2]string
+	for i, par := range []int{1, 3} {
+		cfg := memoConfig(7300)
+		cfg.NParallel = par
+		keys[i] = configKey(cfg)
+		d, err := GenerateDataset(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, g := range d.Groups {
+			for j := range g.Impls {
+				g.Impls[j].SimWallSec = 0
+				g.Impls[j].Stats.SimWallSeconds = 0
+			}
+		}
+		ds[i] = d
+	}
+	if !reflect.DeepEqual(ds[0], ds[1]) {
+		t.Fatal("datasets at NParallel 1 and 3 differ")
+	}
+	if keys[0] != keys[1] {
+		t.Fatalf("NParallel 1 and 3 key the cache apart: %s, %s", keys[0], keys[1])
+	}
+}
