@@ -413,12 +413,41 @@ func (c *execCtx) nestUniformRange(r, n int) (int, int) {
 
 // runNestBlock executes n consecutive iterations, from iteration first, of
 // nest level d that form a uniform box with the r >= 1 levels below (full
-// extent each), as bulk counts plus one LoopRun. Bases must be positioned
-// at the first of the n iterations; the caller adds level d's own loop
-// exit. Enclosing levels of a box have no guards, so their blocks start
-// with their hoisted loads, which the LoopRun carries as prologue sites,
-// and the innermost iteration's code follows those of every enclosing
-// level.
+// extent each), as bulk counts plus one LoopRun (shipBox). Bases must be
+// positioned at the first of the n iterations; the caller adds level d's
+// own loop exit. nestIneligible means the box will never aggregate: a
+// guard fails somewhere along the innermost row, a body load or the spill
+// status changes along it, or the code spans more than maxFetchRunLines
+// (per-iteration execution handles all three); nestCold is shipBox's.
+func (c *execCtx) runNestBlock(d, r, first, n int, blockBase uint64, oneLine bool) nestOutcome {
+	ext := c.p.levels[d+r].Extent
+	spLo, spHi := c.rowRanges(ext)
+	for gi, lo := range c.innerGuardLo {
+		if lo > 0 || c.innerGuardHi[gi] < ext {
+			return nestIneligible
+		}
+	}
+	// Above the innermost row, nestUniformRange has seen to the rest.
+	for si, lo := range c.innerSiteLo {
+		if hi := c.innerSiteHi[si]; lo < hi && (lo > 0 || hi < ext) {
+			return nestIneligible
+		}
+	}
+	if spLo < spHi && (spLo > 0 || spHi < ext) {
+		return nestIneligible
+	}
+	return c.shipBox(d, r, first, n, blockBase, oneLine, spLo < spHi)
+}
+
+// shipBox executes a uniform box — n iterations of nest level d, full
+// extents of the r levels below — as bulk counts plus one LoopRun, with the
+// guards passing throughout and each body load and the spill status (spill)
+// as at the box's first point. At r = 0 the box is a span of the innermost
+// row: the bases stay at the row's iteration 0 and the span starts first
+// iterations in. Above it the bases are at the box's first iteration, and
+// the enclosing levels, which have no guards, start their blocks with
+// their hoisted loads: the LoopRun carries them as prologue sites, and the
+// innermost iteration's code follows those of every enclosing level.
 //
 // oneLine says the enclosing block lies on a single I-line, so one fetch
 // covers the box. Otherwise the box's fetch-line crossings go out as one
@@ -426,36 +455,19 @@ func (c *execCtx) nestUniformRange(r, n int) (int, int) {
 // L1I: pending events are flushed, the lines probed, and on a miss nothing
 // is executed and nestCold returned — the caller runs one iteration on the
 // ordered path, which fetches the code where its misses belong in the
-// stream, and tries again. nestIneligible means the box will never
-// aggregate: the inner range is not a single uniform segment, or the code
-// spans more than maxFetchRunLines (per-iteration execution handles both).
-func (c *execCtx) runNestBlock(d, r, first, n int, blockBase uint64, oneLine bool) nestOutcome {
+// stream, and tries again.
+func (c *execCtx) shipBox(d, r, first, n int, blockBase uint64, oneLine, spill bool) nestOutcome {
 	p := c.p
-	inner := p.levels[d+r]
 	in, st := &p.nest[0], &p.nest[r]
-	cExt := inner.Extent
-	// Inner guards must pass across the whole inner range.
-	for gi, base := range c.innerGuardBase {
-		lo, hi := linearBelow(base, in.guard[gi], inner.Guards[gi].Extent, cExt)
-		if lo != 0 || hi != cExt {
-			return nestIneligible
-		}
-	}
-	// The spill status must hold across the inner range; above it,
-	// nestUniformRange has seen to it.
-	var spill uint64
-	if p.spillRegs > 0 {
-		switch lo, hi := linearAtLeast(c.innerTile, in.tile, p.spillFrom, cExt); {
-		case lo <= 0 && hi >= cExt:
-			spill = 1
-		case lo < hi:
-			return nestIneligible
-		}
+	at := 0 // the box's first point, in iterations of the innermost row from the bases
+	if r == 0 {
+		at = first
 	}
 	sites := c.loopRun.Sites[:0]
+	var steps [maxNestRank]int // a site's element strides along the box's levels
 	// Prologue sites, highest level first: the hoisted loads of the box's
 	// enclosing levels, at the box's first row and plane.
-	prologue := st.loadsFrom < len(p.nestLoads)
+	prologue := r > 0 && st.loadsFrom < len(p.nestLoads)
 	if prologue {
 		c.vals[d] = first
 		for s := d + 1; s < d+r; s++ {
@@ -463,60 +475,36 @@ func (c *execCtx) runNestBlock(d, r, first, n int, blockBase uint64, oneLine boo
 		}
 		for k := st.loadsFrom; k < len(p.nestLoads); k++ {
 			h := &p.nestLoads[k]
-			ls := LoopSite{
-				Addr:    h.site.Tensor.AddrOf(h.site.Elem.eval(c.vals)),
-				RowStep: int64(p.nest[1].hoist[k]) * tensor.ElemSize,
-				Size:    tensor.ElemSize,
-				Level:   uint8(h.level),
+			for s := 1; s <= r; s++ {
+				steps[s] = p.nest[s].hoist[k]
 			}
-			if r == 2 {
-				ls.PlaneStep = int64(p.nest[2].hoist[k]) * tensor.ElemSize
-			}
-			sites = append(sites, ls)
+			sites = append(sites, boxSite(h.site.Tensor.AddrOf(h.site.Elem.eval(c.vals)), &steps))
+			sites[len(sites)-1].Level = uint8(h.level)
 		}
 	}
-	// Each site must be wholly loaded or wholly padding-skipped.
 	var canOOB, loaded uint64
-	di := 0
 	for si, site := range p.bodyLoads {
-		lo, hi := 0, cExt
 		if site.CanOOB {
 			canOOB++
-			lo, hi = c.siteRange(site, di, cExt)
-			di += len(site.Dims)
 		}
-		switch {
-		case lo <= 0 && hi >= cExt:
-			loaded++
-			ls := LoopSite{
-				Addr:    site.Tensor.AddrOf(c.innerElemBase[si]),
-				Step:    int64(in.elem[si]) * tensor.ElemSize,
-				RowStep: int64(p.nest[1].elem[si]) * tensor.ElemSize,
-				Size:    tensor.ElemSize,
-			}
-			if r == 2 {
-				ls.PlaneStep = int64(p.nest[2].elem[si]) * tensor.ElemSize
-			}
-			sites = append(sites, ls)
-		case lo >= hi:
-			// padding: skipped across the whole box
-		default:
-			c.loopRun.Sites = sites
-			return nestIneligible
+		if at < c.innerSiteLo[si] || at >= c.innerSiteHi[si] {
+			continue // padding: skipped across the whole box
 		}
+		loaded++
+		for s := 0; s <= r; s++ {
+			steps[s] = p.nest[s].elem[si]
+		}
+		sites = append(sites, boxSite(site.Tensor.AddrOf(c.innerElemBase[si]+at*in.elem[si]), &steps))
 	}
-	if spill != 0 {
+	var spills uint64
+	if spill {
 		// Stream order within an iteration: body loads, spill reload, FMA
 		// burst (no data), spill writeback.
-		ls := LoopSite{
-			Addr:    p.stackBase + uint64(c.innerTile)*tensor.ElemSize,
-			Step:    int64(in.tile) * tensor.ElemSize,
-			RowStep: int64(p.nest[1].tile) * tensor.ElemSize,
-			Size:    tensor.ElemSize,
+		spills = 1
+		for s := 0; s <= r; s++ {
+			steps[s] = p.nest[s].tile
 		}
-		if r == 2 {
-			ls.PlaneStep = int64(p.nest[2].tile) * tensor.ElemSize
-		}
+		ls := boxSite(p.stackBase+uint64(c.innerTile+at*in.tile)*tensor.ElemSize, &steps)
 		sites = append(sites, ls)
 		ls.Write = true
 		sites = append(sites, ls)
@@ -526,10 +514,10 @@ func (c *execCtx) runNestBlock(d, r, first, n int, blockBase uint64, oneLine boo
 	flops := uint64(p.bodyFLOPs)
 	// Per inner iteration: guard pairs, padding-check pairs, loads, spill
 	// reload and writeback, the FMA burst and the inner loop overhead pair.
-	nInstrIter := 2*ng + 2*canOOB + loaded + 2*spill + flops + 2
-	// The box: n iterations of level d, full extents between, cExt inside;
-	// each enclosing level's prologue, innermost first.
-	dims := [maxNestRank]int{cExt, 1, 1}
+	nInstrIter := 2*ng + 2*canOOB + loaded + 2*spills + flops + 2
+	// The box: n iterations of level d, full extents between; each
+	// enclosing level's prologue, innermost first.
+	dims := [maxNestRank]int{p.levels[d+r].Extent, 1, 1}
 	var pro [maxNestRank]uint64
 	var proTotal uint64
 	for s := 1; s <= r; s++ {
@@ -550,7 +538,7 @@ func (c *execCtx) runNestBlock(d, r, first, n int, blockBase uint64, oneLine boo
 	// prologue, the whole extent of the level below and its own overhead
 	// pair, and sees the level below exit once; every ALU instruction here
 	// is half of an ALU+branch pair.
-	pairs, exits, iters, loads := ng+canOOB+1, uint64(0), uint64(1), loaded+spill
+	pairs, exits, iters, loads := ng+canOOB+1, uint64(0), uint64(1), loaded+spills
 	for s := 0; s < r; s++ {
 		e := uint64(dims[s])
 		pairs, exits, iters = e*pairs+1, e*exits+1, e*iters
@@ -561,7 +549,7 @@ func (c *execCtx) runNestBlock(d, r, first, n int, blockBase uint64, oneLine boo
 	c.counts.ByClass[isa.Branch] += nU * pairs
 	c.counts.ByClass[isa.FMA] += nU * iters * flops
 	c.counts.ByClass[isa.Load] += nU * loads
-	c.counts.ByClass[isa.Store] += nU * iters * spill
+	c.counts.ByClass[isa.Store] += nU * iters * spills
 	c.counts.GuardBranches += nU * iters * (ng + canOOB)
 	c.counts.LoopExits += nU * exits
 	if len(sites) > 0 {
@@ -579,6 +567,44 @@ func (c *execCtx) runNestBlock(d, r, first, n int, blockBase uint64, oneLine boo
 	// pair of each enclosing level.
 	c.pc = base + (nInstrIter+2*uint64(r))*c.ib
 	return nestDone
+}
+
+// boxSite is a LoopSite at addr that moves by steps elements along the
+// innermost row, the rows and the planes of a box.
+func boxSite(addr uint64, steps *[maxNestRank]int) LoopSite {
+	return LoopSite{Addr: addr, Size: tensor.ElemSize, Step: int64(steps[0]) * tensor.ElemSize,
+		RowStep: int64(steps[1]) * tensor.ElemSize, PlaneStep: int64(steps[2]) * tensor.ElemSize}
+}
+
+// rowRanges works out, at the live bases, the interval of the innermost
+// row [0,ext) over which each condition of the body holds: every guard
+// passes (innerGuardLo/Hi), every body load is inside its tensor
+// (innerSiteLo/Hi; the whole row for loads without a padding check), and
+// — returned, empty without spill registers — the accumulator spills.
+func (c *execCtx) rowRanges(ext int) (int, int) {
+	p := c.p
+	in := &p.nest[0]
+	guards := p.levels[len(p.levels)-1].Guards
+	for gi, base := range c.innerGuardBase {
+		c.innerGuardLo[gi], c.innerGuardHi[gi] = linearBelow(base, in.guard[gi], guards[gi].Extent, ext)
+	}
+	di := 0
+	for si, site := range p.bodyLoads {
+		lo, hi := 0, ext
+		if site.CanOOB {
+			for k, extent := range site.Tensor.Shape {
+				alo, ahi := linearAtLeast(c.innerDimBase[di+k], in.dim[di+k], 0, ext)
+				blo, bhi := linearBelow(c.innerDimBase[di+k], in.dim[di+k], extent, ext)
+				lo, hi = max(lo, alo, blo), min(hi, ahi, bhi)
+			}
+			di += len(site.Dims)
+		}
+		c.innerSiteLo[si], c.innerSiteHi[si] = lo, hi
+	}
+	if p.spillRegs == 0 {
+		return 0, 0
+	}
+	return linearAtLeast(c.innerTile, in.tile, p.spillFrom, ext)
 }
 
 // nestOutcome is what runNestBlock did with a box.
@@ -687,20 +713,6 @@ func (w *fetchWalk) period(s int) {
 	}
 	w.repeat(w.dims[s-1], s-1)
 	w.span(w.base+(w.nIter+2*uint64(s-1))*w.ib, 2)
-}
-
-// siteRange returns the inner-iteration interval of [0,ext) over which a
-// padding-checked body load, whose dims start at di in the flattened bases,
-// is inside its tensor.
-func (c *execCtx) siteRange(site *accessSite, di, ext int) (int, int) {
-	lo, hi := 0, ext
-	steps := c.p.nest[0].dim
-	for k, extent := range site.Tensor.Shape {
-		alo, ahi := linearAtLeast(c.innerDimBase[di+k], steps[di+k], 0, ext)
-		blo, bhi := linearBelow(c.innerDimBase[di+k], steps[di+k], extent, ext)
-		lo, hi = max(lo, alo, blo), min(hi, ahi, bhi)
-	}
-	return lo, hi
 }
 
 // runInnerIter is the per-iteration strength-reduced inner loop (general
@@ -836,19 +848,16 @@ func (c *execCtx) runInnerIter(d int, lv *level, blockBase uint64) {
 // segment-wise; unrolled loops and blocks spanning several I-lines go to
 // runInnerIter instead. Every emission decision of an iteration — guard
 // outcomes, padding checks, spill status — is an affine condition of the
-// iteration index, so its truth set is an interval. Cutting [0,Extent) at
-// every interval endpoint yields spans with a constant event pattern: counts
-// are added arithmetically per span, and the span's interleaved data
-// accesses ship as one LoopRun instead of per-iteration events. The bases
-// are read, not moved.
+// iteration index, so its truth set is an interval (rowRanges). Cutting
+// [0,Extent) at every interval endpoint yields spans with a constant event
+// pattern: a span whose guards pass is a box of rank 0 (shipBox), one that
+// fails a guard costs the guard checks up to it and the loop overhead. The
+// bases are read, not moved.
 func (c *execCtx) runInnerSegments(d int, lv *level, blockBase uint64) {
 	if lv.Unrolled || blockBase&^63 != (blockBase+lv.PerIterSize-1)&^63 {
 		c.runInnerIter(d, lv, blockBase)
 		return
 	}
-	p := c.p
-	in := &p.nest[0]
-	gb, eb, tile := c.innerGuardBase, c.innerElemBase, c.innerTile
 	ext := lv.Extent
 	// One fetch covers the whole loop: every PC lies on blockBase's line.
 	c.pc = blockBase
@@ -856,46 +865,15 @@ func (c *execCtx) runInnerSegments(d int, lv *level, blockBase uint64) {
 	// Cut [0,ext) at every interior truth-change point of the affine
 	// conditions. Full and empty truth sets add no cuts, so the common
 	// uniform case runs as a single sort-free segment.
+	spLo, spHi := c.rowRanges(ext)
 	cuts := append(c.innerCuts[:0], 0, ext)
-	gLo := c.innerGuardLo
-	gHi := c.innerGuardHi
-	for gi := range gb {
-		lo, hi := linearBelow(gb[gi], in.guard[gi], lv.Guards[gi].Extent, ext)
-		gLo[gi], gHi[gi] = lo, hi
-		if lo > 0 && lo < ext {
-			cuts = append(cuts, lo)
-		}
-		if hi > 0 && hi < ext && hi > lo {
-			cuts = append(cuts, hi)
-		}
+	for gi, lo := range c.innerGuardLo {
+		cuts = addCuts(cuts, lo, c.innerGuardHi[gi], ext)
 	}
-	sLo := c.innerSiteLo
-	sHi := c.innerSiteHi
-	di := 0
-	for si, site := range p.bodyLoads {
-		lo, hi := 0, ext
-		if site.CanOOB {
-			lo, hi = c.siteRange(site, di, ext)
-			di += len(site.Dims)
-			if lo > 0 && lo < ext {
-				cuts = append(cuts, lo)
-			}
-			if hi > 0 && hi < ext && hi > lo {
-				cuts = append(cuts, hi)
-			}
-		}
-		sLo[si], sHi[si] = lo, hi
+	for si, lo := range c.innerSiteLo {
+		cuts = addCuts(cuts, lo, c.innerSiteHi[si], ext)
 	}
-	spLo, spHi := 0, 0
-	if p.spillRegs > 0 {
-		spLo, spHi = linearAtLeast(tile, in.tile, p.spillFrom, ext)
-		if spLo > 0 && spLo < ext {
-			cuts = append(cuts, spLo)
-		}
-		if spHi > 0 && spHi < ext && spHi > spLo {
-			cuts = append(cuts, spHi)
-		}
-	}
+	cuts = addCuts(cuts, spLo, spHi, ext)
 	if len(cuts) > 2 {
 		// Insertion sort: the cut list is tiny and mostly sorted.
 		for i := 1; i < len(cuts); i++ {
@@ -904,104 +882,46 @@ func (c *execCtx) runInnerSegments(d int, lv *level, blockBase uint64) {
 			}
 		}
 	}
-	flops := uint64(p.bodyFLOPs)
-	var alu, branch, fma, loads, stores, guardBr, exits uint64
 	for ci := 0; ci+1 < len(cuts); ci++ {
 		a, b := cuts[ci], cuts[ci+1]
 		if a >= b || a < 0 || b > ext {
 			continue
 		}
-		n := uint64(b - a)
 		// Guard outcomes are constant across the span; a failing guard cuts
 		// the iteration after its own ALU+branch pair.
-		firstFail := -1
-		for gi := range gb {
-			if a < gLo[gi] || a >= gHi[gi] {
-				firstFail = gi
+		k := 0
+		for gi, lo := range c.innerGuardLo {
+			if a < lo || a >= c.innerGuardHi[gi] {
+				k = gi + 1
 				break
 			}
 		}
-		if firstFail >= 0 {
-			k := uint64(firstFail + 1)
-			alu += n * k
-			branch += n * k
-			guardBr += n * k
-			nInstr := 2 * k
-			alu += n // loop overhead (never unrolled here)
-			branch += n
-			nInstr += 2
-			c.pc = blockBase + nInstr*c.ib
-			if b == ext {
-				exits++
-			}
-			continue
-		}
-		ng := uint64(len(gb))
-		alu += n * ng
-		branch += n * ng
-		guardBr += n * ng
-		nInstr := 2 * ng
-		sites := c.loopRun.Sites[:0]
-		for si, site := range p.bodyLoads {
-			if site.CanOOB {
-				alu += n
-				branch += n
-				guardBr += n
-				nInstr += 2
-				if a < sLo[si] || a >= sHi[si] {
-					continue // padding: the load is skipped across the span
-				}
-			}
-			loads += n
-			nInstr++
-			sites = append(sites, LoopSite{
-				Addr: site.Tensor.AddrOf(eb[si] + a*in.elem[si]),
-				Step: int64(in.elem[si]) * tensor.ElemSize,
-				Size: tensor.ElemSize,
-			})
-		}
-		if p.spillRegs > 0 && a >= spLo && a < spHi {
-			slot := p.stackBase + uint64(tile+a*in.tile)*tensor.ElemSize
-			step := int64(in.tile) * tensor.ElemSize
-			loads += n
-			stores += n
-			nInstr += 2
-			// Stream order within an iteration: body loads, spill reload,
-			// FMA burst (no data), spill writeback.
-			sites = append(sites,
-				LoopSite{Addr: slot, Step: step, Size: tensor.ElemSize},
-				LoopSite{Addr: slot, Step: step, Size: tensor.ElemSize, Write: true})
-		}
-		fma += n * flops
-		nInstr += flops
-		alu += n // loop overhead
-		branch += n
-		nInstr += 2
-		if b == ext {
-			exits++
-		}
-		if len(sites) > 0 {
-			c.loopRun.Count = b - a
-			c.loopRun.Rows = 1
-			c.loopRun.Planes = 1
-			c.loopRun.Sites = sites
-			if len(c.em.buf) > 0 {
-				c.em.flush() // keep event/loop-run ordering
-			}
-			c.em.sink.ConsumeLoop(&c.loopRun)
+		if k == 0 {
+			c.shipBox(d, 0, a, b-a, blockBase, true, a >= spLo && a < spHi)
 		} else {
-			c.loopRun.Sites = sites
+			pairs := uint64(b-a) * uint64(k+1) // the guards up to the failing one, and the loop overhead
+			c.counts.ByClass[isa.ALU] += pairs
+			c.counts.ByClass[isa.Branch] += pairs
+			c.counts.GuardBranches += uint64(b-a) * uint64(k)
+			c.pc = blockBase + 2*uint64(k+1)*c.ib
 		}
-		c.pc = blockBase + nInstr*c.ib
+		if b == ext {
+			c.counts.LoopExits++
+		}
 	}
 	c.vals[d] = ext - 1 // as the per-iteration loop leaves it
-	c.counts.ByClass[isa.ALU] += alu
-	c.counts.ByClass[isa.Branch] += branch
-	c.counts.ByClass[isa.FMA] += fma
-	c.counts.ByClass[isa.Load] += loads
-	c.counts.ByClass[isa.Store] += stores
-	c.counts.GuardBranches += guardBr
-	c.counts.LoopExits += exits
+}
+
+// addCuts appends to cuts each end of the interval [lo,hi) that lies
+// inside (0,ext): lo even when the interval is empty, hi only when not.
+func addCuts(cuts []int, lo, hi, ext int) []int {
+	if lo > 0 && lo < ext {
+		cuts = append(cuts, lo)
+	}
+	if hi > 0 && hi < ext && hi > lo {
+		cuts = append(cuts, hi)
+	}
+	return cuts
 }
 
 // linearBelow returns the sub-interval of [0,n) where base+i*step < bound.
