@@ -153,7 +153,8 @@ type execCtx struct {
 	// Scratch of the hoisted-loop path: the body's affine bases — guard
 	// values, element offsets, flattened padding dims, tile index — at the
 	// current iteration of the enclosing nest levels and iteration 0 of the
-	// innermost, and the uniform-span machinery of runInnerSegments.
+	// innermost, the innermost row's intervals (rowRanges) and the cut list
+	// of runInnerSegments.
 	innerGuardBase []int
 	innerElemBase  []int
 	innerDimBase   []int
@@ -417,17 +418,18 @@ func (c *execCtx) nestUniformRange(r, n int) (int, int) {
 // positioned at the first of the n iterations; the caller adds level d's
 // own loop exit. nestIneligible means the box will never aggregate: a
 // guard fails somewhere along the innermost row, a body load or the spill
-// status changes along it, or the code spans more than maxFetchRunLines
-// (per-iteration execution handles all three); nestCold is shipBox's.
+// status changes along it (above the row, nestUniformRange has seen to
+// both), or the code spans more than maxFetchRunLines (per-iteration
+// execution handles all three); nestCold is shipBox's.
 func (c *execCtx) runNestBlock(d, r, first, n int, blockBase uint64, oneLine bool) nestOutcome {
-	ext := c.p.levels[d+r].Extent
-	spLo, spHi := c.rowRanges(ext)
+	inner := c.p.levels[d+r]
+	ext := inner.Extent
+	spLo, spHi := c.rowRanges(inner)
 	for gi, lo := range c.innerGuardLo {
 		if lo > 0 || c.innerGuardHi[gi] < ext {
 			return nestIneligible
 		}
 	}
-	// Above the innermost row, nestUniformRange has seen to the rest.
 	for si, lo := range c.innerSiteLo {
 		if hi := c.innerSiteHi[si]; lo < hi && (lo > 0 || hi < ext) {
 			return nestIneligible
@@ -517,13 +519,13 @@ func (c *execCtx) shipBox(d, r, first, n int, blockBase uint64, oneLine, spill b
 	nInstrIter := 2*ng + 2*canOOB + loaded + 2*spills + flops + 2
 	// The box: n iterations of level d, full extents between; each
 	// enclosing level's prologue, innermost first.
-	dims := [maxNestRank]int{p.levels[d+r].Extent, 1, 1}
+	dims := [maxNestRank]int{1, 1, 1}
 	var pro [maxNestRank]uint64
 	var proTotal uint64
-	for s := 1; s <= r; s++ {
+	for s := 0; s < r; s++ {
 		dims[s] = p.levels[d+r-s].Extent
-		pro[s] = uint64(len(p.levels[d+r-s].Hoisted))
-		proTotal += pro[s]
+		pro[s+1] = uint64(len(p.levels[d+r-s-1].Hoisted))
+		proTotal += pro[s+1]
 	}
 	dims[r] = n
 	base := blockBase + proTotal*c.ib // the innermost iteration's code
@@ -577,16 +579,16 @@ func boxSite(addr uint64, steps *[maxNestRank]int) LoopSite {
 }
 
 // rowRanges works out, at the live bases, the interval of the innermost
-// row [0,ext) over which each condition of the body holds: every guard
-// passes (innerGuardLo/Hi), every body load is inside its tensor
+// row [0,inner.Extent) over which each condition of the body holds: every
+// guard passes (innerGuardLo/Hi), every body load is inside its tensor
 // (innerSiteLo/Hi; the whole row for loads without a padding check), and
 // — returned, empty without spill registers — the accumulator spills.
-func (c *execCtx) rowRanges(ext int) (int, int) {
+func (c *execCtx) rowRanges(inner *level) (int, int) {
 	p := c.p
 	in := &p.nest[0]
-	guards := p.levels[len(p.levels)-1].Guards
+	ext := inner.Extent
 	for gi, base := range c.innerGuardBase {
-		c.innerGuardLo[gi], c.innerGuardHi[gi] = linearBelow(base, in.guard[gi], guards[gi].Extent, ext)
+		c.innerGuardLo[gi], c.innerGuardHi[gi] = linearBelow(base, in.guard[gi], inner.Guards[gi].Extent, ext)
 	}
 	di := 0
 	for si, site := range p.bodyLoads {
@@ -607,7 +609,7 @@ func (c *execCtx) rowRanges(ext int) (int, int) {
 	return linearAtLeast(c.innerTile, in.tile, p.spillFrom, ext)
 }
 
-// nestOutcome is what runNestBlock did with a box.
+// nestOutcome is what runNestBlock or shipBox did with a box.
 type nestOutcome uint8
 
 const (
@@ -865,7 +867,7 @@ func (c *execCtx) runInnerSegments(d int, lv *level, blockBase uint64) {
 	// Cut [0,ext) at every interior truth-change point of the affine
 	// conditions. Full and empty truth sets add no cuts, so the common
 	// uniform case runs as a single sort-free segment.
-	spLo, spHi := c.rowRanges(ext)
+	spLo, spHi := c.rowRanges(lv)
 	cuts := append(c.innerCuts[:0], 0, ext)
 	for gi, lo := range c.innerGuardLo {
 		cuts = addCuts(cuts, lo, c.innerGuardHi[gi], ext)
