@@ -107,8 +107,9 @@ const maxNestRank = 3
 // the nest levels below it can ship as one LoopRun at all, which prologue
 // sites that LoopRun carries, and which affine conditions bound the
 // iteration range over which it does. The other half — interval arithmetic
-// of those conditions on the live bases — is the executor's
-// (nestUniformRange, runNestBlock).
+// of those conditions on the live bases — is the executor's:
+// nestUniformRange above the innermost row, rowRanges along it, the checks
+// in runNestBlock, and one builder, shipBox, for every box.
 type nestSteps struct {
 	guard []int // per guard of the innermost level
 	elem  []int // per body load: element offset
