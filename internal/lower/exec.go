@@ -865,8 +865,8 @@ func (c *execCtx) runInnerSegments(d int, lv *level, blockBase uint64) {
 	c.pc = blockBase
 	c.fetchLine()
 	// Cut [0,ext) at every interior truth-change point of the affine
-	// conditions. Full and empty truth sets add no cuts, so the common
-	// uniform case runs as a single sort-free segment.
+	// conditions. Full truth sets add no cuts, so the common uniform case
+	// runs as a single sort-free segment.
 	spLo, spHi := c.rowRanges(lv)
 	cuts := append(c.innerCuts[:0], 0, ext)
 	for gi, lo := range c.innerGuardLo {
