@@ -353,6 +353,11 @@ func TestFuzzNestSeedShapes(t *testing.T) {
 			return n.prologue2D > 0 && n.prologueFetchRun > 0
 		},
 		"prologue3d": func(_ candidate, _ *lower.Program, n *nestShapes) bool { return n.prologue3D > 0 },
+		// Interior rows of a padded conv aggregate; boundary rows, where the
+		// padding check cuts the inner range, go span by span.
+		"padded": func(c candidate, _ *lower.Program, n *nestShapes) bool {
+			return strings.HasPrefix(c.name, "conv") && n.spans > 0 && n.boxes2D+n.boxes3D > 0
+		},
 		// The innermost level carries the guard, which cuts its rows into
 		// spans shorter than the row.
 		"guardspan": func(_ candidate, p *lower.Program, n *nestShapes) bool {
