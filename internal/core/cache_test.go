@@ -2,6 +2,7 @@ package core
 
 import (
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
@@ -20,17 +21,26 @@ func memoConfig(seed uint64) DatasetConfig {
 // (Implementation.SimWallSec, Stats.SimWallSeconds) differ run to run.
 func sameData(t *testing.T, a, b *Dataset) {
 	t.Helper()
-	if len(a.Groups) != len(b.Groups) || len(a.Groups[0].Impls) != len(b.Groups[0].Impls) {
-		t.Fatalf("shapes differ: %d/%d groups", len(a.Groups), len(b.Groups))
+	if !reflect.DeepEqual(withoutWallTimes(a), withoutWallTimes(b)) {
+		t.Fatal("the datasets differ beyond their wall-clock readings")
 	}
-	for i := range a.Groups[0].Impls {
-		x, y := a.Groups[0].Impls[i], b.Groups[0].Impls[i]
-		sx, sy := *x.Stats, *y.Stats
-		sx.SimWallSeconds, sy.SimWallSeconds = 0, 0
-		if !reflect.DeepEqual(x.Steps, y.Steps) || x.TrefSec != y.TrefSec || x.TrueSec != y.TrueSec || !reflect.DeepEqual(sx, sy) {
-			t.Fatalf("implementation %d differs after regeneration", i)
+}
+
+// withoutWallTimes returns a copy of ds with both wall-clock readings
+// zeroed; ds itself, which the memo may share, is left as it is.
+func withoutWallTimes(ds *Dataset) Dataset {
+	c := *ds
+	c.Groups = slices.Clone(ds.Groups)
+	for gi := range c.Groups {
+		impls := slices.Clone(c.Groups[gi].Impls)
+		for i := range impls {
+			st := *impls[i].Stats
+			st.SimWallSeconds = 0
+			impls[i].Stats, impls[i].SimWallSec = &st, 0
 		}
+		c.Groups[gi].Impls = impls
 	}
+	return c
 }
 
 func memoKeys() []string {
@@ -139,17 +149,9 @@ func TestConfigKeyIgnoresParallelism(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, g := range d.Groups {
-			for j := range g.Impls {
-				g.Impls[j].SimWallSec = 0
-				g.Impls[j].Stats.SimWallSeconds = 0
-			}
-		}
 		ds[i] = d
 	}
-	if !reflect.DeepEqual(ds[0], ds[1]) {
-		t.Fatal("datasets at NParallel 1 and 3 differ")
-	}
+	sameData(t, ds[0], ds[1])
 	if keys[0] != keys[1] {
 		t.Fatalf("NParallel 1 and 3 key the cache apart: %s, %s", keys[0], keys[1])
 	}
