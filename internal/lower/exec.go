@@ -417,25 +417,13 @@ func (c *execCtx) nestUniformRange(r, n int) (int, int) {
 // extent each), as bulk counts plus one LoopRun (shipBox). Bases must be
 // positioned at the first of the n iterations; the caller adds level d's
 // own loop exit. nestIneligible means the box will never aggregate: a
-// guard fails somewhere along the innermost row, a body load or the spill
-// status changes along it (above the row, nestUniformRange has seen to
-// both), or the code spans more than maxFetchRunLines (per-iteration
-// execution handles all three); nestCold is shipBox's.
+// condition changes along the innermost row (rowRanges; above the row,
+// nestUniformRange has seen to the loads and the spill status), or the
+// code spans more than maxFetchRunLines (per-iteration execution handles
+// both); nestCold is shipBox's.
 func (c *execCtx) runNestBlock(d, r, first, n int, blockBase uint64, oneLine bool) nestOutcome {
-	inner := c.p.levels[d+r]
-	ext := inner.Extent
-	spLo, spHi := c.rowRanges(inner)
-	for gi, lo := range c.innerGuardLo {
-		if lo > 0 || c.innerGuardHi[gi] < ext {
-			return nestIneligible
-		}
-	}
-	for si, lo := range c.innerSiteLo {
-		if hi := c.innerSiteHi[si]; lo < hi && (lo > 0 || hi < ext) {
-			return nestIneligible
-		}
-	}
-	if spLo < spHi && (spLo > 0 || spHi < ext) {
+	spLo, spHi, ok := c.rowRanges(c.p.levels[d+r], true)
+	if !ok {
 		return nestIneligible
 	}
 	return c.shipBox(d, r, first, n, blockBase, oneLine, spLo < spHi)
@@ -529,12 +517,17 @@ func (c *execCtx) shipBox(d, r, first, n int, blockBase uint64, oneLine, spill b
 	}
 	dims[r] = n
 	base := blockBase + proTotal*c.ib // the innermost iteration's code
-	if oneLine {
+	switch {
+	case r == 0:
+		// runInnerSegments has fetched the row's line, which holds every PC.
+	case oneLine:
 		// One fetch covers the box: every PC lies on blockBase's line.
 		c.pc = blockBase
 		c.fetchLine()
-	} else if out := c.fetchRunBox(blockBase, base, nInstrIter, r, &dims, &pro); out != nestDone {
-		return out
+	default:
+		if out := c.fetchRunBox(blockBase, base, nInstrIter, r, &dims, &pro); out != nestDone {
+			return out
+		}
 	}
 	// Fold the counts outwards. One iteration of a nest level is its
 	// prologue, the whole extent of the level below and its own overhead
@@ -583,12 +576,26 @@ func boxSite(addr uint64, steps *[maxNestRank]int) LoopSite {
 // guard passes (innerGuardLo/Hi), every body load is inside its tensor
 // (innerSiteLo/Hi; the whole row for loads without a padding check), and
 // — returned, empty without spill registers — the accumulator spills.
-func (c *execCtx) rowRanges(inner *level) (int, int) {
+// With whole set it checks that the row is uniform as it goes: it stops
+// and reports false at the first condition that changes along the row, a
+// guard failing anywhere on it or a load or the spill holding on part of
+// it only, guards first.
+func (c *execCtx) rowRanges(inner *level, whole bool) (spLo, spHi int, ok bool) {
 	p := c.p
 	in := &p.nest[0]
 	ext := inner.Extent
+	part := func(lo, hi int) bool { return whole && lo < hi && (lo > 0 || hi < ext) }
 	for gi, base := range c.innerGuardBase {
-		c.innerGuardLo[gi], c.innerGuardHi[gi] = linearBelow(base, in.guard[gi], inner.Guards[gi].Extent, ext)
+		lo, hi := linearBelow(base, in.guard[gi], inner.Guards[gi].Extent, ext)
+		if whole && (lo > 0 || hi < ext) {
+			return 0, 0, false
+		}
+		c.innerGuardLo[gi], c.innerGuardHi[gi] = lo, hi
+	}
+	if p.spillRegs > 0 {
+		if spLo, spHi = linearAtLeast(c.innerTile, in.tile, p.spillFrom, ext); part(spLo, spHi) {
+			return 0, 0, false
+		}
 	}
 	di := 0
 	for si, site := range p.bodyLoads {
@@ -600,13 +607,13 @@ func (c *execCtx) rowRanges(inner *level) (int, int) {
 				lo, hi = max(lo, alo, blo), min(hi, ahi, bhi)
 			}
 			di += len(site.Dims)
+			if part(lo, hi) {
+				return 0, 0, false
+			}
 		}
 		c.innerSiteLo[si], c.innerSiteHi[si] = lo, hi
 	}
-	if p.spillRegs == 0 {
-		return 0, 0
-	}
-	return linearAtLeast(c.innerTile, in.tile, p.spillFrom, ext)
+	return spLo, spHi, true
 }
 
 // nestOutcome is what runNestBlock or shipBox did with a box.
@@ -867,7 +874,7 @@ func (c *execCtx) runInnerSegments(d int, lv *level, blockBase uint64) {
 	// Cut [0,ext) at every interior truth-change point of the affine
 	// conditions. Full truth sets add no cuts, so the common uniform case
 	// runs as a single sort-free segment.
-	spLo, spHi := c.rowRanges(lv)
+	spLo, spHi, _ := c.rowRanges(lv, false)
 	cuts := append(c.innerCuts[:0], 0, ext)
 	for gi, lo := range c.innerGuardLo {
 		cuts = addCuts(cuts, lo, c.innerGuardHi[gi], ext)
