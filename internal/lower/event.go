@@ -116,18 +116,19 @@
 // padding dimension, either outcome for the spill test — into the next
 // range over which the box repeats. rowRanges works out the intervals of
 // the innermost row over which each guard passes, each body load is inside
-// its tensor and the accumulator spills; runNestBlock checks that the
-// guards pass along the whole row and that every other interval covers it
-// or nothing of it. One builder, shipBox, ships every box of the nest at
-// ranks 0, 1 and 2 as bulk counts, one fetch (or one fetch run) and one
-// LoopRun, whose sites are the enclosing levels' hoisted loads as prologue
-// sites, the body loads, and the spill reload and write-back. The
-// iterations outside the range go one level down — to runNestRows again,
-// or to the innermost loop, which cuts its row at the ends of rowRanges'
-// intervals (runInnerSegments) and hands every span whose guards pass to
-// shipBox as a box of rank 0, or, for unrolled and multi-I-line bodies,
-// runs per iteration (runInnerIter) — and the level looks for its next
-// range after each box.
+// its tensor and the accumulator spills; for a box of rank >= 1
+// (runNestBlock) it checks as it goes, guards first, that the guards pass
+// along the whole row and that every other interval covers it or nothing
+// of it, and stops at the first that does not. One builder, shipBox, ships
+// every box of the nest at ranks 0, 1 and 2 as bulk counts, one fetch (or
+// one fetch run) and one LoopRun, whose sites are the enclosing levels'
+// hoisted loads as prologue sites, the body loads, and the spill reload
+// and write-back. The iterations outside the range go one level down — to
+// runNestRows again, or to the innermost loop, which cuts its row at the
+// ends of rowRanges' intervals (runInnerSegments) and hands every span
+// whose guards pass to shipBox as a box of rank 0, or, for unrolled and
+// multi-I-line bodies, runs per iteration (runInnerIter) — and the level
+// looks for its next range after each box.
 //
 // The nest is maxNestRank = 3 levels deep because a LoopRun is Count × Rows ×
 // Planes. A fourth level would cost a stride table entry here, but a new

@@ -440,7 +440,7 @@ func (c *execCtx) runNestBlock(d, r, first, n int, blockBase uint64, oneLine boo
 // innermost iteration's code follows those of every enclosing level.
 //
 // oneLine says the enclosing block lies on a single I-line, so one fetch
-// covers the box. Otherwise the box's fetch-line crossings go out as one
+// covers the box; at r = 0 runInnerSegments has made it. Otherwise the box's fetch-line crossings go out as one
 // fetch run, which needs every code line of the box resident in the sink's
 // L1I: pending events are flushed, the lines probed, and on a miss nothing
 // is executed and nestCold returned — the caller runs one iteration on the

@@ -108,8 +108,9 @@ const maxNestRank = 3
 // sites that LoopRun carries, and which affine conditions bound the
 // iteration range over which it does. The other half — interval arithmetic
 // of those conditions on the live bases — is the executor's:
-// nestUniformRange above the innermost row, rowRanges along it, the checks
-// in runNestBlock, and one builder, shipBox, for every box.
+// nestUniformRange above the innermost row, rowRanges along it (which, for
+// runNestBlock, also checks that the row is uniform), and one builder,
+// shipBox, for every box.
 type nestSteps struct {
 	guard []int // per guard of the innermost level
 	elem  []int // per body load: element offset
