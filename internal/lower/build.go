@@ -176,12 +176,14 @@ func Build(s *schedule.Schedule, model isa.Model) (*Program, error) {
 // buildNest fills Program.nest for the levels the hoisted-loop path takes:
 // the innermost maxNestRank ones inside the reduction, none of which may be
 // the outermost reduce level except the top one (the init and store blocks
-// sit around that level's loop).
+// sit around that level's loop). A vector or unrolled innermost loop stays
+// on the generic path: no generator emits the unrolled one, its stream is
+// the same bit for bit there, and the differential tests hold it.
 func (p *Program) buildNest() {
 	nl := len(p.levels)
 	inner := p.levels[nl-1]
 	p.nestFrom = nl
-	if !inner.Vector {
+	if !inner.Vector && !inner.Unrolled {
 		p.nestFrom = max(nl-maxNestRank, p.reduceStart)
 	}
 	for s := nl - 1 - p.nestFrom; s >= 1; s-- {
@@ -189,7 +191,7 @@ func (p *Program) buildNest() {
 			p.nestLoads = append(p.nestLoads, nestLoad{site: site, level: s})
 		}
 	}
-	plain := !inner.Unrolled
+	plain := true
 	for r := 0; r < nl-p.nestFrom; r++ {
 		d := nl - 1 - r
 		st := &p.nest[r]

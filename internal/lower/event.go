@@ -89,7 +89,8 @@
 //
 // Execute walks the loop levels generically (runLevel: guards, hoisted loads,
 // child level, loop overhead) down to Program.nestFrom, and from there takes
-// the hoisted-loop path, one piece of code for every rank. Program.nest[r]
+// the hoisted-loop path, one piece of code for every rank. A vector or
+// unrolled innermost loop keeps the whole body generic. Program.nest[r]
 // describes the reduction body as seen from the level r above the innermost
 // one, and lower.Build fills it once per program:
 //
@@ -126,8 +127,8 @@
 // and write-back. The iterations outside the range go one level down — to
 // runNestRows again, or to the innermost loop, which cuts its row at the
 // ends of rowRanges' intervals (runInnerSegments) and hands every span
-// whose guards pass to shipBox as a box of rank 0, or, for unrolled and
-// multi-I-line bodies, runs per iteration (runInnerIter) — and the level
+// whose guards pass to shipBox as a box of rank 0, or, for a body spanning
+// several I-lines, runs per iteration (runInnerIter) — and the level
 // looks for its next range after each box.
 //
 // The nest is maxNestRank = 3 levels deep because a LoopRun is Count × Rows ×

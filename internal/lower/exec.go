@@ -230,11 +230,11 @@ func (c *execCtx) mem(class isa.Class, addr uint64, size uint16) {
 	c.pc += c.ib
 }
 
-// instFast emits one unflagged non-memory instruction in the aggregated
-// encoding (fast-path helper; branch-flag tallies are handled by the
-// caller).
-func (c *execCtx) instFast(class isa.Class) {
-	c.counts.ByClass[class]++
+// fetchPair walks the fetch-line crossings of one ALU+branch pair at the
+// current PC and moves past it; the caller counts the pair.
+func (c *execCtx) fetchPair() {
+	c.fetchLine()
+	c.pc += c.ib
 	c.fetchLine()
 	c.pc += c.ib
 }
@@ -361,8 +361,9 @@ func (c *execCtx) runNestRows(d, r int, blockBase uint64) {
 			}
 		}
 		if !lv.Unrolled {
-			c.instFast(isa.ALU)
-			c.instFast(isa.Branch)
+			c.counts.ByClass[isa.ALU]++
+			c.counts.ByClass[isa.Branch]++
+			c.fetchPair()
 			if i == lv.Extent-1 {
 				c.counts.LoopExits++
 			}
@@ -724,42 +725,23 @@ func (w *fetchWalk) period(s int) {
 	w.span(w.base+(w.nIter+2*uint64(s-1))*w.ib, 2)
 }
 
-// runInnerIter is the per-iteration strength-reduced inner loop (general
-// case: unrolled bodies and blocks spanning several I-lines).
+// runInnerIter is the per-iteration strength-reduced inner loop, for rows
+// whose iteration block spans several I-lines.
 func (c *execCtx) runInnerIter(d int, lv *level, blockBase uint64) {
 	p := c.p
 	in := &p.nest[0]
 	gb, eb, db, tile := c.innerGuardBase, c.innerElemBase, c.innerDimBase, c.innerTile
 	spill := p.spillRegs > 0
 	flops := uint64(p.bodyFLOPs)
-	var alu, branch, fma, loads, stores, guardBr, exits uint64
+	var pairs, fma, loads, stores, guardBr uint64
 	for i := 0; i < lv.Extent; i++ {
 		c.vals[d] = i
-		iterBase := blockBase
-		if lv.Unrolled {
-			iterBase += uint64(i) * lv.PerIterSize
-		}
-		c.pc = iterBase
-		// When the whole iteration block lies on one I-line (PerIterSize is
-		// an upper bound on its emitted span), a single up-front check
-		// replaces every per-instruction line-crossing test.
-		sameLine := iterBase&^63 == (iterBase+lv.PerIterSize-1)&^63
-		if sameLine {
-			c.fetchLine() // pc is at iterBase
-		}
+		c.pc = blockBase
 		pass := true
 		for gi := range gb {
-			alu++
-			branch++
+			pairs++
 			guardBr++
-			if !sameLine {
-				c.fetchLine()
-				c.pc += c.ib
-				c.fetchLine()
-				c.pc += c.ib
-			} else {
-				c.pc += 2 * c.ib
-			}
+			c.fetchPair()
 			if gb[gi]+i*in.guard[gi] >= lv.Guards[gi].Extent {
 				pass = false
 				break
@@ -769,17 +751,9 @@ func (c *execCtx) runInnerIter(d int, lv *level, blockBase uint64) {
 			di := 0
 			for si, site := range p.bodyLoads {
 				if site.CanOOB {
-					alu++
-					branch++
+					pairs++
 					guardBr++
-					if !sameLine {
-						c.fetchLine()
-						c.pc += c.ib
-						c.fetchLine()
-						c.pc += c.ib
-					} else {
-						c.pc += 2 * c.ib
-					}
+					c.fetchPair()
 					inside := true
 					for k, extent := range site.Tensor.Shape {
 						v := db[di+k] + i*in.dim[di+k]
@@ -794,9 +768,7 @@ func (c *execCtx) runInnerIter(d int, lv *level, blockBase uint64) {
 					}
 				}
 				loads++
-				if !sameLine {
-					c.fetchLine()
-				}
+				c.fetchLine()
 				off := eb[si] + i*in.elem[si]
 				c.em.emit(Event{Kind: EvData, PC: c.pc,
 					Addr: site.Tensor.AddrOf(off), Size: tensor.ElemSize, Class: isa.Load})
@@ -806,56 +778,37 @@ func (c *execCtx) runInnerIter(d int, lv *level, blockBase uint64) {
 			spilled := spill && ti >= p.spillFrom
 			if spilled {
 				loads++
-				if !sameLine {
-					c.fetchLine()
-				}
+				c.fetchLine()
 				c.em.emit(Event{Kind: EvData, PC: c.pc,
 					Addr: p.stackBase + uint64(ti)*tensor.ElemSize, Size: tensor.ElemSize, Class: isa.Load})
 				c.pc += c.ib
 			}
 			fma += flops
-			if !sameLine {
-				c.fetchSpan(p.bodyFLOPs)
-			}
+			c.fetchSpan(p.bodyFLOPs)
 			c.pc += flops * c.ib
 			if spilled {
 				stores++
-				if !sameLine {
-					c.fetchLine()
-				}
+				c.fetchLine()
 				c.em.emit(Event{Kind: EvData, PC: c.pc,
 					Addr: p.stackBase + uint64(ti)*tensor.ElemSize, Size: tensor.ElemSize, Class: isa.Store})
 				c.pc += c.ib
 			}
 		}
-		if !lv.Unrolled {
-			alu++
-			branch++
-			if !sameLine {
-				c.fetchLine()
-				c.pc += c.ib
-				c.fetchLine()
-				c.pc += c.ib
-			} else {
-				c.pc += 2 * c.ib
-			}
-			if i == lv.Extent-1 {
-				exits++
-			}
-		}
+		pairs++ // the loop overhead
+		c.fetchPair()
 	}
-	c.counts.ByClass[isa.ALU] += alu
-	c.counts.ByClass[isa.Branch] += branch
+	c.counts.ByClass[isa.ALU] += pairs
+	c.counts.ByClass[isa.Branch] += pairs
 	c.counts.ByClass[isa.FMA] += fma
 	c.counts.ByClass[isa.Load] += loads
 	c.counts.ByClass[isa.Store] += stores
 	c.counts.GuardBranches += guardBr
-	c.counts.LoopExits += exits
+	c.counts.LoopExits++
 }
 
 // runInnerSegments executes the innermost loop of the hoisted nest
-// segment-wise; unrolled loops and blocks spanning several I-lines go to
-// runInnerIter instead. Every emission decision of an iteration — guard
+// segment-wise; a block spanning several I-lines goes to runInnerIter
+// instead. Every emission decision of an iteration — guard
 // outcomes, padding checks, spill status — is an affine condition of the
 // iteration index, so its truth set is an interval (rowRanges). Cutting
 // [0,Extent) at every interval endpoint yields spans with a constant event
@@ -863,7 +816,7 @@ func (c *execCtx) runInnerIter(d int, lv *level, blockBase uint64) {
 // fails a guard costs the guard checks up to it and the loop overhead. The
 // bases are read, not moved.
 func (c *execCtx) runInnerSegments(d int, lv *level, blockBase uint64) {
-	if lv.Unrolled || blockBase&^63 != (blockBase+lv.PerIterSize-1)&^63 {
+	if blockBase&^63 != (blockBase+lv.PerIterSize-1)&^63 {
 		c.runInnerIter(d, lv, blockBase)
 		return
 	}

@@ -119,8 +119,7 @@ type nestSteps struct {
 	hoist []int // per Program.nestLoads entry: element offset
 
 	// boxable: every level from this one down to the innermost's parent is
-	// plain (no guards, not unrolled, no padding-checked hoisted load) and
-	// the innermost is not unrolled.
+	// plain (no guards, not unrolled, no padding-checked hoisted load).
 	boxable bool
 	// loadsFrom indexes in Program.nestLoads the first load hoisted to this
 	// level or one below it, down to the innermost's parent: a box ships
