@@ -52,6 +52,15 @@ func diffCases() []diffCase {
 			_ = s.Unroll(ki)
 			return wl, s
 		}},
+		{"conv-unrolled-innermost", func(t *testing.T) (*te.Workload, *schedule.Schedule) {
+			// A padded body whose innermost loop (kw, extent 3) is unrolled.
+			wl := te.ConvGroup(te.ScaleTiny, 1)
+			s := schedule.New(wl.Op)
+			if err := s.Unroll(s.Leaves[len(s.Leaves)-1]); err != nil {
+				t.Fatal(err)
+			}
+			return wl, s
+		}},
 		{"matmul-split-tail", func(t *testing.T) (*te.Workload, *schedule.Schedule) {
 			// 10 split by 3 and 7 split by 4 both leave guarded tails.
 			wl := te.MatMul(10, 7, 9)
