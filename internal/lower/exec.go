@@ -846,7 +846,7 @@ func (c *execCtx) runInnerSegments(d int, lv *level, blockBase uint64) {
 	}
 	for ci := 0; ci+1 < len(cuts); ci++ {
 		a, b := cuts[ci], cuts[ci+1]
-		if a >= b || a < 0 || b > ext {
+		if a == b {
 			continue
 		}
 		// Guard outcomes are constant across the span; a failing guard cuts
@@ -875,12 +875,15 @@ func (c *execCtx) runInnerSegments(d int, lv *level, blockBase uint64) {
 }
 
 // addCuts appends to cuts each end of the interval [lo,hi) that lies
-// inside (0,ext): lo even when the interval is empty, hi only when not.
+// inside (0,ext); an empty interval adds none.
 func addCuts(cuts []int, lo, hi, ext int) []int {
-	if lo > 0 && lo < ext {
+	if lo >= hi {
+		return cuts
+	}
+	if lo > 0 {
 		cuts = append(cuts, lo)
 	}
-	if hi > 0 && hi < ext && hi > lo {
+	if hi < ext {
 		cuts = append(cuts, hi)
 	}
 	return cuts
@@ -922,39 +925,14 @@ func linearBelow(base, step, bound, n int) (int, int) {
 	}
 }
 
-// linearAtLeast returns the sub-interval of [0,n) where base+i*step >= bound.
+// linearAtLeast returns the sub-interval of [0,n) where base+i*step >=
+// bound: the complement of linearBelow's.
 func linearAtLeast(base, step, bound, n int) (int, int) {
-	switch {
-	case step == 0:
-		if base >= bound {
-			return 0, n
-		}
-		return 0, 0
-	case step > 0:
-		if base >= bound {
-			return 0, n
-		}
-		lo := bound - base
-		if step != 1 {
-			lo = (bound - base + step - 1) / step
-		}
-		if lo > n {
-			lo = n
-		}
-		return lo, n
-	default:
-		if base < bound {
-			return 0, 0
-		}
-		hi := base - bound + 1
-		if step != -1 {
-			hi = (base-bound)/(-step) + 1
-		}
-		if hi > n {
-			hi = n
-		}
-		return 0, hi
+	lo, hi := linearBelow(base, step, bound, n)
+	if lo > 0 {
+		return 0, lo
 	}
+	return hi, n
 }
 
 // fetchSpan walks the fetch-line crossings of an n-instruction burst
