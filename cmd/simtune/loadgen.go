@@ -23,52 +23,9 @@ import (
 // reproducible saturation-test fixture. With -report it writes the
 // saturation report (loadgen.Report) as JSON.
 func loadgenCmd(args []string) error {
-	fs := flag.NewFlagSet("simtune loadgen", flag.ExitOnError)
-	seed := fs.Uint64("seed", 1, "trace seed; the same seed reproduces the same offered-load trace")
-	duration := fs.Duration("duration", 3*time.Second, "offered-load window per sweep step")
-	stepsFlag := fs.String("steps", "0.5,1,2", "comma-separated offered-load multipliers to sweep")
-	tenantsFlag := fs.String("tenants", "", "tenant mix spec (see ParseTenants doc; empty = built-in 2-tenant batch/burst scenario)")
-	isoFlag := fs.String("isolation", "", "compliant:aggressor tenant pair for the isolation verdict (default batch:burst with the built-in scenario)")
-	serverURL := fs.String("server", "", "drive this live simulate service URL instead of an in-process fleet")
-	nodes := fs.Int("nodes", 3, "in-process fleet size (ignored with -server)")
-	workers := fs.Int("workers", 1, "simulator workers per arch on each in-process node")
-	maxQueued := fs.Int("max-queued", 6, "per-node admission bound for the in-process fleet (candidates)")
-	reportPath := fs.String("report", "", "write the saturation report JSON here")
-	pr := fs.Int("pr", 0, "PR number stamped into the report envelope")
-	title := fs.String("title", "Multi-tenant saturation sweep", "report envelope title")
-	if err := fs.Parse(args); err != nil {
+	cfg, o, err := loadgenConfig(flag.NewFlagSet("simtune loadgen", flag.ExitOnError), args)
+	if err != nil {
 		return err
-	}
-
-	cfg := loadgen.Config{Seed: *seed, Duration: *duration}
-	for _, s := range strings.Split(*stepsFlag, ",") {
-		if s = strings.TrimSpace(s); s == "" {
-			continue
-		}
-		m, err := strconv.ParseFloat(s, 64)
-		if err != nil {
-			return fmt.Errorf("loadgen: -steps: %v", err)
-		}
-		cfg.Steps = append(cfg.Steps, m)
-	}
-	if *tenantsFlag == "" {
-		cfg.Tenants = loadgen.DefaultScenario()
-		if *isoFlag == "" {
-			*isoFlag = "batch:burst"
-		}
-	} else {
-		var err error
-		cfg.Tenants, err = loadgen.ParseTenants(*tenantsFlag)
-		if err != nil {
-			return err
-		}
-	}
-	if *isoFlag != "" {
-		c, a, found := strings.Cut(*isoFlag, ":")
-		if !found {
-			return fmt.Errorf("loadgen: -isolation wants compliant:aggressor, got %q", *isoFlag)
-		}
-		cfg.Isolation = &loadgen.IsolationSpec{Compliant: c, Aggressor: a}
 	}
 	if err := cfg.Validate(); err != nil {
 		return err
@@ -78,14 +35,14 @@ func loadgenCmd(args []string) error {
 	defer stop()
 
 	var backend service.Backend
-	if *serverURL != "" {
-		backend = service.NewClient(*serverURL)
+	if o.server != "" {
+		backend = service.NewClient(o.server)
 		fmt.Printf("simtune loadgen: driving %s (seed %d, %d tenants, steps %v)\n",
-			*serverURL, *seed, len(cfg.Tenants), cfg.Steps)
+			o.server, cfg.Seed, len(cfg.Tenants), cfg.Steps)
 	} else {
-		rt, cleanup, err := loadgen.LocalFleet(*nodes, service.Config{
-			WorkersPerArch:      *workers,
-			MaxQueuedCandidates: *maxQueued,
+		rt, cleanup, err := loadgen.LocalFleet(o.nodes, service.Config{
+			WorkersPerArch:      o.workers,
+			MaxQueuedCandidates: o.maxQueued,
 			TenantWeights:       cfg.TenantWeights(),
 		})
 		if err != nil {
@@ -94,7 +51,7 @@ func loadgenCmd(args []string) error {
 		defer cleanup()
 		backend = rt
 		fmt.Printf("simtune loadgen: in-process fleet of %d nodes (%d workers/arch, max-queued %d/node; seed %d, %d tenants, steps %v)\n",
-			*nodes, *workers, *maxQueued, *seed, len(cfg.Tenants), cfg.Steps)
+			o.nodes, o.workers, o.maxQueued, cfg.Seed, len(cfg.Tenants), cfg.Steps)
 	}
 
 	r := &loadgen.Runner{Backend: backend, Cfg: cfg, Log: func(format string, args ...any) {
@@ -123,7 +80,7 @@ func loadgenCmd(args []string) error {
 			iso.P99Ratio, iso.AggressorRejected, iso.CompliantRejected, iso.Isolated)
 	}
 
-	if *reportPath != "" {
+	if o.report != "" {
 		envelope := struct {
 			PR         int             `json:"pr"`
 			Title      string          `json:"title"`
@@ -131,7 +88,7 @@ func loadgenCmd(args []string) error {
 			Machine    string          `json:"machine"`
 			Saturation *loadgen.Report `json:"saturation"`
 		}{
-			PR: *pr, Title: *title,
+			PR: o.pr, Title: o.title,
 			Date:       time.Now().UTC().Format("2006-01-02"),
 			Machine:    runtime.GOOS + "/" + runtime.GOARCH + " " + strconv.Itoa(runtime.NumCPU()) + " cpu",
 			Saturation: rep,
@@ -141,10 +98,62 @@ func loadgenCmd(args []string) error {
 			return err
 		}
 		buf = append(buf, '\n')
-		if err := os.WriteFile(*reportPath, buf, 0o644); err != nil {
+		if err := os.WriteFile(o.report, buf, 0o644); err != nil {
 			return err
 		}
-		fmt.Printf("report written to %s\n", *reportPath)
+		fmt.Printf("report written to %s\n", o.report)
 	}
 	return nil
+}
+
+// loadgenFlags is what the loadgen flags set besides the loadgen.Config.
+type loadgenFlags struct {
+	server, report, title         string
+	nodes, workers, maxQueued, pr int
+}
+
+// loadgenConfig parses the loadgen flags into the trace's Config, unvalidated,
+// and the fleet and report settings.
+func loadgenConfig(fs *flag.FlagSet, args []string) (cfg loadgen.Config, o loadgenFlags, err error) {
+	fs.Uint64Var(&cfg.Seed, "seed", 1, "trace seed; the same seed reproduces the same offered-load trace")
+	fs.DurationVar(&cfg.Duration, "duration", 3*time.Second, "offered-load window per sweep step")
+	stepsFlag := fs.String("steps", "0.5,1,2", "comma-separated offered-load multipliers to sweep")
+	tenantsFlag := fs.String("tenants", "", "tenant mix spec (see ParseTenants doc; empty = built-in 2-tenant batch/burst scenario)")
+	isoFlag := fs.String("isolation", "", "compliant:aggressor tenant pair for the isolation verdict (default batch:burst with the built-in scenario)")
+	fs.StringVar(&o.server, "server", "", "drive this live simulate service URL instead of an in-process fleet")
+	fs.IntVar(&o.nodes, "nodes", 3, "in-process fleet size (ignored with -server)")
+	fs.IntVar(&o.workers, "workers", 1, "simulator workers per arch on each in-process node")
+	fs.IntVar(&o.maxQueued, "max-queued", 6, "per-node admission bound for the in-process fleet (candidates)")
+	fs.StringVar(&o.report, "report", "", "write the saturation report JSON here")
+	fs.IntVar(&o.pr, "pr", 0, "PR number stamped into the report envelope")
+	fs.StringVar(&o.title, "title", "Multi-tenant saturation sweep", "report envelope title")
+	if err := fs.Parse(args); err != nil {
+		return cfg, o, err
+	}
+	for _, s := range strings.Split(*stepsFlag, ",") {
+		if s = strings.TrimSpace(s); s == "" {
+			continue
+		}
+		m, err := strconv.ParseFloat(s, 64)
+		if err != nil {
+			return cfg, o, fmt.Errorf("loadgen: -steps: %v", err)
+		}
+		cfg.Steps = append(cfg.Steps, m)
+	}
+	if *tenantsFlag == "" {
+		cfg.Tenants = loadgen.DefaultScenario()
+		if *isoFlag == "" {
+			*isoFlag = "batch:burst"
+		}
+	} else if cfg.Tenants, err = loadgen.ParseTenants(*tenantsFlag); err != nil {
+		return cfg, o, err
+	}
+	if *isoFlag != "" {
+		c, a, found := strings.Cut(*isoFlag, ":")
+		if !found {
+			return cfg, o, fmt.Errorf("loadgen: -isolation wants compliant:aggressor, got %q", *isoFlag)
+		}
+		cfg.Isolation = &loadgen.IsolationSpec{Compliant: c, Aggressor: a}
+	}
+	return cfg, o, nil
 }

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"repro/internal/isa"
+	"repro/internal/loadgen"
 	"repro/internal/service"
 )
 
@@ -68,6 +69,43 @@ func TestServeAndRouteFlagWiring(t *testing.T) {
 		if _, _, _, _, err := routeConfig(quietFlags(), []string{"-nodes", "http://x:1", gone + "=1"}); !refused(err, gone) {
 			t.Errorf("route %s: %v, want it refused by name", gone, err)
 		}
+	}
+}
+
+// TestLoadgenFlagWiring: the loadgen flags become exactly the trace Config
+// and fleet settings they spell, and a malformed step, isolation pair or
+// tenant spec is refused.
+func TestLoadgenFlagWiring(t *testing.T) {
+	cfg, o, err := loadgenConfig(quietFlags(), nil)
+	want := loadgen.Config{Seed: 1, Duration: 3 * time.Second, Steps: []float64{0.5, 1, 2},
+		Tenants: loadgen.DefaultScenario(), Isolation: &loadgen.IsolationSpec{Compliant: "batch", Aggressor: "burst"}}
+	wantO := loadgenFlags{title: "Multi-tenant saturation sweep", nodes: 3, workers: 1, maxQueued: 6}
+	if err != nil || !reflect.DeepEqual(cfg, want) || o != wantO {
+		t.Errorf("loadgen defaults = %+v, %+v, %v; want %+v, %+v", cfg, o, err, want, wantO)
+	}
+
+	tenants := "a,rate=5,workload=matmul:8:8:8;b,arrival=onoff,rate=2"
+	cfg, o, err = loadgenConfig(quietFlags(), strings.Fields("-seed 7 -duration 250ms -steps 1,3 -tenants "+tenants+
+		" -isolation a:b -server http://x:1 -nodes 2 -workers 3 -max-queued 9 -report /r.json -pr 4 -title T"))
+	parsed, perr := loadgen.ParseTenants(tenants)
+	if perr != nil {
+		t.Fatal(perr)
+	}
+	want = loadgen.Config{Seed: 7, Duration: 250 * time.Millisecond, Steps: []float64{1, 3},
+		Tenants: parsed, Isolation: &loadgen.IsolationSpec{Compliant: "a", Aggressor: "b"}}
+	wantO = loadgenFlags{server: "http://x:1", report: "/r.json", title: "T", nodes: 2, workers: 3, maxQueued: 9, pr: 4}
+	if err != nil || !reflect.DeepEqual(cfg, want) || o != wantO {
+		t.Errorf("loadgen flags = %+v, %+v, %v; want %+v, %+v", cfg, o, err, want, wantO)
+	}
+
+	for _, bad := range []string{"-steps 1,x", "-isolation batch"} {
+		if _, _, err := loadgenConfig(quietFlags(), strings.Fields(bad)); err == nil {
+			t.Errorf("loadgen %s was accepted", bad)
+		}
+	}
+	_, perr = loadgen.ParseTenants("a,rate")
+	if _, _, err := loadgenConfig(quietFlags(), []string{"-tenants", "a,rate"}); perr == nil || err == nil || err.Error() != perr.Error() {
+		t.Errorf("loadgen -tenants a,rate: %v; want ParseTenants' refusal %v", err, perr)
 	}
 }
 
