@@ -89,8 +89,7 @@
 //
 // Execute walks the loop levels generically (runLevel: guards, hoisted loads,
 // child level, loop overhead) down to Program.nestFrom, and from there takes
-// the hoisted-loop path, one piece of code for every rank. A vector or
-// unrolled innermost loop keeps the whole body generic. Program.nest[r]
+// the hoisted-loop path, one piece of code for every rank. Program.nest[r]
 // describes the reduction body as seen from the level r above the innermost
 // one, and lower.Build fills it once per program:
 //

@@ -216,7 +216,7 @@ type Program struct {
 	// nest[r] is the reduction body seen from the level r above the
 	// innermost one (nest[0]: the innermost level itself), for the
 	// executor's hoisted-loop path; levels from nestFrom inwards take it
-	// (len(levels) when none does: a vectorized innermost level).
+	// (len(levels) when none does: a vector or unrolled innermost level).
 	nest     [maxNestRank]nestSteps
 	nestFrom int
 	// nestLoads lists the hoisted loads of the nest levels above the
