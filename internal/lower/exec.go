@@ -233,10 +233,8 @@ func (c *execCtx) mem(class isa.Class, addr uint64, size uint16) {
 // fetchPair walks the fetch-line crossings of one ALU+branch pair at the
 // current PC and moves past it; the caller counts the pair.
 func (c *execCtx) fetchPair() {
-	c.fetchLine()
-	c.pc += c.ib
-	c.fetchLine()
-	c.pc += c.ib
+	c.fetchSpan(2)
+	c.pc += 2 * c.ib
 }
 
 // runNest executes level d, the r-th level above the innermost scalar loop
