@@ -126,10 +126,11 @@ type nestShapes struct {
 	shortestSpan     int // fewest iterations of a one-row LoopRun, 0 for none
 	boxes3D          int // LoopRuns of several planes
 	coldThen2D       bool
-	spillBoxes       int // boxes carrying the spill reload and writeback
-	prologue2D       int // boxes of one plane with row prologue sites
-	prologue3D       int // boxes of several planes with plane prologue sites
-	prologueFetchRun int // boxes with prologue sites whose fetches came as one run
+	spillBoxes       int            // boxes carrying the spill reload and writeback
+	prologue2D       int            // boxes of one plane with row prologue sites
+	prologue3D       int            // boxes of several planes with plane prologue sites
+	prologueFetchRun int            // boxes with prologue sites whose fetches came as one run
+	runs             map[[3]int]int // LoopRuns by Count, Rows and Planes
 }
 
 func (s *nestShapes) FetchResident(lines []uint64) bool {
@@ -155,6 +156,10 @@ func (s *nestShapes) ConsumePrologueRun(run *lower.LoopRun) {
 
 func (s *nestShapes) see(run *lower.LoopRun) {
 	fetchRun := s.pendingRun
+	if s.runs == nil {
+		s.runs = map[[3]int]int{}
+	}
+	s.runs[[3]int{run.Count, run.Rows, run.Planes}]++
 	switch {
 	case run.Planes > 1:
 		s.boxes3D++
@@ -357,6 +362,20 @@ func TestFuzzNestSeedShapes(t *testing.T) {
 		// padding check cuts the inner range, go span by span.
 		"padded": func(c candidate, _ *lower.Program, n *nestShapes) bool {
 			return strings.HasPrefix(c.name, "conv") && n.spans > 0 && n.boxes2D+n.boxes3D > 0
+		},
+		// The nest is interior at some visits — one LoopRun covers all of
+		// it — and cut by padding at others: rows go span by span with no
+		// guard or spill to cut them.
+		"interior": func(c candidate, p *lower.Program, n *nestShapes) bool {
+			s := p.Sched
+			nl, from := len(s.Leaves), nestFrom(s)
+			full := [3]int{1, 1, 1}
+			for li := from; li < nl; li++ {
+				full[nl-1-li] = s.Leaves[li].Extent
+			}
+			_, _, guarded, _ := splitTail(s)
+			return strings.HasPrefix(c.name, "conv") && from < nl && !guarded && p.SpillRegisters() == 0 &&
+				n.runs[full] > 0 && n.shortestSpan > 0 && n.shortestSpan < full[0]
 		},
 		// The innermost level carries the guard, which cuts its rows into
 		// spans shorter than the row.
