@@ -186,89 +186,131 @@ func (p *Program) buildNest() {
 	if !inner.Vector && !inner.Unrolled {
 		p.nestFrom = max(nl-maxNestRank, p.reduceStart)
 	}
+	if p.nestFrom == nl {
+		return
+	}
 	for s := nl - 1 - p.nestFrom; s >= 1; s-- {
 		for _, site := range p.levels[nl-1-s].Hoisted {
 			p.nestLoads = append(p.nestLoads, nestLoad{site: site, level: s})
 		}
 	}
+	// The bases as affines of the loop levels, laid out as nestSteps.step.
+	var bases []levelAffine
+	for _, g := range inner.Guards {
+		bases = append(bases, g.Value)
+	}
+	for _, site := range p.bodyLoads {
+		bases = append(bases, site.Elem)
+	}
+	for _, site := range p.bodyLoads {
+		for _, k := range site.Checked {
+			bases = append(bases, site.Dims[k])
+			p.dimBound = append(p.dimBound, site.Tensor.Shape[k])
+		}
+	}
+	for _, h := range p.nestLoads {
+		bases = append(bases, h.site.Elem)
+	}
+	var tile levelAffine
+	for k, li := range p.tileLevels {
+		tile.Terms = append(tile.Terms, coefTerm{Level: li, Coef: p.tileStrideList[k]})
+	}
+	bases = append(bases, tile)
+	p.nestConst = make([]int, len(bases))
+	for i, b := range bases {
+		p.nestConst[i] = b.Const
+		for _, t := range b.Terms {
+			if t.Level < p.nestFrom {
+				p.nestTerms = append(p.nestTerms, baseTerm{at: i, level: t.Level, coef: t.Coef})
+			}
+		}
+	}
+	ng, ns, nd := len(inner.Guards), len(p.bodyLoads), len(p.dimBound)
 	plain := true
 	for r := 0; r < nl-p.nestFrom; r++ {
 		d := nl - 1 - r
 		st := &p.nest[r]
-		for _, g := range inner.Guards {
-			st.guard = append(st.guard, g.Value.coefOf(d))
+		st.step = make([]int, len(bases))
+		for i, b := range bases {
+			st.step[i] = b.coefOf(d)
 		}
-		for _, site := range p.bodyLoads {
-			st.elem = append(st.elem, site.Elem.coefOf(d))
-			if site.CanOOB {
-				for _, dim := range site.Dims {
-					st.dim = append(st.dim, dim.coefOf(d))
-				}
+		st.guard, st.elem = st.step[:ng], st.step[ng:ng+ns]
+		st.dim, st.hoist = st.step[ng+ns:ng+ns+nd], st.step[ng+ns+nd:len(bases)-1]
+		st.tile = st.step[len(bases)-1]
+		st.lo, st.hi, st.above = make([]int, len(bases)), make([]int, len(bases)), make([]bool, len(bases))
+		for s := 0; s <= r; s++ {
+			e := p.levels[nl-1-s].Extent - 1
+			for i, step := range p.nest[s].step {
+				st.lo[i] += min(e*step, 0)
+				st.hi[i] += max(e*step, 0)
+				st.above[i] = st.above[i] || (s > 0 && step != 0)
 			}
 		}
-		st.tile = p.tileStride[d]
-		for _, h := range p.nestLoads {
-			st.hoist = append(st.hoist, h.site.Elem.coefOf(d))
-		}
-		if r == 0 {
-			continue
-		}
-		lv := p.levels[d]
-		plain = plain && len(lv.Guards) == 0 && !lv.Unrolled
-		for _, site := range lv.Hoisted {
-			plain = plain && !site.CanOOB // padded hoisted loads stay on the per-row path
-		}
-		st.boxable = plain
-		for st.loadsFrom < len(p.nestLoads) && p.nestLoads[st.loadsFrom].level > r {
-			st.loadsFrom++
-		}
-		if !plain {
-			continue
-		}
-		for gi, g := range inner.Guards {
-			p.addNestCond(r, nestCond{kind: condGuard, idx: gi, bound: g.Extent})
-		}
-		di := 0
-		for _, site := range p.bodyLoads {
-			if site.CanOOB {
-				for _, extent := range site.Tensor.Shape {
-					p.addNestCond(r, nestCond{kind: condDim, idx: di, bound: extent})
-					di++
-				}
+		if r > 0 {
+			lv := p.levels[d]
+			plain = plain && len(lv.Guards) == 0 && !lv.Unrolled
+			for _, site := range lv.Hoisted {
+				plain = plain && !site.CanOOB // padded hoisted loads stay on the per-row path
+			}
+			st.boxable = plain
+			for st.loadsFrom < len(p.nestLoads) && p.nestLoads[st.loadsFrom].level > r {
+				st.loadsFrom++
 			}
 		}
-		if p.spillRegs > 0 {
-			p.addNestCond(r, nestCond{kind: condSpill, bound: p.spillFrom})
-		}
+		st.box = p.boxTemplate(r)
 	}
 }
 
-// addNestCond records one condition for the box of nest levels 0..r when it
-// varies with some level above the innermost: its stride along level r and
-// the range the levels below r add to it.
-func (p *Program) addNestCond(r int, c nestCond) {
-	above := false
+// boxTemplate builds the template of the boxes topped by nest level r.
+func (p *Program) boxTemplate(r int) boxTemplate {
+	nl := len(p.levels)
+	var bt boxTemplate
+	var steps [maxNestRank]int // a site's element strides along the box's levels
+	if r > 0 {
+		for k := p.nest[r].loadsFrom; k < len(p.nestLoads); k++ {
+			for s := 1; s <= r; s++ {
+				steps[s] = p.nest[s].hoist[k]
+			}
+			ls := boxSite(0, &steps)
+			ls.Level = uint8(p.nestLoads[k].level)
+			bt.sites = append(bt.sites, ls)
+		}
+	}
+	canOOB := uint64(0)
+	for si, site := range p.bodyLoads {
+		if site.CanOOB {
+			canOOB++
+		}
+		for s := 0; s <= r; s++ {
+			steps[s] = p.nest[s].elem[si]
+		}
+		bt.sites = append(bt.sites, boxSite(0, &steps))
+	}
+	// Stream order within an iteration: body loads, spill reload, FMA burst
+	// (no data), spill writeback.
 	for s := 0; s <= r; s++ {
-		var step int
-		switch st := &p.nest[s]; c.kind {
-		case condGuard:
-			step = st.guard[c.idx]
-		case condDim:
-			step = st.dim[c.idx]
-		default:
-			step = st.tile
-		}
-		above = above || (s > 0 && step != 0)
-		if s == r {
-			c.step = step
-			break
-		}
-		span := (p.levels[len(p.levels)-1-s].Extent - 1) * step
-		c.lo, c.hi = c.lo+min(span, 0), c.hi+max(span, 0)
+		steps[s] = p.nest[s].tile
 	}
-	if above {
-		p.nest[r].conds = append(p.nest[r].conds, c)
+	ls := boxSite(0, &steps)
+	bt.sites = append(bt.sites, ls)
+	ls.Write = true
+	bt.sites = append(bt.sites, ls)
+	bt.checks = uint64(len(p.levels[nl-1].Guards)) + canOOB
+	bt.nInstr = 2*bt.checks + uint64(p.bodyFLOPs) + 2
+	// One iteration of a nest level is its prologue, the whole extent of
+	// the level below and its own overhead pair, and sees the level below
+	// exit once; every ALU instruction here is half of an ALU+branch pair.
+	bt.dims = [maxNestRank]int{1, 1, 1}
+	bt.pairs, bt.iters = bt.checks+1, 1
+	for s := 0; s < r; s++ {
+		e := uint64(p.levels[nl-1-s].Extent)
+		bt.dims[s] = int(e)
+		bt.pro[s+1] = uint64(len(p.levels[nl-2-s].Hoisted))
+		bt.proTotal += bt.pro[s+1]
+		bt.pairs, bt.exits, bt.iters = e*bt.pairs+1, e*bt.exits+1, e*bt.iters
+		bt.proLoads = e*bt.proLoads + bt.pro[s+1]
 	}
+	return bt
 }
 
 // resolveAccess lowers a TE access to loop levels: per-dimension affines,
@@ -279,9 +321,10 @@ func (p *Program) resolveAccess(acc *te.Access) *accessSite {
 	for d, aff := range acc.Index {
 		lo, hi := dimRangeFromAxes(aff)
 		if lo < 0 || hi >= acc.Tensor.Shape[d] {
-			site.CanOOB = true
+			site.Checked = append(site.Checked, d)
 		}
 	}
+	site.CanOOB = len(site.Checked) > 0
 	site.Elem = flattenDims(site.Dims, acc.Tensor.Stride)
 	for _, t := range site.Elem.Terms {
 		if t.Coef != 0 && t.Level > site.HoistLevel {

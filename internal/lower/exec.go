@@ -53,15 +53,14 @@ func execute(p *Program, sink Sink, computeValues, perInstr bool) {
 	nl := len(p.levels)
 	c.nestFrom = nl
 	// One backing array for the loop values and, when the hoisted-loop path
-	// runs, its scratch: guard bases and intervals, site bases and
-	// intervals, flattened dim bases, cuts.
-	ng, ns, nd, ncuts := 0, 0, 0, 0
+	// runs, its scratch: the bases, guard and site intervals, cuts.
+	nb, ng, ns, ncuts := 0, 0, 0, 0
 	if !computeValues && !perInstr && p.nestFrom < nl {
 		c.nestFrom = p.nestFrom
-		ng, ns, nd = len(p.nest[0].guard), len(p.nest[0].elem), len(p.nest[0].dim)
+		nb, ng, ns = len(p.nestConst), len(p.nest[0].guard), len(p.nest[0].elem)
 		ncuts = 2 + 2*ng + 2*ns + 2
 	}
-	need := nl + 3*ng + 3*ns + nd + ncuts
+	need := nl + nb + 2*ng + 2*ns + ncuts
 	if cap(c.ints) < need {
 		c.ints = make([]int, need)
 	}
@@ -71,13 +70,16 @@ func execute(p *Program, sink Sink, computeValues, perInstr bool) {
 	if c.nestFrom < nl {
 		c.fetch, _ = sink.(FetchRunSink)
 		c.prologue, _ = sink.(PrologueRunSink)
-		c.innerGuardBase, back = back[:ng], back[ng:]
+		st := &p.nest[0]
+		c.bases, back = back[:nb], back[nb:]
+		c.innerGuardBase = c.bases[:ng]
+		c.innerElemBase = c.bases[ng : ng+ns]
+		c.innerDimBase = c.bases[ng+ns : ng+ns+len(st.dim)]
+		c.innerHoistBase = c.bases[nb-1-len(st.hoist) : nb-1]
 		c.innerGuardLo, back = back[:ng], back[ng:]
 		c.innerGuardHi, back = back[:ng], back[ng:]
-		c.innerElemBase, back = back[:ns], back[ns:]
 		c.innerSiteLo, back = back[:ns], back[ns:]
 		c.innerSiteHi, back = back[:ns], back[ns:]
-		c.innerDimBase, back = back[:nd], back[nd:]
 		c.innerCuts = back[:0:ncuts]
 	}
 	if computeValues {
@@ -151,14 +153,16 @@ type execCtx struct {
 	// or speaks the per-instruction encoding.
 	nestFrom int
 	// Scratch of the hoisted-loop path: the body's affine bases — guard
-	// values, element offsets, flattened padding dims, tile index — at the
-	// current iteration of the enclosing nest levels and iteration 0 of the
-	// innermost, the innermost row's intervals (rowRanges) and the cut list
-	// of runInnerSegments.
+	// values, element offsets, checked padding dims, the hoisted loads'
+	// element offsets and last the tile index, laid out as nestSteps.step —
+	// at the current iteration of the enclosing nest levels and iteration 0
+	// of the innermost, with views of their sections; the innermost row's
+	// intervals (rowRanges, wholeBox) and the cut list of runInnerSegments.
+	bases          []int
 	innerGuardBase []int
 	innerElemBase  []int
 	innerDimBase   []int
-	innerTile      int
+	innerHoistBase []int
 	innerCuts      []int
 	innerGuardLo   []int
 	innerGuardHi   []int
@@ -239,60 +243,34 @@ func (c *execCtx) fetchPair() {
 
 // runNest executes level d, the r-th level above the innermost scalar loop
 // of a reduction body (r < maxNestRank), in statistics-only mode with the
-// body's affines hoisted out of all r+1 loops. Guards, element offsets,
-// padding dims and the tile index are evaluated once, here, and advanced by
-// the Program.nest strides from then on — classic strength reduction —
-// instead of being re-evaluated at every point. The stream stays
-// bit-identical to the generic path.
+// body's affines hoisted out of all r+1 loops. The bases are set here, from
+// the levels above the nest, at iteration 0 of every nest level, and
+// advanced by the Program.nest strides from then on — classic strength
+// reduction — instead of being re-evaluated at every point. The stream
+// stays bit-identical to the generic path.
 func (c *execCtx) runNest(d, r int, blockBase uint64) {
 	p := c.p
-	inner := p.levels[d+r]
-	c.vals[d] = 0
-	for gi := range c.innerGuardBase {
-		c.innerGuardBase[gi] = inner.Guards[gi].Value.eval(c.vals)
-	}
-	di := 0
-	for si, site := range p.bodyLoads {
-		c.innerElemBase[si] = site.Elem.eval(c.vals)
-		if site.CanOOB {
-			for k := range site.Dims {
-				c.innerDimBase[di+k] = site.Dims[k].eval(c.vals)
-			}
-			di += len(site.Dims)
-		}
-	}
-	c.innerTile = 0
-	if len(p.tileLevels) > 0 {
-		c.innerTile = c.tileIdx()
-	}
-	// The bases belong at iteration 0 of every nest level, but the levels
-	// below d still hold their last values: subtract their contributions
-	// instead of zeroing them — the generic path leaves those values visible
-	// to this level's guard and hoisted-load evaluations, and bit-identity
-	// includes that.
-	for s := 0; s < r; s++ {
-		c.advance(&p.nest[s], -c.vals[d+r-s])
+	b := c.bases
+	copy(b, p.nestConst)
+	for _, t := range p.nestTerms {
+		b[t.at] += t.coef * c.vals[t.level]
 	}
 	if r == 0 {
-		c.runInnerSegments(d, inner, blockBase)
+		c.runInnerSegments(d, p.levels[d], blockBase)
 	} else {
 		c.runNestRows(d, r, blockBase)
 	}
 }
 
-// advance moves the hoisted bases n iterations along one nest level.
+// innerTile is the tile index base, the last of the bases.
+func (c *execCtx) innerTile() int { return c.bases[len(c.bases)-1] }
+
+// advance moves the bases n iterations along one nest level.
 func (c *execCtx) advance(st *nestSteps, n int) {
-	gb, eb, db := c.innerGuardBase, c.innerElemBase, c.innerDimBase
-	for i, step := range st.guard {
-		gb[i] += n * step
+	b := c.bases[:len(st.step)]
+	for i, step := range st.step {
+		b[i] += n * step
 	}
-	for i, step := range st.elem {
-		eb[i] += n * step
-	}
-	for i, step := range st.dim {
-		db[i] += n * step
-	}
-	c.innerTile += n * st.tile
 }
 
 // runNestRows runs every iteration of nest level d, r >= 1 levels above the
@@ -300,7 +278,11 @@ func (c *execCtx) advance(st *nestSteps, n int) {
 // advanced across the whole level. Where a range of iterations makes a
 // uniform box with the levels below — every affine condition constant over
 // it — the range ships as one LoopRun; the other iterations go one level
-// down.
+// down. The whole level is tried first (wholeBox); then ranges come from
+// nestUniformRange and rowRanges, which also decide that the innermost row
+// is uniform. A box that will never aggregate — its code spans more than
+// maxFetchRunLines — sends every iteration down; a cold one (shipBox) the
+// first, after which the rest of the range is tried again.
 func (c *execCtx) runNestRows(d, r int, blockBase uint64) {
 	p := c.p
 	lv, child := p.levels[d], p.levels[d+1]
@@ -314,13 +296,33 @@ func (c *execCtx) runNestRows(d, r int, blockBase uint64) {
 	if st.boxable && (oneLine || c.fetch != nil) && (!prologue || c.prologue != nil) {
 		next = 0
 	}
+	// uniform: every condition of the box [lo,hi) is known constant; spill
+	// is then its spill status.
+	uniform, spill := false, false
 	for i := 0; i < lv.Extent; i++ {
 		if i == next {
-			lo, hi = c.nestUniformRange(r, lv.Extent-i)
-			lo, hi, next = lo+i, hi+i, -1
+			if i == 0 {
+				spill, uniform = c.wholeBox(r)
+			}
+			lo, hi = 0, lv.Extent
+			if !uniform {
+				lo, hi = c.nestUniformRange(r, lv.Extent-i)
+				lo, hi = lo+i, hi+i
+			}
+			next = -1
 		}
 		if i == lo && hi > lo {
-			switch c.runNestBlock(d, r, i, hi-lo, blockBase, oneLine) {
+			if !uniform {
+				var spLo, spHi int
+				spLo, spHi, uniform = c.rowRanges(p.levels[d+r], true)
+				spill = spLo < spHi
+			}
+			out := nestIneligible
+			if uniform {
+				out = c.shipBox(d, r, i, hi-lo, blockBase, oneLine, spill)
+			}
+			uniform = false
+			switch out {
 			case nestDone:
 				if hi == lv.Extent {
 					c.counts.LoopExits++ // this level's own exit, on its last iteration
@@ -375,35 +377,36 @@ func (c *execCtx) runNestRows(d, r int, blockBase uint64) {
 // boxable nest level, r levels above the innermost and with the bases at
 // the first of them, over which the level and the ones below form a
 // uniform box, as far as the conditions varying above the innermost level
-// decide (runNestBlock checks the rest). One interval rule covers every
+// decide (rowRanges checks the rest). One interval rule covers every
 // condition: taken at its least and its greatest value over the full
 // extents of the levels below, it must pass throughout — or, for the spill
 // test, come out the same either way. Ranges are relative to the current
 // iteration; an empty one means no box lies ahead.
 func (c *execCtx) nestUniformRange(r, n int) (int, int) {
+	p, b := c.p, c.bases
+	st, below := &p.nest[r], &p.nest[r-1]
 	lo, hi := 0, n
-	none, all := n, n // spill: no accumulator spills over [0,none), all do over [all,n)
-	for i := range c.p.nest[r].conds {
-		cd := &c.p.nest[r].conds[i]
-		var clo, chi int
-		switch cd.kind {
-		case condGuard:
-			clo, chi = linearBelow(c.innerGuardBase[cd.idx]+cd.hi, cd.step, cd.bound, n)
-		case condDim:
-			base := c.innerDimBase[cd.idx]
-			clo, chi = linearBelow(base+cd.hi, cd.step, cd.bound, n)
-			alo, ahi := linearAtLeast(base+cd.lo, cd.step, 0, n)
-			clo, chi = max(clo, alo), min(chi, ahi)
-		case condSpill:
-			// Tile strides are non-negative: "none spills" holds over a
-			// prefix and "all spill" over a suffix.
-			_, none = linearBelow(c.innerTile+cd.hi, cd.step, cd.bound, n)
-			if alo, ahi := linearAtLeast(c.innerTile+cd.lo, cd.step, cd.bound, n); alo < ahi {
-				all = alo
-			}
-			continue
+	for gi, g := range p.levels[len(p.levels)-1].Guards {
+		if st.above[gi] {
+			clo, chi := linearBelow(b[gi]+below.hi[gi], st.step[gi], g.Extent, n)
+			lo, hi = max(lo, clo), min(hi, chi)
 		}
-		lo, hi = max(lo, clo), min(hi, chi)
+	}
+	for k, bound := range p.dimBound {
+		if i := len(st.guard) + len(st.elem) + k; st.above[i] {
+			clo, chi := linearBelow(b[i]+below.hi[i], st.step[i], bound, n)
+			alo, ahi := linearAtLeast(b[i]+below.lo[i], st.step[i], 0, n)
+			lo, hi = max(lo, clo, alo), min(hi, chi, ahi)
+		}
+	}
+	none, all := n, n // spill: no accumulator spills over [0,none), all do over [all,n)
+	if t := len(b) - 1; p.spillRegs > 0 && st.above[t] {
+		// Tile strides are non-negative: "none spills" holds over a prefix
+		// and "all spill" over a suffix.
+		_, none = linearBelow(b[t]+below.hi[t], st.step[t], p.spillFrom, n)
+		if alo, ahi := linearAtLeast(b[t]+below.lo[t], st.step[t], p.spillFrom, n); alo < ahi {
+			all = alo
+		}
 	}
 	if lo < none {
 		return lo, min(hi, none)
@@ -411,111 +414,125 @@ func (c *execCtx) nestUniformRange(r, n int) (int, int) {
 	return max(lo, all), hi
 }
 
-// runNestBlock executes n consecutive iterations, from iteration first, of
-// nest level d that form a uniform box with the r >= 1 levels below (full
-// extent each), as bulk counts plus one LoopRun (shipBox). Bases must be
-// positioned at the first of the n iterations; the caller adds level d's
-// own loop exit. nestIneligible means the box will never aggregate: a
-// condition changes along the innermost row (rowRanges; above the row,
-// nestUniformRange has seen to the loads and the spill status), or the
-// code spans more than maxFetchRunLines (per-iteration execution handles
-// both); nestCold is shipBox's.
-func (c *execCtx) runNestBlock(d, r, first, n int, blockBase uint64, oneLine bool) nestOutcome {
-	spLo, spHi, ok := c.rowRanges(c.p.levels[d+r], true)
-	if !ok {
-		return nestIneligible
+// wholeBox reports whether the rectangle of nest levels 0..r at full
+// extents, from the live bases, is one uniform box as nestUniformRange and
+// rowRanges would find it: every guard passes throughout, the spill status
+// (returned) is constant, and each padded body load is inside its tensor
+// throughout or outside it throughout by a checked dim that varies with no
+// level above the innermost — a dim that does vary there must be inside
+// throughout either way. Each condition is tested once, at the least and
+// greatest value Build's rectangle ranges give it. It sets the site
+// intervals shipBox reads.
+func (c *execCtx) wholeBox(r int) (spill, ok bool) {
+	p := c.p
+	st := &p.nest[r]
+	ng, ns := len(st.guard), len(st.elem)
+	for gi, g := range p.levels[len(p.levels)-1].Guards {
+		if c.innerGuardBase[gi]+st.hi[gi] >= g.Extent {
+			return false, false
+		}
 	}
-	return c.shipBox(d, r, first, n, blockBase, oneLine, spLo < spHi)
+	if p.spillRegs > 0 {
+		t, last := c.innerTile(), len(st.step)-1
+		switch {
+		case t+st.hi[last] < p.spillFrom:
+		case t+st.lo[last] >= p.spillFrom:
+			spill = true
+		default:
+			return false, false
+		}
+	}
+	ext := p.levels[len(p.levels)-1].Extent
+	dlo, dhi := st.lo[ng+ns:], st.hi[ng+ns:]
+	k := 0
+	for si, site := range p.bodyLoads {
+		hi := ext
+		if site.CanOOB {
+			in, out := true, false
+			for range site.Checked {
+				v, bound := c.innerDimBase[k], p.dimBound[k]
+				if vlo, vhi := v+dlo[k], v+dhi[k]; vlo < 0 || vhi >= bound {
+					if st.above[k] {
+						return false, false
+					}
+					in, out = false, out || vhi < 0 || vlo >= bound
+				}
+				k++
+			}
+			if !in && !out {
+				return false, false
+			}
+			if out {
+				hi = 0
+			}
+		}
+		c.innerSiteLo[si], c.innerSiteHi[si] = 0, hi
+	}
+	return spill, true
 }
 
 // shipBox executes a uniform box — n iterations of nest level d, full
-// extents of the r levels below — as bulk counts plus one LoopRun, with the
-// guards passing throughout and each body load and the spill status (spill)
-// as at the box's first point. At r = 0 the box is a span of the innermost
-// row: the bases stay at the row's iteration 0 and the span starts first
-// iterations in. Above it the bases are at the box's first iteration, and
-// the enclosing levels, which have no guards, start their blocks with
-// their hoisted loads: the LoopRun carries them as prologue sites, and the
-// innermost iteration's code follows those of every enclosing level.
+// extents of the r levels below — as bulk counts plus one LoopRun filled in
+// from the level's box template, with the guards passing throughout and each
+// body load and the spill status (spill) as at the box's first point. At
+// r = 0 the box is a span of the innermost row: the bases stay at the row's
+// iteration 0 and the span starts first iterations in. Above it the bases
+// are at the box's first iteration, and the enclosing levels, which have no
+// guards, start their blocks with their hoisted loads: the LoopRun carries
+// them as prologue sites, and the innermost iteration's code follows those
+// of every enclosing level.
 //
 // oneLine says the enclosing block lies on a single I-line, so one fetch
-// covers the box; at r = 0 runInnerSegments has made it. Otherwise the box's fetch-line crossings go out as one
-// fetch run, which needs every code line of the box resident in the sink's
-// L1I: pending events are flushed, the lines probed, and on a miss nothing
-// is executed and nestCold returned — the caller runs one iteration on the
-// ordered path, which fetches the code where its misses belong in the
-// stream, and tries again.
+// covers the box; at r = 0 runInnerSegments has made it. Otherwise the
+// box's fetch-line crossings go out as one fetch run, which needs every
+// code line of the box resident in the sink's L1I: pending events are
+// flushed, the lines probed, and on a miss nothing is executed and nestCold
+// returned — the caller runs one iteration on the ordered path, which
+// fetches the code where its misses belong in the stream, and tries again.
 func (c *execCtx) shipBox(d, r, first, n int, blockBase uint64, oneLine, spill bool) nestOutcome {
 	p := c.p
-	in, st := &p.nest[0], &p.nest[r]
+	in, bt := &p.nest[0], &p.nest[r].box
 	at := 0 // the box's first point, in iterations of the innermost row from the bases
 	if r == 0 {
 		at = first
 	}
-	sites := c.loopRun.Sites[:0]
-	var steps [maxNestRank]int // a site's element strides along the box's levels
+	sites, tpl := c.loopRun.Sites[:0], bt.sites
 	// Prologue sites, highest level first: the hoisted loads of the box's
 	// enclosing levels, at the box's first row and plane.
-	prologue := r > 0 && st.loadsFrom < len(p.nestLoads)
+	prologue := r > 0 && p.nest[r].loadsFrom < len(p.nestLoads)
 	if prologue {
-		c.vals[d] = first
-		for s := d + 1; s < d+r; s++ {
-			c.vals[s] = 0
+		k0 := p.nest[r].loadsFrom
+		for k, h := range p.nestLoads[k0:] {
+			ls := tpl[k]
+			ls.Addr = h.site.Tensor.AddrOf(c.innerHoistBase[k0+k])
+			sites = append(sites, ls)
 		}
-		for k := st.loadsFrom; k < len(p.nestLoads); k++ {
-			h := &p.nestLoads[k]
-			for s := 1; s <= r; s++ {
-				steps[s] = p.nest[s].hoist[k]
-			}
-			sites = append(sites, boxSite(h.site.Tensor.AddrOf(h.site.Elem.eval(c.vals)), &steps))
-			sites[len(sites)-1].Level = uint8(h.level)
-		}
+		tpl = tpl[len(p.nestLoads)-k0:]
 	}
-	var canOOB, loaded uint64
+	var loaded uint64
 	for si, site := range p.bodyLoads {
-		if site.CanOOB {
-			canOOB++
-		}
 		if at < c.innerSiteLo[si] || at >= c.innerSiteHi[si] {
 			continue // padding: skipped across the whole box
 		}
 		loaded++
-		for s := 0; s <= r; s++ {
-			steps[s] = p.nest[s].elem[si]
-		}
-		sites = append(sites, boxSite(site.Tensor.AddrOf(c.innerElemBase[si]+at*in.elem[si]), &steps))
+		ls := tpl[si]
+		ls.Addr = site.Tensor.AddrOf(c.innerElemBase[si] + at*in.elem[si])
+		sites = append(sites, ls)
 	}
 	var spills uint64
 	if spill {
-		// Stream order within an iteration: body loads, spill reload, FMA
-		// burst (no data), spill writeback.
 		spills = 1
-		for s := 0; s <= r; s++ {
-			steps[s] = p.nest[s].tile
-		}
-		ls := boxSite(p.stackBase+uint64(c.innerTile+at*in.tile)*tensor.ElemSize, &steps)
-		sites = append(sites, ls)
-		ls.Write = true
-		sites = append(sites, ls)
+		addr := p.stackBase + uint64(c.innerTile()+at*in.tile)*tensor.ElemSize
+		sites = append(sites, tpl[len(p.bodyLoads)], tpl[len(p.bodyLoads)+1])
+		sites[len(sites)-2].Addr, sites[len(sites)-1].Addr = addr, addr
 	}
 	c.loopRun.Sites = sites
-	ng := uint64(len(c.innerGuardBase))
-	flops := uint64(p.bodyFLOPs)
 	// Per inner iteration: guard pairs, padding-check pairs, loads, spill
 	// reload and writeback, the FMA burst and the inner loop overhead pair.
-	nInstrIter := 2*ng + 2*canOOB + loaded + 2*spills + flops + 2
-	// The box: n iterations of level d, full extents between; each
-	// enclosing level's prologue, innermost first.
-	dims := [maxNestRank]int{1, 1, 1}
-	var pro [maxNestRank]uint64
-	var proTotal uint64
-	for s := 0; s < r; s++ {
-		dims[s] = p.levels[d+r-s].Extent
-		pro[s+1] = uint64(len(p.levels[d+r-s-1].Hoisted))
-		proTotal += pro[s+1]
-	}
+	nInstrIter := bt.nInstr + loaded + 2*spills
+	dims := bt.dims
 	dims[r] = n
-	base := blockBase + proTotal*c.ib // the innermost iteration's code
+	base := blockBase + bt.proTotal*c.ib // the innermost iteration's code
 	switch {
 	case r == 0:
 		// runInnerSegments has fetched the row's line, which holds every PC.
@@ -524,28 +541,18 @@ func (c *execCtx) shipBox(d, r, first, n int, blockBase uint64, oneLine, spill b
 		c.pc = blockBase
 		c.fetchLine()
 	default:
-		if out := c.fetchRunBox(blockBase, base, nInstrIter, r, &dims, &pro); out != nestDone {
+		if out := c.fetchRunBox(blockBase, base, nInstrIter, r, &dims, &bt.pro); out != nestDone {
 			return out
 		}
 	}
-	// Fold the counts outwards. One iteration of a nest level is its
-	// prologue, the whole extent of the level below and its own overhead
-	// pair, and sees the level below exit once; every ALU instruction here
-	// is half of an ALU+branch pair.
-	pairs, exits, iters, loads := ng+canOOB+1, uint64(0), uint64(1), loaded+spills
-	for s := 0; s < r; s++ {
-		e := uint64(dims[s])
-		pairs, exits, iters = e*pairs+1, e*exits+1, e*iters
-		loads = e*loads + pro[s+1]
-	}
-	nU := uint64(n)
-	c.counts.ByClass[isa.ALU] += nU * pairs
-	c.counts.ByClass[isa.Branch] += nU * pairs
-	c.counts.ByClass[isa.FMA] += nU * iters * flops
-	c.counts.ByClass[isa.Load] += nU * loads
-	c.counts.ByClass[isa.Store] += nU * iters * spills
-	c.counts.GuardBranches += nU * iters * (ng + canOOB)
-	c.counts.LoopExits += nU * exits
+	nU, flops := uint64(n), uint64(p.bodyFLOPs)
+	c.counts.ByClass[isa.ALU] += nU * bt.pairs
+	c.counts.ByClass[isa.Branch] += nU * bt.pairs
+	c.counts.ByClass[isa.FMA] += nU * bt.iters * flops
+	c.counts.ByClass[isa.Load] += nU * (bt.iters*(loaded+spills) + bt.proLoads)
+	c.counts.ByClass[isa.Store] += nU * bt.iters * spills
+	c.counts.GuardBranches += nU * bt.iters * bt.checks
+	c.counts.LoopExits += nU * bt.exits
 	if len(sites) > 0 {
 		c.loopRun.Count, c.loopRun.Rows, c.loopRun.Planes = dims[0], dims[1], dims[2]
 		if len(c.em.buf) > 0 {
@@ -592,20 +599,20 @@ func (c *execCtx) rowRanges(inner *level, whole bool) (spLo, spHi int, ok bool) 
 		c.innerGuardLo[gi], c.innerGuardHi[gi] = lo, hi
 	}
 	if p.spillRegs > 0 {
-		if spLo, spHi = linearAtLeast(c.innerTile, in.tile, p.spillFrom, ext); part(spLo, spHi) {
+		if spLo, spHi = linearAtLeast(c.innerTile(), in.tile, p.spillFrom, ext); part(spLo, spHi) {
 			return 0, 0, false
 		}
 	}
-	di := 0
+	k := 0
 	for si, site := range p.bodyLoads {
 		lo, hi := 0, ext
 		if site.CanOOB {
-			for k, extent := range site.Tensor.Shape {
-				alo, ahi := linearAtLeast(c.innerDimBase[di+k], in.dim[di+k], 0, ext)
-				blo, bhi := linearBelow(c.innerDimBase[di+k], in.dim[di+k], extent, ext)
+			for range site.Checked {
+				alo, ahi := linearAtLeast(c.innerDimBase[k], in.dim[k], 0, ext)
+				blo, bhi := linearBelow(c.innerDimBase[k], in.dim[k], p.dimBound[k], ext)
 				lo, hi = max(lo, alo, blo), min(hi, ahi, bhi)
+				k++
 			}
-			di += len(site.Dims)
 			if part(lo, hi) {
 				return 0, 0, false
 			}
@@ -631,7 +638,8 @@ const (
 // iteration's nIter instructions from base and, right behind them, the
 // overhead pair of each enclosing level, innermost first; dims holds the
 // iterations per level. Nothing is delivered unless every one of those
-// code lines is resident in the sink.
+// code lines is resident in the sink. A box that repeats the previous
+// walk's inputs, entered the same way, reuses its crossings.
 func (c *execCtx) fetchRunBox(blockBase, base, nIter uint64, r int, dims *[maxNestRank]int, pro *[maxNestRank]uint64) nestOutcome {
 	first := blockBase &^ 63
 	n := int(((base+(nIter+2*uint64(r)-1)*c.ib)&^63-first)>>6) + 1
@@ -639,20 +647,23 @@ func (c *execCtx) fetchRunBox(blockBase, base, nIter uint64, r int, dims *[maxNe
 		return nestIneligible
 	}
 	w := &c.walk
-	*w = fetchWalk{lastLine: c.lastLine, ib: c.ib, base: base, nIter: nIter, dims: *dims, pro: *pro}
-	for s, at := r, blockBase; s >= 1; s-- {
-		w.proBase[s] = at
-		at += pro[s] * c.ib
-	}
-	for i := 0; i < n; i++ {
-		w.lines[i] = first + uint64(i)<<6
+	in := walkInputs{blockBase: blockBase, base: base, nIter: nIter, r: r, dims: *dims, pro: *pro,
+		enteredOnFirst: c.lastLine == first}
+	fresh := w.in != in
+	if fresh {
+		w.in = walkInputs{} // the lines below no longer belong to the walk held
+		for i := 0; i < n; i++ {
+			w.lines[i] = first + uint64(i)<<6
+		}
 	}
 	// Fetches still in the buffer decide residency: deliver them first.
 	c.em.flush()
 	if !c.fetch.FetchResident(w.lines[:n]) {
 		return nestCold
 	}
-	w.repeat(dims[r], r)
+	if fresh {
+		w.walk(in, c.lastLine, c.ib)
+	}
 	c.fetch.ConsumeFetchRun(w.total, w.lines[:n], w.last[:n])
 	c.lastLine = w.lastLine
 	return nestDone
@@ -669,17 +680,38 @@ func (c *execCtx) fetchRunBox(blockBase, base, nIter uint64, r int, dims *[maxNe
 // only the ordinal of its last crossing is kept: that is what the LRU stamps
 // record of the order.
 type fetchWalk struct {
+	// in is what the crossings were derived from; the zero value matches
+	// no box.
+	in       walkInputs
 	lastLine uint64 // fetch line of the previous instruction
 	total    uint64 // crossings so far
 	ib       uint64
-
-	base, nIter uint64
-	dims        [maxNestRank]int    // iterations per nest level, innermost first
-	pro         [maxNestRank]uint64 // prologue instructions per enclosing nest level
-	proBase     [maxNestRank]uint64 // and where each prologue starts
+	proBase  [maxNestRank]uint64 // where each enclosing level's prologue starts
 
 	lines [maxFetchRunLines]uint64 // the box's code lines, consecutive from lines[0]
 	last  [maxFetchRunLines]uint64 // 1-based ordinal of each line's last crossing
+}
+
+// walkInputs is everything a box's crossings depend on. The line fetched
+// before the box matters only as to whether it is the box's first line:
+// every walk starts there, at blockBase, and after that first instruction
+// the walk's own lines decide.
+type walkInputs struct {
+	blockBase, base, nIter uint64
+	r                      int
+	dims                   [maxNestRank]int    // iterations per nest level, innermost first
+	pro                    [maxNestRank]uint64 // prologue instructions per enclosing nest level
+	enteredOnFirst         bool
+}
+
+// walk derives the crossings of the box in, entered from line entry.
+func (w *fetchWalk) walk(in walkInputs, entry, ib uint64) {
+	w.in, w.lastLine, w.total, w.ib, w.last = in, entry, 0, ib, [maxFetchRunLines]uint64{}
+	for s, at := in.r, in.blockBase; s >= 1; s-- {
+		w.proBase[s] = at
+		at += in.pro[s] * ib
+	}
+	w.repeat(in.dims[in.r], in.r)
 }
 
 // span walks n sequential instructions starting at addr.
@@ -713,14 +745,14 @@ func (w *fetchWalk) repeat(n, s int) {
 // level below and then the level's own overhead pair.
 func (w *fetchWalk) period(s int) {
 	if s == 0 {
-		w.span(w.base, w.nIter)
+		w.span(w.in.base, w.in.nIter)
 		return
 	}
-	if w.pro[s] > 0 {
-		w.span(w.proBase[s], w.pro[s])
+	if w.in.pro[s] > 0 {
+		w.span(w.proBase[s], w.in.pro[s])
 	}
-	w.repeat(w.dims[s-1], s-1)
-	w.span(w.base+(w.nIter+2*uint64(s-1))*w.ib, 2)
+	w.repeat(w.in.dims[s-1], s-1)
+	w.span(w.in.base+(w.in.nIter+2*uint64(s-1))*w.ib, 2)
 }
 
 // runInnerIter is the per-iteration strength-reduced inner loop, for rows
@@ -728,7 +760,7 @@ func (w *fetchWalk) period(s int) {
 func (c *execCtx) runInnerIter(d int, lv *level, blockBase uint64) {
 	p := c.p
 	in := &p.nest[0]
-	gb, eb, db, tile := c.innerGuardBase, c.innerElemBase, c.innerDimBase, c.innerTile
+	gb, eb, db, tile := c.innerGuardBase, c.innerElemBase, c.innerDimBase, c.innerTile()
 	spill := p.spillRegs > 0
 	flops := uint64(p.bodyFLOPs)
 	var pairs, fma, loads, stores, guardBr uint64
@@ -746,21 +778,19 @@ func (c *execCtx) runInnerIter(d int, lv *level, blockBase uint64) {
 			}
 		}
 		if pass {
-			di := 0
+			k := 0
 			for si, site := range p.bodyLoads {
 				if site.CanOOB {
 					pairs++
 					guardBr++
 					c.fetchPair()
 					inside := true
-					for k, extent := range site.Tensor.Shape {
-						v := db[di+k] + i*in.dim[di+k]
-						if v < 0 || v >= extent {
+					for range site.Checked {
+						if v := db[k] + i*in.dim[k]; v < 0 || v >= p.dimBound[k] {
 							inside = false
-							break
 						}
+						k++
 					}
-					di += len(site.Dims)
 					if !inside {
 						continue
 					}
@@ -822,6 +852,12 @@ func (c *execCtx) runInnerSegments(d int, lv *level, blockBase uint64) {
 	// One fetch covers the whole loop: every PC lies on blockBase's line.
 	c.pc = blockBase
 	c.fetchLine()
+	if spill, ok := c.wholeBox(0); ok {
+		c.shipBox(d, 0, 0, ext, blockBase, true, spill)
+		c.counts.LoopExits++
+		c.vals[d] = ext - 1
+		return
+	}
 	// Cut [0,ext) at every interior truth-change point of the affine
 	// conditions. Full truth sets add no cuts, so the common uniform case
 	// runs as a single sort-free segment.
@@ -1086,12 +1122,11 @@ func (c *execCtx) scalarLoad(site *accessSite) {
 	c.mem(isa.Load, site.Tensor.AddrOf(off), tensor.ElemSize)
 }
 
-// siteInBounds checks every tensor dimension of the site at the current
-// loop values.
+// siteInBounds checks the site's checked dimensions at the current loop
+// values.
 func (c *execCtx) siteInBounds(site *accessSite) bool {
-	for d, la := range site.Dims {
-		v := la.eval(c.vals)
-		if v < 0 || v >= site.Tensor.Shape[d] {
+	for _, d := range site.Checked {
+		if v := site.Dims[d].eval(c.vals); v < 0 || v >= site.Tensor.Shape[d] {
 			return false
 		}
 	}

@@ -57,6 +57,11 @@ type accessSite struct {
 	// CanOOB is true when some in-domain iteration indexes outside the
 	// tensor (conv padding); such loads are guarded and read 0.
 	CanOOB bool
+	// Checked lists the dimensions that can leave the tensor
+	// (dimRangeFromAxes), the only ones the padding check tests: every
+	// other dimension is inside wherever the guards pass. It is non-empty
+	// exactly when CanOOB is set.
+	Checked []int
 	// HoistLevel is the deepest loop level the access depends on; the load
 	// is emitted once per iteration of that level. -1 = program preheader.
 	HoistLevel int
@@ -100,23 +105,38 @@ type level struct {
 const maxNestRank = 3
 
 // nestSteps holds, for one nest level, what Build can decide about it once
-// per program. The strides are the per-iteration deltas of the body's
-// affines along the level, which the executor adds to hoisted bases instead
-// of re-evaluating the affines per point. boxable, loadsFrom and conds are
-// the schedule-static half of the box classifier: whether this level and
-// the nest levels below it can ship as one LoopRun at all, which prologue
-// sites that LoopRun carries, and which affine conditions bound the
-// iteration range over which it does. The other half — interval arithmetic
-// of those conditions on the live bases — is the executor's:
-// nestUniformRange above the innermost row, rowRanges along it (which, for
-// runNestBlock, also checks that the row is uniform), and one builder,
-// shipBox, for every box.
+// per program. The executor keeps the body's affines as bases, one slice
+// laid out as step is; step holds their per-iteration deltas along the
+// level, which the executor adds instead of re-evaluating the affines per
+// point. lo, hi and above describe the rectangle of this level and the ones
+// below it at full extents; with boxable, loadsFrom and box they are the
+// schedule-static half of the box classifier: which affine conditions bound
+// the iteration range over which the rectangle is uniform, whether it can
+// ship as one LoopRun at all, which prologue sites that LoopRun carries, and
+// the LoopRun itself bar its addresses and its top extent. The other half is
+// the executor's: wholeBox tests every condition once over the whole
+// rectangle, and only a rectangle that is not uniform goes through
+// nestUniformRange above the innermost row and rowRanges along it; one
+// builder, shipBox, fills every box from the template.
 type nestSteps struct {
-	guard []int // per guard of the innermost level
-	elem  []int // per body load: element offset
-	dim   []int // per tensor dimension of the padding-checked body loads, in site order
-	tile  int   // accumulator index
-	hoist []int // per Program.nestLoads entry: element offset
+	// step is laid out as the bases: a guard of the innermost level each,
+	// a body load's element offset each, a checked dim of the padded body
+	// loads each (site order), a Program.nestLoads entry's element offset
+	// each, and last the tile index. guard, elem, dim and hoist are its
+	// sections, tile its last entry.
+	step                    []int
+	guard, elem, dim, hoist []int
+	tile                    int
+	// lo and hi are, per base, the least and greatest amounts this level and
+	// the ones below add to it over their full extents; above marks the
+	// bases that vary with this level or one between it and the innermost.
+	// Of the conditions — split-tail guards (value < bound), checked dims of
+	// padded loads (0 <= value < bound) and the spill test (tile index >=
+	// bound, where either outcome is uniform) — those above marks bound the
+	// range of a box topped by this level (nestUniformRange); the others
+	// are the innermost row's (rowRanges).
+	lo, hi []int
+	above  []bool
 
 	// boxable: every level from this one down to the innermost's parent is
 	// plain (no guards, not unrolled, no padding-checked hoisted load).
@@ -125,35 +145,32 @@ type nestSteps struct {
 	// level or one below it, down to the innermost's parent: a box ships
 	// the loads from there on as prologue sites.
 	loadsFrom int
-	// conds lists, for a boxable level, the conditions that vary with some
-	// nest level above the innermost (those varying with the innermost
-	// only, or with none, are the block check's).
-	conds []nestCond
+	// box is the template of a box topped by this level.
+	box boxTemplate
 }
 
-// nestCond is one affine condition of the reduction body seen from a box
-// level: a split-tail guard (value < bound), one tensor dimension of a
-// padding-checked load (0 <= value < bound), or the spill test (tile index
-// >= bound, where either outcome is uniform). step is its stride along the
-// box level; lo and hi are the least and greatest amounts the levels below
-// add to it over their full extents, so the condition is uniform over a
-// whole box row exactly when it is at both ends of that range.
-type nestCond struct {
-	kind   condKind
-	idx    int // into the guard bases, or into the flattened dim bases
-	step   int
-	lo, hi int
-	bound  int
+// boxTemplate is what every LoopRun topped by one nest level shares: its
+// sites with their steps, levels and sizes (prologue sites, every body load,
+// the spill reload and writeback; shipBox drops the skipped ones and fills
+// in the addresses), the extents of the levels below the top and their
+// prologue lengths in instructions, and the counts folded over those levels.
+type boxTemplate struct {
+	sites    []LoopSite
+	dims     [maxNestRank]int    // innermost first; the top's is the box's own
+	pro      [maxNestRank]uint64 // prologue instructions per enclosing level
+	proTotal uint64
+	// Per iteration of the top level: ALU+branch pairs, loop exits of the
+	// levels below, inner iterations and prologue loads; checks is the
+	// guard and padding pairs of one inner iteration and nInstr its
+	// instructions but for loads and spill accesses.
+	pairs, exits, iters, proLoads, checks, nInstr uint64
 }
 
-// condKind says which affine condition a nestCond is.
-type condKind uint8
-
-const (
-	condGuard condKind = iota
-	condDim
-	condSpill
-)
+// baseTerm is one term of a base's value at iteration 0 of every nest
+// level: coef times the value of a level above the nest.
+type baseTerm struct {
+	at, level, coef int
+}
 
 // nestLoad is a load hoisted to a nest level above the innermost: the nest
 // level (>= 1) whose iterations load it, 1 for the innermost's parent.
@@ -219,6 +236,12 @@ type Program struct {
 	// (len(levels) when none does: a vector or unrolled innermost level).
 	nest     [maxNestRank]nestSteps
 	nestFrom int
+	// nestConst and nestTerms give the bases, laid out as nestSteps.step,
+	// at iteration 0 of every nest level from the levels above the nest;
+	// dimBound holds the tensor extent of each checked dim among them.
+	nestConst []int
+	nestTerms []baseTerm
+	dimBound  []int
 	// nestLoads lists the hoisted loads of the nest levels above the
 	// innermost, highest level first: a box ships those of its own levels
 	// as prologue sites, a suffix of this list.
