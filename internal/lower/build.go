@@ -60,18 +60,13 @@ func Build(s *schedule.Schedule, model isa.Model) (*Program, error) {
 			break
 		}
 	}
-	p.tileStride = map[int]int{}
 	p.tileCount = 1
 	for i := len(p.levels) - 1; i > p.reduceStart; i-- {
 		if !p.levels[i].Reduce {
 			p.tileLevels = append([]int{i}, p.tileLevels...)
-			p.tileStride[i] = p.tileCount
+			p.tileStrideList = append([]int{p.tileCount}, p.tileStrideList...)
 			p.tileCount *= p.levels[i].Extent
 		}
-	}
-	p.tileStrideList = make([]int, len(p.tileLevels))
-	for k, li := range p.tileLevels {
-		p.tileStrideList[k] = p.tileStride[li]
 	}
 
 	// --- Axis reconstruction affines and split-tail guards. ---
@@ -216,12 +211,15 @@ func (p *Program) buildNest() {
 		tile.Terms = append(tile.Terms, coefTerm{Level: li, Coef: p.tileStrideList[k]})
 	}
 	bases = append(bases, tile)
-	p.nestConst = make([]int, len(bases))
+	p.nestConst, p.nestCols = make([]int, len(bases)), make([][]int, p.nestFrom)
 	for i, b := range bases {
 		p.nestConst[i] = b.Const
 		for _, t := range b.Terms {
 			if t.Level < p.nestFrom {
-				p.nestTerms = append(p.nestTerms, baseTerm{at: i, level: t.Level, coef: t.Coef})
+				if p.nestCols[t.Level] == nil {
+					p.nestCols[t.Level] = make([]int, len(bases))
+				}
+				p.nestCols[t.Level][i] = t.Coef
 			}
 		}
 	}

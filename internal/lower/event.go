@@ -93,42 +93,41 @@
 // describes the reduction body as seen from the level r above the innermost
 // one, and lower.Build fills it once per program:
 //
-//   - the strides: how far each guard value, element offset, padding
-//     dimension and the tile index move per iteration of that level, and
-//     each load hoisted to a nest level (Program.nestLoads). runNest
-//     evaluates the body's affines once, at iteration 0 of every nest level,
-//     and the loops add strides from then on (advance) instead of
-//     re-evaluating affines per point; a box evaluates its hoisted loads
-//     once, at its first row, and ships their strides.
-//   - boxable, loadsFrom and conds, the schedule-static half of the box
-//     classifier: whether this level and the ones below can ship as one
-//     LoopRun at all (enclosing levels without guards, unrolling or padded
-//     hoisted loads, innermost not unrolled), which prologue sites it
-//     carries, and the affine conditions that bound its range: split-tail
-//     guards, padding dimensions and the spill test, each with its stride
-//     along the level and the range the levels below add to it.
+//   - the bases: each guard value, element offset, padding dimension that
+//     can leave its tensor (accessSite.Checked), load hoisted to a nest
+//     level (Program.nestLoads) and the tile index, as one slice. runNest
+//     sets them once, at iteration 0 of every nest level, from the levels
+//     above the nest, and the loops add one stride vector per level from
+//     then on (advance) instead of re-evaluating affines per point.
+//   - per level, the range each base covers over that level and the ones
+//     below at full extents, which bases vary above the innermost level,
+//     whether those levels can ship as one LoopRun at all (boxable), the
+//     prologue sites it carries (loadsFrom), and the LoopRun itself bar
+//     its addresses and top extent, with its counts folded (the template).
 //
-// What is left for run time is interval arithmetic on the live bases, one
-// rule for every condition. runNestRows drives one nest level:
-// nestUniformRange takes each condition at its least and its greatest value
-// over the full extents of the levels below and intersects the ranges of
-// the level over which it is uniform — passing throughout for a guard or a
-// padding dimension, either outcome for the spill test — into the next
-// range over which the box repeats. rowRanges works out the intervals of
-// the innermost row over which each guard passes, each body load is inside
-// its tensor and the accumulator spills; for a box of rank >= 1
-// (runNestBlock) it checks as it goes, guards first, that the guards pass
-// along the whole row and that every other interval covers it or nothing
-// of it, and stops at the first that does not. One builder, shipBox, ships
-// every box of the nest at ranks 0, 1 and 2 as bulk counts, one fetch (or
-// one fetch run) and one LoopRun, whose sites are the enclosing levels'
-// hoisted loads as prologue sites, the body loads, and the spill reload
-// and write-back. The iterations outside the range go one level down — to
+// What is left for run time is arithmetic on the live bases, where an
+// affine condition — split-tail guard, padding dimension, spill test — is
+// a base against a bound. runNestRows drives one nest level and
+// runInnerSegments the innermost row; each first asks wholeBox whether its
+// whole rectangle is one uniform box, each condition tested once at the
+// ends of its range, and ships it if so. Otherwise nestUniformRange takes
+// each condition varying above the innermost level at its least and its
+// greatest value over the levels below and intersects the ranges over
+// which it is uniform — passing throughout for a guard or a padding
+// dimension, either outcome for the spill test — into the next range over
+// which the box repeats, and rowRanges works out the innermost row's
+// intervals over which each guard passes, each body load is inside its
+// tensor and the accumulator spills; for a box of rank >= 1 it checks,
+// guards first, that every guard passes along the whole row and every
+// other interval covers it or nothing of it. One builder, shipBox, ships
+// every box at ranks 0, 1 and 2 from its level's template as bulk counts,
+// one fetch (or one fetch run, whose walk of the code lines the next box
+// reuses when it repeats) and one LoopRun of prologue, body and spill
+// sites. The iterations outside the range go one level down — to
 // runNestRows again, or to the innermost loop, which cuts its row at the
-// ends of rowRanges' intervals (runInnerSegments) and hands every span
-// whose guards pass to shipBox as a box of rank 0, or, for a body spanning
-// several I-lines, runs per iteration (runInnerIter) — and the level
-// looks for its next range after each box.
+// ends of rowRanges' intervals and hands every span whose guards pass to
+// shipBox as a box of rank 0, or, for a body spanning several I-lines, runs
+// per iteration (runInnerIter) — and the level looks for its next range.
 //
 // The nest is maxNestRank = 3 levels deep because a LoopRun is Count × Rows ×
 // Planes. A fourth level would cost a stride table entry here, but a new

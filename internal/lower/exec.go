@@ -53,14 +53,15 @@ func execute(p *Program, sink Sink, computeValues, perInstr bool) {
 	nl := len(p.levels)
 	c.nestFrom = nl
 	// One backing array for the loop values and, when the hoisted-loop path
-	// runs, its scratch: the bases, guard and site intervals, cuts.
-	nb, ng, ns, ncuts := 0, 0, 0, 0
+	// runs, its scratch: the bases twice and the level values of the
+	// second copy, guard and site intervals, cuts.
+	nb, nf, ng, ns, ncuts := 0, 0, 0, 0, 0
 	if !computeValues && !perInstr && p.nestFrom < nl {
 		c.nestFrom = p.nestFrom
-		nb, ng, ns = len(p.nestConst), len(p.nest[0].guard), len(p.nest[0].elem)
+		nb, nf, ng, ns = len(p.nestConst), p.nestFrom, len(p.nest[0].guard), len(p.nest[0].elem)
 		ncuts = 2 + 2*ng + 2*ns + 2
 	}
-	need := nl + nb + 2*ng + 2*ns + ncuts
+	need := nl + 2*nb + nf + 2*ng + 2*ns + ncuts
 	if cap(c.ints) < need {
 		c.ints = make([]int, need)
 	}
@@ -72,6 +73,9 @@ func execute(p *Program, sink Sink, computeValues, perInstr bool) {
 		c.prologue, _ = sink.(PrologueRunSink)
 		st := &p.nest[0]
 		c.bases, back = back[:nb], back[nb:]
+		c.nestBase, back = back[:nb], back[nb:]
+		c.nestVals, back = back[:nf], back[nf:]
+		copy(c.nestBase, p.nestConst)
 		c.innerGuardBase = c.bases[:ng]
 		c.innerElemBase = c.bases[ng : ng+ns]
 		c.innerDimBase = c.bases[ng+ns : ng+ns+len(st.dim)]
@@ -158,7 +162,11 @@ type execCtx struct {
 	// at the current iteration of the enclosing nest levels and iteration 0
 	// of the innermost, with views of their sections; the innermost row's
 	// intervals (rowRanges, wholeBox) and the cut list of runInnerSegments.
+	// nestBase holds the bases at iteration 0 of every nest level for the
+	// values nestVals of the levels above the nest.
 	bases          []int
+	nestBase       []int
+	nestVals       []int
 	innerGuardBase []int
 	innerElemBase  []int
 	innerDimBase   []int
@@ -243,22 +251,27 @@ func (c *execCtx) fetchPair() {
 
 // runNest executes level d, the r-th level above the innermost scalar loop
 // of a reduction body (r < maxNestRank), in statistics-only mode with the
-// body's affines hoisted out of all r+1 loops. The bases are set here, from
-// the levels above the nest, at iteration 0 of every nest level, and
-// advanced by the Program.nest strides from then on — classic strength
-// reduction — instead of being re-evaluated at every point. The stream
-// stays bit-identical to the generic path.
+// body's affines hoisted out of all r+1 loops. The bases are set here at
+// iteration 0 of every nest level — moved from the last call's by the
+// levels above the nest that have moved since — and advanced by the
+// Program.nest strides from then on: classic strength reduction, instead of
+// re-evaluating the affines at every point. The stream stays bit-identical
+// to the generic path.
 func (c *execCtx) runNest(d, r int, blockBase uint64) {
-	p := c.p
-	b := c.bases
-	copy(b, p.nestConst)
-	for _, t := range p.nestTerms {
-		b[t.at] += t.coef * c.vals[t.level]
+	p, b := c.p, c.nestBase
+	for l, col := range p.nestCols {
+		if n := c.vals[l] - c.nestVals[l]; n != 0 && col != nil {
+			c.nestVals[l] = c.vals[l]
+			for i, coef := range col {
+				b[i] += n * coef
+			}
+		}
 	}
+	copy(c.bases, b)
 	if r == 0 {
 		c.runInnerSegments(d, p.levels[d], blockBase)
 	} else {
-		c.runNestRows(d, r, blockBase)
+		c.runNestRows(d, r, blockBase, false)
 	}
 }
 
@@ -278,12 +291,13 @@ func (c *execCtx) advance(st *nestSteps, n int) {
 // advanced across the whole level. Where a range of iterations makes a
 // uniform box with the levels below — every affine condition constant over
 // it — the range ships as one LoopRun; the other iterations go one level
-// down. The whole level is tried first (wholeBox); then ranges come from
-// nestUniformRange and rowRanges, which also decide that the innermost row
-// is uniform. A box that will never aggregate — its code spans more than
-// maxFetchRunLines — sends every iteration down; a cold one (shipBox) the
-// first, after which the rest of the range is tried again.
-func (c *execCtx) runNestRows(d, r int, blockBase uint64) {
+// down. The whole level is tried first (wholeBox), then ranges from
+// nestUniformRange that rowRanges finds uniform along the row. A box whose
+// code spans more than maxFetchRunLines sends every iteration down, a cold
+// one (shipBox) the first. cut says no row of the level is uniform, so no
+// box is tried: it holds below a range rowRanges refused, whose rows are
+// all cut by the same conditions, those varying with no level above.
+func (c *execCtx) runNestRows(d, r int, blockBase uint64, cut bool) {
 	p := c.p
 	lv, child := p.levels[d], p.levels[d+1]
 	st, below := &p.nest[r], &p.nest[r-1]
@@ -293,12 +307,12 @@ func (c *execCtx) runNestRows(d, r int, blockBase uint64) {
 	// next is the iteration at which to look for the next box, -1 for none.
 	lo, hi, next := 0, 0, -1
 	prologue := st.loadsFrom < len(p.nestLoads)
-	if st.boxable && (oneLine || c.fetch != nil) && (!prologue || c.prologue != nil) {
+	if !cut && st.boxable && (oneLine || c.fetch != nil) && (!prologue || c.prologue != nil) {
 		next = 0
 	}
 	// uniform: every condition of the box [lo,hi) is known constant; spill
-	// is then its spill status.
-	uniform, spill := false, false
+	// is then its spill status. Iterations below cutTo have their rows cut.
+	uniform, spill, cutTo := false, false, 0
 	for i := 0; i < lv.Extent; i++ {
 		if i == next {
 			if i == 0 {
@@ -315,7 +329,9 @@ func (c *execCtx) runNestRows(d, r int, blockBase uint64) {
 			if !uniform {
 				var spLo, spHi int
 				spLo, spHi, uniform = c.rowRanges(p.levels[d+r], true)
-				spill = spLo < spHi
+				if spill = spLo < spHi; !uniform {
+					cutTo = hi
+				}
 			}
 			out := nestIneligible
 			if uniform {
@@ -356,7 +372,7 @@ func (c *execCtx) runNestRows(d, r int, blockBase uint64) {
 			if r == 1 {
 				c.runInnerSegments(d+1, child, iterBase+child.BlockOff)
 			} else {
-				c.runNestRows(d+1, r-1, iterBase+child.BlockOff)
+				c.runNestRows(d+1, r-1, iterBase+child.BlockOff, cut || i < cutTo)
 				c.advance(below, -child.Extent) // back to this iteration's base
 			}
 		}
@@ -415,13 +431,11 @@ func (c *execCtx) nestUniformRange(r, n int) (int, int) {
 }
 
 // wholeBox reports whether the rectangle of nest levels 0..r at full
-// extents, from the live bases, is one uniform box as nestUniformRange and
-// rowRanges would find it: every guard passes throughout, the spill status
-// (returned) is constant, and each padded body load is inside its tensor
-// throughout or outside it throughout by a checked dim that varies with no
-// level above the innermost — a dim that does vary there must be inside
-// throughout either way. Each condition is tested once, at the least and
-// greatest value Build's rectangle ranges give it. It sets the site
+// extents is one box as nestUniformRange and rowRanges would find it, each
+// condition tested once at the ends of its range: every guard passes, the
+// spill status (returned) is constant, and each padded body load is inside
+// throughout or outside by a checked dim varying with no level above the
+// innermost, the dims that do vary there inside. It sets the site
 // intervals shipBox reads.
 func (c *execCtx) wholeBox(r int) (spill, ok bool) {
 	p := c.p
@@ -473,22 +487,21 @@ func (c *execCtx) wholeBox(r int) (spill, ok bool) {
 
 // shipBox executes a uniform box — n iterations of nest level d, full
 // extents of the r levels below — as bulk counts plus one LoopRun filled in
-// from the level's box template, with the guards passing throughout and each
+// from the level's template, with the guards passing throughout and each
 // body load and the spill status (spill) as at the box's first point. At
 // r = 0 the box is a span of the innermost row: the bases stay at the row's
 // iteration 0 and the span starts first iterations in. Above it the bases
 // are at the box's first iteration, and the enclosing levels, which have no
-// guards, start their blocks with their hoisted loads: the LoopRun carries
-// them as prologue sites, and the innermost iteration's code follows those
-// of every enclosing level.
+// guards, start their blocks with their hoisted loads, the LoopRun's
+// prologue sites; the innermost iteration's code follows all of those.
 //
 // oneLine says the enclosing block lies on a single I-line, so one fetch
 // covers the box; at r = 0 runInnerSegments has made it. Otherwise the
 // box's fetch-line crossings go out as one fetch run, which needs every
-// code line of the box resident in the sink's L1I: pending events are
-// flushed, the lines probed, and on a miss nothing is executed and nestCold
-// returned — the caller runs one iteration on the ordered path, which
-// fetches the code where its misses belong in the stream, and tries again.
+// code line of the box resident in the sink's L1I; on a miss nothing is
+// executed and nestCold returned — the caller runs one iteration on the
+// ordered path, which fetches the code where its misses belong in the
+// stream, and tries again.
 func (c *execCtx) shipBox(d, r, first, n int, blockBase uint64, oneLine, spill bool) nestOutcome {
 	p := c.p
 	in, bt := &p.nest[0], &p.nest[r].box
@@ -647,22 +660,14 @@ func (c *execCtx) fetchRunBox(blockBase, base, nIter uint64, r int, dims *[maxNe
 		return nestIneligible
 	}
 	w := &c.walk
-	in := walkInputs{blockBase: blockBase, base: base, nIter: nIter, r: r, dims: *dims, pro: *pro,
-		enteredOnFirst: c.lastLine == first}
-	fresh := w.in != in
-	if fresh {
-		w.in = walkInputs{} // the lines below no longer belong to the walk held
-		for i := 0; i < n; i++ {
-			w.lines[i] = first + uint64(i)<<6
-		}
+	if in := (walkInputs{blockBase: blockBase, base: base, nIter: nIter, r: r, dims: *dims, pro: *pro,
+		enteredOnFirst: c.lastLine == first}); w.in != in {
+		w.walk(in, c.lastLine, c.ib)
 	}
 	// Fetches still in the buffer decide residency: deliver them first.
 	c.em.flush()
 	if !c.fetch.FetchResident(w.lines[:n]) {
 		return nestCold
-	}
-	if fresh {
-		w.walk(in, c.lastLine, c.ib)
 	}
 	c.fetch.ConsumeFetchRun(w.total, w.lines[:n], w.last[:n])
 	c.lastLine = w.lastLine
@@ -692,10 +697,9 @@ type fetchWalk struct {
 	last  [maxFetchRunLines]uint64 // 1-based ordinal of each line's last crossing
 }
 
-// walkInputs is everything a box's crossings depend on. The line fetched
-// before the box matters only as to whether it is the box's first line:
-// every walk starts there, at blockBase, and after that first instruction
-// the walk's own lines decide.
+// walkInputs is everything a box's crossings depend on. Every walk starts
+// at blockBase, so the line fetched before the box matters only as to
+// whether it is that one.
 type walkInputs struct {
 	blockBase, base, nIter uint64
 	r                      int
@@ -707,6 +711,9 @@ type walkInputs struct {
 // walk derives the crossings of the box in, entered from line entry.
 func (w *fetchWalk) walk(in walkInputs, entry, ib uint64) {
 	w.in, w.lastLine, w.total, w.ib, w.last = in, entry, 0, ib, [maxFetchRunLines]uint64{}
+	for i := range w.lines {
+		w.lines[i] = in.blockBase&^63 + uint64(i)<<6
+	}
 	for s, at := in.r, in.blockBase; s >= 1; s-- {
 		w.proBase[s] = at
 		at += in.pro[s] * ib
@@ -836,13 +843,13 @@ func (c *execCtx) runInnerIter(d int, lv *level, blockBase uint64) {
 
 // runInnerSegments executes the innermost loop of the hoisted nest
 // segment-wise; a block spanning several I-lines goes to runInnerIter
-// instead. Every emission decision of an iteration — guard
-// outcomes, padding checks, spill status — is an affine condition of the
-// iteration index, so its truth set is an interval (rowRanges). Cutting
-// [0,Extent) at every interval endpoint yields spans with a constant event
-// pattern: a span whose guards pass is a box of rank 0 (shipBox), one that
-// fails a guard costs the guard checks up to it and the loop overhead. The
-// bases are read, not moved.
+// instead. A row that wholeBox finds uniform ships whole. Otherwise: every
+// emission decision of an iteration — guard outcomes, padding checks, spill
+// status — is an affine condition of the iteration index, so its truth set
+// is an interval (rowRanges). Cutting [0,Extent) at every interval endpoint
+// yields spans with a constant event pattern: a span whose guards pass is a
+// box of rank 0 (shipBox), one that fails a guard costs the guard checks up
+// to it and the loop overhead. The bases are read, not moved.
 func (c *execCtx) runInnerSegments(d int, lv *level, blockBase uint64) {
 	if blockBase&^63 != (blockBase+lv.PerIterSize-1)&^63 {
 		c.runInnerIter(d, lv, blockBase)

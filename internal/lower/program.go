@@ -105,36 +105,29 @@ type level struct {
 const maxNestRank = 3
 
 // nestSteps holds, for one nest level, what Build can decide about it once
-// per program. The executor keeps the body's affines as bases, one slice
-// laid out as step is; step holds their per-iteration deltas along the
-// level, which the executor adds instead of re-evaluating the affines per
-// point. lo, hi and above describe the rectangle of this level and the ones
-// below it at full extents; with boxable, loadsFrom and box they are the
-// schedule-static half of the box classifier: which affine conditions bound
-// the iteration range over which the rectangle is uniform, whether it can
-// ship as one LoopRun at all, which prologue sites that LoopRun carries, and
-// the LoopRun itself bar its addresses and its top extent. The other half is
-// the executor's: wholeBox tests every condition once over the whole
-// rectangle, and only a rectangle that is not uniform goes through
-// nestUniformRange above the innermost row and rowRanges along it; one
-// builder, shipBox, fills every box from the template.
+// per program: the per-iteration deltas of the executor's bases along the
+// level, which it adds instead of re-evaluating the body's affines per
+// point, and the schedule-static half of the box classifier — the ranges
+// of the bases over the rectangle of this level and the ones below, whether
+// that rectangle can ship as one LoopRun at all, its prologue sites and the
+// LoopRun itself bar its addresses and top extent. The other half is the
+// executor's: wholeBox, nestUniformRange and rowRanges.
 type nestSteps struct {
 	// step is laid out as the bases: a guard of the innermost level each,
 	// a body load's element offset each, a checked dim of the padded body
 	// loads each (site order), a Program.nestLoads entry's element offset
-	// each, and last the tile index. guard, elem, dim and hoist are its
-	// sections, tile its last entry.
+	// each, and last the tile index; guard, elem, dim, hoist and tile are
+	// its sections.
 	step                    []int
 	guard, elem, dim, hoist []int
 	tile                    int
 	// lo and hi are, per base, the least and greatest amounts this level and
 	// the ones below add to it over their full extents; above marks the
 	// bases that vary with this level or one between it and the innermost.
-	// Of the conditions — split-tail guards (value < bound), checked dims of
-	// padded loads (0 <= value < bound) and the spill test (tile index >=
-	// bound, where either outcome is uniform) — those above marks bound the
-	// range of a box topped by this level (nestUniformRange); the others
-	// are the innermost row's (rowRanges).
+	// Of the conditions — a guard (value < bound), a checked dim (0 <= value
+	// < bound), the spill test (tile index >= bound, either outcome
+	// uniform) — those above marks bound a box's range (nestUniformRange),
+	// the others are the innermost row's (rowRanges).
 	lo, hi []int
 	above  []bool
 
@@ -150,10 +143,9 @@ type nestSteps struct {
 }
 
 // boxTemplate is what every LoopRun topped by one nest level shares: its
-// sites with their steps, levels and sizes (prologue sites, every body load,
-// the spill reload and writeback; shipBox drops the skipped ones and fills
-// in the addresses), the extents of the levels below the top and their
-// prologue lengths in instructions, and the counts folded over those levels.
+// sites with steps, levels and sizes (prologue sites, every body load, the
+// spill reload and writeback; shipBox drops the skipped ones and fills in
+// the addresses), and the levels below the top, with counts folded.
 type boxTemplate struct {
 	sites    []LoopSite
 	dims     [maxNestRank]int    // innermost first; the top's is the box's own
@@ -164,12 +156,6 @@ type boxTemplate struct {
 	// guard and padding pairs of one inner iteration and nInstr its
 	// instructions but for loads and spill accesses.
 	pairs, exits, iters, proLoads, checks, nInstr uint64
-}
-
-// baseTerm is one term of a base's value at iteration 0 of every nest
-// level: coef times the value of a level above the nest.
-type baseTerm struct {
-	at, level, coef int
 }
 
 // nestLoad is a load hoisted to a nest level above the innermost: the nest
@@ -193,10 +179,8 @@ type Program struct {
 	// cross product is the register tile of accumulators.
 	tileLevels []int
 	tileCount  int
-	// tileStride maps a tile level to its stride in accumulator indexing;
-	// tileStrideList holds the same strides parallel to tileLevels for the
-	// executor's hot path.
-	tileStride     map[int]int
+	// tileStrideList holds, parallel to tileLevels, each tile level's
+	// stride in accumulator indexing.
 	tileStrideList []int
 	// vecTile is true when the innermost level is a vectorized member of the
 	// register tile (accumulators become vector registers).
@@ -236,11 +220,12 @@ type Program struct {
 	// (len(levels) when none does: a vector or unrolled innermost level).
 	nest     [maxNestRank]nestSteps
 	nestFrom int
-	// nestConst and nestTerms give the bases, laid out as nestSteps.step,
-	// at iteration 0 of every nest level from the levels above the nest;
+	// nestConst and nestCols give the bases, laid out as nestSteps.step,
+	// at iteration 0 of every nest level: constants, plus per level above
+	// the nest its coefficient in each base (nil where it has none);
 	// dimBound holds the tensor extent of each checked dim among them.
 	nestConst []int
-	nestTerms []baseTerm
+	nestCols  [][]int
 	dimBound  []int
 	// nestLoads lists the hoisted loads of the nest levels above the
 	// innermost, highest level first: a box ships those of its own levels
