@@ -635,7 +635,7 @@ func (c *execCtx) rowRanges(inner *level, whole bool) (spLo, spHi int, ok bool) 
 	return spLo, spHi, true
 }
 
-// nestOutcome is what runNestBlock or shipBox did with a box.
+// nestOutcome is what shipBox did with a box.
 type nestOutcome uint8
 
 const (
