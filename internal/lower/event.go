@@ -108,26 +108,25 @@
 // What is left for run time is arithmetic on the live bases, where an
 // affine condition — split-tail guard, padding dimension, spill test — is
 // a base against a bound. runNestRows drives one nest level and
-// runInnerSegments the innermost row; each first asks wholeBox whether its
-// whole rectangle is one uniform box, each condition tested once at the
-// ends of its range, and ships it if so. Otherwise nestUniformRange takes
-// each condition varying above the innermost level at its least and its
-// greatest value over the levels below and intersects the ranges over
-// which it is uniform — passing throughout for a guard or a padding
-// dimension, either outcome for the spill test — into the next range over
-// which the box repeats, and rowRanges works out the innermost row's
-// intervals over which each guard passes, each body load is inside its
-// tensor and the accumulator spills; for a box of rank >= 1 it checks,
-// guards first, that every guard passes along the whole row and every
-// other interval covers it or nothing of it. One builder, shipBox, ships
-// every box at ranks 0, 1 and 2 from its level's template as bulk counts,
-// one fetch (or one fetch run, whose walk of the code lines the next box
-// reuses when it repeats) and one LoopRun of prologue, body and spill
-// sites. The iterations outside the range go one level down — to
+// runInnerSegments the innermost row, and two functions classify every
+// box. nestUniformRange takes each condition varying above the innermost
+// level at its least and its greatest value over the levels below and
+// intersects the ranges over which it is uniform — passing throughout for
+// a guard or a padding dimension, either outcome for the spill test — into
+// the next range over which the box repeats, and rowRanges works out the
+// innermost row's intervals over which each guard passes, each body load
+// is inside its tensor and the accumulator spills; for a box of rank >= 1
+// it checks, guards first, that every guard passes along the whole row and
+// every other interval covers it or nothing of it. One builder, shipBox,
+// ships every box at ranks 0, 1 and 2 from its level's template as bulk
+// counts, one fetch (or one fetch run, whose walk of the code lines the
+// next box reuses when it repeats) and one LoopRun of prologue, body and
+// spill sites. The iterations outside the range go one level down — to
 // runNestRows again, or to the innermost loop, which cuts its row at the
-// ends of rowRanges' intervals and hands every span whose guards pass to
-// shipBox as a box of rank 0, or, for a body spanning several I-lines, runs
-// per iteration (runInnerIter) — and the level looks for its next range.
+// ends of rowRanges' intervals (a row no condition cuts is one span) and
+// hands every span whose guards pass to shipBox as a box of rank 0, or,
+// for a body spanning several I-lines, runs per iteration (runInnerIter) —
+// and the level looks for its next range.
 //
 // The nest is maxNestRank = 3 levels deep because a LoopRun is Count × Rows ×
 // Planes. A fourth level would cost a stride table entry here, but a new

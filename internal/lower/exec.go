@@ -161,7 +161,7 @@ type execCtx struct {
 	// element offsets and last the tile index, laid out as nestSteps.step —
 	// at the current iteration of the enclosing nest levels and iteration 0
 	// of the innermost, with views of their sections; the innermost row's
-	// intervals (rowRanges, wholeBox) and the cut list of runInnerSegments.
+	// intervals (rowRanges) and the cut list of runInnerSegments.
 	// nestBase holds the bases at iteration 0 of every nest level for the
 	// values nestVals of the levels above the nest.
 	bases          []int
@@ -291,8 +291,9 @@ func (c *execCtx) advance(st *nestSteps, n int) {
 // advanced across the whole level. Where a range of iterations makes a
 // uniform box with the levels below — every affine condition constant over
 // it — the range ships as one LoopRun; the other iterations go one level
-// down. The whole level is tried first (wholeBox), then ranges from
-// nestUniformRange that rowRanges finds uniform along the row. A box whose
+// down. nestUniformRange proposes each range, from iteration 0 on, as far
+// as the conditions varying above the innermost level decide, and rowRanges
+// at its first row decides the rest and the spill status. A box whose
 // code spans more than maxFetchRunLines sends every iteration down, a cold
 // one (shipBox) the first. cut says no row of the level is uniform, so no
 // box is tried: it holds below a range rowRanges refused, whose rows are
@@ -310,34 +311,21 @@ func (c *execCtx) runNestRows(d, r int, blockBase uint64, cut bool) {
 	if !cut && st.boxable && (oneLine || c.fetch != nil) && (!prologue || c.prologue != nil) {
 		next = 0
 	}
-	// uniform: every condition of the box [lo,hi) is known constant; spill
-	// is then its spill status. Iterations below cutTo have their rows cut.
-	uniform, spill, cutTo := false, false, 0
+	// Iterations below cutTo have their rows cut.
+	cutTo := 0
 	for i := 0; i < lv.Extent; i++ {
 		if i == next {
-			if i == 0 {
-				spill, uniform = c.wholeBox(r)
-			}
-			lo, hi = 0, lv.Extent
-			if !uniform {
-				lo, hi = c.nestUniformRange(r, lv.Extent-i)
-				lo, hi = lo+i, hi+i
-			}
+			lo, hi = c.nestUniformRange(r, lv.Extent-i)
+			lo, hi = lo+i, hi+i
 			next = -1
 		}
 		if i == lo && hi > lo {
-			if !uniform {
-				var spLo, spHi int
-				spLo, spHi, uniform = c.rowRanges(p.levels[d+r], true)
-				if spill = spLo < spHi; !uniform {
-					cutTo = hi
-				}
-			}
 			out := nestIneligible
-			if uniform {
-				out = c.shipBox(d, r, i, hi-lo, blockBase, oneLine, spill)
+			if spLo, spHi, uniform := c.rowRanges(p.levels[d+r], true); uniform {
+				out = c.shipBox(d, r, i, hi-lo, blockBase, oneLine, spLo < spHi)
+			} else {
+				cutTo = hi
 			}
-			uniform = false
 			switch out {
 			case nestDone:
 				if hi == lv.Extent {
@@ -428,61 +416,6 @@ func (c *execCtx) nestUniformRange(r, n int) (int, int) {
 		return lo, min(hi, none)
 	}
 	return max(lo, all), hi
-}
-
-// wholeBox reports whether the rectangle of nest levels 0..r at full
-// extents is one box as nestUniformRange and rowRanges would find it, each
-// condition tested once at the ends of its range: every guard passes, the
-// spill status (returned) is constant, and each padded body load is inside
-// throughout or outside by a checked dim varying with no level above the
-// innermost, the dims that do vary there inside. It sets the site
-// intervals shipBox reads.
-func (c *execCtx) wholeBox(r int) (spill, ok bool) {
-	p := c.p
-	st := &p.nest[r]
-	ng, ns := len(st.guard), len(st.elem)
-	for gi, g := range p.levels[len(p.levels)-1].Guards {
-		if c.innerGuardBase[gi]+st.hi[gi] >= g.Extent {
-			return false, false
-		}
-	}
-	if p.spillRegs > 0 {
-		t, last := c.innerTile(), len(st.step)-1
-		switch {
-		case t+st.hi[last] < p.spillFrom:
-		case t+st.lo[last] >= p.spillFrom:
-			spill = true
-		default:
-			return false, false
-		}
-	}
-	ext := p.levels[len(p.levels)-1].Extent
-	dlo, dhi := st.lo[ng+ns:], st.hi[ng+ns:]
-	k := 0
-	for si, site := range p.bodyLoads {
-		hi := ext
-		if site.CanOOB {
-			in, out := true, false
-			for range site.Checked {
-				v, bound := c.innerDimBase[k], p.dimBound[k]
-				if vlo, vhi := v+dlo[k], v+dhi[k]; vlo < 0 || vhi >= bound {
-					if st.above[k] {
-						return false, false
-					}
-					in, out = false, out || vhi < 0 || vlo >= bound
-				}
-				k++
-			}
-			if !in && !out {
-				return false, false
-			}
-			if out {
-				hi = 0
-			}
-		}
-		c.innerSiteLo[si], c.innerSiteHi[si] = 0, hi
-	}
-	return spill, true
 }
 
 // shipBox executes a uniform box — n iterations of nest level d, full
@@ -843,13 +776,14 @@ func (c *execCtx) runInnerIter(d int, lv *level, blockBase uint64) {
 
 // runInnerSegments executes the innermost loop of the hoisted nest
 // segment-wise; a block spanning several I-lines goes to runInnerIter
-// instead. A row that wholeBox finds uniform ships whole. Otherwise: every
-// emission decision of an iteration — guard outcomes, padding checks, spill
-// status — is an affine condition of the iteration index, so its truth set
-// is an interval (rowRanges). Cutting [0,Extent) at every interval endpoint
-// yields spans with a constant event pattern: a span whose guards pass is a
-// box of rank 0 (shipBox), one that fails a guard costs the guard checks up
-// to it and the loop overhead. The bases are read, not moved.
+// instead. Every emission decision of an iteration — guard outcomes,
+// padding checks, spill status — is an affine condition of the iteration
+// index, so its truth set is an interval (rowRanges). Cutting [0,Extent) at
+// every interval endpoint yields spans with a constant event pattern — one
+// span, the whole row, when no condition changes along it: a span whose
+// guards pass is a box of rank 0 (shipBox), one that fails a guard costs
+// the guard checks up to it and the loop overhead. The bases are read, not
+// moved.
 func (c *execCtx) runInnerSegments(d int, lv *level, blockBase uint64) {
 	if blockBase&^63 != (blockBase+lv.PerIterSize-1)&^63 {
 		c.runInnerIter(d, lv, blockBase)
@@ -859,14 +793,8 @@ func (c *execCtx) runInnerSegments(d int, lv *level, blockBase uint64) {
 	// One fetch covers the whole loop: every PC lies on blockBase's line.
 	c.pc = blockBase
 	c.fetchLine()
-	if spill, ok := c.wholeBox(0); ok {
-		c.shipBox(d, 0, 0, ext, blockBase, true, spill)
-		c.counts.LoopExits++
-		c.vals[d] = ext - 1
-		return
-	}
 	// Cut [0,ext) at every interior truth-change point of the affine
-	// conditions. Full truth sets add no cuts, so the common uniform case
+	// conditions. Full and empty truth sets add no cuts, so a uniform row
 	// runs as a single sort-free segment.
 	spLo, spHi, _ := c.rowRanges(lv, false)
 	cuts := append(c.innerCuts[:0], 0, ext)

@@ -111,7 +111,7 @@ const maxNestRank = 3
 // of the bases over the rectangle of this level and the ones below, whether
 // that rectangle can ship as one LoopRun at all, its prologue sites and the
 // LoopRun itself bar its addresses and top extent. The other half is the
-// executor's: wholeBox, nestUniformRange and rowRanges.
+// executor's: nestUniformRange and rowRanges.
 type nestSteps struct {
 	// step is laid out as the bases: a guard of the innermost level each,
 	// a body load's element offset each, a checked dim of the padded body
