@@ -41,11 +41,9 @@ func Fig5(cfg Config, group int, w io.Writer, csvW io.Writer) ([]Fig5Panel, erro
 		if err != nil {
 			return nil, err
 		}
-		gd, ok := ds.GroupByIndex(group)
-		if !ok {
+		if _, ok := ds.GroupByIndex(group); !ok {
 			return nil, fmt.Errorf("experiments: fig5 group %d missing from dataset", group)
 		}
-		_ = gd
 		var all, others []int
 		for _, g := range ds.Groups {
 			all = append(all, g.Group)

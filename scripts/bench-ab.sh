@@ -64,17 +64,22 @@ for i in $(seq 1 "$pairs"); do
 done
 
 # Which way is better comes from BENCHMARK.json; a metric it does not list
-# (none today) is reported without wins.
+# (none today) is reported without wins. An end-to-end metric also gets a
+# verdict against its bound there, the relative amount by which the head's
+# median may be worse than the base's: "unresolved" when the base's own
+# q1-q3 spread is wider than that amount, unless every head run beats every
+# base run.
 for metric in $(jq -r '.metrics | keys[]' "$out/head.1.json"); do
 	better=$(jq -r --arg m "$metric" \
 		'[.end_to_end[], .per_layer[]] | map(select(.name == $m)) | .[0].better // "?"' BENCHMARK.json)
+	bound=$(jq -r --arg m "$metric" '.end_to_end | map(select(.name == $m)) | .[0].bound // ""' BENCHMARK.json)
 	echo
 	echo "$metric ($(jq -r --arg m "$metric" '.metrics[$m].unit' "$out/head.1.json"), $better is better)"
 	for i in $(seq 1 "$pairs"); do
 		printf '%s %s %s\n' "$i" \
 			"$(jq -r --arg m "$metric" '.metrics[$m].value' "$out/base.$i.json")" \
 			"$(jq -r --arg m "$metric" '.metrics[$m].value' "$out/head.$i.json")"
-	done | awk -v better="$better" '
+	done | awk -v better="$better" -v bound="$bound" '
 		function quartile(v, n, q,    pos, lo, frac) {
 			pos = (n - 1) * q; lo = int(pos); frac = pos - lo
 			return lo + 1 < n ? v[lo + 1] * (1 - frac) + v[lo + 2] * frac : v[n]
@@ -95,5 +100,13 @@ for metric in $(jq -r '.metrics | keys[]' "$out/head.1.json"); do
 			if (mb != 0) printf "  head/base median ratio %.3f", mh / mb
 			if (better != "?") printf "   head better in %d of %d pairs (%d ties)", wins, NR, ties
 			printf "\n"
+			if (bound == "" || better == "?") exit
+			# summarize sorted b and h in place: [1] is the least run, [NR] the greatest.
+			beats = better == "higher" ? h[1] > b[NR] : h[NR] < b[1]
+			worse = better == "higher" ? mh < mb * (1 - bound) : mh > mb * (1 + bound)
+			if (!beats && quartile(b, NR, 0.75) - quartile(b, NR, 0.25) > bound * mb) verdict = "unresolved"
+			else if (worse) verdict = "worse than bound"
+			else verdict = "within bound"
+			printf "  verdict: %s (bound %g of the base median)\n", verdict, bound
 		}'
 done
