@@ -260,6 +260,31 @@ func checkNest(t *testing.T, c candidate, arch isa.Arch) (*lower.Program, *nestS
 	return prog, seen
 }
 
+// fuzzSeedDir holds FuzzNest's checked-in seed corpus.
+var fuzzSeedDir = filepath.Join("testdata", "fuzz", "FuzzNest")
+
+// fuzzSeed reads the FuzzNest seed file name: seed, workload, arch, kind.
+func fuzzSeed(t *testing.T, name string) [4]uint64 {
+	t.Helper()
+	raw, err := os.ReadFile(filepath.Join(fuzzSeedDir, name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Fields(strings.TrimPrefix(string(raw), "go test fuzz v1"))
+	if len(lines) != 4 {
+		t.Fatalf("%s: %d values, want seed, workload, arch, kind", name, len(lines))
+	}
+	var in [4]uint64
+	for i, l := range lines {
+		// "uint64(7)" or "uint(7)"
+		v := strings.TrimSuffix(l[strings.IndexByte(l, '(')+1:], ")")
+		if in[i], err = strconv.ParseUint(v, 10, 64); err != nil {
+			t.Fatalf("%s: %q: %v", name, l, err)
+		}
+	}
+	return in
+}
+
 func FuzzNest(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed uint64, wl, arch, kind uint) {
 		archs := isa.Archs()
@@ -403,22 +428,7 @@ func TestFuzzNestSeedShapes(t *testing.T) {
 		},
 	}
 	for name, holds := range shapes {
-		raw, err := os.ReadFile(filepath.Join("testdata", "fuzz", "FuzzNest", name))
-		if err != nil {
-			t.Fatal(err)
-		}
-		lines := strings.Fields(strings.TrimPrefix(string(raw), "go test fuzz v1"))
-		if len(lines) != 4 {
-			t.Fatalf("%s: %d values, want seed, workload, arch, kind", name, len(lines))
-		}
-		var in [4]uint64
-		for i, l := range lines {
-			// "uint64(7)" or "uint(7)"
-			v := strings.TrimSuffix(l[strings.IndexByte(l, '(')+1:], ")")
-			if in[i], err = strconv.ParseUint(v, 10, 64); err != nil {
-				t.Fatalf("%s: %q: %v", name, l, err)
-			}
-		}
+		in := fuzzSeed(t, name)
 		c := fuzzCandidate(t, in[0], uint(in[1]), uint(in[3]))
 		archs := isa.Archs()
 		if prog, seen := checkNest(t, c, archs[in[2]%uint64(len(archs))]); !holds(c, prog, seen) {

@@ -11,11 +11,9 @@ import (
 	"encoding/binary"
 	"hash"
 	"hash/fnv"
+	"math/bits"
 	"os"
-	"path/filepath"
 	"sort"
-	"strconv"
-	"strings"
 	"testing"
 
 	"repro/internal/cache"
@@ -28,7 +26,7 @@ import (
 
 // nestStreamDigest is the digest of every channel call over the candidates
 // of TestNestStreamDigest.
-const nestStreamDigest = 0x4de2a187ab219b59
+const nestStreamDigest = 0xac2231129c08b897
 
 // Call tags of the digest.
 const (
@@ -136,13 +134,12 @@ func (s *digestSink) ConsumeCounts(counts *lower.Counts) {
 	s.Machine.ConsumeCounts(counts)
 }
 
-// digestInputs returns the fuzz inputs the digest covers: the checked-in
+// digestInputs returns the fuzz inputs the digests cover: the checked-in
 // FuzzNest seeds, in name order, then a grid of seeds, workloads and
 // generator kinds.
 func digestInputs(t *testing.T) [][4]uint64 {
 	t.Helper()
-	dir := filepath.Join("testdata", "fuzz", "FuzzNest")
-	entries, err := os.ReadDir(dir)
+	entries, err := os.ReadDir(fuzzSeedDir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,18 +150,7 @@ func digestInputs(t *testing.T) [][4]uint64 {
 	sort.Strings(names)
 	var ins [][4]uint64
 	for _, name := range names {
-		raw, err := os.ReadFile(filepath.Join(dir, name))
-		if err != nil {
-			t.Fatal(err)
-		}
-		var in [4]uint64
-		for i, l := range strings.Fields(strings.TrimPrefix(string(raw), "go test fuzz v1")) {
-			v := strings.TrimSuffix(l[strings.IndexByte(l, '(')+1:], ")")
-			if in[i], err = strconv.ParseUint(v, 10, 64); err != nil {
-				t.Fatalf("%s: %q: %v", name, l, err)
-			}
-		}
-		ins = append(ins, in)
+		ins = append(ins, fuzzSeed(t, name))
 	}
 	for seed := uint64(1); seed <= 4; seed++ {
 		for wl := uint64(0); wl <= 5; wl++ {
@@ -205,5 +191,57 @@ func TestNestStreamDigest(t *testing.T) {
 		t.Fatalf("executor stream digest %#x, pinned %#x: the calls into the sink changed. "+
 			"A change that moves the stream on purpose re-pins the digest here and records that in CHANGES.md",
 			got, uint64(nestStreamDigest))
+	}
+}
+
+// referenceStreamDigest is the digest of every event of the per-instruction
+// reference over the candidates of TestReferenceStreamDigest.
+const referenceStreamDigest = 0xf04169718fc4315d
+
+// refDigestSink is a plain sink that hashes every event it is sent, word
+// by word. The reference encoding sends events only; a LoopRun or counts
+// would move the digest too.
+type refDigestSink struct{ h, events uint64 }
+
+func (s *refDigestSink) mix(v uint64) { s.h = bits.RotateLeft64(s.h^v, 29) * 0x9e3779b97f4a7c15 }
+
+func (s *refDigestSink) Consume(events []lower.Event) {
+	for _, e := range events {
+		s.mix(e.PC)
+		s.mix(e.Addr)
+		s.mix(uint64(e.Size) | uint64(e.Class)<<16 | uint64(e.Flags)<<24 | uint64(e.Kind)<<32)
+	}
+	s.events += uint64(len(events))
+}
+
+func (s *refDigestSink) ConsumeLoop(*lower.LoopRun) { s.mix(uint64(tagLoop)) }
+
+func (s *refDigestSink) ConsumeCounts(*lower.Counts) { s.mix(uint64(tagCounts)) }
+
+// TestReferenceStreamDigest pins every event lower.ExecutePerInstruction
+// sends for the inputs of TestNestStreamDigest on all three ISAs. The
+// reference encoding never takes the executor's nest path, so a change to
+// that path must leave this digest as it is; FuzzNest's oracle is only as
+// independent of the nest path as this stream is.
+func TestReferenceStreamDigest(t *testing.T) {
+	s := &refDigestSink{}
+	for _, in := range digestInputs(t) {
+		c := fuzzCandidate(t, in[0], uint(in[1]), uint(in[3]))
+		sched, err := schedule.Replay(c.factory().Op, c.steps)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		for _, arch := range isa.Archs() {
+			prog, err := lower.Build(sched, isa.Lookup(arch))
+			if err != nil {
+				continue // a schedule the code generator rejects
+			}
+			lower.ExecutePerInstruction(prog, s, false)
+			s.mix(s.events) // the end of one execution
+		}
+	}
+	if s.h != referenceStreamDigest {
+		t.Fatalf("reference stream digest %#x over %d events, pinned %#x: the per-instruction encoding changed",
+			s.h, s.events, uint64(referenceStreamDigest))
 	}
 }
