@@ -2,6 +2,7 @@ package lower
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/isa"
@@ -154,7 +155,6 @@ func Build(s *schedule.Schedule, model isa.Model) (*Program, error) {
 	}
 	p.spillFrom = p.accRegs - p.spillRegs
 	p.vecTile = vecTile
-	p.buildNest()
 
 	// --- Memory layout: tensors, spill stack, code. ---
 	as := op.PlaceTensors()
@@ -165,28 +165,68 @@ func Build(s *schedule.Schedule, model isa.Model) (*Program, error) {
 	p.stackBase = as.Reserve(stackBytes)
 	p.layoutCode()
 	p.codeBase = as.Reserve(p.codeSize)
+	p.buildNest()
 	return p, nil
 }
 
 // buildNest fills Program.nest for the levels the hoisted-loop path takes:
-// the innermost maxNestRank ones inside the reduction, none of which may be
-// the outermost reduce level except the top one (the init and store blocks
-// sit around that level's loop). A vector or unrolled innermost loop stays
+// the innermost one and the next maxNestRank-1 levels inside the reduction
+// that are not plain loops of one trip, none of which may be the outermost
+// reduce level except the top one (the init and store blocks sit around
+// that level's loop). A plain one-trip level (no guards or padded hoisted
+// load, not the outermost reduce level) between them folds into the ranked
+// level around it, its code and counts riding along with that level's. An
+// innermost one stays the row: folded into its parent it would only
+// lengthen the row's code, which then spans two I-lines more often, and
+// such rows run per iteration. A vector or unrolled innermost loop stays
 // on the generic path: no generator emits the unrolled one, its stream is
 // the same bit for bit there, and the differential tests hold it.
 func (p *Program) buildNest() {
 	nl := len(p.levels)
-	inner := p.levels[nl-1]
 	p.nestFrom = nl
-	if !inner.Vector && !inner.Unrolled {
-		p.nestFrom = max(nl-maxNestRank, p.reduceStart)
-	}
-	if p.nestFrom == nl {
+	inner := p.levels[nl-1]
+	if inner.Vector || inner.Unrolled || p.reduceStart == nl {
 		return
 	}
-	for s := nl - 1 - p.nestFrom; s >= 1; s-- {
-		for _, site := range p.levels[nl-1-s].Hoisted {
-			p.nestLoads = append(p.nestLoads, nestLoad{site: site, level: s})
+	padded := func(lv *level) bool {
+		return slices.ContainsFunc(lv.Hoisted, func(s *accessSite) bool { return s.CanOOB })
+	}
+	folds := func(d int) bool {
+		return p.levels[d].Extent == 1 && d != p.reduceStart && len(p.levels[d].Guards) == 0 && !padded(p.levels[d])
+	}
+	// A folded level's hoisted loads travel as prologue sites only in boxes
+	// of the level it folds into (padded hoisted loads stay on the per-row
+	// path): under one that cannot box, it keeps a rank.
+	boxes := func(lv *level) bool { return len(lv.Guards) == 0 && !lv.Unrolled && !padded(lv) }
+	ranks := []int{nl - 1}
+	for d := nl - 2; d >= p.reduceStart && len(ranks) < maxNestRank; d-- {
+		x := d
+		for folds(x) {
+			x--
+		}
+		if x == d || len(p.levels[d].Hoisted) > 0 && !boxes(p.levels[x]) {
+			ranks = append(ranks, d)
+		}
+	}
+	p.nestTop, p.nestFrom = len(ranks)-1, ranks[len(ranks)-1]
+	p.nest[0].lv, p.nest[0].d = inner, nl-1
+	for r := 1; r < len(ranks); r++ {
+		st, d, below := &p.nest[r], ranks[r], ranks[r-1]
+		st.lv, st.d, st.fold = p.levels[d], d, p.levels[d+1:below]
+		for _, lv := range p.levels[d+1 : below+1] {
+			st.childOff += lv.BlockOff
+		}
+		for _, f := range st.fold {
+			if !f.Unrolled {
+				st.foldPairs++
+			}
+		}
+	}
+	for r := p.nestTop; r >= 1; r-- {
+		for _, lv := range p.levels[ranks[r]:ranks[r-1]] {
+			for _, site := range lv.Hoisted {
+				p.nestLoads = append(p.nestLoads, nestLoad{site: site, level: r})
+			}
 		}
 	}
 	// The bases as affines of the loop levels, laid out as nestSteps.step.
@@ -224,33 +264,36 @@ func (p *Program) buildNest() {
 		}
 	}
 	ng, ns, nd := len(inner.Guards), len(p.bodyLoads), len(p.dimBound)
-	plain := true
-	for r := 0; r < nl-p.nestFrom; r++ {
-		d := nl - 1 - r
+	boxable := true
+	for r := 0; r <= p.nestTop; r++ {
 		st := &p.nest[r]
 		st.step = make([]int, len(bases))
 		for i, b := range bases {
-			st.step[i] = b.coefOf(d)
+			st.step[i] = b.coefOf(st.d)
 		}
 		st.guard, st.elem = st.step[:ng], st.step[ng:ng+ns]
 		st.dim, st.hoist = st.step[ng+ns:ng+ns+nd], st.step[ng+ns+nd:len(bases)-1]
 		st.tile = st.step[len(bases)-1]
-		st.lo, st.hi, st.above = make([]int, len(bases)), make([]int, len(bases)), make([]bool, len(bases))
-		for s := 0; s <= r; s++ {
-			e := p.levels[nl-1-s].Extent - 1
-			for i, step := range p.nest[s].step {
-				st.lo[i] += min(e*step, 0)
-				st.hi[i] += max(e*step, 0)
-				st.above[i] = st.above[i] || (s > 0 && step != 0)
+		// nestUniformRange reads lo and hi of the rank below the box's top,
+		// above of the top.
+		if r < p.nestTop {
+			st.lo, st.hi = make([]int, len(bases)), make([]int, len(bases))
+			e := st.lv.Extent - 1
+			for i, step := range st.step {
+				st.lo[i], st.hi[i] = min(e*step, 0), max(e*step, 0)
+				if r > 0 {
+					st.lo[i] += p.nest[r-1].lo[i]
+					st.hi[i] += p.nest[r-1].hi[i]
+				}
 			}
 		}
 		if r > 0 {
-			lv := p.levels[d]
-			plain = plain && len(lv.Guards) == 0 && !lv.Unrolled
-			for _, site := range lv.Hoisted {
-				plain = plain && !site.CanOOB // padded hoisted loads stay on the per-row path
+			st.above = make([]bool, len(bases))
+			for i, step := range st.step {
+				st.above[i] = step != 0 || (r > 1 && p.nest[r-1].above[i])
 			}
-			st.boxable = plain
+			boxable = boxable && boxes(st.lv)
+			st.boxable = boxable
 			for st.loadsFrom < len(p.nestLoads) && p.nestLoads[st.loadsFrom].level > r {
 				st.loadsFrom++
 			}
@@ -259,11 +302,10 @@ func (p *Program) buildNest() {
 	}
 }
 
-// boxTemplate builds the template of the boxes topped by nest level r.
+// boxTemplate builds the template of the boxes topped by nest rank r.
 func (p *Program) boxTemplate(r int) boxTemplate {
-	nl := len(p.levels)
 	var bt boxTemplate
-	var steps [maxNestRank]int // a site's element strides along the box's levels
+	var steps [maxNestRank]int // a site's element strides along the box's ranks
 	if r > 0 {
 		for k := p.nest[r].loadsFrom; k < len(p.nestLoads); k++ {
 			for s := 1; s <= r; s++ {
@@ -272,6 +314,7 @@ func (p *Program) boxTemplate(r int) boxTemplate {
 			ls := boxSite(0, &steps)
 			ls.Level = uint8(p.nestLoads[k].level)
 			bt.sites = append(bt.sites, ls)
+			bt.code.pro[ls.Level]++
 		}
 	}
 	canOOB := uint64(0)
@@ -293,20 +336,22 @@ func (p *Program) boxTemplate(r int) boxTemplate {
 	bt.sites = append(bt.sites, ls)
 	ls.Write = true
 	bt.sites = append(bt.sites, ls)
-	bt.checks = uint64(len(p.levels[nl-1].Guards)) + canOOB
+	bt.checks = uint64(len(p.nest[0].lv.Guards)) + canOOB
 	bt.nInstr = 2*bt.checks + uint64(p.bodyFLOPs) + 2
-	// One iteration of a nest level is its prologue, the whole extent of
-	// the level below and its own overhead pair, and sees the level below
-	// exit once; every ALU instruction here is half of an ALU+branch pair.
+	// One iteration of a nest rank is its prologue, the whole extent of the
+	// rank below, and its epilogue: the overhead pair of each folded level,
+	// which exits, then its own; it sees the rank below exit once. Every
+	// ALU instruction here is half of an ALU+branch pair.
 	bt.dims = [maxNestRank]int{1, 1, 1}
 	bt.pairs, bt.iters = bt.checks+1, 1
 	for s := 0; s < r; s++ {
-		e := uint64(p.levels[nl-1-s].Extent)
+		e, fold := uint64(p.nest[s].lv.Extent), p.nest[s+1].foldPairs
 		bt.dims[s] = int(e)
-		bt.pro[s+1] = uint64(len(p.levels[nl-2-s].Hoisted))
-		bt.proTotal += bt.pro[s+1]
-		bt.pairs, bt.exits, bt.iters = e*bt.pairs+1, e*bt.exits+1, e*bt.iters
-		bt.proLoads = e*bt.proLoads + bt.pro[s+1]
+		bt.code.epi[s+1] = 2 + 2*fold
+		bt.proTotal += bt.code.pro[s+1]
+		bt.epiTotal += bt.code.epi[s+1]
+		bt.pairs, bt.exits, bt.iters = e*bt.pairs+1+fold, e*bt.exits+1+fold, e*bt.iters
+		bt.proLoads = e*bt.proLoads + bt.code.pro[s+1]
 	}
 	return bt
 }

@@ -89,9 +89,11 @@
 //
 // Execute walks the loop levels generically (runLevel: guards, hoisted loads,
 // child level, loop overhead) down to Program.nestFrom, and from there takes
-// the hoisted-loop path, one piece of code for every rank. Program.nest[r]
-// describes the reduction body as seen from the level r above the innermost
-// one, and lower.Build fills it once per program:
+// the hoisted-loop path, one piece of code for every rank. Above the
+// innermost level, the row, a plain loop of one trip takes no rank: it
+// rides along with the ranked level around it, loads, counts and code.
+// Program.nest[r] describes the reduction body as seen from the rank-r
+// level (the row at 0), and lower.Build fills it once per program:
 //
 //   - the bases: each guard value, element offset, padding dimension that
 //     can leave its tensor (accessSite.Checked), load hoisted to a nest
@@ -99,36 +101,36 @@
 //     sets them once, at iteration 0 of every nest level, from the levels
 //     above the nest, and the loops add one stride vector per level from
 //     then on (advance) instead of re-evaluating affines per point.
-//   - per level, the range each base covers over that level and the ones
-//     below at full extents, which bases vary above the innermost level,
+//   - per rank, the range each base covers over that level and the ones
+//     below at full extents, which bases vary above the row,
 //     whether those levels can ship as one LoopRun at all (boxable), the
 //     prologue sites it carries (loadsFrom), and the LoopRun itself bar
 //     its addresses and top extent, with its counts folded (the template).
 //
 // What is left for run time is arithmetic on the live bases, where an
 // affine condition — split-tail guard, padding dimension, spill test — is
-// a base against a bound. runNestRows drives one nest level and
-// runInnerSegments the innermost row, and two functions classify every
-// box. nestUniformRange takes each condition varying above the innermost
-// level at its least and its greatest value over the levels below and
+// a base against a bound. runNestRows drives one nest rank and
+// runInnerSegments the row, and two functions classify every box.
+// nestUniformRange takes each condition varying above the row at its least
+// and its greatest value over the ranks below and
 // intersects the ranges over which it is uniform — passing throughout for
 // a guard or a padding dimension, either outcome for the spill test — into
 // the next range over which the box repeats, and rowRanges works out the
-// innermost row's intervals over which each guard passes, each body load
-// is inside its tensor and the accumulator spills; for a box of rank >= 1
+// row's intervals over which each guard passes, each body load is inside
+// its tensor and the accumulator spills; for a box of rank >= 1
 // it checks, guards first, that every guard passes along the whole row and
 // every other interval covers it or nothing of it. One builder, shipBox,
 // ships every box at ranks 0, 1 and 2 from its level's template as bulk
 // counts, one fetch (or one fetch run, whose walk of the code lines the
 // next box reuses when it repeats) and one LoopRun of prologue, body and
-// spill sites. The iterations outside the range go one level down — to
-// runNestRows again, or to the innermost loop, which cuts its row at the
-// ends of rowRanges' intervals (a row no condition cuts is one span) and
-// hands every span whose guards pass to shipBox as a box of rank 0, or,
-// for a body spanning several I-lines, runs per iteration (runInnerIter) —
-// and the level looks for its next range.
+// spill sites. The iterations outside the range go one rank down — to
+// runNestRows again, or to the row, which cuts itself at the ends of
+// rowRanges' intervals (a row no condition cuts is one span) and hands
+// every span whose guards pass to shipBox as a box of rank 0, or, for a
+// body spanning several I-lines, runs per iteration (runInnerIter) — and
+// the level looks for its next range.
 //
-// The nest is maxNestRank = 3 levels deep because a LoopRun is Count × Rows ×
+// The nest is maxNestRank = 3 ranks deep because a LoopRun is Count × Rows ×
 // Planes. A fourth level would cost a stride table entry here, but a new
 // event shape in every sink first.
 //

@@ -249,15 +249,14 @@ func (c *execCtx) fetchPair() {
 	c.pc += 2 * c.ib
 }
 
-// runNest executes level d, the r-th level above the innermost scalar loop
-// of a reduction body (r < maxNestRank), in statistics-only mode with the
-// body's affines hoisted out of all r+1 loops. The bases are set here at
-// iteration 0 of every nest level — moved from the last call's by the
-// levels above the nest that have moved since — and advanced by the
-// Program.nest strides from then on: classic strength reduction, instead of
-// re-evaluating the affines at every point. The stream stays bit-identical
-// to the generic path.
-func (c *execCtx) runNest(d, r int, blockBase uint64) {
+// runNest executes the nest's top level, Program.nestFrom, in
+// statistics-only mode with the body's affines hoisted out of all its
+// levels. The bases are set here at iteration 0 of every nest level — moved
+// from the last call's by the levels above the nest that have moved since —
+// and advanced by the Program.nest strides from then on: classic strength
+// reduction, instead of re-evaluating the affines at every point. The
+// stream stays bit-identical to the generic path.
+func (c *execCtx) runNest(blockBase uint64) {
 	p, b := c.p, c.nestBase
 	for l, col := range p.nestCols {
 		if n := c.vals[l] - c.nestVals[l]; n != 0 && col != nil {
@@ -268,10 +267,10 @@ func (c *execCtx) runNest(d, r int, blockBase uint64) {
 		}
 	}
 	copy(c.bases, b)
-	if r == 0 {
-		c.runInnerSegments(d, p.levels[d], blockBase)
+	if p.nestTop == 0 {
+		c.runInnerSegments(blockBase)
 	} else {
-		c.runNestRows(d, r, blockBase, false)
+		c.runNestRows(p.nestTop, blockBase, false)
 	}
 }
 
@@ -286,22 +285,22 @@ func (c *execCtx) advance(st *nestSteps, n int) {
 	}
 }
 
-// runNestRows runs every iteration of nest level d, r >= 1 levels above the
-// innermost, with the bases positioned at its iteration 0, and leaves them
-// advanced across the whole level. Where a range of iterations makes a
-// uniform box with the levels below — every affine condition constant over
-// it — the range ships as one LoopRun; the other iterations go one level
-// down. nestUniformRange proposes each range, from iteration 0 on, as far
-// as the conditions varying above the innermost level decide, and rowRanges
-// at its first row decides the rest and the spill status. A box whose
-// code spans more than maxFetchRunLines sends every iteration down, a cold
-// one (shipBox) the first. cut says no row of the level is uniform, so no
-// box is tried: it holds below a range rowRanges refused, whose rows are
-// all cut by the same conditions, those varying with no level above.
-func (c *execCtx) runNestRows(d, r int, blockBase uint64, cut bool) {
+// runNestRows runs every iteration of nest rank r >= 1 with the bases
+// positioned at its iteration 0, and leaves them advanced across the whole
+// level. Where a range of iterations makes a uniform box with the ranks
+// below — every affine condition constant over it — the range ships as one
+// LoopRun; the other iterations go one rank down, through the levels folded
+// into this one. nestUniformRange proposes each range, from iteration 0 on,
+// as far as the conditions varying above the row decide, and rowRanges at
+// its first row decides the rest and the spill status. A box whose code
+// spans more than maxFetchRunLines sends every iteration down, a cold one
+// (shipBox) the first. cut says no row of the level is uniform, so no box
+// is tried: it holds below a range rowRanges refused, whose rows are all
+// cut by the same conditions, those varying with no level above.
+func (c *execCtx) runNestRows(r int, blockBase uint64, cut bool) {
 	p := c.p
-	lv, child := p.levels[d], p.levels[d+1]
 	st, below := &p.nest[r], &p.nest[r-1]
+	lv := st.lv
 	// A box whose code spans several I-lines needs a sink that takes fetch
 	// runs, and one with prologue sites a sink that takes those.
 	oneLine := blockBase&^63 == (blockBase+lv.PerIterSize-1)&^63
@@ -321,8 +320,8 @@ func (c *execCtx) runNestRows(d, r int, blockBase uint64, cut bool) {
 		}
 		if i == lo && hi > lo {
 			out := nestIneligible
-			if spLo, spHi, uniform := c.rowRanges(p.levels[d+r], true); uniform {
-				out = c.shipBox(d, r, i, hi-lo, blockBase, oneLine, spLo < spHi)
+			if spLo, spHi, uniform := c.rowRanges(true); uniform {
+				out = c.shipBox(r, i, hi-lo, blockBase, oneLine, spLo < spHi)
 			} else {
 				cutTo = hi
 			}
@@ -332,9 +331,9 @@ func (c *execCtx) runNestRows(d, r int, blockBase uint64, cut bool) {
 					c.counts.LoopExits++ // this level's own exit, on its last iteration
 				}
 				c.advance(st, hi-lo)
-				c.vals[d] = hi - 1
-				for s := 1; s <= r; s++ {
-					c.vals[d+s] = p.levels[d+s].Extent - 1
+				c.vals[st.d] = hi - 1
+				for _, in := range p.nest[:r] {
+					c.vals[in.d] = in.lv.Extent - 1
 				}
 				i, next = hi-1, hi
 				continue
@@ -347,7 +346,7 @@ func (c *execCtx) runNestRows(d, r int, blockBase uint64, cut bool) {
 				hi = lo // ineligible nest shape: stay on the per-iteration path
 			}
 		}
-		c.vals[d] = i
+		c.vals[st.d] = i
 		iterBase := blockBase
 		if lv.Unrolled {
 			iterBase += uint64(i) * lv.PerIterSize
@@ -357,11 +356,27 @@ func (c *execCtx) runNestRows(d, r int, blockBase uint64, cut bool) {
 			for _, site := range lv.Hoisted {
 				c.scalarLoad(site)
 			}
+			if len(st.fold) > 0 {
+				c.pc = iterBase + st.fold[0].BlockOff
+				for _, f := range st.fold {
+					for _, site := range f.Hoisted {
+						c.scalarLoad(site)
+					}
+				}
+			}
 			if r == 1 {
-				c.runInnerSegments(d+1, child, iterBase+child.BlockOff)
+				c.runInnerSegments(iterBase + st.childOff)
 			} else {
-				c.runNestRows(d+1, r-1, iterBase+child.BlockOff, cut || i < cutTo)
-				c.advance(below, -child.Extent) // back to this iteration's base
+				c.runNestRows(r-1, iterBase+st.childOff, cut || i < cutTo)
+				c.advance(below, -below.lv.Extent) // back to this iteration's base
+			}
+			// The folded levels' overhead pairs, each exiting.
+			if n := st.foldPairs; n > 0 {
+				c.counts.ByClass[isa.ALU] += n
+				c.counts.ByClass[isa.Branch] += n
+				c.counts.LoopExits += n
+				c.fetchSpan(2 * int(n))
+				c.pc += 2 * n * c.ib
 			}
 		}
 		if !lv.Unrolled {
@@ -378,19 +393,18 @@ func (c *execCtx) runNestRows(d, r int, blockBase uint64, cut bool) {
 }
 
 // nestUniformRange returns the first range of the next n iterations of a
-// boxable nest level, r levels above the innermost and with the bases at
-// the first of them, over which the level and the ones below form a
-// uniform box, as far as the conditions varying above the innermost level
-// decide (rowRanges checks the rest). One interval rule covers every
-// condition: taken at its least and its greatest value over the full
-// extents of the levels below, it must pass throughout — or, for the spill
-// test, come out the same either way. Ranges are relative to the current
+// boxable nest rank r >= 1, with the bases at the first of them, over which
+// the level and the ones below form a uniform box, as far as the conditions
+// varying above the row decide (rowRanges checks the rest). One interval
+// rule covers every condition: taken at its least and its greatest value
+// over the full extents of the ranks below, it must pass throughout — or,
+// for the spill test, come out the same either way. Ranges are relative to the current
 // iteration; an empty one means no box lies ahead.
 func (c *execCtx) nestUniformRange(r, n int) (int, int) {
 	p, b := c.p, c.bases
 	st, below := &p.nest[r], &p.nest[r-1]
 	lo, hi := 0, n
-	for gi, g := range p.levels[len(p.levels)-1].Guards {
+	for gi, g := range p.nest[0].lv.Guards {
 		if st.above[gi] {
 			clo, chi := linearBelow(b[gi]+below.hi[gi], st.step[gi], g.Extent, n)
 			lo, hi = max(lo, clo), min(hi, chi)
@@ -418,15 +432,16 @@ func (c *execCtx) nestUniformRange(r, n int) (int, int) {
 	return max(lo, all), hi
 }
 
-// shipBox executes a uniform box — n iterations of nest level d, full
-// extents of the r levels below — as bulk counts plus one LoopRun filled in
-// from the level's template, with the guards passing throughout and each
+// shipBox executes a uniform box — n iterations of nest rank r, full
+// extents of the ranks below — as bulk counts plus one LoopRun filled in
+// from the rank's template, with the guards passing throughout and each
 // body load and the spill status (spill) as at the box's first point. At
-// r = 0 the box is a span of the innermost row: the bases stay at the row's
+// r = 0 the box is a span of the row: the bases stay at the row's
 // iteration 0 and the span starts first iterations in. Above it the bases
 // are at the box's first iteration, and the enclosing levels, which have no
-// guards, start their blocks with their hoisted loads, the LoopRun's
-// prologue sites; the innermost iteration's code follows all of those.
+// guards, start their blocks with their hoisted loads and their folded
+// levels', the LoopRun's prologue sites; the row iteration's code follows
+// all of those, and each enclosing level's epilogue follows the rank below.
 //
 // oneLine says the enclosing block lies on a single I-line, so one fetch
 // covers the box; at r = 0 runInnerSegments has made it. Otherwise the
@@ -435,10 +450,10 @@ func (c *execCtx) nestUniformRange(r, n int) (int, int) {
 // executed and nestCold returned — the caller runs one iteration on the
 // ordered path, which fetches the code where its misses belong in the
 // stream, and tries again.
-func (c *execCtx) shipBox(d, r, first, n int, blockBase uint64, oneLine, spill bool) nestOutcome {
+func (c *execCtx) shipBox(r, first, n int, blockBase uint64, oneLine, spill bool) nestOutcome {
 	p := c.p
 	in, bt := &p.nest[0], &p.nest[r].box
-	at := 0 // the box's first point, in iterations of the innermost row from the bases
+	at := 0 // the box's first point, in iterations of the row from the bases
 	if r == 0 {
 		at = first
 	}
@@ -473,12 +488,12 @@ func (c *execCtx) shipBox(d, r, first, n int, blockBase uint64, oneLine, spill b
 		sites[len(sites)-2].Addr, sites[len(sites)-1].Addr = addr, addr
 	}
 	c.loopRun.Sites = sites
-	// Per inner iteration: guard pairs, padding-check pairs, loads, spill
-	// reload and writeback, the FMA burst and the inner loop overhead pair.
+	// Per row iteration: guard pairs, padding-check pairs, loads, spill
+	// reload and writeback, the FMA burst and the loop overhead pair.
 	nInstrIter := bt.nInstr + loaded + 2*spills
 	dims := bt.dims
 	dims[r] = n
-	base := blockBase + bt.proTotal*c.ib // the innermost iteration's code
+	base := blockBase + bt.proTotal*c.ib // the row iteration's code
 	switch {
 	case r == 0:
 		// runInnerSegments has fetched the row's line, which holds every PC.
@@ -487,7 +502,7 @@ func (c *execCtx) shipBox(d, r, first, n int, blockBase uint64, oneLine, spill b
 		c.pc = blockBase
 		c.fetchLine()
 	default:
-		if out := c.fetchRunBox(blockBase, base, nInstrIter, r, &dims, &bt.pro); out != nestDone {
+		if out := c.fetchRunBox(blockBase, base, nInstrIter, r, &dims, &bt.code); out != nestDone {
 			return out
 		}
 	}
@@ -510,9 +525,9 @@ func (c *execCtx) shipBox(d, r, first, n int, blockBase uint64, oneLine, spill b
 			c.em.sink.ConsumeLoop(&c.loopRun)
 		}
 	}
-	// As after the last iteration: the inner loop done, then the overhead
-	// pair of each enclosing level.
-	c.pc = base + (nInstrIter+2*uint64(r))*c.ib
+	// As after the last iteration: the row done, then the epilogue of each
+	// enclosing level.
+	c.pc = base + (nInstrIter+bt.epiTotal)*c.ib
 	return nestDone
 }
 
@@ -523,18 +538,19 @@ func boxSite(addr uint64, steps *[maxNestRank]int) LoopSite {
 		RowStep: int64(steps[1]) * tensor.ElemSize, PlaneStep: int64(steps[2]) * tensor.ElemSize}
 }
 
-// rowRanges works out, at the live bases, the interval of the innermost
-// row [0,inner.Extent) over which each condition of the body holds: every
-// guard passes (innerGuardLo/Hi), every body load is inside its tensor
+// rowRanges works out, at the live bases, the interval of the row
+// [0,Extent) over which each condition of the body holds: every guard
+// passes (innerGuardLo/Hi), every body load is inside its tensor
 // (innerSiteLo/Hi; the whole row for loads without a padding check), and
 // — returned, empty without spill registers — the accumulator spills.
 // With whole set it checks that the row is uniform as it goes: it stops
 // and reports false at the first condition that changes along the row, a
 // guard failing anywhere on it or a load or the spill holding on part of
 // it only, guards first.
-func (c *execCtx) rowRanges(inner *level, whole bool) (spLo, spHi int, ok bool) {
+func (c *execCtx) rowRanges(whole bool) (spLo, spHi int, ok bool) {
 	p := c.p
 	in := &p.nest[0]
+	inner := in.lv
 	ext := inner.Extent
 	part := func(lo, hi int) bool { return whole && lo < hi && (lo > 0 || hi < ext) }
 	for gi, base := range c.innerGuardBase {
@@ -580,20 +596,20 @@ const (
 // fetchRunBox ships the fetch-line crossings of a uniform nest box whose
 // code spans several I-lines as one fetch run. The box's code starts at
 // blockBase with the prologue of each of the r enclosing levels, outermost
-// first (pro holds their lengths in instructions), then the inner
-// iteration's nIter instructions from base and, right behind them, the
-// overhead pair of each enclosing level, innermost first; dims holds the
-// iterations per level. Nothing is delivered unless every one of those
-// code lines is resident in the sink. A box that repeats the previous
-// walk's inputs, entered the same way, reuses its crossings.
-func (c *execCtx) fetchRunBox(blockBase, base, nIter uint64, r int, dims *[maxNestRank]int, pro *[maxNestRank]uint64) nestOutcome {
-	first := blockBase &^ 63
-	n := int(((base+(nIter+2*uint64(r)-1)*c.ib)&^63-first)>>6) + 1
+// first, then the row iteration's nIter instructions from base and, right
+// behind them, the epilogue of each enclosing level, innermost first (code
+// holds their lengths in instructions, none above r); dims holds the
+// iterations per level. Nothing is delivered unless every one of those code lines is
+// resident in the sink. A box that repeats the previous walk's inputs,
+// entered the same way, reuses its crossings.
+func (c *execCtx) fetchRunBox(blockBase, base, nIter uint64, r int, dims *[maxNestRank]int, code *boxCode) nestOutcome {
+	first := blockBase &^ 63 // code.epi is 0 above r
+	n := int(((base+(nIter+code.epi[1]+code.epi[2]-1)*c.ib)&^63-first)>>6) + 1
 	if n > maxFetchRunLines {
 		return nestIneligible
 	}
 	w := &c.walk
-	if in := (walkInputs{blockBase: blockBase, base: base, nIter: nIter, r: r, dims: *dims, pro: *pro,
+	if in := (walkInputs{blockBase: blockBase, base: base, nIter: nIter, r: r, dims: *dims, code: *code,
 		enteredOnFirst: c.lastLine == first}); w.in != in {
 		w.walk(in, c.lastLine, c.ib)
 	}
@@ -625,6 +641,7 @@ type fetchWalk struct {
 	total    uint64 // crossings so far
 	ib       uint64
 	proBase  [maxNestRank]uint64 // where each enclosing level's prologue starts
+	epiBase  [maxNestRank]uint64 // where each enclosing level's epilogue starts
 
 	lines [maxFetchRunLines]uint64 // the box's code lines, consecutive from lines[0]
 	last  [maxFetchRunLines]uint64 // 1-based ordinal of each line's last crossing
@@ -636,8 +653,8 @@ type fetchWalk struct {
 type walkInputs struct {
 	blockBase, base, nIter uint64
 	r                      int
-	dims                   [maxNestRank]int    // iterations per nest level, innermost first
-	pro                    [maxNestRank]uint64 // prologue instructions per enclosing nest level
+	dims                   [maxNestRank]int // iterations per nest rank, the row first
+	code                   boxCode
 	enteredOnFirst         bool
 }
 
@@ -649,7 +666,11 @@ func (w *fetchWalk) walk(in walkInputs, entry, ib uint64) {
 	}
 	for s, at := in.r, in.blockBase; s >= 1; s-- {
 		w.proBase[s] = at
-		at += in.pro[s] * ib
+		at += in.code.pro[s] * ib
+	}
+	for s, at := 1, in.base+in.nIter*ib; s <= in.r; s++ {
+		w.epiBase[s] = at
+		at += in.code.epi[s] * ib
 	}
 	w.repeat(in.dims[in.r], in.r)
 }
@@ -680,32 +701,33 @@ func (w *fetchWalk) repeat(n, s int) {
 	}
 }
 
-// period walks one iteration of nest level s: the loop body for the
-// innermost level, above it the level's prologue, every iteration of the
-// level below and then the level's own overhead pair.
+// period walks one iteration of nest rank s: the row iteration for the
+// row, above it the level's prologue, every iteration of the rank below
+// and then the level's epilogue.
 func (w *fetchWalk) period(s int) {
 	if s == 0 {
 		w.span(w.in.base, w.in.nIter)
 		return
 	}
-	if w.in.pro[s] > 0 {
-		w.span(w.proBase[s], w.in.pro[s])
+	if w.in.code.pro[s] > 0 {
+		w.span(w.proBase[s], w.in.code.pro[s])
 	}
 	w.repeat(w.in.dims[s-1], s-1)
-	w.span(w.in.base+(w.in.nIter+2*uint64(s-1))*w.ib, 2)
+	w.span(w.epiBase[s], w.in.code.epi[s])
 }
 
-// runInnerIter is the per-iteration strength-reduced inner loop, for rows
-// whose iteration block spans several I-lines.
-func (c *execCtx) runInnerIter(d int, lv *level, blockBase uint64) {
+// runInnerIter is the per-iteration strength-reduced row, for rows whose
+// iteration block spans several I-lines.
+func (c *execCtx) runInnerIter(blockBase uint64) {
 	p := c.p
 	in := &p.nest[0]
+	lv := in.lv
 	gb, eb, db, tile := c.innerGuardBase, c.innerElemBase, c.innerDimBase, c.innerTile()
 	spill := p.spillRegs > 0
 	flops := uint64(p.bodyFLOPs)
 	var pairs, fma, loads, stores, guardBr uint64
 	for i := 0; i < lv.Extent; i++ {
-		c.vals[d] = i
+		c.vals[in.d] = i
 		c.pc = blockBase
 		pass := true
 		for gi := range gb {
@@ -774,19 +796,20 @@ func (c *execCtx) runInnerIter(d int, lv *level, blockBase uint64) {
 	c.counts.LoopExits++
 }
 
-// runInnerSegments executes the innermost loop of the hoisted nest
-// segment-wise; a block spanning several I-lines goes to runInnerIter
-// instead. Every emission decision of an iteration — guard outcomes,
-// padding checks, spill status — is an affine condition of the iteration
-// index, so its truth set is an interval (rowRanges). Cutting [0,Extent) at
-// every interval endpoint yields spans with a constant event pattern — one
-// span, the whole row, when no condition changes along it: a span whose
-// guards pass is a box of rank 0 (shipBox), one that fails a guard costs
-// the guard checks up to it and the loop overhead. The bases are read, not
-// moved.
-func (c *execCtx) runInnerSegments(d int, lv *level, blockBase uint64) {
+// runInnerSegments executes the row of the hoisted nest segment-wise; a
+// block spanning several I-lines goes to runInnerIter instead. Every
+// emission decision of an iteration — guard outcomes, padding checks,
+// spill status — is an affine condition of the iteration index, so its
+// truth set is an interval (rowRanges). Cutting [0,Extent) at every
+// interval endpoint yields spans with a constant event pattern — one span,
+// the whole row, when no condition changes along it: a span whose guards
+// pass is a box of rank 0 (shipBox), one that fails a guard costs the guard
+// checks up to it and the loop overhead. The bases are read, not moved.
+func (c *execCtx) runInnerSegments(blockBase uint64) {
+	row := &c.p.nest[0]
+	lv := row.lv
 	if blockBase&^63 != (blockBase+lv.PerIterSize-1)&^63 {
-		c.runInnerIter(d, lv, blockBase)
+		c.runInnerIter(blockBase)
 		return
 	}
 	ext := lv.Extent
@@ -796,7 +819,7 @@ func (c *execCtx) runInnerSegments(d int, lv *level, blockBase uint64) {
 	// Cut [0,ext) at every interior truth-change point of the affine
 	// conditions. Full and empty truth sets add no cuts, so a uniform row
 	// runs as a single sort-free segment.
-	spLo, spHi, _ := c.rowRanges(lv, false)
+	spLo, spHi, _ := c.rowRanges(false)
 	cuts := append(c.innerCuts[:0], 0, ext)
 	for gi, lo := range c.innerGuardLo {
 		cuts = addCuts(cuts, lo, c.innerGuardHi[gi], ext)
@@ -828,7 +851,7 @@ func (c *execCtx) runInnerSegments(d int, lv *level, blockBase uint64) {
 			}
 		}
 		if k == 0 {
-			c.shipBox(d, 0, a, b-a, blockBase, true, a >= spLo && a < spHi)
+			c.shipBox(0, a, b-a, blockBase, true, a >= spLo && a < spHi)
 		} else {
 			pairs := uint64(b-a) * uint64(k+1) // the guards up to the failing one, and the loop overhead
 			c.counts.ByClass[isa.ALU] += pairs
@@ -840,7 +863,7 @@ func (c *execCtx) runInnerSegments(d int, lv *level, blockBase uint64) {
 			c.counts.LoopExits++
 		}
 	}
-	c.vals[d] = ext - 1 // as the per-iteration loop leaves it
+	c.vals[row.d] = ext - 1 // as the per-iteration loop leaves it
 }
 
 // addCuts appends to cuts each end of the interval [lo,hi) that lies
@@ -941,12 +964,12 @@ func (c *execCtx) runLevel(d int, blockBase uint64) {
 		return
 	}
 	inner := d == len(p.levels)-1
-	if d >= c.nestFrom {
+	if d == c.nestFrom {
 		// Hot path: statistics-only execution of the innermost levels of a
 		// reduction body. The hoisted loops emit a bit-identical stream
 		// (checked by TestBlockAggregationBitIdentical against the generic
 		// path below, which the per-instruction encoding always takes).
-		c.runNest(d, len(p.levels)-1-d, blockBase)
+		c.runNest(blockBase)
 		return
 	}
 	for i := 0; i < lv.Extent; i++ {

@@ -99,9 +99,12 @@ type level struct {
 }
 
 // maxNestRank is how many innermost loop levels the executor runs with the
-// body's affines hoisted, and may ship as one LoopRun. It is three because
-// a LoopRun is Count × Rows × Planes; a fourth level needs a new event shape
-// before it needs anything here.
+// body's affines hoisted, and may ship as one LoopRun. Above the innermost
+// level, ranks count only levels of extent > 1 and those of one trip that
+// cannot fold: a plain loop of one trip between them is folded into the
+// ranked level around it (buildNest). It is three because a LoopRun is
+// Count × Rows × Planes; a fourth level needs a new event shape before it
+// needs anything here.
 const maxNestRank = 3
 
 // nestSteps holds, for one nest level, what Build can decide about it once
@@ -113,6 +116,16 @@ const maxNestRank = 3
 // LoopRun itself bar its addresses and top extent. The other half is the
 // executor's: nestUniformRange and rowRanges.
 type nestSteps struct {
+	// lv is the ranked level, d its index in Program.levels; fold lists the
+	// one-trip levels folded into it, outermost first (those between it and
+	// the rank below), with foldPairs overhead pairs (their loops not
+	// unrolled); childOff is the code offset of the rank below's block
+	// within one iteration of this level.
+	lv        *level
+	d         int
+	fold      []*level
+	foldPairs uint64
+	childOff  uint64
 	// step is laid out as the bases: a guard of the innermost level each,
 	// a body load's element offset each, a checked dim of the padded body
 	// loads each (site order), a Program.nestLoads entry's element offset
@@ -122,21 +135,22 @@ type nestSteps struct {
 	guard, elem, dim, hoist []int
 	tile                    int
 	// lo and hi are, per base, the least and greatest amounts this level and
-	// the ones below add to it over their full extents; above marks the
-	// bases that vary with this level or one between it and the innermost.
-	// Of the conditions — a guard (value < bound), a checked dim (0 <= value
-	// < bound), the spill test (tile index >= bound, either outcome
-	// uniform) — those above marks bound a box's range (nestUniformRange),
-	// the others are the innermost row's (rowRanges).
+	// the ones below add to it over their full extents (below the top rank
+	// only); above marks the bases that vary with this level or a rank
+	// between it and the row (above the row only). Of the conditions — a
+	// guard (value < bound), a checked dim (0 <= value < bound), the spill
+	// test (tile index >= bound, either outcome uniform) — those above marks
+	// bound a box's range (nestUniformRange), the others are the row's
+	// (rowRanges).
 	lo, hi []int
 	above  []bool
 
-	// boxable: every level from this one down to the innermost's parent is
+	// boxable: every ranked level from this one down to the row's parent is
 	// plain (no guards, not unrolled, no padding-checked hoisted load).
 	boxable bool
 	// loadsFrom indexes in Program.nestLoads the first load hoisted to this
-	// level or one below it, down to the innermost's parent: a box ships
-	// the loads from there on as prologue sites.
+	// rank or one below it, down to the row's parent: a box ships the loads
+	// from there on as prologue sites.
 	loadsFrom int
 	// box is the template of a box topped by this level.
 	box boxTemplate
@@ -148,18 +162,26 @@ type nestSteps struct {
 // the addresses), and the levels below the top, with counts folded.
 type boxTemplate struct {
 	sites    []LoopSite
-	dims     [maxNestRank]int    // innermost first; the top's is the box's own
-	pro      [maxNestRank]uint64 // prologue instructions per enclosing level
+	dims     [maxNestRank]int // the row first; the top's is the box's own
+	code     boxCode
 	proTotal uint64
+	epiTotal uint64
 	// Per iteration of the top level: ALU+branch pairs, loop exits of the
-	// levels below, inner iterations and prologue loads; checks is the
-	// guard and padding pairs of one inner iteration and nInstr its
-	// instructions but for loads and spill accesses.
+	// levels below and folded ones, row iterations and prologue loads;
+	// checks is the guard and padding pairs of one row iteration and nInstr
+	// its instructions but for loads and spill accesses.
 	pairs, exits, iters, proLoads, checks, nInstr uint64
 }
 
-// nestLoad is a load hoisted to a nest level above the innermost: the nest
-// level (>= 1) whose iterations load it, 1 for the innermost's parent.
+// boxCode is the code of a box's enclosing levels per rank, in
+// instructions: the prologue (its and its folded levels' hoisted loads)
+// ahead of the rank below, the epilogue (their overhead pairs) behind it.
+type boxCode struct {
+	pro, epi [maxNestRank]uint64
+}
+
+// nestLoad is a load hoisted to a ranked nest level above the row, or a
+// level folded into one: the rank (>= 1) whose iterations load it.
 type nestLoad struct {
 	site  *accessSite
 	level int
@@ -214,12 +236,13 @@ type Program struct {
 	axisTerms [][]coefTerm
 	numAxes   int
 
-	// nest[r] is the reduction body seen from the level r above the
-	// innermost one (nest[0]: the innermost level itself), for the
-	// executor's hoisted-loop path; levels from nestFrom inwards take it
-	// (len(levels) when none does: a vector or unrolled innermost level).
-	nest     [maxNestRank]nestSteps
-	nestFrom int
+	// nest[r] is the reduction body seen from the nest's rank-r level
+	// (nest[0]: the row, the innermost level), for the executor's
+	// hoisted-loop path; levels from nestFrom, the top rank nestTop's,
+	// inwards take it (len(levels) when none does: a vector or unrolled
+	// innermost level).
+	nest              [maxNestRank]nestSteps
+	nestFrom, nestTop int
 	// nestConst and nestCols give the bases, laid out as nestSteps.step,
 	// at iteration 0 of every nest level: constants, plus per level above
 	// the nest its coefficient in each base (nil where it has none);
@@ -227,9 +250,9 @@ type Program struct {
 	nestConst []int
 	nestCols  [][]int
 	dimBound  []int
-	// nestLoads lists the hoisted loads of the nest levels above the
-	// innermost, highest level first: a box ships those of its own levels
-	// as prologue sites, a suffix of this list.
+	// nestLoads lists the hoisted loads of the nest ranks above the row,
+	// highest rank first: a box ships those of its own ranks as prologue
+	// sites, a suffix of this list.
 	nestLoads []nestLoad
 }
 

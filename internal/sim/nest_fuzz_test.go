@@ -14,6 +14,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -292,19 +293,44 @@ func FuzzNest(f *testing.F) {
 	})
 }
 
-// nestFrom returns the first leaf of the hoisted nest: the innermost three
-// levels inside the reduction, none under a vectorized innermost level.
+// nestFrom returns the first leaf of the hoisted nest: the top of
+// nestRanks, len(s.Leaves) for no nest.
 func nestFrom(s *schedule.Schedule) int {
-	nl := len(s.Leaves)
-	if s.Leaves[nl-1].Ann == schedule.AnnVectorize {
-		return nl
+	ranks := nestRanks(s)
+	if len(ranks) == 0 {
+		return len(s.Leaves)
 	}
-	for i, iv := range s.Leaves {
-		if iv.Kind() == te.Reduce {
-			return max(i, nl-3)
+	return ranks[len(ranks)-1]
+}
+
+// nestRanks returns the leaves of the hoisted nest that take a rank, the
+// row first: the innermost leaf, then up to two more inside the reduction
+// of extent > 1 or the outermost reduce leaf, none under a vectorized
+// innermost level. (Build keeps a rank for some one-trip levels too; no
+// seed the mirror is asked about has one.)
+func nestRanks(s *schedule.Schedule) []int {
+	nl := len(s.Leaves)
+	reduce := slices.IndexFunc(s.Leaves, func(iv *schedule.IterVar) bool { return iv.Kind() == te.Reduce })
+	if reduce < 0 || s.Leaves[nl-1].Ann == schedule.AnnVectorize {
+		return nil
+	}
+	ranks := []int{nl - 1}
+	for li := nl - 2; li >= reduce && len(ranks) < 3; li-- {
+		if s.Leaves[li].Extent > 1 || li == reduce {
+			ranks = append(ranks, li)
 		}
 	}
-	return nl
+	return ranks
+}
+
+// anyRun reports whether some LoopRun seen had a shape that holds.
+func anyRun(n *nestShapes, holds func(count, rows, planes int) bool) bool {
+	for k := range n.runs {
+		if holds(k[0], k[1], k[2]) {
+			return true
+		}
+	}
+	return false
 }
 
 // splitTail returns the leaf positions of the two halves of a kindSplitTail
@@ -332,8 +358,7 @@ func splitTail(s *schedule.Schedule) (outer, inner int, guarded, ok bool) {
 // it at both ends of its range. (Split-tail guards, the other affine
 // condition, come only from kindSplitTail.)
 func diagonalRank(s *schedule.Schedule) int {
-	nl := len(s.Leaves)
-	from := nestFrom(s)
+	ranks := nestRanks(s)
 	rank := 0
 	for _, acc := range te.Accesses(s.Op.ReduceBody) {
 		for d, aff := range acc.Index {
@@ -344,10 +369,10 @@ func diagonalRank(s *schedule.Schedule) int {
 				} else {
 					hi += span
 				}
-				for li := from; li < nl; li++ {
+				for r, li := range ranks {
 					if s.Leaves[li].Src == term.Axis {
 						inNest++
-						top = max(top, nl-1-li)
+						top = max(top, r)
 					}
 				}
 			}
@@ -383,6 +408,24 @@ func TestFuzzNestSeedShapes(t *testing.T) {
 			return n.prologue2D > 0 && n.prologueFetchRun > 0
 		},
 		"prologue3d": func(_ candidate, _ *lower.Program, n *nestShapes) bool { return n.prologue3D > 0 },
+		// A one-trip level folded between the top rank and the row: a box
+		// spans the innermost three leaves of extent > 1 with the one-trip
+		// leaf among them, a folded level's hoisted loads riding as plane
+		// prologue sites.
+		"fold3d": func(_ candidate, p *lower.Program, n *nestShapes) bool {
+			leaves := p.Sched.Leaves
+			var ext []int
+			oneTrip := false
+			for li := len(leaves) - 1; li >= 0 && len(ext) < 3; li-- {
+				if e := leaves[li].Extent; e > 1 {
+					ext = append(ext, e)
+				} else if len(ext) > 0 {
+					oneTrip = true
+				}
+			}
+			return len(ext) == 3 && oneTrip && n.prologue3D > 0 &&
+				anyRun(n, func(count, rows, planes int) bool { return count == ext[0] && rows == ext[1] && planes > 1 })
+		},
 		// Interior rows of a padded conv aggregate; boundary rows, where the
 		// padding check cuts the inner range, go span by span.
 		"padded": func(c candidate, _ *lower.Program, n *nestShapes) bool {

@@ -26,7 +26,7 @@ import (
 
 // nestStreamDigest is the digest of every channel call over the candidates
 // of TestNestStreamDigest.
-const nestStreamDigest = 0xac2231129c08b897
+const nestStreamDigest = 0x4d198ea4ba49fc2e
 
 // Call tags of the digest.
 const (
