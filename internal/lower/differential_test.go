@@ -52,6 +52,28 @@ func diffCases() []diffCase {
 			_ = s.Unroll(ki)
 			return wl, s
 		}},
+		{"matmul-unrolled-above-row", func(t *testing.T) (*te.Workload, *schedule.Schedule) {
+			// An unrolled reduce loop (ki, extent 2) right above a plain
+			// spatial loop (ii, extent 4) above the row (j): Ansor's kw.i
+			// over the spatial tile.
+			wl := te.MatMul(8, 6, 8)
+			s := schedule.New(wl.Op)
+			io, ii, err := s.Split(s.Leaves[0], 4)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ko, ki, err := s.Split(s.Leaves[3], 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Reorder([]*schedule.IterVar{io, ko, ki, ii, s.Leaves[2]}); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Unroll(ki); err != nil {
+				t.Fatal(err)
+			}
+			return wl, s
+		}},
 		{"conv-unrolled-innermost", func(t *testing.T) (*te.Workload, *schedule.Schedule) {
 			// A padded body whose innermost loop (kw, extent 3) is unrolled.
 			wl := te.ConvGroup(te.ScaleTiny, 1)

@@ -426,6 +426,21 @@ func TestFuzzNestSeedShapes(t *testing.T) {
 			return len(ext) == 3 && oneTrip && n.prologue3D > 0 &&
 				anyRun(n, func(count, rows, planes int) bool { return count == ext[0] && rows == ext[1] && planes > 1 })
 		},
+		// An unrolled reduce leaf of several trips (Ansor's kw.i) right above
+		// a plain leaf of several trips that sits above the row: the unrolled
+		// leaf never boxes, yet the leaves below it still ship boxes of
+		// several rows.
+		"unrolledrank": func(_ candidate, p *lower.Program, n *nestShapes) bool {
+			leaves := p.Sched.Leaves
+			for u := 0; u+2 < len(leaves); u++ {
+				ul, pl := leaves[u], leaves[u+1]
+				if ul.Ann == schedule.AnnUnroll && ul.Kind() == te.Reduce && ul.Extent > 1 &&
+					pl.Ann == schedule.AnnNone && pl.Extent > 1 {
+					return anyRun(n, func(_, rows, _ int) bool { return rows > 1 })
+				}
+			}
+			return false
+		},
 		// Interior rows of a padded conv aggregate; boundary rows, where the
 		// padding check cuts the inner range, go span by span.
 		"padded": func(c candidate, _ *lower.Program, n *nestShapes) bool {

@@ -26,7 +26,7 @@ import (
 
 // nestStreamDigest is the digest of every channel call over the candidates
 // of TestNestStreamDigest.
-const nestStreamDigest = 0x4d198ea4ba49fc2e
+const nestStreamDigest = 0xbcf32cba5e0c57d9
 
 // Call tags of the digest.
 const (
@@ -196,7 +196,7 @@ func TestNestStreamDigest(t *testing.T) {
 
 // referenceStreamDigest is the digest of every event of the per-instruction
 // reference over the candidates of TestReferenceStreamDigest.
-const referenceStreamDigest = 0xf04169718fc4315d
+const referenceStreamDigest = 0x7ca6a13173710534
 
 // refDigestSink is a plain sink that hashes every event it is sent, word
 // by word. The reference encoding sends events only; a LoopRun or counts
