@@ -173,14 +173,18 @@ func Build(s *schedule.Schedule, model isa.Model) (*Program, error) {
 // the innermost one and the next maxNestRank-1 levels inside the reduction
 // that are not plain loops of one trip, none of which may be the outermost
 // reduce level except the top one (the init and store blocks sit around
-// that level's loop). A plain one-trip level (no guards or padded hoisted
-// load, not the outermost reduce level) between them folds into the ranked
-// level around it, its code and counts riding along with that level's. An
-// innermost one stays the row: folded into its parent it would only
-// lengthen the row's code, which then spans two I-lines more often, and
-// such rows run per iteration. A vector or unrolled innermost loop stays
-// on the generic path: no generator emits the unrolled one, its stream is
-// the same bit for bit there, and the differential tests hold it.
+// that level's loop). Above the innermost, a rank is a level that can box:
+// the nest ends below the first level that would take a rank but has
+// guards, is unrolled or has a padded hoisted load, and that level and the
+// ones above it run on the generic path. A plain one-trip level (no guards
+// or padded hoisted load, not the outermost reduce level) between ranks
+// folds into the ranked level around it, its code and counts riding along
+// with that level's. An innermost one stays the row: folded into its
+// parent it would only lengthen the row's code, which then spans two
+// I-lines more often, and such rows run per iteration. A vector or
+// unrolled innermost loop stays on the generic path: no generator emits
+// the unrolled one, its stream is the same bit for bit there, and the
+// differential tests hold it.
 func (p *Program) buildNest() {
 	nl := len(p.levels)
 	p.nestFrom = nl
@@ -196,7 +200,7 @@ func (p *Program) buildNest() {
 	}
 	// A folded level's hoisted loads travel as prologue sites only in boxes
 	// of the level it folds into (padded hoisted loads stay on the per-row
-	// path): under one that cannot box, it keeps a rank.
+	// path): under one that cannot box, it takes the top rank.
 	boxes := func(lv *level) bool { return len(lv.Guards) == 0 && !lv.Unrolled && !padded(lv) }
 	ranks := []int{nl - 1}
 	for d := nl - 2; d >= p.reduceStart && len(ranks) < maxNestRank; d-- {
@@ -205,22 +209,15 @@ func (p *Program) buildNest() {
 			x--
 		}
 		if x == d || len(p.levels[d].Hoisted) > 0 && !boxes(p.levels[x]) {
+			if !boxes(p.levels[d]) {
+				break // the nest ends below the first level that cannot box
+			}
 			ranks = append(ranks, d)
 		}
 	}
 	p.nestTop, p.nestFrom = len(ranks)-1, ranks[len(ranks)-1]
-	p.nest[0].lv, p.nest[0].d = inner, nl-1
-	for r := 1; r < len(ranks); r++ {
-		st, d, below := &p.nest[r], ranks[r], ranks[r-1]
-		st.lv, st.d, st.fold = p.levels[d], d, p.levels[d+1:below]
-		for _, lv := range p.levels[d+1 : below+1] {
-			st.childOff += lv.BlockOff
-		}
-		for _, f := range st.fold {
-			if !f.Unrolled {
-				st.foldPairs++
-			}
-		}
+	for r, d := range ranks {
+		p.nest[r].lv, p.nest[r].d = p.levels[d], d
 	}
 	for r := p.nestTop; r >= 1; r-- {
 		for _, lv := range p.levels[ranks[r]:ranks[r-1]] {
@@ -264,7 +261,6 @@ func (p *Program) buildNest() {
 		}
 	}
 	ng, ns, nd := len(inner.Guards), len(p.bodyLoads), len(p.dimBound)
-	boxable := true
 	for r := 0; r <= p.nestTop; r++ {
 		st := &p.nest[r]
 		st.step = make([]int, len(bases))
@@ -292,8 +288,6 @@ func (p *Program) buildNest() {
 			for i, step := range st.step {
 				st.above[i] = step != 0 || (r > 1 && p.nest[r-1].above[i])
 			}
-			boxable = boxable && boxes(st.lv)
-			st.boxable = boxable
 			for st.loadsFrom < len(p.nestLoads) && p.nestLoads[st.loadsFrom].level > r {
 				st.loadsFrom++
 			}
@@ -339,13 +333,19 @@ func (p *Program) boxTemplate(r int) boxTemplate {
 	bt.checks = uint64(len(p.nest[0].lv.Guards)) + canOOB
 	bt.nInstr = 2*bt.checks + uint64(p.bodyFLOPs) + 2
 	// One iteration of a nest rank is its prologue, the whole extent of the
-	// rank below, and its epilogue: the overhead pair of each folded level,
+	// rank below, and its epilogue: the overhead pair of each level folded
+	// into it (those between it and the rank below, none when unrolled),
 	// which exits, then its own; it sees the rank below exit once. Every
 	// ALU instruction here is half of an ALU+branch pair.
 	bt.dims = [maxNestRank]int{1, 1, 1}
 	bt.pairs, bt.iters = bt.checks+1, 1
 	for s := 0; s < r; s++ {
-		e, fold := uint64(p.nest[s].lv.Extent), p.nest[s+1].foldPairs
+		e, fold := uint64(p.nest[s].lv.Extent), uint64(0)
+		for _, lv := range p.levels[p.nest[s+1].d+1 : p.nest[s].d] {
+			if !lv.Unrolled {
+				fold++
+			}
+		}
 		bt.dims[s] = int(e)
 		bt.code.epi[s+1] = 2 + 2*fold
 		bt.proTotal += bt.code.pro[s+1]

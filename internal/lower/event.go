@@ -90,8 +90,11 @@
 // Execute walks the loop levels generically (runLevel: guards, hoisted loads,
 // child level, loop overhead) down to Program.nestFrom, and from there takes
 // the hoisted-loop path, one piece of code for every rank. Above the
-// innermost level, the row, a plain loop of one trip takes no rank: it
-// rides along with the ranked level around it, loads, counts and code.
+// innermost level, the row, a rank is a level that can box: it has no
+// guards, is not unrolled and has no padded hoisted load. The nest ends
+// below the first level that cannot, which runs generically with every
+// level above it, and a plain loop of one trip takes no rank: it rides
+// along with the ranked level around it, loads, counts and code.
 // Program.nest[r] describes the reduction body as seen from the rank-r
 // level (the row at 0), and lower.Build fills it once per program:
 //
@@ -102,10 +105,12 @@
 //     above the nest, and the loops add one stride vector per level from
 //     then on (advance) instead of re-evaluating affines per point.
 //   - per rank, the range each base covers over that level and the ones
-//     below at full extents, which bases vary above the row,
-//     whether those levels can ship as one LoopRun at all (boxable), the
-//     prologue sites it carries (loadsFrom), and the LoopRun itself bar
-//     its addresses and top extent, with its counts folded (the template).
+//     below at full extents, which bases vary above the row, the prologue
+//     sites it carries (loadsFrom), and the LoopRun itself bar its
+//     addresses and top extent, with its counts folded (the template). The
+//     template is the one description of a rank's code: an iteration that
+//     does not box loads the rank's hoisted loads off the bases, runs the
+//     rank below and closes with the template's epilogue pairs.
 //
 // What is left for run time is arithmetic on the live bases, where an
 // affine condition — split-tail guard, padding dimension, spill test — is

@@ -287,16 +287,20 @@ func (c *execCtx) advance(st *nestSteps, n int) {
 
 // runNestRows runs every iteration of nest rank r >= 1 with the bases
 // positioned at its iteration 0, and leaves them advanced across the whole
-// level. Where a range of iterations makes a uniform box with the ranks
-// below — every affine condition constant over it — the range ships as one
-// LoopRun; the other iterations go one rank down, through the levels folded
-// into this one. nestUniformRange proposes each range, from iteration 0 on,
-// as far as the conditions varying above the row decide, and rowRanges at
-// its first row decides the rest and the spill status. A box whose code
-// spans more than maxFetchRunLines sends every iteration down, a cold one
-// (shipBox) the first. cut says no row of the level is uniform, so no box
-// is tried: it holds below a range rowRanges refused, whose rows are all
-// cut by the same conditions, those varying with no level above.
+// level. A rank is a level that can box — no guards, no unrolling, no
+// padded hoisted load, nor any in the levels folded into it — so where a
+// range of iterations makes a uniform box with the ranks below (every
+// affine condition constant over it) the range ships as one LoopRun.
+// nestUniformRange proposes each range, from iteration 0 on, as far as the
+// conditions varying above the row decide, and rowRanges at its first row
+// decides the rest and the spill status. Every other iteration is what the
+// box template says of one: the rank's hoisted loads, read off the bases,
+// the rank below, and the overhead pairs of the folded levels and its own.
+// A box whose code spans more than maxFetchRunLines sends every iteration
+// down, a cold one (shipBox) the first. cut says no row of the level is
+// uniform, so no box is tried: it holds below a range rowRanges refused,
+// whose rows are all cut by the same conditions, those varying with no
+// level above.
 func (c *execCtx) runNestRows(r int, blockBase uint64, cut bool) {
 	p := c.p
 	st, below := &p.nest[r], &p.nest[r-1]
@@ -307,7 +311,7 @@ func (c *execCtx) runNestRows(r int, blockBase uint64, cut bool) {
 	// next is the iteration at which to look for the next box, -1 for none.
 	lo, hi, next := 0, 0, -1
 	prologue := st.loadsFrom < len(p.nestLoads)
-	if !cut && st.boxable && (oneLine || c.fetch != nil) && (!prologue || c.prologue != nil) {
+	if !cut && (oneLine || c.fetch != nil) && (!prologue || c.prologue != nil) {
 		next = 0
 	}
 	// Iterations below cutTo have their rows cut.
@@ -331,10 +335,6 @@ func (c *execCtx) runNestRows(r int, blockBase uint64, cut bool) {
 					c.counts.LoopExits++ // this level's own exit, on its last iteration
 				}
 				c.advance(st, hi-lo)
-				c.vals[st.d] = hi - 1
-				for _, in := range p.nest[:r] {
-					c.vals[in.d] = in.lv.Extent - 1
-				}
 				i, next = hi-1, hi
 				continue
 			case nestCold:
@@ -346,54 +346,34 @@ func (c *execCtx) runNestRows(r int, blockBase uint64, cut bool) {
 				hi = lo // ineligible nest shape: stay on the per-iteration path
 			}
 		}
-		c.vals[st.d] = i
-		iterBase := blockBase
-		if lv.Unrolled {
-			iterBase += uint64(i) * lv.PerIterSize
+		// The loads hoisted to this rank and the levels folded into it, in
+		// code order; the rank below's block follows them.
+		c.pc = blockBase
+		for k := st.loadsFrom; k < len(p.nestLoads) && p.nestLoads[k].level == r; k++ {
+			c.mem(isa.Load, p.nestLoads[k].site.Tensor.AddrOf(c.innerHoistBase[k]), tensor.ElemSize)
 		}
-		c.pc = iterBase
-		if c.passGuards(lv) {
-			for _, site := range lv.Hoisted {
-				c.scalarLoad(site)
-			}
-			if len(st.fold) > 0 {
-				c.pc = iterBase + st.fold[0].BlockOff
-				for _, f := range st.fold {
-					for _, site := range f.Hoisted {
-						c.scalarLoad(site)
-					}
-				}
-			}
-			if r == 1 {
-				c.runInnerSegments(iterBase + st.childOff)
-			} else {
-				c.runNestRows(r-1, iterBase+st.childOff, cut || i < cutTo)
-				c.advance(below, -below.lv.Extent) // back to this iteration's base
-			}
-			// The folded levels' overhead pairs, each exiting.
-			if n := st.foldPairs; n > 0 {
-				c.counts.ByClass[isa.ALU] += n
-				c.counts.ByClass[isa.Branch] += n
-				c.counts.LoopExits += n
-				c.fetchSpan(2 * int(n))
-				c.pc += 2 * n * c.ib
-			}
+		if r == 1 {
+			c.runInnerSegments(c.pc)
+		} else {
+			c.runNestRows(r-1, c.pc, cut || i < cutTo)
+			c.advance(below, -below.lv.Extent) // back to this iteration's base
 		}
-		if !lv.Unrolled {
-			c.counts.ByClass[isa.ALU]++
-			c.counts.ByClass[isa.Branch]++
-			c.fetchPair()
-			if i == lv.Extent-1 {
-				c.counts.LoopExits++
-			}
+		// The overhead pairs of the folded levels, each exiting, then its own.
+		n := st.box.code.epi[r] / 2
+		c.counts.ByClass[isa.ALU] += n
+		c.counts.ByClass[isa.Branch] += n
+		c.counts.LoopExits += n - 1
+		if i == lv.Extent-1 {
+			c.counts.LoopExits++
 		}
-		// Also when guards failed: the affines advance regardless.
+		c.fetchSpan(2 * int(n))
+		c.pc += 2 * n * c.ib
 		c.advance(st, 1)
 	}
 }
 
 // nestUniformRange returns the first range of the next n iterations of a
-// boxable nest rank r >= 1, with the bases at the first of them, over which
+// nest rank r >= 1, with the bases at the first of them, over which
 // the level and the ones below form a uniform box, as far as the conditions
 // varying above the row decide (rowRanges checks the rest). One interval
 // rule covers every condition: taken at its least and its greatest value
@@ -727,7 +707,6 @@ func (c *execCtx) runInnerIter(blockBase uint64) {
 	flops := uint64(p.bodyFLOPs)
 	var pairs, fma, loads, stores, guardBr uint64
 	for i := 0; i < lv.Extent; i++ {
-		c.vals[in.d] = i
 		c.pc = blockBase
 		pass := true
 		for gi := range gb {
@@ -806,8 +785,7 @@ func (c *execCtx) runInnerIter(blockBase uint64) {
 // pass is a box of rank 0 (shipBox), one that fails a guard costs the guard
 // checks up to it and the loop overhead. The bases are read, not moved.
 func (c *execCtx) runInnerSegments(blockBase uint64) {
-	row := &c.p.nest[0]
-	lv := row.lv
+	lv := c.p.nest[0].lv
 	if blockBase&^63 != (blockBase+lv.PerIterSize-1)&^63 {
 		c.runInnerIter(blockBase)
 		return
@@ -863,7 +841,6 @@ func (c *execCtx) runInnerSegments(blockBase uint64) {
 			c.counts.LoopExits++
 		}
 	}
-	c.vals[row.d] = ext - 1 // as the per-iteration loop leaves it
 }
 
 // addCuts appends to cuts each end of the interval [lo,hi) that lies

@@ -100,32 +100,27 @@ type level struct {
 
 // maxNestRank is how many innermost loop levels the executor runs with the
 // body's affines hoisted, and may ship as one LoopRun. Above the innermost
-// level, ranks count only levels of extent > 1 and those of one trip that
-// cannot fold: a plain loop of one trip between them is folded into the
-// ranked level around it (buildNest). It is three because a LoopRun is
-// Count × Rows × Planes; a fourth level needs a new event shape before it
-// needs anything here.
+// level a rank is a level that can box (no guards, no unrolling, no padded
+// hoisted load): a plain loop of one trip between ranks is folded into the
+// ranked level around it, and the nest ends below the first level that
+// would take a rank but cannot box (buildNest). It is three because a
+// LoopRun is Count × Rows × Planes; a fourth level needs a new event shape
+// before it needs anything here.
 const maxNestRank = 3
 
 // nestSteps holds, for one nest level, what Build can decide about it once
 // per program: the per-iteration deltas of the executor's bases along the
 // level, which it adds instead of re-evaluating the body's affines per
 // point, and the schedule-static half of the box classifier — the ranges
-// of the bases over the rectangle of this level and the ones below, whether
-// that rectangle can ship as one LoopRun at all, its prologue sites and the
-// LoopRun itself bar its addresses and top extent. The other half is the
-// executor's: nestUniformRange and rowRanges.
+// of the bases over the rectangle of this level and the ones below, its
+// prologue sites and the LoopRun itself bar its addresses and top extent.
+// Every rank can box, so whether a rectangle ships as one LoopRun is the
+// executor's half to decide: nestUniformRange and rowRanges.
 type nestSteps struct {
-	// lv is the ranked level, d its index in Program.levels; fold lists the
-	// one-trip levels folded into it, outermost first (those between it and
-	// the rank below), with foldPairs overhead pairs (their loops not
-	// unrolled); childOff is the code offset of the rank below's block
-	// within one iteration of this level.
-	lv        *level
-	d         int
-	fold      []*level
-	foldPairs uint64
-	childOff  uint64
+	// lv is the ranked level, d its index in Program.levels; the one-trip
+	// levels between it and the rank below are folded into it.
+	lv *level
+	d  int
 	// step is laid out as the bases: a guard of the innermost level each,
 	// a body load's element offset each, a checked dim of the padded body
 	// loads each (site order), a Program.nestLoads entry's element offset
@@ -145,9 +140,6 @@ type nestSteps struct {
 	lo, hi []int
 	above  []bool
 
-	// boxable: every ranked level from this one down to the row's parent is
-	// plain (no guards, not unrolled, no padding-checked hoisted load).
-	boxable bool
 	// loadsFrom indexes in Program.nestLoads the first load hoisted to this
 	// rank or one below it, down to the row's parent: a box ships the loads
 	// from there on as prologue sites.
