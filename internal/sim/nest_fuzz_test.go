@@ -306,8 +306,11 @@ func nestFrom(s *schedule.Schedule) int {
 // nestRanks returns the leaves of the hoisted nest that take a rank, the
 // row first: the innermost leaf, then up to two more inside the reduction
 // of extent > 1 or the outermost reduce leaf, none under a vectorized
-// innermost level. (Build keeps a rank for some one-trip levels too; no
-// seed the mirror is asked about has one.)
+// innermost level. A rank is a level that can box, so the nest ends below
+// the first of those leaves that is unrolled (AnnUnroll within lower's
+// unroll budget of 64 trips), as Build ends it. (Build also ends it at a
+// guarded level or one with a padded hoisted load, and keeps a rank for
+// some one-trip levels; no seed the mirror is asked about has either.)
 func nestRanks(s *schedule.Schedule) []int {
 	nl := len(s.Leaves)
 	reduce := slices.IndexFunc(s.Leaves, func(iv *schedule.IterVar) bool { return iv.Kind() == te.Reduce })
@@ -316,7 +319,10 @@ func nestRanks(s *schedule.Schedule) []int {
 	}
 	ranks := []int{nl - 1}
 	for li := nl - 2; li >= reduce && len(ranks) < 3; li-- {
-		if s.Leaves[li].Extent > 1 || li == reduce {
+		if iv := s.Leaves[li]; iv.Extent > 1 || li == reduce {
+			if iv.Ann == schedule.AnnUnroll && iv.Extent <= 64 {
+				break
+			}
 			ranks = append(ranks, li)
 		}
 	}
