@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/hw"
 	"repro/internal/isa"
 	"repro/internal/te"
 )
@@ -101,16 +102,35 @@ func TestClientDisconnectMidBatchOverHTTP(t *testing.T) {
 		Candidates: tinyCandidates(t, group, n),
 	}
 
+	// Hold candidate 0's flight open, so the batch cannot finish before the
+	// disconnect lands: the client tears its connection down as soon as the
+	// batch's worker waits on that flight. The held compute then returns a
+	// cancellation, which caches nothing.
 	ctx, cancel := context.WithCancel(context.Background())
-	go func() {
-		for srv.shards[isa.RISCV].simulated.Load() == 0 {
-			runtime.Gosched()
+	srv.cache.testHook = func(point int) {
+		if point == hookWaiting {
+			cancel()
 		}
-		cancel() // tears the client connection down mid-batch
+	}
+	k := CacheKey(isa.RISCV, hw.Lookup(isa.RISCV).Caches, req.Workload, req.Candidates[0].Steps)
+	held, release, flightDone := make(chan struct{}), make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(flightDone)
+		_, _, err := srv.cache.do(context.Background(), k, new(candTimings), func() (Result, error) {
+			close(held)
+			<-release
+			return Result{}, context.Canceled
+		})
+		if !errors.Is(err, context.Canceled) {
+			t.Errorf("held flight returned %v, want its own cancellation", err)
+		}
 	}()
+	<-held
 	_, err := NewClient(hs.URL).Simulate(ctx, req)
+	close(release)
+	<-flightDone
 	if err == nil {
-		t.Skip("batch finished before the disconnect landed") // timing-dependent fast path
+		t.Fatal("batch finished although candidate 0's flight was held open")
 	}
 
 	// A fresh client re-runs the identical batch: every candidate must
