@@ -288,9 +288,10 @@ func (c *execCtx) advance(st *nestSteps, n int) {
 // runNestRows runs every iteration of nest rank r >= 1 with the bases
 // positioned at its iteration 0, and leaves them advanced across the whole
 // level. A rank is a level that can box — no guards, no unrolling, no
-// padded hoisted load, nor any in the levels folded into it — so where a
-// range of iterations makes a uniform box with the ranks below (every
-// affine condition constant over it) the range ships as one LoopRun.
+// padded hoisted load, and its folded levels have neither guards nor padded
+// loads — so where a range of iterations makes a uniform box with the ranks
+// below (every affine condition constant over it) the range ships as one
+// LoopRun.
 // nestUniformRange proposes each range, from iteration 0 on, as far as the
 // conditions varying above the row decide, and rowRanges at its first row
 // decides the rest and the spill status. Every other iteration is what the
