@@ -169,9 +169,10 @@ func TestScrapeSeriesAndLedgerSums(t *testing.T) {
 	// One 429: node-a's gate is full, so its share of the batch is shed to
 	// node-b and the batch still succeeds.
 	full := servers[0].cfg.MaxQueuedCandidates
-	servers[0].admit.tryAcquire(DefaultTenant, full)
+	def := servers[0].admit.tenant(DefaultTenant)
+	servers[0].admit.tryAcquire(def, full)
 	_, err = rt.Simulate(ctx, batch(3, 8))
-	servers[0].admit.release(DefaultTenant, full)
+	servers[0].admit.release(def, full)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -51,7 +51,7 @@ func TestAdmissionRejectsWith429(t *testing.T) {
 		Candidates: tinyCandidates(t, 1, 3),
 	}
 	// Saturate the gate the way 8 admitted candidates would.
-	if !srv.admit.tryAcquire(DefaultTenant, 8) {
+	if !srv.admit.tryAcquire(srv.admit.tenant(DefaultTenant), 8) {
 		t.Fatal("gate refused the first acquisition")
 	}
 	_, err := srv.Simulate(context.Background(), req)
@@ -81,7 +81,7 @@ func TestAdmissionRejectsWith429(t *testing.T) {
 			st.CacheHits, st.CacheMisses, st.CacheCanceled, st.Candidates)
 	}
 
-	srv.admit.release(DefaultTenant, 8)
+	srv.admit.release(srv.admit.tenant(DefaultTenant), 8)
 	resp, err := srv.Simulate(context.Background(), req)
 	if err != nil || len(resp.Results) != 3 {
 		t.Fatalf("identical batch after release: %v", err)
@@ -120,7 +120,7 @@ func TestRetryAfterTravelsTheWire(t *testing.T) {
 		Archs: []isa.Arch{isa.RISCV}, WorkersPerArch: 2,
 		MaxQueuedCandidates: 4, RetryAfterHint: 250 * time.Millisecond,
 	})
-	if !srv.admit.tryAcquire(DefaultTenant, 4) {
+	if !srv.admit.tryAcquire(srv.admit.tenant(DefaultTenant), 4) {
 		t.Fatal("gate refused the first acquisition")
 	}
 	hs := httptest.NewServer(srv.Handler())

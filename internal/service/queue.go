@@ -36,55 +36,55 @@ import (
 // service rather than being re-rejected forever.
 //
 // Admission is once per batch, not per candidate, so the mutex guarding the
-// per-tenant occupancy map is off the per-candidate hot path; cur remains a
-// plain atomic for lock-free gauge reads.
+// tenant table is off the per-candidate hot path; cur remains a plain atomic
+// for lock-free gauge reads.
+//
+// The table holds one row per tenant (tenantLedger), created on first sight:
+// its weight and gate occupancy, guarded by mu, and its candidate ledgers,
+// which stay atomics so the workers never take mu.
 type admission struct {
 	max int64
 	cur atomic.Int64 // total admitted candidates across all tenants
+	tel *telemetry   // supplies each row's serve histogram
 
 	mu      sync.Mutex
-	weights map[string]float64     // configured fair-share weights (nil: all 1)
-	gates   map[string]*tenantGate // per-tenant occupancy, created on first sight
-}
-
-// tenantGate is one tenant's admission occupancy.
-type tenantGate struct {
-	weight float64
-	cur    int64
+	weights map[string]float64       // configured fair-share weights (nil: all 1)
+	rows    map[string]*tenantLedger // the tenant table
 }
 
 // init readies the gate in place (admission embeds a mutex, so it is
 // initialized where it lives rather than copied from a constructor).
-func (a *admission) init(max int64, weights map[string]float64) {
+func (a *admission) init(max int64, weights map[string]float64, tel *telemetry) {
 	a.max = max
 	a.weights = weights
-	a.gates = make(map[string]*tenantGate)
+	a.tel = tel
+	a.rows = make(map[string]*tenantLedger)
 }
 
-// gate returns the tenant's occupancy record, creating it with the
-// configured weight (default 1). Callers hold a.mu.
-func (a *admission) gate(tenant string) *tenantGate {
-	g := a.gates[tenant]
+// tenant returns the tenant's row, creating it with the configured weight
+// (default 1) and its serve histogram.
+func (a *admission) tenant(name string) *tenantLedger {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	g := a.rows[name]
 	if g == nil {
-		wt := 1.0
-		if w, ok := a.weights[tenant]; ok && w > 0 {
-			wt = w
+		g = &tenantLedger{name: name, weight: 1, serve: a.tel.tenantServe(name)}
+		if w, ok := a.weights[name]; ok && w > 0 {
+			g.weight = w
 		}
-		g = &tenantGate{weight: wt}
-		a.gates[tenant] = g
+		a.rows[name] = g
 	}
 	return g
 }
 
 // tryAcquire admits n of the tenant's candidates, or reports its fair share
-// of the gate full.
-func (a *admission) tryAcquire(tenant string, n int) bool {
+// of the gate full. g is the tenant's row.
+func (a *admission) tryAcquire(g *tenantLedger, n int) bool {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	g := a.gate(tenant)
 	if a.cur.Load() == 0 {
 		// Liveness: an idle server admits any batch, oversized included.
-		g.cur += int64(n)
+		g.held += int64(n)
 		a.cur.Add(int64(n))
 		return true
 	}
@@ -92,51 +92,26 @@ func (a *admission) tryAcquire(tenant string, n int) bool {
 	// this one; the tenant's limit is its weighted share of the gate. With
 	// no contention W == g.weight and the limit is the whole gate.
 	w := g.weight
-	for _, og := range a.gates {
-		if og != g && og.cur > 0 {
+	for _, og := range a.rows {
+		if og != g && og.held > 0 {
 			w += og.weight
 		}
 	}
 	limit := int64(float64(a.max) * g.weight / w)
-	if g.cur+int64(n) > limit {
+	if g.held+int64(n) > limit {
 		return false
 	}
-	g.cur += int64(n)
+	g.held += int64(n)
 	a.cur.Add(int64(n))
 	return true
 }
 
 // release returns n of the tenant's candidates to the gate.
-func (a *admission) release(tenant string, n int) {
+func (a *admission) release(g *tenantLedger, n int) {
 	a.mu.Lock()
-	if g := a.gates[tenant]; g != nil {
-		g.cur -= int64(n)
-	}
+	g.held -= int64(n)
 	a.mu.Unlock()
 	a.cur.Add(int64(-n))
-}
-
-// admitted reports the tenant's current gate occupancy (statusz).
-func (a *admission) admitted(tenant string) int64 {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if g := a.gates[tenant]; g != nil {
-		return g.cur
-	}
-	return 0
-}
-
-// weightOf reports the tenant's effective fair-share weight.
-func (a *admission) weightOf(tenant string) float64 {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if g := a.gates[tenant]; g != nil {
-		return g.weight
-	}
-	if w, ok := a.weights[tenant]; ok && w > 0 {
-		return w
-	}
-	return 1
 }
 
 // shard is the worker pool of one architecture: a fixed number of simulator

@@ -35,12 +35,12 @@ type Server struct {
 	cache  *resultCache
 	disk   *Store // nil without CacheDir; also reachable as cache.disk
 	start  time.Time
-	admit  admission
-	tel    *telemetry
-	// tenants holds the candidate ledgers, one row per tenant identity; the
-	// node's candidate, rejected, hit, miss and canceled totals are their
-	// sums (ledgers).
-	tenants *tenantSet
+	// admit is the admission gate and the tenant table behind it: one row
+	// per tenant identity, holding the candidate ledgers; the node's
+	// candidate, rejected, hit, miss and canceled totals are their sums
+	// (ledgers).
+	admit admission
+	tel   *telemetry
 
 	requests atomic.Uint64
 
@@ -77,15 +77,14 @@ func NewServer(cfg Config) (*Server, error) {
 		}
 	}
 	s := &Server{
-		cfg:     cfg,
-		shards:  make(map[isa.Arch]*shard, len(cfg.Archs)),
-		cache:   newResultCache(cfg.MaxResidentResults, disk),
-		disk:    disk,
-		start:   time.Now(),
-		tel:     tel,
-		tenants: newTenantSet(),
+		cfg:    cfg,
+		shards: make(map[isa.Arch]*shard, len(cfg.Archs)),
+		cache:  newResultCache(cfg.MaxResidentResults, disk),
+		disk:   disk,
+		start:  time.Now(),
+		tel:    tel,
 	}
-	s.admit.init(int64(cfg.MaxQueuedCandidates), cfg.TenantWeights)
+	s.admit.init(int64(cfg.MaxQueuedCandidates), cfg.TenantWeights, tel)
 	for _, arch := range cfg.Archs {
 		s.shards[arch] = newShard(hw.Lookup(arch), cfg.WorkersPerArch)
 	}
@@ -219,9 +218,9 @@ func (s *Server) Simulate(ctx context.Context, req *SimulateRequest) (_ *Simulat
 	// ledger and the hits+misses+canceled == candidates invariant is
 	// untouched.
 	tenant := tenantOf(ctx)
-	tl := s.tenants.get(tenant, s.tel)
+	tl := s.admit.tenant(tenant)
 	adm0 := time.Now()
-	if !s.admit.tryAcquire(tenant, len(req.Candidates)) {
+	if !s.admit.tryAcquire(tl, len(req.Candidates)) {
 		tl.rejected.Add(uint64(len(req.Candidates)))
 		outcome = at.batch[outRejected]
 		return nil, fmt.Errorf("service: %w", overloadedf(s.cfg.RetryAfterHint,
@@ -229,7 +228,7 @@ func (s *Server) Simulate(ctx context.Context, req *SimulateRequest) (_ *Simulat
 			s.admit.cur.Load(), s.cfg.MaxQueuedCandidates, tenant))
 	}
 	b.timed(stAdmission, at.stage[stAdmission], adm0, time.Since(adm0), 1, "")
-	defer s.admit.release(tenant, len(req.Candidates))
+	defer s.admit.release(tl, len(req.Candidates))
 	s.requests.Add(1)
 	tl.candidates.Add(uint64(len(req.Candidates)))
 
@@ -301,7 +300,7 @@ func (s *Server) ledgers() *Statusz {
 		CacheDiskHits:  s.cache.diskHits.Load(),
 		CacheEvictions: s.cache.evictions.Load(),
 		HandoffKeys:    s.cache.handoffKeys.Load(),
-		Tenants:        s.tenantStatuses(),
+		Tenants:        s.admit.statuses(),
 	}
 	for _, t := range st.Tenants {
 		st.Candidates += t.Candidates

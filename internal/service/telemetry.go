@@ -244,8 +244,8 @@ func durMS(d time.Duration) float64 { return float64(d) / float64(time.Milliseco
 
 // tenantServe returns the tenant's serve-latency histogram. Unlike the
 // per-arch panel this registers lazily — tenants appear with traffic — but
-// only once per tenant (tenantSet caches the ledger), so workers still never
-// touch the registry lock.
+// only once per tenant (when admission creates the tenant's row), so workers
+// still never touch the registry lock.
 func (t *telemetry) tenantServe(tenant string) *obs.Histogram {
 	return t.m.Histogram(metricTenant, obs.Labels("tenant", tenant))
 }

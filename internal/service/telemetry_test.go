@@ -677,7 +677,7 @@ func BenchmarkTelemetryPanel(b *testing.B) {
 	const n = 32
 	srv := mustServer(b, Config{Archs: []isa.Arch{isa.RISCV}})
 	at := srv.tel.arch[isa.RISCV]
-	tl := srv.tenants.get(DefaultTenant, srv.tel)
+	tl := srv.admit.tenant(DefaultTenant)
 	req := &SimulateRequest{Arch: "riscv", Workload: ConvGroupSpec(te.ScaleSmall, 1), Candidates: make([]Candidate, n)}
 	ctx := context.Background()
 	b.ReportAllocs()

@@ -3,7 +3,6 @@ package service
 import (
 	"context"
 	"sort"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -72,50 +71,25 @@ func tenantOf(ctx context.Context) string {
 	return DefaultTenant
 }
 
-// tenantLedger is one tenant's row of the node's candidate accounting, the
-// only place candidates, rejections, hits, misses and cancellations are
-// counted (Server.ledgers sums the rows), plus a per-tenant serve-latency
-// histogram. Per tenant, hits+misses+canceled == candidates; rejected stays
-// a parallel ledger outside it, so fairness bookkeeping can never unbalance
-// the reconciliation operators already watch.
+// tenantLedger is one tenant's row of the node's tenant table (admission):
+// its fair-share weight and gate occupancy, and the only place candidates,
+// rejections, hits, misses and cancellations are counted (Server.ledgers
+// sums the rows), plus a per-tenant serve-latency histogram. Per tenant,
+// hits+misses+canceled == candidates; rejected stays a parallel ledger
+// outside it, so fairness bookkeeping can never unbalance the reconciliation
+// operators already watch. Simulate looks the row up once per batch, so
+// per-candidate accounting inside the workers is pure atomics on the row.
 type tenantLedger struct {
-	name       string
+	name   string
+	weight float64 // fixed at creation
+	held   int64   // candidates admitted (queued or running); guarded by admission.mu
+
 	candidates atomic.Uint64
 	rejected   atomic.Uint64
 	hits       atomic.Uint64
 	misses     atomic.Uint64
 	canceled   atomic.Uint64
 	serve      *obs.Histogram
-}
-
-// tenantSet is the server's ledger registry: get-or-create once per batch
-// (one RLock in the steady state), so per-candidate accounting inside the
-// workers is pure atomics on the ledger the batch already holds.
-type tenantSet struct {
-	mu      sync.RWMutex
-	ledgers map[string]*tenantLedger
-}
-
-func newTenantSet() *tenantSet {
-	return &tenantSet{ledgers: make(map[string]*tenantLedger)}
-}
-
-// get returns the tenant's ledger, creating it on first sight. tel supplies
-// the serve histogram.
-func (ts *tenantSet) get(tenant string, tel *telemetry) *tenantLedger {
-	ts.mu.RLock()
-	l := ts.ledgers[tenant]
-	ts.mu.RUnlock()
-	if l != nil {
-		return l
-	}
-	ts.mu.Lock()
-	defer ts.mu.Unlock()
-	if l = ts.ledgers[tenant]; l == nil {
-		l = &tenantLedger{name: tenant, serve: tel.tenantServe(tenant)}
-		ts.ledgers[tenant] = l
-	}
-	return l
 }
 
 // TenantStatus is one tenant's row in statusz: its fair-share weight, the
@@ -141,28 +115,25 @@ type TenantStatus struct {
 	CacheCanceled      uint64 `json:"cache_canceled"`
 }
 
-// tenantStatuses renders the server's per-tenant rows, sorted by tenant name
-// (nil before the first batch).
-func (s *Server) tenantStatuses() []TenantStatus {
-	s.tenants.mu.RLock()
-	ledgers := make([]*tenantLedger, 0, len(s.tenants.ledgers))
-	for _, l := range s.tenants.ledgers {
-		ledgers = append(ledgers, l)
-	}
-	s.tenants.mu.RUnlock()
+// statuses renders the tenant table in one pass under the gate's lock, so a
+// row's weight, occupancy and ledgers are read together; sorted by tenant
+// name (nil before the first batch).
+func (a *admission) statuses() []TenantStatus {
+	a.mu.Lock()
 	var out []TenantStatus
-	for _, l := range ledgers {
+	for _, g := range a.rows {
 		out = append(out, TenantStatus{
-			Tenant:             l.name,
-			Weight:             s.admit.weightOf(l.name),
-			Admitted:           s.admit.admitted(l.name),
-			Candidates:         l.candidates.Load(),
-			RejectedCandidates: l.rejected.Load(),
-			CacheHits:          l.hits.Load(),
-			CacheMisses:        l.misses.Load(),
-			CacheCanceled:      l.canceled.Load(),
+			Tenant:             g.name,
+			Weight:             g.weight,
+			Admitted:           g.held,
+			Candidates:         g.candidates.Load(),
+			RejectedCandidates: g.rejected.Load(),
+			CacheHits:          g.hits.Load(),
+			CacheMisses:        g.misses.Load(),
+			CacheCanceled:      g.canceled.Load(),
 		})
 	}
+	a.mu.Unlock()
 	sort.Slice(out, func(i, j int) bool { return out[i].Tenant < out[j].Tenant })
 	return out
 }

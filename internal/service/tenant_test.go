@@ -28,57 +28,58 @@ func findTenant(rows []TenantStatus, name string) *TenantStatus {
 // tenant drains back under its share.
 func TestWeightedFairAdmissionGate(t *testing.T) {
 	var a admission
-	a.init(8, map[string]float64{"gold": 3})
+	a.init(8, map[string]float64{"gold": 3}, newTelemetry(0, nil))
+	gold, bronze := a.tenant("gold"), a.tenant("bronze")
 
 	// Liveness: an idle gate admits even an oversized batch.
-	if !a.tryAcquire("bronze", 12) {
+	if !a.tryAcquire(bronze, 12) {
 		t.Fatal("idle gate refused an oversized batch")
 	}
-	a.release("bronze", 12)
+	a.release(bronze, 12)
 	if a.cur.Load() != 0 {
 		t.Fatalf("gate leaked %d after release", a.cur.Load())
 	}
 
 	// Work conservation: a tenant alone (after the first admission) sees
 	// the whole gate, not a pre-divided share.
-	if !a.tryAcquire("bronze", 3) || !a.tryAcquire("bronze", 5) {
+	if !a.tryAcquire(bronze, 3) || !a.tryAcquire(bronze, 5) {
 		t.Fatal("lone tenant refused within the full gate")
 	}
-	if a.tryAcquire("bronze", 1) {
+	if a.tryAcquire(bronze, 1) {
 		t.Fatal("gate admitted past max")
 	}
 
 	// gold (weight 3) arrives against bronze (weight 1, holding 8):
 	// W = 4, gold's limit = 8·3/4 = 6 — admitted despite the full gate
 	// (the bounded transient overshoot that buys the fairness guarantee).
-	if !a.tryAcquire("gold", 6) {
+	if !a.tryAcquire(gold, 6) {
 		t.Fatal("under-share weighted tenant was refused")
 	}
-	if a.tryAcquire("gold", 1) {
+	if a.tryAcquire(gold, 1) {
 		t.Fatal("gold admitted past its 6-candidate share")
 	}
 	// bronze's limit under contention is 8·1/4 = 2; it holds 8.
-	if a.tryAcquire("bronze", 1) {
+	if a.tryAcquire(bronze, 1) {
 		t.Fatal("over-share tenant admitted while contended")
 	}
 	// Draining to 1 puts bronze back under its share: admitted again,
 	// then capped exactly at the share boundary.
-	a.release("bronze", 7)
-	if !a.tryAcquire("bronze", 1) {
+	a.release(bronze, 7)
+	if !a.tryAcquire(bronze, 1) {
 		t.Fatal("tenant back under its share was refused")
 	}
-	if a.tryAcquire("bronze", 1) {
+	if a.tryAcquire(bronze, 1) {
 		t.Fatal("bronze admitted past its contended share of 2")
 	}
 
-	if got := a.admitted("gold"); got != 6 {
+	if got := gold.held; got != 6 {
 		t.Fatalf("gold occupancy %d, want 6", got)
 	}
-	if got := a.admitted("bronze"); got != 2 {
+	if got := bronze.held; got != 2 {
 		t.Fatalf("bronze occupancy %d, want 2", got)
 	}
-	if a.weightOf("gold") != 3 || a.weightOf("bronze") != 1 {
-		t.Fatalf("weights %v/%v, want 3/1", a.weightOf("gold"), a.weightOf("bronze"))
+	if gold.weight != 3 || bronze.weight != 1 {
+		t.Fatalf("weights %v/%v, want 3/1", gold.weight, bronze.weight)
 	}
 }
 
@@ -86,13 +87,19 @@ func TestWeightedFairAdmissionGate(t *testing.T) {
 // loadgen isolation suite builds on: with one tenant hogging the whole gate,
 // a second tenant's batch within its share is admitted and served, while the
 // hog's next batch is 429d — and both outcomes land in the right per-tenant
-// statusz ledgers, each reconciling independently.
+// statusz ledgers, each reconciling independently. While the hog still holds
+// the gate, statusz shows its occupancy and the configured weights, and the
+// admitted gauge agrees with the rows.
 func TestFairShareProtectsUnderShareTenant(t *testing.T) {
 	srv := mustServer(t, Config{
 		Archs: []isa.Arch{isa.RISCV}, WorkersPerArch: 2, MaxQueuedCandidates: 8,
+		// default's share against the hog is 8·2/3 = 5, still above its
+		// 2-candidate batch below.
+		TenantWeights: map[string]float64{DefaultTenant: 2},
 	})
 	// The hog holds the entire gate, the way 8 admitted candidates would.
-	if !srv.admit.tryAcquire("hog", 8) {
+	hogRow := srv.admit.tenant("hog")
+	if !srv.admit.tryAcquire(hogRow, 8) {
 		t.Fatal("gate refused the first acquisition")
 	}
 	req := func(n int) *SimulateRequest {
@@ -118,9 +125,43 @@ func TestFairShareProtectsUnderShareTenant(t *testing.T) {
 	if _, err := srv.Simulate(context.Background(), req(2)); err != nil {
 		t.Fatalf("untagged batch refused: %v", err)
 	}
-	srv.admit.release("hog", 8)
 
+	// The held gate as statusz shows it: the hog's 8 candidates are its
+	// row's occupancy, the served batches hold none, each row carries its
+	// weight, and the scrape's admitted gauge is the rows' sum.
 	st, err := srv.Statusz(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap, err := srv.MetricsSnapshot(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	held := map[string]int64{"hog": 8, "guest": 0, DefaultTenant: 0}
+	weight := map[string]float64{"hog": 1, "guest": 1, DefaultTenant: 2}
+	if len(st.Tenants) != len(held) {
+		t.Fatalf("tenant rows %+v, want hog, guest and default", st.Tenants)
+	}
+	var admitted int64
+	for _, row := range st.Tenants {
+		if row.Admitted != held[row.Tenant] || row.Weight != weight[row.Tenant] {
+			t.Fatalf("tenant %s holds %d at weight %v, want %d at %v",
+				row.Tenant, row.Admitted, row.Weight, held[row.Tenant], weight[row.Tenant])
+		}
+		admitted += row.Admitted
+	}
+	gauge := -1.0
+	for _, m := range snap.Gauges {
+		if m.Name == "simtune_admitted_candidates" {
+			gauge = m.Value
+		}
+	}
+	if gauge != float64(admitted) {
+		t.Fatalf("simtune_admitted_candidates %v, want the rows' sum %d", gauge, admitted)
+	}
+	srv.admit.release(hogRow, 8)
+
+	st, err = srv.Statusz(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
