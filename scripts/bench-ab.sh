@@ -4,9 +4,10 @@
 #
 #   scripts/bench-ab.sh <base-ref> <workload> <pairs> [seed]
 #
-# The base is exported (git archive) under .bench_build/ab/ and both sides
-# are built by their own benchmark/run.sh, so each builds and writes under a
-# .bench_build/ of its own. Pair i runs the base first when i is odd and the
+# The base is exported (git archive) under .bench_build/ab/, replacing the
+# export of any other base, and both sides are built by their own
+# benchmark/run.sh, so each builds and writes under a .bench_build/ of its
+# own. Pair i runs the base first when i is odd and the
 # head first when i is even, which keeps slow drift of a shared host from
 # landing on one side. Every run's last-line JSON is kept under
 # .bench_build/ab/<workload>.seed<seed>.trace<0|1>/, each end-to-end metric is printed
@@ -29,6 +30,12 @@ ab="$head_dir/.bench_build/ab"
 base_dir="$ab/base-$base_sha"
 out="$ab/$workload.seed$seed.trace$trace"
 mkdir -p "$out"
+# Exports of other bases, and any half-written export an interrupted run
+# left, are removed; the current base's export is kept, so the runs of
+# several workloads against one base share its build.
+for d in "$ab"/base-*; do
+	[ "$d" = "$base_dir" ] || rm -rf "$d"
+done
 if [ ! -d "$base_dir" ]; then
 	mkdir -p "$base_dir.tmp"
 	git archive "$base_sha" | tar -x -C "$base_dir.tmp"
