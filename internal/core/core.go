@@ -13,6 +13,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"sync"
 	"time"
 
 	"repro/internal/ansor"
@@ -39,7 +40,8 @@ type Implementation struct {
 	NativeElapsedSec float64
 	// Stats are the instruction-accurate simulator statistics.
 	Stats *sim.Stats
-	// SimWallSec is the measured wall time of our own simulator run.
+	// SimWallSec is the measured wall time of our own simulator run; other
+	// groups' builds share the host with it, so it can read above a lone run.
 	SimWallSec float64
 }
 
@@ -70,7 +72,9 @@ type DatasetConfig struct {
 	ImplsPerGroup int
 	// BatchSize is the auto-scheduler measurement batch.
 	BatchSize int
-	// NParallel is the simulator parallelism.
+	// NParallel is the simulator parallelism: the groups' searches run
+	// concurrently, and at most NParallel candidates simulate at once
+	// across all of them (Eq. (4)'s K).
 	NParallel int
 	// MeasureOpt is the native measurement methodology.
 	MeasureOpt hw.MeasureOptions
@@ -91,13 +95,20 @@ type DatasetConfig struct {
 // serves both: hw.Machine reads its miss latencies off the simulator it
 // drives and hands back that simulator's statistics. The search score is the
 // native reference time, so dataset generation behaves like ordinary
-// hardware autotuning.
+// hardware autotuning. GenerateDataset hands every group's runner one shared
+// budget of slots, so concurrent groups together simulate at most NParallel
+// candidates and hold at most NParallel timing machines.
 type DualRunner struct {
 	Prof hw.Profile
 	Opt  hw.MeasureOptions
 	NPar int
 	rng  *num.RNG
+	// slots, if set, is the budget shared with other groups' runners.
+	slots chan struct{}
 }
+
+// execute is lower.Execute; tests wrap it to count overlapping simulations.
+var execute = lower.Execute
 
 // NewDualRunner builds the training-phase runner.
 func NewDualRunner(prof hw.Profile, opt hw.MeasureOptions, nParallel int, rng *num.RNG) *DualRunner {
@@ -127,6 +138,10 @@ func (d *DualRunner) Run(inputs []runner.MeasureInput, builds []runner.BuildResu
 			out[i] = runner.MeasureResult{Err: builds[i].Err, Score: math.Inf(1)}
 			return
 		}
+		if d.slots != nil {
+			d.slots <- struct{}{}
+			defer func() { <-d.slots }()
+		}
 		// A pooled machine: dataset generation simulates thousands of
 		// candidates, so cache hierarchies are re-used via Reset() instead
 		// of being rebuilt per candidate.
@@ -137,7 +152,7 @@ func (d *DualRunner) Run(inputs []runner.MeasureInput, builds []runner.BuildResu
 		}
 		defer hw.ReleaseMachine(hwM)
 		start := time.Now()
-		lower.Execute(builds[i].Prog, hwM, false)
+		execute(builds[i].Prog, hwM, false)
 		simWall := time.Since(start).Seconds()
 		meas := hw.SampleMeasurement(hwM.Seconds(), hwM.Cycles(), d.Prof, d.Opt, num.NewRNG(seeds[i]))
 		st := hwM.Stats()
@@ -152,7 +167,12 @@ func (d *DualRunner) Run(inputs []runner.MeasureInput, builds []runner.BuildResu
 
 // GenerateDataset runs the training-phase data collection of Fig. 4-I: the
 // auto-scheduler explores ImplsPerGroup implementations per group, each
-// measured natively and simulated.
+// measured natively and simulated. The groups' searches run concurrently
+// under one budget of NParallel simulation slots, so one group's serial
+// materialize and build steps and batch tails overlap other groups'
+// simulations. Each group draws its RNG streams up front in Groups order, so
+// the dataset is bit-identical to searching the groups one after another,
+// and a failure reports the first failing group in Groups order.
 func GenerateDataset(cfg DatasetConfig) (*Dataset, error) {
 	if len(cfg.Groups) == 0 {
 		return nil, fmt.Errorf("core: no groups configured")
@@ -160,26 +180,39 @@ func GenerateDataset(cfg DatasetConfig) (*Dataset, error) {
 	prof := hw.Lookup(cfg.Arch)
 	rng := num.NewRNG(cfg.Seed)
 	ds := &Dataset{Arch: cfg.Arch, Scale: cfg.Scale, Kernel: "conv2d_bias_relu"}
-	for _, g := range cfg.Groups {
-		group := g
-		var factory runner.WorkloadFactory
+	slots := make(chan struct{}, max(cfg.NParallel, 1))
+	factories := make([]runner.WorkloadFactory, len(cfg.Groups))
+	records := make([][]ansor.Record, len(cfg.Groups))
+	errs := make([]error, len(cfg.Groups))
+	var wg sync.WaitGroup
+	for i, group := range cfg.Groups {
+		factory := runner.WorkloadFactory(func() *te.Workload { return te.ConvGroup(cfg.Scale, group) })
 		if cfg.FactoryFor != nil {
 			factory = cfg.FactoryFor(group)
 			ds.Kernel = factory().Kernel
-		} else {
-			factory = func() *te.Workload { return te.ConvGroup(cfg.Scale, group) }
 		}
 		opt := ansor.DefaultOptions()
 		opt.Trials = cfg.ImplsPerGroup
 		opt.BatchSize = cfg.BatchSize
 		opt.Builder = runner.LocalBuilder{Arch: cfg.Arch}
-		opt.Runner = NewDualRunner(prof, cfg.MeasureOpt, cfg.NParallel, rng.Split())
-		records, err := ansor.Search(factory, opt, rng.Split())
-		if err != nil {
-			return nil, fmt.Errorf("core: group %d: %w", group, err)
+		dual := NewDualRunner(prof, cfg.MeasureOpt, cfg.NParallel, rng.Split())
+		dual.slots = slots
+		opt.Runner = dual
+		searchRNG := rng.Split()
+		factories[i] = factory
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			records[i], errs[i] = ansor.Search(factory, opt, searchRNG)
+		}()
+	}
+	wg.Wait()
+	for i, group := range cfg.Groups {
+		if errs[i] != nil {
+			return nil, fmt.Errorf("core: group %d: %w", group, errs[i])
 		}
-		gd := GroupData{Group: group, WorkloadKey: factory().Key}
-		for _, r := range records {
+		gd := GroupData{Group: group, WorkloadKey: factories[i]().Key}
+		for _, r := range records[i] {
 			if r.Err != nil || r.Stats == nil {
 				continue
 			}

@@ -1,13 +1,21 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"path/filepath"
+	"reflect"
+	"runtime"
+	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
+	"repro/internal/ansor"
 	"repro/internal/features"
 	"repro/internal/hw"
 	"repro/internal/isa"
+	"repro/internal/lower"
 	"repro/internal/num"
 	"repro/internal/predictor"
 	"repro/internal/predictor/mlr"
@@ -311,7 +319,7 @@ func TestExecutionPhaseStaticWindow(t *testing.T) {
 
 func TestDualRunnerDeterministic(t *testing.T) {
 	cfg := tinyConfig(isa.ARM, 55)
-	cfg.Groups = []int{1}
+	cfg.Groups = []int{1, 2}
 	cfg.ImplsPerGroup = 8
 	a, err := GenerateDataset(cfg)
 	if err != nil {
@@ -321,17 +329,136 @@ func TestDualRunnerDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ga, gb := a.Groups[0], b.Groups[0]
-	if len(ga.Impls) != len(gb.Impls) {
-		t.Fatal("dataset generation not deterministic in size")
+	sameImpls(t, "two runs", a, b)
+}
+
+// serialDataset is the loop GenerateDataset replaced: the groups searched one
+// after another, each runner with NParallel workers of its own and no budget
+// shared with other groups. It is the oracle for the concurrent searches.
+func serialDataset(cfg DatasetConfig) (*Dataset, error) {
+	prof := hw.Lookup(cfg.Arch)
+	rng := num.NewRNG(cfg.Seed)
+	ds := &Dataset{Arch: cfg.Arch, Scale: cfg.Scale, Kernel: "conv2d_bias_relu"}
+	for _, group := range cfg.Groups {
+		factory := func() *te.Workload { return te.ConvGroup(cfg.Scale, group) }
+		opt := ansor.DefaultOptions()
+		opt.Trials = cfg.ImplsPerGroup
+		opt.BatchSize = cfg.BatchSize
+		opt.Builder = runner.LocalBuilder{Arch: cfg.Arch}
+		opt.Runner = NewDualRunner(prof, cfg.MeasureOpt, cfg.NParallel, rng.Split())
+		records, err := ansor.Search(factory, opt, rng.Split())
+		if err != nil {
+			return nil, fmt.Errorf("core: group %d: %w", group, err)
+		}
+		gd := GroupData{Group: group, WorkloadKey: factory().Key}
+		for _, r := range records {
+			if r.Err == nil && r.Stats != nil {
+				gd.Impls = append(gd.Impls, Implementation{
+					Steps: r.Steps, TrefSec: r.TimeSec, TrueSec: r.TrueTimeSec,
+					NativeElapsedSec: r.ElapsedSec, Stats: r.Stats,
+				})
+			}
+		}
+		if len(gd.Impls) < 4 {
+			return nil, fmt.Errorf("core: group %d produced only %d valid impls", group, len(gd.Impls))
+		}
+		ds.Groups = append(ds.Groups, gd)
 	}
-	for i := range ga.Impls {
-		if ga.Impls[i].TrefSec != gb.Impls[i].TrefSec {
-			t.Fatal("dataset generation not deterministic in times")
+	return ds, nil
+}
+
+// sameImpls fails unless two datasets hold the same groups in the same order
+// with bit-identical implementations: steps, every measurement, and the
+// whole simulator statistics record apart from its wall-clock reading.
+func sameImpls(t *testing.T, what string, a, b *Dataset) {
+	t.Helper()
+	if len(a.Groups) != len(b.Groups) {
+		t.Fatalf("%s: %d groups vs %d", what, len(a.Groups), len(b.Groups))
+	}
+	same := func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) }
+	for gi := range a.Groups {
+		ga, gb := a.Groups[gi], b.Groups[gi]
+		if ga.Group != gb.Group || ga.WorkloadKey != gb.WorkloadKey || len(ga.Impls) != len(gb.Impls) {
+			t.Fatalf("%s: group %d (%s, %d impls) vs group %d (%s, %d impls)", what,
+				ga.Group, ga.WorkloadKey, len(ga.Impls), gb.Group, gb.WorkloadKey, len(gb.Impls))
 		}
-		if ga.Impls[i].Stats.Total != gb.Impls[i].Stats.Total {
-			t.Fatal("dataset generation not deterministic in stats")
+		for i := range ga.Impls {
+			x, y := ga.Impls[i], gb.Impls[i]
+			sx, sy := *x.Stats, *y.Stats
+			sx.SimWallSeconds, sy.SimWallSeconds = 0, 0
+			if !reflect.DeepEqual(x.Steps, y.Steps) || !same(x.TrefSec, y.TrefSec) ||
+				!same(x.TrueSec, y.TrueSec) || !same(x.NativeElapsedSec, y.NativeElapsedSec) ||
+				!reflect.DeepEqual(sx, sy) {
+				t.Fatalf("%s: group %d impl %d differs:\n%+v %+v\n%+v %+v", what, ga.Group, i, x, sx, y, sy)
+			}
 		}
+	}
+}
+
+// watchSimulations wraps every simulation GenerateDataset runs for the rest
+// of the test; the returned function reports the most that ran at once
+// since its previous call.
+func watchSimulations(t *testing.T) func() int64 {
+	var cur, peak atomic.Int64
+	orig := execute
+	execute = func(p *lower.Program, sink lower.Sink, values bool) {
+		n := cur.Add(1)
+		for old := peak.Load(); n > old && !peak.CompareAndSwap(old, n); old = peak.Load() {
+		}
+		// Widen each simulation so that overlaps, allowed or not, show.
+		time.Sleep(time.Millisecond)
+		orig(p, sink, values)
+		cur.Add(-1)
+	}
+	t.Cleanup(func() { execute = orig })
+	return func() int64 { return peak.Swap(0) }
+}
+
+func TestGenerateDatasetConcurrentMatchesSerial(t *testing.T) {
+	cfg := tinyConfig(isa.RISCV, 7)
+	cfg.Groups = []int{0, 1, 2, 3}
+	cfg.ImplsPerGroup = 24
+	want, err := serialDataset(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	peak := watchSimulations(t)
+	for _, par := range []int{1, 3} {
+		cfg.NParallel = par
+		got, err := GenerateDataset(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameImpls(t, fmt.Sprintf("NParallel %d vs serial", par), got, want)
+		p := peak()
+		if p > int64(par) {
+			t.Fatalf("NParallel %d: %d simulations ran at once", par, p)
+		}
+		if par > 1 && p < 2 {
+			t.Fatalf("NParallel %d: simulations never overlapped (peak %d)", par, p)
+		}
+	}
+}
+
+func TestGenerateDatasetErrorNamesFirstGroup(t *testing.T) {
+	cfg := tinyConfig(isa.RISCV, 1)
+	cfg.Groups = []int{3, 1, 4}
+	cfg.ImplsPerGroup = 2
+	_, wantErr := serialDataset(cfg)
+	if wantErr == nil || !strings.Contains(wantErr.Error(), "group 3 produced only 2 valid impls") {
+		t.Fatalf("serial loop: err = %v, want group 3 with 2 valid impls", wantErr)
+	}
+	before := runtime.NumGoroutine()
+	ds, err := GenerateDataset(cfg)
+	if ds != nil || err == nil || err.Error() != wantErr.Error() {
+		t.Fatalf("GenerateDataset = %v, %v; want the serial loop's error %q", ds, err, wantErr)
+	}
+	// Finished goroutines may take a moment to leave the count.
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > before; {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines left running after the call (%d before)", runtime.NumGoroutine(), before)
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 }
 
