@@ -74,7 +74,8 @@ type DatasetConfig struct {
 	BatchSize int
 	// NParallel is the simulator parallelism: the groups' searches run
 	// concurrently, and at most NParallel candidates simulate at once
-	// across all of them (Eq. (4)'s K).
+	// across all of them (Eq. (4)'s K). Materialize and build steps are
+	// not counted against it: each group runs its own beside the others'.
 	NParallel int
 	// MeasureOpt is the native measurement methodology.
 	MeasureOpt hw.MeasureOptions
@@ -95,15 +96,16 @@ type DatasetConfig struct {
 // serves both: hw.Machine reads its miss latencies off the simulator it
 // drives and hands back that simulator's statistics. The search score is the
 // native reference time, so dataset generation behaves like ordinary
-// hardware autotuning. GenerateDataset hands every group's runner one shared
-// budget of slots, so concurrent groups together simulate at most NParallel
-// candidates and hold at most NParallel timing machines.
+// hardware autotuning. A runner holds one of its NPar slots from machine
+// acquisition to release; GenerateDataset gives every group's runner one
+// shared budget of slots, so concurrent groups together simulate at most
+// NParallel candidates and hold at most NParallel timing machines.
 type DualRunner struct {
 	Prof hw.Profile
 	Opt  hw.MeasureOptions
 	NPar int
 	rng  *num.RNG
-	// slots, if set, is the budget shared with other groups' runners.
+	// slots bounds the candidates simulating at once.
 	slots chan struct{}
 }
 
@@ -115,7 +117,7 @@ func NewDualRunner(prof hw.Profile, opt hw.MeasureOptions, nParallel int, rng *n
 	if nParallel < 1 {
 		nParallel = 1
 	}
-	return &DualRunner{Prof: prof, Opt: opt, NPar: nParallel, rng: rng}
+	return &DualRunner{Prof: prof, Opt: opt, NPar: nParallel, rng: rng, slots: make(chan struct{}, nParallel)}
 }
 
 // Name implements runner.Runner.
@@ -138,10 +140,8 @@ func (d *DualRunner) Run(inputs []runner.MeasureInput, builds []runner.BuildResu
 			out[i] = runner.MeasureResult{Err: builds[i].Err, Score: math.Inf(1)}
 			return
 		}
-		if d.slots != nil {
-			d.slots <- struct{}{}
-			defer func() { <-d.slots }()
-		}
+		d.slots <- struct{}{}
+		defer func() { <-d.slots }()
 		// A pooled machine: dataset generation simulates thousands of
 		// candidates, so cache hierarchies are re-used via Reset() instead
 		// of being rebuilt per candidate.
@@ -172,7 +172,9 @@ func (d *DualRunner) Run(inputs []runner.MeasureInput, builds []runner.BuildResu
 // materialize and build steps and batch tails overlap other groups'
 // simulations. Each group draws its RNG streams up front in Groups order, so
 // the dataset is bit-identical to searching the groups one after another,
-// and a failure reports the first failing group in Groups order.
+// and a failure reports the first failing group in Groups order. A failing
+// group does not stop the others: a failure is known only when a search
+// ends, and every search runs to its end before one is reported.
 func GenerateDataset(cfg DatasetConfig) (*Dataset, error) {
 	if len(cfg.Groups) == 0 {
 		return nil, fmt.Errorf("core: no groups configured")
