@@ -63,20 +63,24 @@ type Options struct {
 	// BatchSize is the measurement batch (Ansor generates implementations
 	// batch-wise based on prior scores).
 	BatchSize int
-	// EliteFrac of measured candidates breed the next batch.
-	EliteFrac float64
-	// MutationProb mutates each genome field independently.
-	MutationProb float64
-	// RandomFrac of every batch stays purely random (exploration).
-	RandomFrac float64
-	Builder    runner.Builder
-	Runner     runner.Runner
+	Builder   runner.Builder
+	Runner    runner.Runner
 }
+
+// The evolutionary search's fixed rates.
+const (
+	// eliteFrac of measured candidates breed the next batch.
+	eliteFrac = 0.25
+	// mutationProb mutates each genome field independently.
+	mutationProb = 0.2
+	// randomFrac of every batch stays purely random (exploration).
+	randomFrac = 0.2
+)
 
 // DefaultOptions returns a search setup suited to the paper's per-group
 // candidate counts.
 func DefaultOptions() Options {
-	return Options{BatchSize: 32, EliteFrac: 0.25, MutationProb: 0.2, RandomFrac: 0.2}
+	return Options{BatchSize: 32}
 }
 
 // Policy is the search state.
@@ -148,7 +152,7 @@ func (p *Policy) randomGenome() genome {
 func (p *Policy) mutate(g genome) genome {
 	out := cloneGenome(g)
 	for i := range out.spatialInner {
-		if p.rng.Float64() < p.opt.MutationProb {
+		if p.rng.Float64() < mutationProb {
 			e := p.spatialExt[i]
 			out.spatialInner[i] = pick(p.rng, divisorsCapped(e, 32))
 			rest := (e + out.spatialInner[i] - 1) / out.spatialInner[i]
@@ -156,17 +160,17 @@ func (p *Policy) mutate(g genome) genome {
 		}
 	}
 	for i := range out.reduceInner {
-		if p.rng.Float64() < p.opt.MutationProb {
+		if p.rng.Float64() < mutationProb {
 			out.reduceInner[i] = pick(p.rng, divisorsCapped(p.reduceExt[i], 16))
 		}
 	}
-	if p.rng.Float64() < p.opt.MutationProb {
+	if p.rng.Float64() < mutationProb {
 		out.orderVariant = p.rng.Intn(numOrderVariants)
 	}
-	if p.rng.Float64() < p.opt.MutationProb {
+	if p.rng.Float64() < mutationProb {
 		out.unrollChoice = p.rng.Intn(3)
 	}
-	if p.rng.Float64() < p.opt.MutationProb {
+	if p.rng.Float64() < mutationProb {
 		out.vectorize = !out.vectorize
 	}
 	return out
@@ -317,7 +321,7 @@ func (p *Policy) nextBatch(n int) []genome {
 	for len(out) < n && misses < 256*n {
 		var g genome
 		switch {
-		case len(p.scored) < 4, p.rng.Float64() < p.opt.RandomFrac:
+		case len(p.scored) < 4, p.rng.Float64() < randomFrac:
 			g = p.randomGenome()
 		default:
 			a := p.tournament()
@@ -337,7 +341,7 @@ func (p *Policy) nextBatch(n int) []genome {
 
 // tournament samples two elites and returns the better genome.
 func (p *Policy) tournament() genome {
-	nElite := int(float64(len(p.scored)) * p.opt.EliteFrac)
+	nElite := int(float64(len(p.scored)) * eliteFrac)
 	if nElite < 2 {
 		nElite = len(p.scored)
 	}
@@ -442,19 +446,4 @@ func (p *Policy) measure(batch []genome) {
 			p.scored[j], p.scored[j-1] = p.scored[j-1], p.scored[j]
 		}
 	}
-}
-
-// BestRecord returns the lowest-score successful record (nil if none).
-func BestRecord(records []Record) *Record {
-	var best *Record
-	for i := range records {
-		r := &records[i]
-		if r.Err != nil || math.IsInf(r.Score, 1) {
-			continue
-		}
-		if best == nil || r.Score < best.Score {
-			best = r
-		}
-	}
-	return best
 }

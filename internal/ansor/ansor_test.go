@@ -193,12 +193,17 @@ func TestSearchImprovesOverBatches(t *testing.T) {
 			firstBatchBest = r.Score
 		}
 	}
-	best := BestRecord(records)
-	if best == nil {
-		t.Fatal("no best record")
+	best := math.Inf(1)
+	for _, r := range records {
+		if r.Err == nil && r.Score < best {
+			best = r.Score
+		}
 	}
-	if best.Score > firstBatchBest {
-		t.Fatalf("search regressed: best %v vs first-batch %v", best.Score, firstBatchBest)
+	if math.IsInf(best, 1) {
+		t.Fatal("no successful record")
+	}
+	if best > firstBatchBest {
+		t.Fatalf("search regressed: best %v vs first-batch %v", best, firstBatchBest)
 	}
 }
 
@@ -211,23 +216,6 @@ func TestOptionValidation(t *testing.T) {
 		t.Fatal("zero trials must error")
 	}
 }
-
-func TestBestRecordSkipsFailures(t *testing.T) {
-	records := []Record{
-		{Score: math.Inf(1)},
-		{Score: 2},
-		{Score: 1, Err: errMark},
-	}
-	if b := BestRecord(records); b == nil || b.Score != 2 {
-		t.Fatalf("best = %+v", b)
-	}
-}
-
-var errMark = errType{}
-
-type errType struct{}
-
-func (errType) Error() string { return "x" }
 
 func TestRandomSketches(t *testing.T) {
 	sketches, err := RandomSketches(convFactory, 10, num.NewRNG(3))

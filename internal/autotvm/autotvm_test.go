@@ -161,21 +161,6 @@ func TestRandomTunerNoRepeats(t *testing.T) {
 	}
 }
 
-func TestGridTunerEnumeratesAll(t *testing.T) {
-	cs := smallSpace()
-	tn := NewGridTuner(cs)
-	var all []ConfigEntity
-	for tn.HasNext() {
-		all = append(all, tn.NextBatch(3)...)
-	}
-	if len(all) != cs.Size() {
-		t.Fatalf("grid visited %d of %d", len(all), cs.Size())
-	}
-	if cs.Index(all[0]) != 0 || cs.Index(all[len(all)-1]) != cs.Size()-1 {
-		t.Fatal("grid order wrong")
-	}
-}
-
 // syntheticObjective is a deterministic function over configs with a known
 // optimum, used to test that learning tuners beat random on average.
 func syntheticObjective(cs *ConfigSpace, c ConfigEntity) float64 {

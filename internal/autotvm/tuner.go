@@ -72,34 +72,6 @@ func (t *RandomTuner) Update([]ConfigEntity, []float64) {}
 // HasNext implements Tuner.
 func (t *RandomTuner) HasNext() bool { return !t.track.exhausted() }
 
-// GridTuner enumerates the space in index order.
-type GridTuner struct {
-	space *ConfigSpace
-	next  int
-}
-
-// NewGridTuner builds a grid-search tuner.
-func NewGridTuner(space *ConfigSpace) *GridTuner { return &GridTuner{space: space} }
-
-// Name implements Tuner.
-func (t *GridTuner) Name() string { return "gridsearch" }
-
-// NextBatch implements Tuner.
-func (t *GridTuner) NextBatch(n int) []ConfigEntity {
-	var out []ConfigEntity
-	for len(out) < n && t.next < t.space.Size() {
-		out = append(out, t.space.FromIndex(t.next))
-		t.next++
-	}
-	return out
-}
-
-// Update implements Tuner.
-func (t *GridTuner) Update([]ConfigEntity, []float64) {}
-
-// HasNext implements Tuner.
-func (t *GridTuner) HasNext() bool { return t.next < t.space.Size() }
-
 // GATuner is a genetic-algorithm tuner: tournament selection over measured
 // configurations, knob-wise crossover, point mutation.
 type GATuner struct {
@@ -107,11 +79,14 @@ type GATuner struct {
 	rng    *num.RNG
 	track  *visitTracker
 	elites []scoredConfig
-	// EliteSize bounds the breeding population; MutationProb mutates each
-	// knob independently.
-	EliteSize    int
-	MutationProb float64
 }
+
+// gaEliteSize bounds the GA's breeding population; gaMutationProb mutates
+// each knob independently.
+const (
+	gaEliteSize    = 32
+	gaMutationProb = 0.15
+)
 
 type scoredConfig struct {
 	cfg   ConfigEntity
@@ -120,8 +95,7 @@ type scoredConfig struct {
 
 // NewGATuner builds a genetic tuner.
 func NewGATuner(space *ConfigSpace, rng *num.RNG) *GATuner {
-	return &GATuner{space: space, rng: rng, track: newVisitTracker(space),
-		EliteSize: 32, MutationProb: 0.15}
+	return &GATuner{space: space, rng: rng, track: newVisitTracker(space)}
 }
 
 // Name implements Tuner.
@@ -159,7 +133,7 @@ func (t *GATuner) breed() ConfigEntity {
 		} else {
 			child.Choices[i] = b.Choices[i]
 		}
-		if t.rng.Float64() < t.MutationProb {
+		if t.rng.Float64() < gaMutationProb {
 			child.Choices[i] = t.rng.Intn(len(t.space.Knobs[i].Options))
 		}
 	}
@@ -176,7 +150,7 @@ func (t *GATuner) tournament() ConfigEntity {
 	return b.cfg
 }
 
-// Update implements Tuner: keep the EliteSize best configurations.
+// Update implements Tuner: keep the gaEliteSize best configurations.
 func (t *GATuner) Update(cfgs []ConfigEntity, scores []float64) {
 	for i, c := range cfgs {
 		if math.IsInf(scores[i], 1) || math.IsNaN(scores[i]) {
@@ -184,7 +158,7 @@ func (t *GATuner) Update(cfgs []ConfigEntity, scores []float64) {
 		}
 		t.elites = append(t.elites, scoredConfig{cfg: c, score: scores[i]})
 	}
-	// Partial selection: keep best EliteSize.
+	// Partial selection: keep best gaEliteSize.
 	for i := 0; i < len(t.elites); i++ {
 		for j := i + 1; j < len(t.elites); j++ {
 			if t.elites[j].score < t.elites[i].score {
@@ -192,8 +166,8 @@ func (t *GATuner) Update(cfgs []ConfigEntity, scores []float64) {
 			}
 		}
 	}
-	if len(t.elites) > t.EliteSize {
-		t.elites = t.elites[:t.EliteSize]
+	if len(t.elites) > gaEliteSize {
+		t.elites = t.elites[:gaEliteSize]
 	}
 }
 
@@ -209,16 +183,18 @@ type ModelTuner struct {
 	track *visitTracker
 	xs    [][]float64
 	ys    []float64
-	// PoolSize candidates are scored per batch; Epsilon of each batch stays
-	// random for exploration.
-	PoolSize int
-	Epsilon  float64
 }
+
+// modelPoolSize candidates are scored per batch; modelEpsilon of each batch
+// stays random for exploration.
+const (
+	modelPoolSize = 256
+	modelEpsilon  = 0.2
+)
 
 // NewModelTuner builds the cost-model tuner.
 func NewModelTuner(space *ConfigSpace, rng *num.RNG) *ModelTuner {
-	return &ModelTuner{space: space, rng: rng, track: newVisitTracker(space),
-		PoolSize: 256, Epsilon: 0.2}
+	return &ModelTuner{space: space, rng: rng, track: newVisitTracker(space)}
 }
 
 // Name implements Tuner.
@@ -229,7 +205,7 @@ func (t *ModelTuner) NextBatch(n int) []ConfigEntity {
 	var out []ConfigEntity
 	nRandom := n
 	if len(t.ys) >= 16 {
-		nRandom = int(float64(n) * t.Epsilon)
+		nRandom = int(float64(n) * modelEpsilon)
 		model := xgb.New(xgb.Config{Rounds: 60, LearningRate: 0.1, MaxDepth: 4,
 			ColSample: 1, SubSample: 1, Lambda: 1, MinChildWeight: 1}, t.rng.Split())
 		if err := model.Fit(t.xs, t.ys); err == nil {
@@ -238,7 +214,7 @@ func (t *ModelTuner) NextBatch(n int) []ConfigEntity {
 				pred float64
 			}
 			var pool []cand
-			for i := 0; i < t.PoolSize; i++ {
+			for i := 0; i < modelPoolSize; i++ {
 				c := t.space.Sample(t.rng)
 				if t.track.seen(c) {
 					continue

@@ -14,12 +14,10 @@ import (
 	"fmt"
 	"math"
 	"sync"
-	"time"
 
 	"repro/internal/ansor"
 	"repro/internal/hw"
 	"repro/internal/isa"
-	"repro/internal/lower"
 	"repro/internal/num"
 	"repro/internal/runner"
 	"repro/internal/schedule"
@@ -92,14 +90,14 @@ type DatasetConfig struct {
 // DualRunner measures each candidate on the timing model ("native") and the
 // instruction-accurate simulator in one program execution — the
 // training-phase setup of Fig. 4-I where workloads run in both worlds. The
-// timing model is the IA simulator plus latencies, so one cache hierarchy
-// serves both: hw.Machine reads its miss latencies off the simulator it
-// drives and hands back that simulator's statistics. The search score is the
-// native reference time, so dataset generation behaves like ordinary
-// hardware autotuning. A runner holds one of its NPar slots from machine
-// acquisition to release; GenerateDataset gives every group's runner one
-// shared budget of slots, so concurrent groups together simulate at most
-// NParallel candidates and hold at most NParallel timing machines.
+// timing model is the IA simulator plus latencies: an hw.Machine embeds the
+// sim.Machine it drives, so hw.Measure's one run on a pooled machine returns
+// both the reference time and the simulator's statistics. The search score
+// is the native reference time, so dataset generation behaves like ordinary
+// hardware autotuning. A runner holds one of its NPar slots around each
+// measurement; GenerateDataset gives every group's runner one shared budget
+// of slots, so concurrent groups together simulate at most NParallel
+// candidates and hold at most NParallel timing machines.
 type DualRunner struct {
 	Prof hw.Profile
 	Opt  hw.MeasureOptions
@@ -109,8 +107,8 @@ type DualRunner struct {
 	slots chan struct{}
 }
 
-// execute is lower.Execute; tests wrap it to count overlapping simulations.
-var execute = lower.Execute
+// measure is hw.Measure; tests wrap it to count overlapping simulations.
+var measure = hw.Measure
 
 // NewDualRunner builds the training-phase runner.
 func NewDualRunner(prof hw.Profile, opt hw.MeasureOptions, nParallel int, rng *num.RNG) *DualRunner {
@@ -141,24 +139,14 @@ func (d *DualRunner) Run(inputs []runner.MeasureInput, builds []runner.BuildResu
 			return
 		}
 		d.slots <- struct{}{}
-		defer func() { <-d.slots }()
-		// A pooled machine: dataset generation simulates thousands of
-		// candidates, so cache hierarchies are re-used via Reset() instead
-		// of being rebuilt per candidate.
-		hwM, err := hw.AcquireMachine(d.Prof)
+		meas, err := measure(builds[i].Prog, d.Prof, d.Opt, num.NewRNG(seeds[i]))
+		<-d.slots
 		if err != nil {
 			out[i] = runner.MeasureResult{Err: err, Score: math.Inf(1)}
 			return
 		}
-		defer hw.ReleaseMachine(hwM)
-		start := time.Now()
-		execute(builds[i].Prog, hwM, false)
-		simWall := time.Since(start).Seconds()
-		meas := hw.SampleMeasurement(hwM.Seconds(), hwM.Cycles(), d.Prof, d.Opt, num.NewRNG(seeds[i]))
-		st := hwM.Stats()
-		st.SimWallSeconds = simWall
 		out[i] = runner.MeasureResult{
-			Score: meas.TrefSec, TimeSec: meas.TrefSec, Stats: st,
+			Score: meas.TrefSec, TimeSec: meas.TrefSec, Stats: meas.Stats,
 			TrueTimeSec: meas.TrueSec, ElapsedSec: meas.ElapsedSec,
 		}
 	})

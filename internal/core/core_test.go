@@ -400,17 +400,18 @@ func sameImpls(t *testing.T, what string, a, b *Dataset) {
 // since its previous call.
 func watchSimulations(t *testing.T) func() int64 {
 	var cur, peak atomic.Int64
-	orig := execute
-	execute = func(p *lower.Program, sink lower.Sink, values bool) {
+	orig := measure
+	measure = func(p *lower.Program, prof hw.Profile, opt hw.MeasureOptions, rng *num.RNG) (hw.Measurement, error) {
 		n := cur.Add(1)
 		for old := peak.Load(); n > old && !peak.CompareAndSwap(old, n); old = peak.Load() {
 		}
 		// Widen each simulation so that overlaps, allowed or not, show.
 		time.Sleep(time.Millisecond)
-		orig(p, sink, values)
+		m, err := orig(p, prof, opt, rng)
 		cur.Add(-1)
+		return m, err
 	}
-	t.Cleanup(func() { execute = orig })
+	t.Cleanup(func() { measure = orig })
 	return func() int64 { return peak.Swap(0) }
 }
 

@@ -248,7 +248,7 @@ func resampleDataset(ds *core.Dataset, prof hw.Profile, noiseScale float64, nexe
 			if noiseScale == 0 {
 				ni.TrefSec = impl.TrueSec
 			} else {
-				m := hw.SampleMeasurement(impl.TrueSec, 0, scaled, opt, rng.Split())
+				m := hw.SampleMeasurement(impl.TrueSec, scaled, opt, rng.Split())
 				ni.TrefSec = m.TrefSec
 			}
 			ng.Impls = append(ng.Impls, ni)

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -242,6 +243,26 @@ func TestGeneralizeTiny(t *testing.T) {
 	}
 	if !strings.Contains(buf.String(), "cross-arch") {
 		t.Fatal("render missing")
+	}
+}
+
+// TestGeneralizeDeterministic: the XGBoost fits subsample their rows, so the
+// rows must reach them in one order on every run for one seed to give one
+// table.
+func TestGeneralizeDeterministic(t *testing.T) {
+	cfg := TinyConfig()
+	first, err := Generalize(cfg, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for run := 2; run <= 5; run++ {
+		rows, err := Generalize(cfg, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(rows, first) {
+			t.Fatalf("run %d:\n%+v\nrun 1:\n%+v", run, rows, first)
+		}
 	}
 }
 

@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"io"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/features"
@@ -83,7 +84,7 @@ func Fig5(cfg Config, group int, w io.Writer, csvW io.Writer) ([]Fig5Panel, erro
 			for i, idx := range order {
 				predOrder[i] = tref[idx]
 			}
-			sortFloats(refSorted)
+			slices.Sort(refSorted)
 			panels = append(panels, Fig5Panel{
 				Arch: arch, Included: included,
 				RefSorted: refSorted, PredOrder: predOrder, Metrics: res,
@@ -111,12 +112,4 @@ func Fig5(cfg Config, group int, w io.Writer, csvW io.Writer) ([]Fig5Panel, erro
 		writeCSV(csvW, headers, cols)
 	}
 	return panels, nil
-}
-
-func sortFloats(xs []float64) {
-	for i := 1; i < len(xs); i++ {
-		for j := i; j > 0 && xs[j] < xs[j-1]; j-- {
-			xs[j], xs[j-1] = xs[j-1], xs[j]
-		}
-	}
 }

@@ -57,8 +57,8 @@ type archGroup struct {
 	testT  []float64
 }
 
-func buildArchGroups(ds *core.Dataset, prof hw.Profile, split core.SplitIndices) map[int]*archGroup {
-	out := map[int]*archGroup{}
+func buildArchGroups(ds *core.Dataset, prof hw.Profile, split core.SplitIndices) []*archGroup {
+	out := make([]*archGroup, 0, len(ds.Groups))
 	for gi := range ds.Groups {
 		g := &ds.Groups[gi]
 		trainIdx := split.Train[g.Group]
@@ -80,7 +80,7 @@ func buildArchGroups(ds *core.Dataset, prof hw.Profile, split core.SplitIndices)
 			ag.testX = append(ag.testX, norm.Vector(s))
 			ag.testT = append(ag.testT, g.Impls[i].TrefSec)
 		}
-		out[g.Group] = ag
+		out = append(out, ag)
 	}
 	return out
 }
@@ -88,25 +88,25 @@ func buildArchGroups(ds *core.Dataset, prof hw.Profile, split core.SplitIndices)
 // Generalize runs the cross-CPU study and renders a comparison table.
 func Generalize(cfg Config, w io.Writer) ([]GeneralizeRow, error) {
 	rng := num.NewRNG(cfg.Seed + 4000)
-	// Pre-build per-arch group data.
-	perArch := map[isa.Arch]map[int]*archGroup{}
-	for _, arch := range isa.Archs() {
+	// Pre-build per-arch group data, in isa.Archs() and dataset order: the
+	// XGBoost fit subsamples rows, so their order is part of the result.
+	archs := isa.Archs()
+	perArch := make([][]*archGroup, len(archs))
+	for ai, arch := range archs {
 		ds, err := cfg.Dataset(arch)
 		if err != nil {
 			return nil, err
 		}
 		split := ds.Split(rng.Split(), cfg.TestPerGroup)
-		perArch[arch] = buildArchGroups(ds, hw.Lookup(arch), split)
+		perArch[ai] = buildArchGroups(ds, hw.Lookup(arch), split)
 	}
 	var rows []GeneralizeRow
-	for _, target := range isa.Archs() {
+	for ti, target := range archs {
 		for _, mode := range []string{"same-arch", "cross-arch"} {
 			var x [][]float64
 			var y []float64
-			for arch, groups := range perArch {
-				include := (mode == "same-arch" && arch == target) ||
-					(mode == "cross-arch" && arch != target)
-				if !include {
+			for ai, groups := range perArch {
+				if (mode == "same-arch") != (ai == ti) {
 					continue
 				}
 				for _, ag := range groups {
@@ -119,7 +119,7 @@ func Generalize(cfg Config, w io.Writer) ([]GeneralizeRow, error) {
 				return nil, fmt.Errorf("experiments: generalize %s/%s: %w", target, mode, err)
 			}
 			var agg []metrics.Result
-			for _, ag := range perArch[target] {
+			for _, ag := range perArch[ti] {
 				scores := pred.PredictBatch(ag.testX)
 				agg = append(agg, metrics.Evaluate(ag.testT, scores))
 			}

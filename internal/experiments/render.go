@@ -94,13 +94,6 @@ func asciiPlot(w io.Writer, title string, ref, pred []float64) {
 	fprintf(w, "  [.] t_ref (sorted)   [+] t_pred   [#] overlap   range %.3g..%.3g s\n", lo, hi)
 }
 
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // writeCSV dumps aligned columns as CSV.
 func writeCSV(w io.Writer, headers []string, cols [][]float64) {
 	fprintf(w, "%s\n", strings.Join(headers, ","))

@@ -236,7 +236,7 @@ func TestShortRunsNoisier(t *testing.T) {
 		rng := num.NewRNG(3)
 		lo, hi := math.Inf(1), math.Inf(-1)
 		for i := 0; i < 50; i++ {
-			m := SampleMeasurement(trueSec, 0, prof, opt, rng)
+			m := SampleMeasurement(trueSec, prof, opt, rng)
 			for _, s := range m.Samples {
 				rel := s / trueSec
 				lo = math.Min(lo, rel)

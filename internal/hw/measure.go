@@ -2,9 +2,11 @@ package hw
 
 import (
 	"math"
+	"time"
 
 	"repro/internal/lower"
 	"repro/internal/num"
+	"repro/internal/sim"
 )
 
 // MeasureOptions replicate the paper's measurement methodology (§IV):
@@ -35,11 +37,15 @@ type Measurement struct {
 	// cooldowns, Σ(t_cooldown + t_i); the Eq. (4) analysis compares this
 	// against simulator throughput.
 	ElapsedSec float64
-	// Cycles is the modelled cycle count of one run.
-	Cycles float64
+	// Stats are the instruction-accurate statistics of the same run, with
+	// SimWallSeconds the host time of the execution alone. Only Measure
+	// sets them.
+	Stats *sim.Stats
 }
 
-// Measure executes the program once on the timing model and then samples
+// Measure executes the program once on a pooled timing machine — which is
+// the instruction-accurate simulator plus latencies, so the one run yields
+// both the reference time and the simulator's statistics — and then samples
 // Nexe noisy repetitions. Noise is multiplicative log-normal with a
 // short-run-dependent sigma — faster platforms (x86) produce noisier
 // references, as the paper observes in §IV-A — plus occasional positive
@@ -50,15 +56,20 @@ func Measure(p *lower.Program, prof Profile, opt MeasureOptions, rng *num.RNG) (
 		return Measurement{}, err
 	}
 	defer ReleaseMachine(m)
+	start := time.Now()
 	lower.Execute(p, m, false)
-	return SampleMeasurement(m.Seconds(), m.Cycles(), prof, opt, rng), nil
+	simWall := time.Since(start).Seconds()
+	res := SampleMeasurement(m.Seconds(), prof, opt, rng)
+	res.Stats = m.Stats()
+	res.Stats.SimWallSeconds = simWall
+	return res, nil
 }
 
 // SampleMeasurement draws the noisy repetitions around a known true time.
 // Split out so ablations can re-sample without re-simulating.
-func SampleMeasurement(trueSec, cycles float64, prof Profile, opt MeasureOptions, rng *num.RNG) Measurement {
+func SampleMeasurement(trueSec float64, prof Profile, opt MeasureOptions, rng *num.RNG) Measurement {
 	t := prof.Timing
-	res := Measurement{TrueSec: trueSec, Cycles: cycles}
+	res := Measurement{TrueSec: trueSec}
 	sigma := t.NoiseBase + t.NoiseShort/(1+trueSec/t.NoiseRefSec)
 	res.Samples = make([]float64, opt.Nexe)
 	for i := range res.Samples {

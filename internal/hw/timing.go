@@ -3,14 +3,14 @@ package hw
 import (
 	"sync"
 
-	"repro/internal/lower"
 	"repro/internal/sim"
 )
 
 // Machine is the cycle-approximate timing model of one target CPU: the
-// instruction-accurate simulator plus latencies. It implements lower.Sink:
-// feed it a program execution and read Seconds(), or Stats() for what the
-// simulator underneath counted.
+// instruction-accurate simulator plus latencies. It embeds the sim.Machine
+// it drives, so it is a lower.Sink through the simulator's own methods: feed
+// it a program execution and read Seconds(), or Stats() for what the
+// simulator counted.
 //
 // It deliberately models effects the instruction-accurate simulator cannot
 // see, so that reference times are a richer function of the instruction
@@ -24,20 +24,20 @@ import (
 //   - branch-mispredict penalties on loop exits and periodically on guard
 //     branches.
 //
-// It owns no cache hierarchy. Every Sink call goes once to a sim.Machine of
-// its own, built with sim.New and never pooled with the simulator's, whose
-// hierarchy reports each access served below L1 back to it (miss); the
-// machine reads the simulator's instruction and flagged-branch tallies
-// (sim.Machine.Counts) and keeps only the stream detector and the latency
-// sum. Cycle accounting is split by order sensitivity so the block-aggregated
-// event encoding stays bit-identical to the per-instruction one: issue costs
-// and mispredict penalties are pure functions of instruction/branch counts
-// and are summed arithmetically in Cycles(), while cache-miss latencies —
-// whose floating-point accumulation order matters — are added in access
-// order, which both encodings produce identically.
+// It owns no cache hierarchy. Its simulator is one of its own, built with
+// sim.New and never pooled with the simulator's, whose hierarchy reports
+// each access served below L1 back to it (miss); the machine reads the
+// simulator's instruction and flagged-branch tallies (sim.Machine.Counts)
+// and keeps only the stream detector and the latency sum. Cycle accounting
+// is split by order sensitivity so the block-aggregated event encoding
+// stays bit-identical to the per-instruction one: issue costs and
+// mispredict penalties are pure functions of instruction/branch counts and
+// are summed arithmetically in Cycles(), while cache-miss latencies — whose
+// floating-point accumulation order matters — are added in access order,
+// which both encodings produce identically.
 type Machine struct {
+	*sim.Machine
 	Prof Profile
-	sim  *sim.Machine
 
 	// latencyCycles accumulates cache-miss latencies in access order.
 	latencyCycles float64
@@ -53,7 +53,7 @@ func NewMachine(prof Profile) (*Machine, error) {
 	if err != nil {
 		return nil, err
 	}
-	m := &Machine{Prof: prof, sim: s, streams: make(map[uint64]uint64, 64)}
+	m := &Machine{Machine: s, Prof: prof, streams: make(map[uint64]uint64, 64)}
 	s.ObserveMisses(m.miss)
 	return m, nil
 }
@@ -76,41 +76,6 @@ func (m *Machine) miss(addr uint64, depth int, write, fetch bool) {
 	}
 	m.latencyCycles += lat * (1 - t.MLPOverlap)
 }
-
-// Consume implements lower.Sink: the simulator tallies the events and
-// replays their cache accesses, whose misses arrive through miss.
-func (m *Machine) Consume(events []lower.Event) { m.sim.Consume(events) }
-
-// ConsumeLoop implements lower.Sink: the simulator replays the span, and its
-// misses arrive through miss in interleaved access order, exactly as the
-// per-event stream's would. A span the resident fast path takes has none.
-func (m *Machine) ConsumeLoop(run *lower.LoopRun) { m.sim.ConsumeLoop(run) }
-
-// ConsumePrologueRun implements lower.PrologueRunSink: the simulator
-// replays the box, prologue sites in stream order, and its misses arrive
-// through miss.
-func (m *Machine) ConsumePrologueRun(run *lower.LoopRun) { m.sim.ConsumePrologueRun(run) }
-
-// FetchResident implements lower.FetchRunSink: a side-effect-free probe of
-// the L1I.
-func (m *Machine) FetchResident(lines []uint64) bool { return m.sim.FetchResident(lines) }
-
-// ConsumeFetchRun implements lower.FetchRunSink: every fetch of the run hits
-// in L1I, so it adds no latency.
-func (m *Machine) ConsumeFetchRun(total uint64, lines, lastOrdinals []uint64) {
-	m.sim.ConsumeFetchRun(total, lines, lastOrdinals)
-}
-
-// ConsumeCounts implements lower.Sink: bulk instruction and flagged-branch
-// counts of the block-aggregated encoding, tallied by the simulator. Issue
-// cycles and mispredict penalties are derived from the totals in Cycles(),
-// so adding them in one step is exact.
-func (m *Machine) ConsumeCounts(counts *lower.Counts) { m.sim.ConsumeCounts(counts) }
-
-// Stats returns the instruction-accurate statistics of the execution the
-// machine timed: one program run yields both the reference time and the
-// simulator's view of it.
-func (m *Machine) Stats() *sim.Stats { return m.sim.Stats() }
 
 // streamHit updates the unit-stride detector and reports whether the missed
 // line continues a detected stream (and would have been prefetched).
@@ -135,7 +100,7 @@ func (m *Machine) streamHit(addr uint64) bool {
 func (m *Machine) Cycles() float64 {
 	t := &m.Prof.Timing
 	cycles := m.latencyCycles
-	for cl, n := range m.sim.Counts().ByClass {
+	for cl, n := range m.Counts().ByClass {
 		if n > 0 {
 			cycles += float64(n) * t.IssueCost[cl]
 		}
@@ -146,7 +111,7 @@ func (m *Machine) Cycles() float64 {
 // Mispredicts returns the modelled branch mispredictions: every loop exit
 // plus every GuardMispredictEvery-th guard branch.
 func (m *Machine) Mispredicts() uint64 {
-	c := m.sim.Counts()
+	c := m.Counts()
 	n := c.LoopExits
 	if every := m.Prof.Timing.GuardMispredictEvery; every > 0 {
 		n += c.GuardBranches / every
@@ -163,7 +128,7 @@ func (m *Machine) Seconds() float64 {
 // Reset clears cycles, caches and predictor state for a fresh run.
 func (m *Machine) Reset() {
 	m.latencyCycles = 0
-	m.sim.Reset()
+	m.Machine.Reset()
 	clear(m.streams)
 }
 

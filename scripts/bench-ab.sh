@@ -43,12 +43,16 @@ if [ ! -d "$base_dir" ]; then
 fi
 
 # run <side> <dir> <pair>: one benchmark run; a failed run stops the script
-# with the run's own report on the terminal.
+# with the run's own report on the terminal. Both sides build with
+# -trimpath and -buildvcs=false: otherwise the binaries embed their
+# checkouts' source paths, and the base's longer path moves the layout of
+# the whole binary, so two sides built from one commit differ in more than
+# their code.
 run() {
 	local side=$1 dir=$2 pair=$3 log
 	log="$out/$side.$pair.log"
-	if ! bash "$dir/benchmark/run.sh" --workload "$workload" --seed "$seed" \
-		--seconds "$seconds" --trace "$trace" >"$log" 2>&1; then
+	if ! GOFLAGS="${GOFLAGS:+$GOFLAGS }-trimpath -buildvcs=false" bash "$dir/benchmark/run.sh" \
+		--workload "$workload" --seed "$seed" --seconds "$seconds" --trace "$trace" >"$log" 2>&1; then
 		cat "$log" >&2
 		echo "bench-ab: $side run of pair $pair failed" >&2
 		exit 1
