@@ -4,10 +4,13 @@
 #
 #   scripts/bench-ab.sh <base-ref> <workload> <pairs> [seed]
 #
-# The base is exported (git archive) under .bench_build/ab/, replacing the
-# export of any other base, and both sides are built by their own
-# benchmark/run.sh, so each builds and writes under a .bench_build/ of its
-# own. Pair i runs the base first when i is odd and the
+# The base is exported (git archive) under .bench_build/ab/base-<sha>/,
+# replacing the export of any other base, and the working tree's tracked and
+# unignored files are copied to .bench_build/ab/head-<sha of HEAD>/ at the
+# start of every call. Both sides are built by their own benchmark/run.sh,
+# so each builds and writes under a .bench_build/ of its own; the head's
+# source is a snapshot, so editing the tree during a call does not reach
+# its runs. Pair i runs the base first when i is odd and the
 # head first when i is even, which keeps slow drift of a shared host from
 # landing on one side. Every run's last-line JSON is kept under
 # .bench_build/ab/<workload>.seed<seed>.trace<0|1>/, each end-to-end metric is printed
@@ -24,30 +27,42 @@ fi
 base_ref=$1 workload=$2 pairs=$3 seed=${4:-1}
 seconds=${BENCH_SECONDS:-20} trace=${BENCH_TRACE:-0}
 cd "$(dirname "$0")/.."
-head_dir=$PWD
 base_sha=$(git rev-parse --verify "$base_ref^{commit}")
-ab="$head_dir/.bench_build/ab"
+ab="$PWD/.bench_build/ab"
+# The two sides' directories have names of one length, so their binaries run
+# with path, argument and environment strings of one length; those strings
+# sit on the initial stack, whose layout moves with their size. While the
+# head ran from the checkout, the parent A/B'd against itself read the head
+# 3-5% slower in cand_per_s, in 5 of 6 pairs, on two workloads.
 base_dir="$ab/base-$base_sha"
+head_dir="$ab/head-$(git rev-parse HEAD)"
 out="$ab/$workload.seed$seed.trace$trace"
 mkdir -p "$out"
-# Exports of other bases, and any half-written export an interrupted run
-# left, are removed; the current base's export is kept, so the runs of
-# several workloads against one base share its build.
-for d in "$ab"/base-*; do
-	[ "$d" = "$base_dir" ] || rm -rf "$d"
+# Exports of other bases and heads, and any half-written export an
+# interrupted run left, are removed; the current base's export is kept, so
+# the runs of several workloads against one base share its build.
+for d in "$ab"/base-* "$ab"/head-*; do
+	[ "$d" = "$base_dir" ] || [ "$d" = "$head_dir" ] || rm -rf "$d"
 done
 if [ ! -d "$base_dir" ]; then
 	mkdir -p "$base_dir.tmp"
 	git archive "$base_sha" | tar -x -C "$base_dir.tmp"
 	mv "$base_dir.tmp" "$base_dir"
 fi
+# The head's snapshot keeps only its .bench_build/ (the build cache) from
+# the previous call. A tracked file deleted from the tree is left out.
+mkdir -p "$head_dir"
+find "$head_dir" -mindepth 1 -maxdepth 1 ! -name .bench_build -exec rm -rf {} +
+git ls-files -z --cached --others --exclude-standard |
+	while IFS= read -r -d '' f; do if [ -e "$f" ]; then printf '%s\0' "$f"; fi; done |
+	tar --null -T - -cf - | tar -x -C "$head_dir"
 
 # run <side> <dir> <pair>: one benchmark run; a failed run stops the script
 # with the run's own report on the terminal. Both sides build with
-# -trimpath and -buildvcs=false: otherwise the binaries embed their
-# checkouts' source paths, and the base's longer path moves the layout of
-# the whole binary, so two sides built from one commit differ in more than
-# their code.
+# -trimpath and -buildvcs=false: otherwise each binary embeds its side's
+# source paths (which moved the layout of the whole binary while the head
+# built in the checkout), so two sides built from one commit differed in
+# more than their code. With them the two are byte-identical.
 run() {
 	local side=$1 dir=$2 pair=$3 log
 	log="$out/$side.$pair.log"
