@@ -2,6 +2,7 @@ package cache
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/num"
@@ -26,7 +27,8 @@ func testHierarchy(t *testing.T, l1Sets, l1Assoc int) *Hierarchy {
 // referenceDataRun is the per-access replay the fast path must be
 // bit-identical to: every access goes through the public Data path in
 // stream order — per plane its prologue sites, per row the row's prologue
-// sites, then the row's interleaved iterations.
+// sites, then the row's interleaved iterations, each iteration's sites
+// where their windows hold.
 func referenceDataRun(h *Hierarchy, count, rows, planes int, sites []RunSite) {
 	if rows < 1 {
 		rows = 1
@@ -37,6 +39,9 @@ func referenceDataRun(h *Hierarchy, count, rows, planes int, sites []RunSite) {
 	access := func(level uint8, k, j, i int) {
 		for s := range sites {
 			if st := &sites[s]; st.Level == level {
+				if st.Hi > 0 && (i < int(st.Lo) || i >= int(st.Hi)) || st.RowHi > 0 && (j < int(st.RowLo) || j >= int(st.RowHi)) {
+					continue
+				}
 				addr := st.Addr + uint64(int64(k)*st.PlaneStep+int64(j)*st.RowStep+int64(i)*st.Step)
 				h.Data(addr, uint32(st.Size), st.Write)
 			}
@@ -335,5 +340,69 @@ func TestDataRunResidentAppliesBulk(t *testing.T) {
 	}
 	if got := fast.L1D.Stats.ReadMisses() + fast.L1D.Stats.WriteMisses(); got != misses {
 		t.Fatalf("resident span must not miss: %d -> %d", misses, got)
+	}
+}
+
+// TestDataRunWindowedSites replays random spans whose per-iteration sites
+// carry active windows — along the row, over the rows, or both — through
+// DataRun and through the per-access reference: the complete cache state
+// and every miss report must agree, and the resident fast path, which does
+// not take windows, must decline every windowed span without side effects.
+func TestDataRunWindowedSites(t *testing.T) {
+	rng := num.NewRNG(49)
+	windowed := 0
+	for trial := 0; trial < 300; trial++ {
+		compact := trial%2 == 1
+		sets, assoc := 1<<(1+rng.Intn(4)), 1<<rng.Intn(3)
+		if compact {
+			sets, assoc = 16, 4
+		}
+		fast, ref := testHierarchy(t, sets, assoc), testHierarchy(t, sets, assoc)
+		fastMisses, refMisses := observe(fast), observe(ref)
+		for span := 0; span < 4; span++ {
+			count, rows, planes, sites := randomSpan(rng, int64(sets*64), compact)
+			for s := range sites {
+				st := &sites[s]
+				if st.Level != 0 || rng.Intn(2) == 0 {
+					continue
+				}
+				if w := rng.Intn(3); w != 1 {
+					lo := rng.Intn(count)
+					st.Lo, st.Hi = int32(lo), int32(lo+1+rng.Intn(count-lo))
+				}
+				if w := rng.Intn(3); w != 1 {
+					lo := rng.Intn(rows)
+					st.RowLo, st.RowHi = int32(lo), int32(lo+1+rng.Intn(rows-lo))
+				}
+			}
+			isWindowed := slices.ContainsFunc(sites, func(st RunSite) bool { return st.Hi > 0 || st.RowHi > 0 })
+			// Twice, so the second replay finds the lines resident.
+			for rep := 0; rep < 2; rep++ {
+				if isWindowed {
+					windowed++
+					before := testHierarchy(t, sets, assoc)
+					copyHierarchyState(before, fast)
+					if fast.TryDataRunResident(count, rows, planes, sites) {
+						t.Fatalf("trial %d span %d: the resident path took windowed sites %+v", trial, span, sites)
+					}
+					if err := fast.DiffState(before); err != nil {
+						t.Fatalf("trial %d span %d: declining a windowed span changed state: %v", trial, span, err)
+					}
+				}
+				fast.DataRun(count, rows, planes, sites)
+				referenceDataRun(ref, count, rows, planes, sites)
+				if err := fast.DiffState(ref); err != nil {
+					t.Fatalf("trial %d span %d rep %d (count=%d rows=%d planes=%d sites=%+v): %v",
+						trial, span, rep, count, rows, planes, sites, err)
+				}
+				if !reflect.DeepEqual(*fastMisses, *refMisses) {
+					t.Fatalf("trial %d span %d rep %d: DataRun reported misses %v, per-access Data %v",
+						trial, span, rep, *fastMisses, *refMisses)
+				}
+			}
+		}
+	}
+	if windowed == 0 {
+		t.Fatal("no span carried a window")
 	}
 }

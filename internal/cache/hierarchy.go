@@ -103,24 +103,41 @@ func (h *Hierarchy) Fetch(addr uint64, size uint32) int {
 // every iteration, 1 once per row ahead of the row's iterations (a row
 // prologue), 2 once per plane ahead of the plane's rows (a plane prologue).
 // A span lists its sites highest level first.
+//
+// A site of level 0 may have an active window, outside which it makes no
+// access: Hi > 0 limits it to iterations [Lo,Hi) of every row, RowHi > 0 to
+// rows [RowLo,RowHi) of every plane (a zero Hi or RowHi sets no limit).
+// Addr and the steps still describe every iteration, in the window or not.
 type RunSite struct {
-	Addr      uint64
-	Step      int64
-	RowStep   int64
-	PlaneStep int64
-	Size      uint16
-	Write     bool
-	Level     uint8
+	Addr         uint64
+	Step         int64
+	RowStep      int64
+	PlaneStep    int64
+	Lo, Hi       int32
+	RowLo, RowHi int32
+	Size         uint16
+	Write        bool
+	Level        uint8
+}
+
+// windowed reports whether the site has an active window.
+func (s *RunSite) windowed() bool { return s.Hi != 0 || s.RowHi != 0 }
+
+// holds reports whether the site's window holds iteration i of row j.
+func (s *RunSite) holds(i, j int) bool {
+	return (s.Hi == 0 || int32(i) >= s.Lo && int32(i) < s.Hi) &&
+		(s.RowHi == 0 || int32(j) >= s.RowLo && int32(j) < s.RowHi)
 }
 
 // DataRun replays planes×rows×count iterations of interleaved strided
 // accesses through the data hierarchy, in exactly the order per-access Data
 // calls would take: per plane its prologue sites, then per row the row's
-// prologue sites and the row's iterations. Living inside the cache package
+// prologue sites and the row's iterations, each iteration skipping the
+// sites whose window does not hold it. Living inside the cache package
 // lets it reach accessLine directly, which removes the per-access wrapper
 // cost of the hottest simulator loop. Spans whose lines are all resident in
-// L1D take the bulk resident fast path (see TryDataRunResident); the result
-// is bit-identical either way.
+// L1D and that have no windowed site take the bulk resident fast path (see
+// TryDataRunResident); the result is bit-identical either way.
 func (h *Hierarchy) DataRun(count, rows, planes int, sites []RunSite) {
 	if rows < 1 {
 		rows = 1
@@ -128,10 +145,14 @@ func (h *Hierarchy) DataRun(count, rows, planes int, sites []RunSite) {
 	if planes < 1 {
 		planes = 1
 	}
-	if h.TryDataRunResident(count, rows, planes, sites) {
+	planeSites, rowSites, iterSites := splitLevels(sites)
+	windowed := false
+	for s := range iterSites {
+		windowed = windowed || iterSites[s].windowed()
+	}
+	if !windowed && h.TryDataRunResident(count, rows, planes, sites) {
 		return
 	}
-	planeSites, rowSites, iterSites := splitLevels(sites)
 	l1d := h.L1D
 	for k := 0; k < planes; k++ {
 		for s := range planeSites {
@@ -146,6 +167,9 @@ func (h *Hierarchy) DataRun(count, rows, planes int, sites []RunSite) {
 			for i := 0; i < count; i++ {
 				for s := range iterSites {
 					st := &iterSites[s]
+					if windowed && !st.holds(i, j) {
+						continue
+					}
 					addr := st.Addr + uint64(int64(k)*st.PlaneStep+int64(j)*st.RowStep+int64(i)*st.Step)
 					w := b2i(st.Write)
 					first := addr >> l1d.lineShift
@@ -227,9 +251,12 @@ const (
 // needs only that access's ordinal, which the linear walk preserves.
 //
 // Sites whose accesses could straddle a line boundary (size not a
-// power-of-two divisor of the line size, or misaligned address/steps) and
-// negative steps along a site's walk fall back. It reports whether the span
-// was applied.
+// power-of-two divisor of the line size, or misaligned address/steps),
+// negative steps along a site's walk and sites with an active window fall
+// back: with windows an access's stream ordinal is no longer linear in its
+// position (a closed form for it, walking each window row by row, measured
+// no cheaper than the per-access replay on paper_pipeline). It reports
+// whether the span was applied.
 func (h *Hierarchy) TryDataRunResident(count, rows, planes int, sites []RunSite) bool {
 	l1 := h.L1D
 	if len(sites) == 0 || count < 1 || rows < 1 || planes < 1 {
@@ -275,7 +302,7 @@ func (h *Hierarchy) TryDataRunResident(count, rows, planes int, sites []RunSite)
 		if pEff > 1 {
 			or |= uint64(planeStep)
 		}
-		if step < 0 || sz&(sz-1) != 0 || sz > lineBytes || or&(sz-1) != 0 {
+		if step < 0 || sz&(sz-1) != 0 || sz > lineBytes || or&(sz-1) != 0 || st.windowed() {
 			h.touches = tr
 			return false
 		}

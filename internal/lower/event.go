@@ -69,9 +69,9 @@
 //     the ordered channels and asks again at the next.
 //
 // PrologueRunSink lets it aggregate nest boxes whose enclosing levels hoist
-// loads out of the inner loop:
+// loads out of the inner loop, and boxes that padding leaves in part:
 //
-//   - ConsumePrologueRun(run) delivers a LoopRun whose sites begin with
+//   - ConsumePrologueRun(run) delivers a LoopRun whose sites may begin with
 //     prologue sites: LoopSite.Level 1 marks a load made once per row,
 //     ahead of the row's iterations, and Level 2 one made once per plane,
 //     ahead of the plane's rows; sites are listed highest level first. The
@@ -79,11 +79,19 @@
 //     prologue and the row's interleaved iterations — again exactly the
 //     per-event order. Hoisted loads with a padding check never travel this
 //     way; their boxes stay on the per-row path.
+//   - A body load inside its tensor on part of a box only — a conv's input
+//     at an image edge — travels with an active window: LoopSite.Lo/Hi
+//     bound the iterations of every row at which it makes its access,
+//     RowLo/RowHi the rows of every plane; outside the window the iteration
+//     skips the load, as the per-event stream does. The replay honours the
+//     window, so the run is still exactly the per-event order. A load the
+//     padding leaves in part along the row and across the rows at once (a
+//     corner of the image) still cuts the box.
 //
 // Sinks without a channel — any implementation of the three-method Sink
 // outside this repository — receive exactly the stream described above,
-// with multi-line boxes and boxes with prologue sites left to the per-row
-// path.
+// with multi-line boxes, boxes with prologue sites and boxes with windows
+// left to the per-row path, where padding cuts the row into spans.
 //
 // # Executor
 //
@@ -122,18 +130,23 @@
 // a guard or a padding dimension, either outcome for the spill test — into
 // the next range over which the box repeats, and rowRanges works out the
 // row's intervals over which each guard passes, each body load is inside
-// its tensor and the accumulator spills; for a box of rank >= 1
-// it checks, guards first, that every guard passes along the whole row and
-// every other interval covers it or nothing of it. One builder, shipBox,
-// ships every box at ranks 0, 1 and 2 from its level's template as bulk
-// counts, one fetch (or one fetch run, whose walk of the code lines the
-// next box reuses when it repeats) and one LoopRun of prologue, body and
-// spill sites. The iterations outside the range go one rank down — to
-// runNestRows again, or to the row, which cuts itself at the ends of
-// rowRanges' intervals (a row no condition cuts is one span) and hands
-// every span whose guards pass to shipBox as a box of rank 0, or, for a
-// body spanning several I-lines, runs per iteration (runInnerIter) — and
-// the level looks for its next range.
+// its tensor and the accumulator spills; for a box of rank >= 1 it checks,
+// guards first, that every guard passes along the whole row and every
+// other interval covers it or nothing of it — except that, where the sink
+// takes windows, a body load's interval along the row, or one over the
+// box's rows from a padding dimension that moves with the rows alone
+// (which nestUniformRange then leaves out), becomes that load's window.
+// One builder, shipBox, ships every box at ranks 0, 1 and 2 from its
+// level's template as bulk counts, one fetch (or one fetch run, whose walk
+// of the code lines a later box reuses when it repeats one of the last
+// eight; a windowed load makes the iterations in its window one
+// instruction longer, so the walk goes over stretches of alike iterations
+// and rows) and one LoopRun of prologue, body and spill sites. The
+// iterations outside the range go one rank down — to runNestRows again, or
+// to the row, which cuts itself at the ends of rowRanges' intervals (a row
+// no condition cuts is one span) and hands every span whose guards pass to
+// shipBox as a box of rank 0, or, for a body spanning several I-lines,
+// runs per iteration (runInnerIter) — and the level looks for its next range.
 //
 // The nest is maxNestRank = 3 ranks deep because a LoopRun is Count × Rows ×
 // Planes. A fourth level would cost a stride table entry here, but a new
@@ -218,11 +231,14 @@ type Counts struct {
 }
 
 // LoopSite is one strided data access of a LoopRun: the address at the
-// first iteration plus per-iteration, per-row and per-plane deltas, and the
+// first iteration plus per-iteration, per-row and per-plane deltas, the
 // Level at which it is accessed (0 every iteration; 1 and 2 are row and
-// plane prologue sites, which only the PrologueRunSink channel carries). It
-// is the cache package's RunSite so sinks can hand the sites straight to
-// cache.Hierarchy.DataRun without copying.
+// plane prologue sites) and, for a body load the padding leaves in part, an
+// active window: the iterations [Lo,Hi) of every row (when Hi > 0) and the
+// rows [RowLo,RowHi) of every plane (when RowHi > 0) at which it makes its
+// access. Only the PrologueRunSink channel carries prologue sites and
+// windows. It is the cache package's RunSite so sinks can hand the sites
+// straight to cache.Hierarchy.DataRun without copying.
 type LoopSite = cache.RunSite
 
 // LoopRun describes a uniform loop span: Planes × Rows × Count iterations
@@ -233,9 +249,12 @@ type LoopSite = cache.RunSite
 // is bit-identical to the interleaved per-event stream the span would
 // otherwise emit — the executor proves uniformity (guards, padding checks
 // and spill status constant across the span) before emitting one. A run on
-// the prologue channel leads with prologue sites, which the replay visits
-// once per plane (Level 2) or row (Level 1) ahead of the rest, at
-// s.Addr + k*s.PlaneStep (+ j*s.RowStep). Rows and
+// the prologue channel may lead with prologue sites, which the replay
+// visits once per plane (Level 2) or row (Level 1) ahead of the rest, at
+// s.Addr + k*s.PlaneStep (+ j*s.RowStep), and may carry windowed sites,
+// which the replay visits at iteration i of row j only inside the window:
+// Lo <= i < Hi where Hi > 0, RowLo <= j < RowHi where RowHi > 0; each
+// iteration's other sites keep their order. Rows and
 // Planes are 1 for plain inner-loop spans; Rows > 1 covers a uniform
 // parent×inner nest rectangle and Planes > 1 a uniform three-level
 // grandparent×parent×inner nest box. The struct is only valid during the
@@ -276,14 +295,15 @@ type FetchRunSink interface {
 }
 
 // PrologueRunSink is the optional prologue channel of a Sink (see the
-// package comment): a sink whose replay honours LoopSite.Level can take nest
-// boxes whose enclosing levels hoist loads, with those loads as prologue
-// sites, instead of one row at a time.
+// package comment): a sink whose replay honours LoopSite.Level and the
+// sites' windows can take nest boxes whose enclosing levels hoist loads,
+// with those loads as prologue sites, and boxes that padding leaves in
+// part, with windowed sites, instead of one row or one span at a time.
 type PrologueRunSink interface {
 	// ConsumePrologueRun delivers a LoopRun whose sites begin with prologue
-	// sites (Level 1 or 2, highest level first), ordered like ConsumeLoop
-	// calls relative to the other channels. The run is only valid during
-	// the call.
+	// sites (Level 1 or 2, highest level first) or carry windows, or both,
+	// ordered like ConsumeLoop calls relative to the other channels. The
+	// run is only valid during the call.
 	ConsumePrologueRun(run *LoopRun)
 }
 

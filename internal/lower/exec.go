@@ -54,14 +54,15 @@ func execute(p *Program, sink Sink, computeValues, perInstr bool) {
 	c.nestFrom = nl
 	// One backing array for the loop values and, when the hoisted-loop path
 	// runs, its scratch: the bases twice and the level values of the
-	// second copy, guard and site intervals, cuts.
+	// second copy, guard intervals, site intervals along the row and the
+	// rows, cuts.
 	nb, nf, ng, ns, ncuts := 0, 0, 0, 0, 0
 	if !computeValues && !perInstr && p.nestFrom < nl {
 		c.nestFrom = p.nestFrom
 		nb, nf, ng, ns = len(p.nestConst), p.nestFrom, len(p.nest[0].guard), len(p.nest[0].elem)
 		ncuts = 2 + 2*ng + 2*ns + 2
 	}
-	need := nl + 2*nb + nf + 2*ng + 2*ns + ncuts
+	need := nl + 2*nb + nf + 2*ng + 4*ns + ncuts
 	if cap(c.ints) < need {
 		c.ints = make([]int, need)
 	}
@@ -84,6 +85,8 @@ func execute(p *Program, sink Sink, computeValues, perInstr bool) {
 		c.innerGuardHi, back = back[:ng], back[ng:]
 		c.innerSiteLo, back = back[:ns], back[ns:]
 		c.innerSiteHi, back = back[:ns], back[ns:]
+		c.innerRowLo, back = back[:ns], back[ns:]
+		c.innerRowHi, back = back[:ns], back[ns:]
 		c.innerCuts = back[:0:ncuts]
 	}
 	if computeValues {
@@ -161,7 +164,8 @@ type execCtx struct {
 	// element offsets and last the tile index, laid out as nestSteps.step —
 	// at the current iteration of the enclosing nest levels and iteration 0
 	// of the innermost, with views of their sections; the innermost row's
-	// intervals (rowRanges) and the cut list of runInnerSegments.
+	// intervals (rowRanges), each body load's interval of a box's rows
+	// (innerRowLo/Hi) and the cut list of runInnerSegments.
 	// nestBase holds the bases at iteration 0 of every nest level for the
 	// values nestVals of the levels above the nest.
 	bases          []int
@@ -176,8 +180,15 @@ type execCtx struct {
 	innerGuardHi   []int
 	innerSiteLo    []int
 	innerSiteHi    []int
+	innerRowLo     []int
+	innerRowHi     []int
 	loopRun        LoopRun
-	walk           fetchWalk
+	// walks keeps the fetch walks of the last boxes that shipped fetch
+	// runs — a nest's boxes alternate between ranges, ranks and windows —
+	// walks[lastWalk] the latest; a fresh walk replaces them in turn
+	// (nextWalk).
+	walks              [8]fetchWalk
+	lastWalk, nextWalk int
 }
 
 // fetchLine emits an EvFetch event when the current PC has crossed onto a
@@ -290,13 +301,14 @@ func (c *execCtx) advance(st *nestSteps, n int) {
 // level. A rank is a level that can box — no guards, no unrolling, no
 // padded hoisted load, and its folded levels have neither guards nor padded
 // loads — so where a range of iterations makes a uniform box with the ranks
-// below (every affine condition constant over it) the range ships as one
-// LoopRun.
+// below (every guard and the spill test constant over it, every padding
+// check constant or its load's window) the range ships as one LoopRun.
 // nestUniformRange proposes each range, from iteration 0 on, as far as the
 // conditions varying above the row decide, and rowRanges at its first row
-// decides the rest and the spill status. Every other iteration is what the
-// box template says of one: the rank's hoisted loads, read off the bases,
-// the rank below, and the overhead pairs of the folded levels and its own.
+// decides the rest, the spill status and the loads' windows. Every other
+// iteration is what the box template says of one: the rank's hoisted
+// loads, read off the bases, the rank below, and the overhead pairs of the
+// folded levels and its own.
 // A box whose code spans more than maxFetchRunLines sends every iteration
 // down, a cold one (shipBox) the first. cut says no row of the level is
 // uniform, so no box is tried: it holds below a range rowRanges refused,
@@ -325,7 +337,7 @@ func (c *execCtx) runNestRows(r int, blockBase uint64, cut bool) {
 		}
 		if i == lo && hi > lo {
 			out := nestIneligible
-			if spLo, spHi, uniform := c.rowRanges(true); uniform {
+			if spLo, spHi, uniform := c.rowRanges(r, hi-lo); uniform {
 				out = c.shipBox(r, i, hi-lo, blockBase, oneLine, spLo < spHi)
 			} else {
 				cutTo = hi
@@ -379,8 +391,11 @@ func (c *execCtx) runNestRows(r int, blockBase uint64, cut bool) {
 // varying above the row decide (rowRanges checks the rest). One interval
 // rule covers every condition: taken at its least and its greatest value
 // over the full extents of the ranks below, it must pass throughout — or,
-// for the spill test, come out the same either way. Ranges are relative to the current
-// iteration; an empty one means no box lies ahead.
+// for the spill test, come out the same either way. A padding dimension
+// that moves with the rows alone bounds no range where the sink takes
+// windows: it becomes its loads' window over the rows (rowsWindow). Ranges
+// are relative to the current iteration; an empty one means no box lies
+// ahead.
 func (c *execCtx) nestUniformRange(r, n int) (int, int) {
 	p, b := c.p, c.bases
 	st, below := &p.nest[r], &p.nest[r-1]
@@ -392,7 +407,7 @@ func (c *execCtx) nestUniformRange(r, n int) (int, int) {
 		}
 	}
 	for k, bound := range p.dimBound {
-		if i := len(st.guard) + len(st.elem) + k; st.above[i] {
+		if i := len(st.guard) + len(st.elem) + k; st.above[i] && !c.rowsWindow(r, k) {
 			clo, chi := linearBelow(b[i]+below.hi[i], st.step[i], bound, n)
 			alo, ahi := linearAtLeast(b[i]+below.lo[i], st.step[i], 0, n)
 			lo, hi = max(lo, clo, alo), min(hi, chi, ahi)
@@ -423,6 +438,10 @@ func (c *execCtx) nestUniformRange(r, n int) (int, int) {
 // guards, start their blocks with their hoisted loads and their folded
 // levels', the LoopRun's prologue sites; the row iteration's code follows
 // all of those, and each enclosing level's epilogue follows the rank below.
+// There a body load inside its tensor on part of the box only, as rowRanges
+// found it, ships with that part as its window and goes out on the
+// prologue channel; its padding check is counted at every iteration, its
+// load only where it makes one, which shortens the iterations it skips.
 //
 // oneLine says the enclosing block lies on a single I-line, so one fetch
 // covers the box; at r = 0 runInnerSegments has made it. Otherwise the
@@ -438,6 +457,10 @@ func (c *execCtx) shipBox(r, first, n int, blockBase uint64, oneLine, spill bool
 	if r == 0 {
 		at = first
 	}
+	dims := bt.dims
+	dims[r] = n
+	// The box's code, as fetchRunBox walks it.
+	walk := walkInputs{blockBase: blockBase, base: blockBase + bt.proTotal*c.ib, r: r, dims: dims, code: bt.code}
 	sites, tpl := c.loopRun.Sites[:0], bt.sites
 	// Prologue sites, highest level first: the hoisted loads of the box's
 	// enclosing levels, at the box's first row and plane.
@@ -451,14 +474,32 @@ func (c *execCtx) shipBox(r, first, n int, blockBase uint64, oneLine, spill bool
 		}
 		tpl = tpl[len(p.nestLoads)-k0:]
 	}
-	var loaded uint64
+	// loaded counts the body loads made at every point, loads the accesses
+	// of all of them, nw the windowed ones.
+	var loaded, loads uint64
+	nw := 0
 	for si, site := range p.bodyLoads {
-		if at < c.innerSiteLo[si] || at >= c.innerSiteHi[si] {
+		lo, hi, rlo, rhi := 0, dims[0], 0, dims[1]
+		if r == 0 {
+			if at < c.innerSiteLo[si] || at >= c.innerSiteHi[si] {
+				continue // padding: skipped across the whole span
+			}
+		} else if lo, hi, rlo, rhi = c.innerSiteLo[si], c.innerSiteHi[si], c.innerRowLo[si], c.innerRowHi[si]; lo >= hi || rlo >= rhi {
 			continue // padding: skipped across the whole box
 		}
-		loaded++
 		ls := tpl[si]
 		ls.Addr = site.Tensor.AddrOf(c.innerElemBase[si] + at*in.elem[si])
+		loads += uint64((hi - lo) * (rhi - rlo) * dims[2])
+		if hi-lo < dims[0] || rhi-rlo < dims[1] {
+			if nw == maxWindows {
+				return nestIneligible
+			}
+			walk.wins[nw] = window{lo, hi, rlo, rhi}
+			nw++
+			ls.Lo, ls.Hi, ls.RowLo, ls.RowHi = int32(lo), int32(hi), int32(rlo), int32(rhi)
+		} else {
+			loaded++
+		}
 		sites = append(sites, ls)
 	}
 	var spills uint64
@@ -470,11 +511,9 @@ func (c *execCtx) shipBox(r, first, n int, blockBase uint64, oneLine, spill bool
 	}
 	c.loopRun.Sites = sites
 	// Per row iteration: guard pairs, padding-check pairs, loads, spill
-	// reload and writeback, the FMA burst and the loop overhead pair.
-	nInstrIter := bt.nInstr + loaded + 2*spills
-	dims := bt.dims
-	dims[r] = n
-	base := blockBase + bt.proTotal*c.ib // the row iteration's code
+	// reload and writeback, the FMA burst and the loop overhead pair; the
+	// windowed loads where their windows hold.
+	walk.nIter = bt.nInstr + loaded + 2*spills
 	switch {
 	case r == 0:
 		// runInnerSegments has fetched the row's line, which holds every PC.
@@ -483,7 +522,7 @@ func (c *execCtx) shipBox(r, first, n int, blockBase uint64, oneLine, spill bool
 		c.pc = blockBase
 		c.fetchLine()
 	default:
-		if out := c.fetchRunBox(blockBase, base, nInstrIter, r, &dims, &bt.code); out != nestDone {
+		if out := c.fetchRunBox(&walk); out != nestDone {
 			return out
 		}
 	}
@@ -491,7 +530,7 @@ func (c *execCtx) shipBox(r, first, n int, blockBase uint64, oneLine, spill bool
 	c.counts.ByClass[isa.ALU] += nU * bt.pairs
 	c.counts.ByClass[isa.Branch] += nU * bt.pairs
 	c.counts.ByClass[isa.FMA] += nU * bt.iters * flops
-	c.counts.ByClass[isa.Load] += nU * (bt.iters*(loaded+spills) + bt.proLoads)
+	c.counts.ByClass[isa.Load] += loads + nU*(bt.iters*spills+bt.proLoads)
 	c.counts.ByClass[isa.Store] += nU * bt.iters * spills
 	c.counts.GuardBranches += nU * bt.iters * bt.checks
 	c.counts.LoopExits += nU * bt.exits
@@ -500,7 +539,7 @@ func (c *execCtx) shipBox(r, first, n int, blockBase uint64, oneLine, spill bool
 		if len(c.em.buf) > 0 {
 			c.em.flush() // keep event/loop-run ordering
 		}
-		if prologue {
+		if prologue || nw > 0 {
 			c.prologue.ConsumePrologueRun(&c.loopRun)
 		} else {
 			c.em.sink.ConsumeLoop(&c.loopRun)
@@ -508,7 +547,7 @@ func (c *execCtx) shipBox(r, first, n int, blockBase uint64, oneLine, spill bool
 	}
 	// As after the last iteration: the row done, then the epilogue of each
 	// enclosing level.
-	c.pc = base + (nInstrIter+bt.epiTotal)*c.ib
+	c.pc = walk.base + (walk.iterLen(dims[1]-1, dims[0]-1)+bt.epiTotal)*c.ib
 	return nestDone
 }
 
@@ -524,15 +563,27 @@ func boxSite(addr uint64, steps *[maxNestRank]int) LoopSite {
 // passes (innerGuardLo/Hi), every body load is inside its tensor
 // (innerSiteLo/Hi; the whole row for loads without a padding check), and
 // — returned, empty without spill registers — the accumulator spills.
-// With whole set it checks that the row is uniform as it goes: it stops
-// and reports false at the first condition that changes along the row, a
-// guard failing anywhere on it or a load or the spill holding on part of
-// it only, guards first.
-func (c *execCtx) rowRanges(whole bool) (spLo, spHi int, ok bool) {
+// For a box topped by rank r >= 1, of n iterations of that rank, it checks
+// that the row is uniform as it goes: it stops and reports false at the
+// first condition that changes along the row, a guard failing anywhere on
+// it or the spill holding on part of it only, guards first. There the
+// padding dimensions that vary above the row are nestUniformRange's:
+// inside throughout or, for those that move with the rows alone, the
+// load's window over the box's rows (innerRowLo/Hi, the whole of them
+// otherwise). A load inside its tensor on part of the row stops it too,
+// unless the sink takes windows and the load has no window over the rows:
+// then that part is its window along the row. A load the padding cuts both
+// ways, at a corner of the image, still cuts the box's rows.
+func (c *execCtx) rowRanges(r, n int) (spLo, spHi int, ok bool) {
 	p := c.p
 	in := &p.nest[0]
 	inner := in.lv
 	ext := inner.Extent
+	whole := r > 0
+	rows := p.nest[r].box.dims[1]
+	if r == 1 {
+		rows = n
+	}
 	part := func(lo, hi int) bool { return whole && lo < hi && (lo > 0 || hi < ext) }
 	for gi, base := range c.innerGuardBase {
 		lo, hi := linearBelow(base, in.guard[gi], inner.Guards[gi].Extent, ext)
@@ -546,23 +597,41 @@ func (c *execCtx) rowRanges(whole bool) (spLo, spHi int, ok bool) {
 			return 0, 0, false
 		}
 	}
-	k := 0
+	k, d0 := 0, len(in.guard)+len(in.elem)
 	for si, site := range p.bodyLoads {
-		lo, hi := 0, ext
+		lo, hi, rlo, rhi := 0, ext, 0, rows
 		if site.CanOOB {
 			for range site.Checked {
-				alo, ahi := linearAtLeast(c.innerDimBase[k], in.dim[k], 0, ext)
-				blo, bhi := linearBelow(c.innerDimBase[k], in.dim[k], p.dimBound[k], ext)
-				lo, hi = max(lo, alo, blo), min(hi, ahi, bhi)
+				base, bound := c.innerDimBase[k], p.dimBound[k]
+				switch {
+				case !whole || !p.nest[r].above[d0+k]:
+					alo, ahi := linearAtLeast(base, in.dim[k], 0, ext)
+					blo, bhi := linearBelow(base, in.dim[k], bound, ext)
+					lo, hi = max(lo, alo, blo), min(hi, ahi, bhi)
+				case c.rowsWindow(r, k):
+					alo, ahi := linearAtLeast(base, p.nest[1].dim[k], 0, rows)
+					blo, bhi := linearBelow(base, p.nest[1].dim[k], bound, rows)
+					rlo, rhi = max(rlo, alo, blo), min(rhi, ahi, bhi)
+				}
 				k++
 			}
-			if part(lo, hi) {
+			if part(lo, hi) && (c.prologue == nil || rlo < rhi && (rlo > 0 || rhi < rows)) {
 				return 0, 0, false
 			}
 		}
 		c.innerSiteLo[si], c.innerSiteHi[si] = lo, hi
+		c.innerRowLo[si], c.innerRowHi[si] = rlo, rhi
 	}
 	return spLo, spHi, true
+}
+
+// rowsWindow reports whether checked padding dimension k gives its load a
+// window over the rows of a box topped by rank r >= 1 instead of bounding
+// the box's range: the sink takes windows, and the dimension moves with the
+// rows alone, so its window is the same along every row and every plane.
+func (c *execCtx) rowsWindow(r, k int) bool {
+	n := &c.p.nest
+	return c.prologue != nil && n[0].dim[k] == 0 && n[1].dim[k] != 0 && (r == 1 || n[2].dim[k] == 0)
 }
 
 // nestOutcome is what shipBox did with a box.
@@ -576,44 +645,67 @@ const (
 
 // fetchRunBox ships the fetch-line crossings of a uniform nest box whose
 // code spans several I-lines as one fetch run. The box's code starts at
-// blockBase with the prologue of each of the r enclosing levels, outermost
-// first, then the row iteration's nIter instructions from base and, right
-// behind them, the epilogue of each enclosing level, innermost first (code
-// holds their lengths in instructions, none above r); dims holds the
-// iterations per level. Nothing is delivered unless every one of those code lines is
-// resident in the sink. A box that repeats the previous walk's inputs,
-// entered the same way, reuses its crossings.
-func (c *execCtx) fetchRunBox(blockBase, base, nIter uint64, r int, dims *[maxNestRank]int, code *boxCode) nestOutcome {
-	first := blockBase &^ 63 // code.epi is 0 above r
-	n := int(((base+(nIter+code.epi[1]+code.epi[2]-1)*c.ib)&^63-first)>>6) + 1
-	if n > maxFetchRunLines {
+// in.blockBase with the prologue of each of the in.r enclosing levels,
+// outermost first, then each row iteration's instructions from in.base
+// and, right behind the last iteration of a row, the epilogue of each
+// enclosing level, innermost first (in.code holds their lengths in
+// instructions, none above in.r). Nothing is delivered unless every one of
+// those code lines is resident in the sink. A box that repeats a recent
+// walk's inputs, entered the same way, reuses its crossings.
+func (c *execCtx) fetchRunBox(in *walkInputs) nestOutcome {
+	first := in.blockBase &^ 63
+	// The code ends no further than the longest iteration, every windowed
+	// load made, and the epilogues behind it (code.epi is 0 above r).
+	most := in.nIter
+	for _, w := range in.wins {
+		if w.lo < w.hi {
+			most++
+		}
+	}
+	if int(((in.base+(most+in.code.epi[1]+in.code.epi[2]-1)*c.ib)&^63-first)>>6)+1 > maxFetchRunLines {
 		return nestIneligible
 	}
-	w := &c.walk
-	if in := (walkInputs{blockBase: blockBase, base: base, nIter: nIter, r: r, dims: *dims, code: *code,
-		enteredOnFirst: c.lastLine == first}); w.in != in {
-		w.walk(in, c.lastLine, c.ib)
+	in.enteredOnFirst = c.lastLine == first
+	if c.walks[c.lastWalk].in != *in {
+		c.recallWalk(in)
 	}
+	w := &c.walks[c.lastWalk]
 	// Fetches still in the buffer decide residency: deliver them first.
 	c.em.flush()
-	if !c.fetch.FetchResident(w.lines[:n]) {
+	if !c.fetch.FetchResident(w.lines[:w.n]) {
 		return nestCold
 	}
-	c.fetch.ConsumeFetchRun(w.total, w.lines[:n], w.last[:n])
+	c.fetch.ConsumeFetchRun(w.total, w.lines[:w.n], w.last[:w.n])
 	c.lastLine = w.lastLine
 	return nestDone
+}
+
+// recallWalk makes walks[lastWalk] the walk of box in: a kept one with its
+// inputs, or else a fresh walk in the place of the oldest.
+func (c *execCtx) recallWalk(in *walkInputs) {
+	for k := range c.walks {
+		if c.walks[k].in == *in {
+			c.lastWalk = k
+			return
+		}
+	}
+	c.lastWalk, c.nextWalk = c.nextWalk, (c.nextWalk+1)%len(c.walks)
+	c.walks[c.lastWalk].walk(in, c.lastLine, c.ib)
 }
 
 // fetchWalk derives a nest box's fetch-line crossings without visiting every
 // iteration. A crossing happens wherever the fetch line differs from the
 // previous instruction's, so each period of a loop level (one of its
 // iterations) is a fixed sequence of crossings given the line it is entered
-// on — and every period after the first is entered on the same line, the
-// one the period before it ended on. The first, second and last period of
-// each level are therefore walked line by line and the ones between, copies
-// of the second, are added as a multiple of its crossing count. Per line,
-// only the ordinal of its last crossing is kept: that is what the LRU stamps
-// record of the order.
+// on — and, over a stretch of alike periods, every period after the first
+// is entered on the same line, the one the period before it ended on. The
+// first, second and last period of each stretch are therefore walked line
+// by line and the ones between, copies of the second, are added as a
+// multiple of its crossing count. Periods are alike but at the ends of the
+// windows: a windowed load makes its iterations one instruction longer, so
+// the row's iterations and the box's rows are cut into stretches there.
+// Per line, only the ordinal of its last crossing is kept: that is what the
+// LRU stamps record of the order.
 type fetchWalk struct {
 	// in is what the crossings were derived from; the zero value matches
 	// no box.
@@ -621,27 +713,52 @@ type fetchWalk struct {
 	lastLine uint64 // fetch line of the previous instruction
 	total    uint64 // crossings so far
 	ib       uint64
+	row      int                 // the row being walked
+	n        int                 // lines the box's code spans, from lines[0]
 	proBase  [maxNestRank]uint64 // where each enclosing level's prologue starts
-	epiBase  [maxNestRank]uint64 // where each enclosing level's epilogue starts
 
 	lines [maxFetchRunLines]uint64 // the box's code lines, consecutive from lines[0]
 	last  [maxFetchRunLines]uint64 // 1-based ordinal of each line's last crossing
 }
 
+// maxWindows is the most windowed loads a box may carry: the walk of its
+// fetch lines is keyed on their windows. A box with more runs one rank
+// down.
+const maxWindows = 2
+
+// window is where a windowed load of a box makes its access: iterations
+// [lo,hi) of rows [rowLo,rowHi).
+type window struct{ lo, hi, rowLo, rowHi int }
+
 // walkInputs is everything a box's crossings depend on. Every walk starts
 // at blockBase, so the line fetched before the box matters only as to
 // whether it is that one.
 type walkInputs struct {
-	blockBase, base, nIter uint64
-	r                      int
-	dims                   [maxNestRank]int // iterations per nest rank, the row first
-	code                   boxCode
-	enteredOnFirst         bool
+	blockBase, base uint64
+	// nIter is a row iteration's length in instructions without the
+	// windowed loads, wins their windows (zero for none).
+	nIter          uint64
+	wins           [maxWindows]window
+	r              int
+	dims           [maxNestRank]int // iterations per nest rank, the row first
+	code           boxCode
+	enteredOnFirst bool
+}
+
+// iterLen is the length in instructions of iteration i of row j.
+func (in *walkInputs) iterLen(j, i int) uint64 {
+	n := in.nIter
+	for _, w := range in.wins {
+		if i >= w.lo && i < w.hi && j >= w.rowLo && j < w.rowHi {
+			n++
+		}
+	}
+	return n
 }
 
 // walk derives the crossings of the box in, entered from line entry.
-func (w *fetchWalk) walk(in walkInputs, entry, ib uint64) {
-	w.in, w.lastLine, w.total, w.ib, w.last = in, entry, 0, ib, [maxFetchRunLines]uint64{}
+func (w *fetchWalk) walk(in *walkInputs, entry, ib uint64) {
+	w.in, w.lastLine, w.total, w.ib, w.n, w.last = *in, entry, 0, ib, 0, [maxFetchRunLines]uint64{}
 	for i := range w.lines {
 		w.lines[i] = in.blockBase&^63 + uint64(i)<<6
 	}
@@ -649,11 +766,7 @@ func (w *fetchWalk) walk(in walkInputs, entry, ib uint64) {
 		w.proBase[s] = at
 		at += in.code.pro[s] * ib
 	}
-	for s, at := 1, in.base+in.nIter*ib; s <= in.r; s++ {
-		w.epiBase[s] = at
-		at += in.code.epi[s] * ib
-	}
-	w.repeat(in.dims[in.r], in.r)
+	w.level(in.r)
 }
 
 // span walks n sequential instructions starting at addr.
@@ -666,35 +779,75 @@ func (w *fetchWalk) span(addr, n uint64) {
 			w.lastLine = line
 		}
 	}
+	w.n = max(w.n, int((end-w.lines[0])>>6)+1)
 }
 
-// repeat walks n periods of nest level s: the first, second and last
-// explicitly, those between by count.
-func (w *fetchWalk) repeat(n, s int) {
-	w.period(s)
-	if n >= 3 {
+// level walks every period of nest rank s in stretches of alike periods:
+// the windows cut the rows at their row ends, and a row's iterations at
+// the ends of the windows that hold the row.
+func (w *fetchWalk) level(s int) {
+	for a, n := 0, w.in.dims[s]; a < n; {
+		b := n
+		for _, win := range w.in.wins {
+			switch {
+			case s == 1:
+				b = cutAfter(a, b, win.rowLo, win.rowHi)
+			case s == 0 && w.row >= win.rowLo && w.row < win.rowHi:
+				b = cutAfter(a, b, win.lo, win.hi)
+			}
+		}
+		w.repeat(s, a, b)
+		a = b
+	}
+}
+
+// cutAfter returns the least of b and those of lo and hi beyond a.
+func cutAfter(a, b, lo, hi int) int {
+	if lo > a {
+		b = min(b, lo)
+	}
+	if hi > a {
+		b = min(b, hi)
+	}
+	return b
+}
+
+// repeat walks the alike periods [a,b) of nest rank s: the first, second and
+// last explicitly, those between by count.
+func (w *fetchWalk) repeat(s, a, b int) {
+	w.period(s, a)
+	if b-a >= 3 {
 		before := w.total
-		w.period(s)
-		w.total += uint64(n-3) * (w.total - before)
+		w.period(s, a+1)
+		w.total += uint64(b-a-3) * (w.total - before)
 	}
-	if n >= 2 {
-		w.period(s)
+	if b-a >= 2 {
+		w.period(s, b-1)
 	}
 }
 
-// period walks one iteration of nest rank s: the row iteration for the
-// row, above it the level's prologue, every iteration of the rank below
-// and then the level's epilogue.
-func (w *fetchWalk) period(s int) {
+// period walks iteration i of nest rank s: an iteration of the current row
+// for the row, above it the level's prologue, every iteration of the rank
+// below and then the level's epilogue, which follows the last iteration of
+// the last row walked and the epilogues of the ranks below.
+func (w *fetchWalk) period(s, i int) {
+	in := &w.in
 	if s == 0 {
-		w.span(w.in.base, w.in.nIter)
+		w.span(in.base, in.iterLen(w.row, i))
 		return
 	}
-	if w.in.code.pro[s] > 0 {
-		w.span(w.proBase[s], w.in.code.pro[s])
+	if s == 1 {
+		w.row = i
 	}
-	w.repeat(w.in.dims[s-1], s-1)
-	w.span(w.epiBase[s], w.in.code.epi[s])
+	if in.code.pro[s] > 0 {
+		w.span(w.proBase[s], in.code.pro[s])
+	}
+	w.level(s - 1)
+	at := in.base + in.iterLen(w.row, in.dims[0]-1)*w.ib
+	for t := 1; t < s; t++ {
+		at += in.code.epi[t] * w.ib
+	}
+	w.span(at, in.code.epi[s])
 }
 
 // runInnerIter is the per-iteration strength-reduced row, for rows whose
@@ -798,7 +951,7 @@ func (c *execCtx) runInnerSegments(blockBase uint64) {
 	// Cut [0,ext) at every interior truth-change point of the affine
 	// conditions. Full and empty truth sets add no cuts, so a uniform row
 	// runs as a single sort-free segment.
-	spLo, spHi, _ := c.rowRanges(false)
+	spLo, spHi, _ := c.rowRanges(0, 1)
 	cuts := append(c.innerCuts[:0], 0, ext)
 	for gi, lo := range c.innerGuardLo {
 		cuts = addCuts(cuts, lo, c.innerGuardHi[gi], ext)

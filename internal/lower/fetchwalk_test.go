@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"reflect"
 	"testing"
+
+	"repro/internal/num"
 )
 
 // fetchRunLog is a sink whose L1I holds every line: it records the
@@ -38,8 +40,8 @@ func (b walkBox) ship(t *testing.T, c *execCtx, entry uint64) fetchRunResult {
 	t.Helper()
 	sink := c.fetch.(*fetchRunLog)
 	c.lastLine = entry
-	dims, code := b.dims, b.code
-	if out := c.fetchRunBox(b.blockBase, b.base, b.nIter, b.r, &dims, &code); out != nestDone {
+	in := walkInputs{blockBase: b.blockBase, base: b.base, nIter: b.nIter, r: b.r, dims: b.dims, code: b.code}
+	if out := c.fetchRunBox(&in); out != nestDone {
 		t.Fatalf("box %+v: outcome %d", b, out)
 	}
 	return fetchRunResult{sink.total, sink.lines, sink.last, c.lastLine}
@@ -100,7 +102,7 @@ func walkReuse(t *testing.T, ib uint64, r int, pro, epi uint64, lines int) {
 		c, reused := newWalkCtx(ib), 0
 		// The entry line: the box's first line, or another.
 		for _, entry := range []uint64{first, first, first - 64, first - 64, noLine, first, first + 64} {
-			if c.walk.in.nIter == b.nIter && c.walk.in.enteredOnFirst == (entry == first) {
+			if w := c.walks[c.lastWalk].in; w.nIter == b.nIter && w.enteredOnFirst == (entry == first) {
 				reused++
 			}
 			got := b.ship(t, c, entry)
@@ -112,4 +114,131 @@ func walkReuse(t *testing.T, ib uint64, r int, pro, epi uint64, lines int) {
 			t.Fatalf("%d boxes reused the walk before them, want 3", reused)
 		}
 	})
+}
+
+// bruteWalk visits every instruction of box in, entered from line entry,
+// in execution order and records the fetch-line crossings as fetchWalk
+// keeps them.
+func bruteWalk(in walkInputs, entry, ib uint64) fetchRunResult {
+	res := fetchRunResult{lastLine: entry}
+	first := in.blockBase &^ 63
+	last := map[uint64]uint64{}
+	top := first
+	span := func(addr, n uint64) {
+		for k := uint64(0); k < n; k++ {
+			if line := (addr + k*ib) &^ 63; line != res.lastLine {
+				res.total++
+				last[line] = res.total
+				res.lastLine = line
+				top = max(top, line)
+			}
+		}
+	}
+	var proBase [maxNestRank]uint64
+	for s, at := in.r, in.blockBase; s >= 1; s-- {
+		proBase[s] = at
+		at += in.code.pro[s] * ib
+	}
+	// level runs every iteration of rank s; it returns the row it ended on.
+	var level func(s, row int) int
+	level = func(s, row int) int {
+		for i := 0; i < in.dims[s]; i++ {
+			if s == 0 {
+				span(in.base, in.iterLen(row, i))
+				continue
+			}
+			if s == 1 {
+				row = i
+			}
+			span(proBase[s], in.code.pro[s])
+			row = level(s-1, row)
+			at := in.base + in.iterLen(row, in.dims[0]-1)*ib
+			for t := 1; t < s; t++ {
+				at += in.code.epi[t] * ib
+			}
+			span(at, in.code.epi[s])
+		}
+		return row
+	}
+	level(in.r, 0)
+	for line := first; line <= top; line += 64 {
+		res.lines = append(res.lines, line)
+		res.last = append(res.last, last[line])
+	}
+	return res
+}
+
+// TestFetchWalkWindows holds the walk of windowed boxes, whose windowed
+// loads make their iterations one instruction longer, to a walk of every
+// instruction: random boxes of both ranks that ship fetch runs, with one
+// or two windows along the row, over the rows or both, entered on and off
+// their first line. Every box goes through one context per instruction
+// size, and half the time a recent box goes through again, so walks are
+// also recalled from the spares and retired from them.
+func TestFetchWalkWindows(t *testing.T) {
+	type shipped struct {
+		in    walkInputs
+		entry uint64
+		want  fetchRunResult
+	}
+	ctxs := map[uint64]*execCtx{3: newWalkCtx(3), 4: newWalkCtx(4)}
+	recent := map[uint64][]shipped{}
+	ship := func(ib uint64, b shipped) bool {
+		c := ctxs[ib]
+		c.lastLine = b.entry
+		in := b.in
+		if out := c.fetchRunBox(&in); out != nestDone {
+			return false // the bound on the longest iteration left it out
+		}
+		sink := c.fetch.(*fetchRunLog)
+		if got := (fetchRunResult{sink.total, sink.lines, sink.last, c.lastLine}); !reflect.DeepEqual(got, b.want) {
+			t.Fatalf("box %+v entered from %#x: walk %+v, every instruction %+v", b.in, b.entry, got, b.want)
+		}
+		return true
+	}
+	rng := num.NewRNG(49)
+	walked := 0
+	for trial := 0; trial < 3000; trial++ {
+		ib := uint64(3 + rng.Intn(2))
+		if old := recent[ib]; len(old) > 0 && rng.Intn(2) == 0 {
+			ship(ib, old[rng.Intn(len(old))])
+		}
+		in := walkInputs{blockBase: 0x4000 + uint64(rng.Intn(64)), r: 1 + rng.Intn(2)}
+		for s := range in.dims {
+			in.dims[s] = 1
+		}
+		for s := 0; s <= in.r; s++ {
+			in.dims[s] = 1 + rng.Intn(6)
+		}
+		for s := 1; s <= in.r; s++ {
+			in.code.pro[s], in.code.epi[s] = uint64(rng.Intn(3)), uint64(2+2*rng.Intn(2))
+		}
+		in.base = in.blockBase + (in.code.pro[1]+in.code.pro[2])*ib
+		in.nIter = uint64(3 + rng.Intn(24))
+		for w := 0; w < 1+rng.Intn(maxWindows); w++ {
+			win := window{0, in.dims[0], 0, in.dims[1]}
+			if rng.Intn(3) != 0 {
+				win.lo = rng.Intn(in.dims[0])
+				win.hi = win.lo + 1 + rng.Intn(in.dims[0]-win.lo)
+			}
+			if rng.Intn(3) != 0 {
+				win.rowLo = rng.Intn(in.dims[1])
+				win.rowHi = win.rowLo + 1 + rng.Intn(in.dims[1]-win.rowLo)
+			}
+			in.wins[w] = win
+		}
+		first := in.blockBase &^ 63
+		entry := []uint64{first, first - 64, noLine}[rng.Intn(3)]
+		b := shipped{in, entry, bruteWalk(in, entry, ib)}
+		if len(b.want.lines) > maxFetchRunLines || !ship(ib, b) {
+			continue
+		}
+		walked++
+		if recent[ib] = append(recent[ib], b); len(recent[ib]) > 12 {
+			recent[ib] = recent[ib][1:]
+		}
+	}
+	if walked < 1000 {
+		t.Fatalf("only %d boxes walked", walked)
+	}
 }

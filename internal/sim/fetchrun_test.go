@@ -179,6 +179,92 @@ func TestFetchRunChannelFullStateDifferential(t *testing.T) {
 	t.Logf("%d candidates x 3 ISAs; protocol events saved by fetch runs: %d", len(cands), runsTaken)
 }
 
+// windowSpy is a sim.Machine that counts the windowed sites reaching it on
+// each loop channel.
+type windowSpy struct {
+	*sim.Machine
+	onLoop, onPrologue int
+}
+
+// windowed counts the sites of run that carry an active window.
+func windowed(run *lower.LoopRun) int {
+	n := 0
+	for _, st := range run.Sites {
+		if st.Hi > 0 || st.RowHi > 0 {
+			n++
+		}
+	}
+	return n
+}
+
+func (s *windowSpy) ConsumeLoop(run *lower.LoopRun) {
+	s.onLoop += windowed(run)
+	s.Machine.ConsumeLoop(run)
+}
+
+func (s *windowSpy) ConsumePrologueRun(run *lower.LoopRun) {
+	s.onPrologue += windowed(run)
+	s.Machine.ConsumePrologueRun(run)
+}
+
+// TestWindowChannelSplit holds the three-method lower.Sink to the stream it
+// had before sites had windows: windowed boxes go out on the prologue
+// channel only, so a sink behind the threeChannel wrapper, like the
+// repository benchmark's accessSink, never receives a windowed site, and
+// it still ends in the complete cache state, and the timing model with the
+// cycles, of the sink that takes every channel.
+func TestWindowChannelSplit(t *testing.T) {
+	cands := corpusCandidates(t, num.NewRNG(49))
+	var full int
+	for _, arch := range isa.Archs() {
+		prof := hw.Lookup(arch)
+		for _, c := range cands {
+			s, err := schedule.Replay(c.factory().Op, c.steps)
+			if err != nil {
+				t.Fatalf("%s: %v", c.name, err)
+			}
+			prog, err := lower.Build(s, isa.Lookup(arch))
+			if err != nil {
+				t.Fatalf("%s: %v", c.name, err)
+			}
+			var spies [2]*windowSpy
+			for i := range spies {
+				m, err := sim.New(arch, prof.Caches)
+				if err != nil {
+					t.Fatal(err)
+				}
+				spies[i] = &windowSpy{Machine: m}
+			}
+			lower.Execute(prog, spies[0], false)
+			lower.Execute(prog, threeChannel{spies[1]}, false)
+			if spies[0].onLoop > 0 || spies[1].onLoop > 0 {
+				t.Fatalf("%s %s: windowed sites on the three-method ConsumeLoop: %d with every channel, %d behind the wrapper",
+					arch, c.name, spies[0].onLoop, spies[1].onLoop)
+			}
+			full += spies[0].onPrologue
+			if err := spies[0].Hierarchy().DiffState(spies[1].Hierarchy()); err != nil {
+				t.Fatalf("%s %s: cache state with windows differs from the three-method stream: %v", arch, c.name, err)
+			}
+			var hs [2]*hw.Machine
+			for i := range hs {
+				if hs[i], err = hw.NewMachine(prof); err != nil {
+					t.Fatal(err)
+				}
+			}
+			lower.Execute(prog, hs[0], false)
+			lower.Execute(prog, threeChannel{hs[1]}, false)
+			if hs[0].Cycles() != hs[1].Cycles() || hs[0].Mispredicts() != hs[1].Mispredicts() {
+				t.Fatalf("%s %s: hw cycles %v / mispredicts %d with windows, %v / %d behind the wrapper",
+					arch, c.name, hs[0].Cycles(), hs[0].Mispredicts(), hs[1].Cycles(), hs[1].Mispredicts())
+			}
+		}
+	}
+	if full == 0 {
+		t.Fatal("no candidate shipped a windowed site: the split compared the three-method stream with itself")
+	}
+	t.Logf("%d candidates x 3 ISAs; windowed sites on the prologue channel: %d", len(cands), full)
+}
+
 // fatMatMul is te.MatMul with flops arithmetic operations per reduction
 // point: the body's size in code bytes is the knob that moves a nest box's
 // loop-overhead pairs across I-line boundaries.

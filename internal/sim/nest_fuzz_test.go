@@ -132,6 +132,10 @@ type nestShapes struct {
 	prologue3D       int            // boxes of several planes with plane prologue sites
 	prologueFetchRun int            // boxes with prologue sites whose fetches came as one run
 	runs             map[[3]int]int // LoopRuns by Count, Rows and Planes
+	// Boxes with windowed sites: one-line boxes with a window along the row,
+	// boxes with a window over the rows, windowed boxes whose fetches came
+	// as one run, and boxes with a window that leaves out the first row.
+	rowWindowOneLine, rowsWindow, windowFetchRun, firstRowOut int
 }
 
 func (s *nestShapes) FetchResident(lines []uint64) bool {
@@ -176,6 +180,24 @@ func (s *nestShapes) see(run *lower.LoopRun) {
 		}
 	}
 	s.pendingRun = false
+	var rowWin, rowsWin, firstOut bool
+	for _, st := range run.Sites {
+		rowWin = rowWin || st.Hi > 0 && (st.Lo > 0 || int(st.Hi) < run.Count)
+		rowsWin = rowsWin || st.RowHi > 0 && (st.RowLo > 0 || int(st.RowHi) < run.Rows)
+		firstOut = firstOut || st.RowLo > 0
+	}
+	if rowWin && !fetchRun {
+		s.rowWindowOneLine++
+	}
+	if rowsWin {
+		s.rowsWindow++
+	}
+	if (rowWin || rowsWin) && fetchRun {
+		s.windowFetchRun++
+	}
+	if firstOut {
+		s.firstRowOut++
+	}
 	if run.Rows == 1 && run.Planes == 1 {
 		return
 	}
@@ -466,6 +488,17 @@ func TestFuzzNestSeedShapes(t *testing.T) {
 			return strings.HasPrefix(c.name, "conv") && from < nl && !guarded && p.SpillRegisters() == 0 &&
 				n.runs[full] > 0 && n.shortestSpan > 0 && n.shortestSpan < full[0]
 		},
+		// A box above the row whose one I-line holds its code carries a
+		// load inside its tensor on part of the row only, as its window.
+		"rowwin": func(_ candidate, _ *lower.Program, n *nestShapes) bool { return n.rowWindowOneLine > 0 },
+		// A load inside its tensor on some of a box's rows only carries
+		// them as its window.
+		"rowswin": func(_ candidate, _ *lower.Program, n *nestShapes) bool { return n.rowsWindow > 0 },
+		// A windowed box whose code spans several I-lines: the fetch walk
+		// steps over iterations of two lengths.
+		"winrun": func(_ candidate, _ *lower.Program, n *nestShapes) bool { return n.windowFetchRun > 0 },
+		// A window that leaves out a box's first row.
+		"winfirstrow": func(_ candidate, _ *lower.Program, n *nestShapes) bool { return n.firstRowOut > 0 },
 		// The innermost level carries the guard, which cuts its rows into
 		// spans shorter than the row.
 		"guardspan": func(_ candidate, p *lower.Program, n *nestShapes) bool {

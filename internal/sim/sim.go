@@ -147,7 +147,8 @@ func (m *Machine) ConsumeLoop(run *lower.LoopRun) {
 }
 
 // ConsumePrologueRun implements lower.PrologueRunSink: DataRun replays a
-// box's prologue sites in stream order with the rest.
+// box's prologue sites in stream order with the rest, and its windowed
+// sites only inside their windows.
 func (m *Machine) ConsumePrologueRun(run *lower.LoopRun) { m.ConsumeLoop(run) }
 
 // FetchResident implements lower.FetchRunSink: a side-effect-free probe of

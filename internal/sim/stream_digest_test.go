@@ -26,7 +26,7 @@ import (
 
 // nestStreamDigest is the digest of every channel call over the candidates
 // of TestNestStreamDigest.
-const nestStreamDigest = 0xbcf32cba5e0c57d9
+const nestStreamDigest = 0x427203b7e3233a80
 
 // Call tags of the digest.
 const (
@@ -75,6 +75,8 @@ func (s *digestSink) run(t byte, run *lower.LoopRun) {
 		s.u64(uint64(st.RowStep))
 		s.u64(uint64(st.PlaneStep))
 		s.u64(uint64(st.Size))
+		s.u64(uint64(uint32(st.Lo)) | uint64(uint32(st.Hi))<<32)
+		s.u64(uint64(uint32(st.RowLo)) | uint64(uint32(st.RowHi))<<32)
 		w := byte(0)
 		if st.Write {
 			w = 1
@@ -196,7 +198,7 @@ func TestNestStreamDigest(t *testing.T) {
 
 // referenceStreamDigest is the digest of every event of the per-instruction
 // reference over the candidates of TestReferenceStreamDigest.
-const referenceStreamDigest = 0x7ca6a13173710534
+const referenceStreamDigest = 0x5a5f72bce141b962
 
 // refDigestSink is a plain sink that hashes every event it is sent, word
 // by word. The reference encoding sends events only; a LoopRun or counts
